@@ -125,6 +125,62 @@ func runStripeScenario(t *testing.T, kind FabricKind, seed int64) (outcomes, tra
 	return outcomes, cl.Inj.Trace()
 }
 
+// TestChaosStripeSurvivesDonorDrain: gracefully draining a shard donor must
+// move each shard to its successor as a shard. The migration reserve carries
+// the stripe coordinates, so the successor answers ShardInfo at the position
+// the stripe map records and refuses a later sibling; a plain reserve would
+// leave the stripe's durability unverifiable after the first drain.
+func TestChaosStripeSurvivesDonorDrain(t *testing.T) {
+	seed := *chaosSeed
+	logSeed(t, seed)
+	cl := New(t, FabricSim, seed, stripeConfig())
+	defer cl.Close()
+	cl.DumpOnFailure(t)
+	vs, err := cl.Nodes[0].AddServer("chaos", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner := cl.Nodes[0].ID()
+	const entries = 4
+	cl.Run(t, func(ctx context.Context) {
+		cl.HeartbeatRound(ctx)
+		for i := 0; i < entries; i++ {
+			if err := vs.PutRemote(ctx, pagetable.EntryID(i), cl.Payload(i, 4096), 4096, 4096); err != nil {
+				t.Errorf("put %d: %v", i, err)
+				return
+			}
+		}
+		loc, err := vs.Location(0)
+		if err != nil {
+			t.Errorf("location of entry 0: %v", err)
+			return
+		}
+		drained := transport.NodeID(loc.Primary)
+		moved, err := cl.Nodes[drained-1].Decommission(ctx)
+		if err != nil || moved == 0 {
+			t.Errorf("decommission donor %d moved %d shards: %v", drained, moved, err)
+			return
+		}
+		for i := 0; i < entries; i++ {
+			id := pagetable.EntryID(i)
+			loc, err := vs.Location(id)
+			if err != nil {
+				t.Errorf("entry %d lost its location after the drain: %v", i, err)
+				continue
+			}
+			for _, h := range append([]pagetable.NodeID{loc.Primary}, loc.Replicas...) {
+				if transport.NodeID(h) == drained {
+					t.Errorf("entry %d: drained donor %d still in the stripe set", i, drained)
+				}
+			}
+			RequireStripeDurable(t, cl.Nodes, vs, owner, id, 4, 2)
+			if got, _, err := vs.Get(ctx, id); err != nil || !bytes.Equal(got, cl.Payload(i, 4096)) {
+				t.Errorf("get %d after the drain: %d bytes, %v", i, len(got), err)
+			}
+		}
+	})
+}
+
 // TestChaosStripeDegradedReadSim: the scenario under the simulated fabric
 // replays byte-for-byte — outcome labels and fault trace both — because the
 // striped read plan is serial under the discrete-event simulation.

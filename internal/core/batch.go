@@ -64,15 +64,16 @@ var vecPool = sync.Pool{New: func() any { return new([][]byte) }}
 // writer still loops for safety.
 var zeroPad [4096]byte
 
-// PutAll parks a window of entries in node's receive pool: one opAllocBatch
-// round trip reserves every block all-or-nothing, then the payloads are
+// PutAll parks a window of entries in node's receive pool: one reserve round
+// trip takes every block all-or-nothing, then the payloads are
 // scatter-gathered into contiguous spans and written with as few one-sided
 // writes as the allocation layout allows (§IV.H window-based batching).
 //
 // The batch is atomic: on any failure every block reserved for it is
 // released and no handle changes, so previously parked versions of the keys
 // remain readable. On success, displaced blocks from overwritten keys are
-// freed in one batch round trip. Keys must be unique within one call.
+// released in one round trip per hosting node. Keys must be unique within one
+// call.
 func (c *Client) PutAll(ctx context.Context, node transport.NodeID, entries []Entry) error {
 	if len(entries) == 0 {
 		return nil
@@ -84,8 +85,9 @@ func (c *Client) PutAll(ctx context.Context, node transport.NodeID, entries []En
 	sp.Annotate("entries", len(entries))
 	defer sp.End()
 
-	reqs := make([]batchAllocEntry, len(entries))
+	reqs := make([]reservation, len(entries))
 	payloads := make([][]byte, len(entries))
+	handles := make([]clientHandle, len(entries))
 	seen := make(map[uint64]bool, len(entries))
 	for i, e := range entries {
 		if seen[e.Key] {
@@ -94,60 +96,38 @@ func (c *Client) PutAll(ctx context.Context, node transport.NodeID, entries []En
 		seen[e.Key] = true
 		payload, class, flags := c.encodeEntry(e.Data)
 		payloads[i] = payload
-		reqs[i] = batchAllocEntry{Key: e.Key, Class: int32(class), Flags: flags}
+		reqs[i] = reservation{Key: e.Key, Class: int32(class)}
+		handles[i] = clientHandle{class: class, storedLen: len(payload), rawLen: len(e.Data), flags: flags}
 	}
 
-	resp, err := c.ep.Call(ctx, node, encodeAllocBatchReq(reqs))
-	if err != nil {
-		return fmt.Errorf("core: batch alloc on node %d: %w", node, err)
-	}
-	offsets, err := decodeAllocBatchResp(resp, len(entries))
-	if err != nil {
-		return err
-	}
-
-	refs := make([]blockRef, len(entries))
-	for i := range entries {
-		refs[i] = blockRef{idx: i, off: offsets[i], class: int(reqs[i].Class), payloadLen: len(payloads[i])}
-	}
-	spans := coalesceSpans(refs)
-	sp.Annotate("spans", len(spans))
-	if err := c.writeSpans(ctx, node, spans, payloads); err != nil {
-		// Atomic batch: release every block we reserved, on a detached
-		// context (the write failure may be the caller's context dying).
-		fctx, cancel := detached(ctx)
-		defer cancel()
-		frees := make([]batchFreeEntry, len(entries))
-		for i := range entries {
-			frees[i] = batchFreeEntry{Key: entries[i].Key, Offset: offsets[i]}
+	offsets, err := reserve(ctx, c.ep, node, 0, shardInfo{}, reqs, func(offsets reserveResp) error {
+		refs := make([]blockRef, len(entries))
+		for i, h := range handles {
+			refs[i] = blockRef{idx: i, off: offsets.offset(i), class: h.class, payloadLen: h.storedLen}
 		}
-		_, _ = c.ep.Call(fctx, node, encodeFreeBatchReq(frees))
+		spans := coalesceSpans(refs)
+		sp.Annotate("spans", len(spans))
+		return c.writeSpans(ctx, node, spans, payloads)
+	})
+	if err != nil {
 		return err
 	}
 
-	// Commit: install the new handles, then free displaced blocks in one
-	// round trip.
-	var displaced []batchFreeEntry
+	// Commit: install the new handles, then release displaced blocks.
+	var displaced []block
 	c.mu.Lock()
 	for i, e := range entries {
 		ck := clientKey{node: node, key: e.Key}
 		if old, ok := c.handles[ck]; ok {
-			displaced = append(displaced, batchFreeEntry{Key: e.Key, Offset: old.offset})
+			displaced = append(displaced, old.block(ck))
 		}
-		c.handles[ck] = clientHandle{
-			offset:    offsets[i],
-			class:     int(reqs[i].Class),
-			storedLen: len(payloads[i]),
-			rawLen:    len(e.Data),
-			flags:     reqs[i].Flags,
-		}
+		handles[i].offset = offsets.offset(i)
+		c.handles[ck] = handles[i]
 	}
 	c.mu.Unlock()
-	if len(displaced) > 0 {
-		// Best-effort like freeBlock: a failure strands the old blocks only
-		// until the host evicts them.
-		_, _ = c.ep.Call(ctx, node, encodeFreeBatchReq(displaced))
-	}
+	// Best-effort: a failure strands the old blocks only until the host
+	// evicts them.
+	_ = release(ctx, c.ep, displaced...)
 	return nil
 }
 
@@ -326,27 +306,21 @@ func (c *Client) GetAllInto(ctx context.Context, node transport.NodeID, keys []u
 	return nil
 }
 
-// DeleteAll releases a batch of entries on node in one control-plane round
-// trip. Keys without a handle are skipped, like Delete.
+// DeleteAll releases a batch of entries put to node in one control-plane
+// round trip per hosting node (more than one only after a followed
+// decommission redirect). Keys without a handle are skipped, like Delete.
 func (c *Client) DeleteAll(ctx context.Context, node transport.NodeID, keys []uint64) error {
-	var frees []batchFreeEntry
+	blocks := make([]block, 0, len(keys))
 	c.mu.Lock()
 	for _, k := range keys {
 		ck := clientKey{node: node, key: k}
 		if h, ok := c.handles[ck]; ok {
-			frees = append(frees, batchFreeEntry{Key: k, Offset: h.offset})
+			blocks = append(blocks, h.block(ck))
 			delete(c.handles, ck)
 		}
 	}
 	c.mu.Unlock()
-	if len(frees) == 0 {
-		return nil
-	}
-	resp, err := c.ep.Call(ctx, node, encodeFreeBatchReq(frees))
-	if err != nil {
-		return fmt.Errorf("core: batch free on node %d: %w", node, err)
-	}
-	return checkOKResp(resp)
+	return release(ctx, c.ep, blocks...)
 }
 
 // Window is a client-side staging window for writes (§IV.H "window-based

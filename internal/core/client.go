@@ -151,12 +151,6 @@ func detached(ctx context.Context) (context.Context, context.CancelFunc) {
 	return context.WithTimeout(context.WithoutCancel(ctx), cleanupTimeout)
 }
 
-// freeBlock releases one remote block, best-effort: a failed free strands
-// the block only until the host's eviction path reclaims it.
-func (c *Client) freeBlock(ctx context.Context, node transport.NodeID, key uint64, offset int64) {
-	_, _ = c.ep.Call(ctx, node, encodeFreeReq(freeReq{Key: key, Offset: offset}))
-}
-
 // Stats returns the free receive-pool bytes node advertises.
 func (c *Client) Stats(ctx context.Context, node transport.NodeID) (int64, error) {
 	resp, err := c.ep.Call(ctx, node, encodeStatsReq())
@@ -218,52 +212,29 @@ func (c *Client) Put(ctx context.Context, node transport.NodeID, key uint64, dat
 	c.mu.Lock()
 	old, hadOld := c.handles[ck]
 	c.mu.Unlock()
-	if hadOld && len(payload) <= old.class {
+	h := clientHandle{class: class, storedLen: len(payload), rawLen: len(data), flags: flags}
+	inPlace := hadOld && len(payload) <= old.class
+	if inPlace {
 		home := homeOf(ck, old)
 		if err := c.ep.WriteRegion(ctx, home, RecvRegionID, old.offset, payload); err != nil {
 			return fmt.Errorf("core: write to node %d: %w", home, err)
 		}
-		c.mu.Lock()
-		c.handles[ck] = clientHandle{
-			offset:    old.offset,
-			class:     old.class,
-			storedLen: len(payload),
-			rawLen:    len(data),
-			flags:     flags,
-			home:      old.home,
+		h.offset, h.class, h.home = old.offset, old.class, old.home
+	} else {
+		offset, err := parkBlock(ctx, c.ep, node, 0, shardInfo{}, key, class, payload)
+		if err != nil {
+			return err
 		}
-		c.mu.Unlock()
-		return nil
-	}
-	resp, err := c.ep.Call(ctx, node, encodeAllocReq(allocReq{Key: key, Class: int32(class)}))
-	if err != nil {
-		return fmt.Errorf("core: alloc on node %d: %w", node, err)
-	}
-	alloc, err := decodeAllocResp(resp)
-	if err != nil {
-		return err
-	}
-	if err := c.ep.WriteRegion(ctx, node, RecvRegionID, alloc.Offset, payload); err != nil {
-		// Release the fresh reservation so a failed put strands nothing; the
-		// failure may be the caller's context dying, so detach.
-		fctx, cancel := detached(ctx)
-		defer cancel()
-		c.freeBlock(fctx, node, key, alloc.Offset)
-		return fmt.Errorf("core: write to node %d: %w", node, err)
+		h.offset = offset
 	}
 	c.mu.Lock()
-	c.handles[ck] = clientHandle{
-		offset:    alloc.Offset,
-		class:     class,
-		storedLen: len(payload),
-		rawLen:    len(data),
-		flags:     flags,
-	}
+	c.handles[ck] = h
 	c.mu.Unlock()
-	if hadOld {
+	if hadOld && !inPlace {
 		// The displaced block is no longer reachable through any handle;
-		// free it now rather than leaking it until eviction.
-		c.freeBlock(ctx, homeOf(ck, old), key, old.offset)
+		// free it now rather than leaking it until eviction (which is the
+		// backstop if this best-effort release is lost).
+		_ = release(ctx, c.ep, old.block(ck))
 	}
 	return nil
 }
@@ -328,21 +299,7 @@ func (c *Client) getInto(ctx context.Context, node transport.NodeID, h clientHan
 	return h.rawLen, nil
 }
 
-// Delete releases the entry parked under key on node.
+// Delete releases the entry parked under key on node: DeleteAll for one key.
 func (c *Client) Delete(ctx context.Context, node transport.NodeID, key uint64) error {
-	c.mu.Lock()
-	h, ok := c.handles[clientKey{node: node, key: key}]
-	if ok {
-		delete(c.handles, clientKey{node: node, key: key})
-	}
-	c.mu.Unlock()
-	if !ok {
-		return nil
-	}
-	home := homeOf(clientKey{node: node, key: key}, h)
-	resp, err := c.ep.Call(ctx, home, encodeFreeReq(freeReq{Key: key, Offset: h.offset}))
-	if err != nil {
-		return fmt.Errorf("core: free on node %d: %w", home, err)
-	}
-	return checkOKResp(resp)
+	return c.DeleteAll(ctx, node, []uint64{key})
 }

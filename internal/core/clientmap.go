@@ -48,6 +48,12 @@ func homeOf(ck clientKey, h clientHandle) transport.NodeID {
 	return ck.node
 }
 
+// block names the remote block behind h for release: at its current home,
+// not necessarily the node the entry was put to.
+func (h clientHandle) block(ck clientKey) block {
+	return block{node: homeOf(ck, h), key: ck.key, offset: h.offset}
+}
+
 // readEntry is the redirect-aware read path behind Get and GetInto. The
 // common case is one optimistic one-sided read straight from the recorded
 // home — a draining host keeps migrated bytes intact (it refuses new

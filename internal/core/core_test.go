@@ -9,6 +9,7 @@ import (
 	"godm/internal/cluster"
 	"godm/internal/des"
 	"godm/internal/pagetable"
+	"godm/internal/placement"
 	"godm/internal/simnet"
 	"godm/internal/transport"
 )
@@ -407,6 +408,65 @@ func TestPutUpdatesReplaceOldVersion(t *testing.T) {
 			t.Errorf("LiveBlocks = %d, want 1", st.LiveBlocks)
 		}
 	})
+}
+
+// TestReplicatedOverwriteKeepsEveryCopy is the rf3 overwrite regression test.
+// The owner keeps one handle per (donor, key), so the old write-new-then-
+// drop-old order freed the copy just written on every donor the new and old
+// sets share. 64 entries are parked, then overwritten in reverse order so a
+// round-robin balancer's old and new sets meet at every possible offset;
+// afterwards every holder the memory map names must serve the new bytes, and
+// the donors must hold exactly three blocks per entry.
+func TestReplicatedOverwriteKeepsEveryCopy(t *testing.T) {
+	tc := newTestCluster(t, 8, func(id transport.NodeID) Config {
+		cfg := smallConfig(id)
+		if id == 1 {
+			cfg.Balancer = placement.NewRoundRobin()
+		}
+		return cfg
+	})
+	owner := tc.nodes[0]
+	vs, _ := owner.AddServer("vm0", 0)
+	const entries = 64
+	payload := func(id, version int) []byte {
+		return bytes.Repeat([]byte{byte(id), byte(version + 1)}, 2048)
+	}
+	tc.run(t, func(ctx context.Context, p *des.Proc) {
+		for i := 0; i < entries; i++ {
+			if err := vs.PutRemote(ctx, pagetable.EntryID(i), payload(i, 0), 4096, 4096); err != nil {
+				t.Errorf("PutRemote %d: %v", i, err)
+				return
+			}
+		}
+		for i := entries - 1; i >= 0; i-- {
+			id := pagetable.EntryID(i)
+			if err := vs.PutRemote(ctx, id, payload(i, 1), 4096, 4096); err != nil {
+				t.Errorf("overwrite %d: %v", i, err)
+				return
+			}
+			loc, err := vs.Location(id)
+			if err != nil {
+				t.Errorf("entry %d lost its location: %v", i, err)
+				continue
+			}
+			for _, h := range append([]pagetable.NodeID{loc.Primary}, loc.Replicas...) {
+				got, err := vs.ReadFrom(ctx, id, transport.NodeID(h))
+				if err != nil || !bytes.Equal(got, payload(i, 1)) {
+					t.Errorf("entry %d: holder %d does not serve the new bytes: %v", i, h, err)
+				}
+				if !tc.nodes[h-1].HostsRemoteKey(owner.ID(), vs.WireKey(id)) {
+					t.Errorf("entry %d: holder %d hosts no block for it", i, h)
+				}
+			}
+		}
+	})
+	live := 0
+	for _, n := range tc.nodes[1:] {
+		live += n.RecvPool().Stats().LiveBlocks
+	}
+	if live != 3*entries {
+		t.Errorf("donors hold %d live blocks, want %d", live, 3*entries)
+	}
 }
 
 func TestCrossServerIsolation(t *testing.T) {

@@ -8,7 +8,6 @@ import (
 
 	"godm/internal/cluster"
 	"godm/internal/pagetable"
-	"godm/internal/slab"
 	"godm/internal/transport"
 )
 
@@ -100,13 +99,6 @@ type movedBlock struct {
 	offset int64
 }
 
-// hostedBlock pairs a receive-pool handle with its owner record for the
-// drain walk.
-type hostedBlock struct {
-	h   slab.Handle
-	ref ownerRef
-}
-
 // Decommission gracefully removes this node from the cluster (§IV.C dynamic
 // grouping): every block parked in the receive pool is migrated to another
 // alive group member, each block's owner is told the new home (opMoved), a
@@ -132,15 +124,7 @@ func (n *Node) Decommission(ctx context.Context) (int, error) {
 	}
 	n.drainMu.Unlock()
 
-	var blocks []hostedBlock
-	for i := range n.owners {
-		sh := &n.owners[i]
-		sh.mu.Lock()
-		for h, ref := range sh.refs {
-			blocks = append(blocks, hostedBlock{h: h, ref: ref})
-		}
-		sh.mu.Unlock()
-	}
+	blocks := n.hostedBlocks()
 	// Map iteration order is random; migrate in a fixed order so simulated
 	// drains are deterministic.
 	sort.Slice(blocks, func(i, j int) bool {
@@ -187,9 +171,9 @@ func (n *Node) Decommission(ctx context.Context) (int, error) {
 
 // migrateBlock copies one hosted block to an alive group peer, records the
 // redirect tombstone, and notifies the owner of the new home. Successors
-// that refuse the block — no space, or already hosting a sibling replica of
-// the same key — are skipped for the next candidate; the block's owner is
-// the last resort (its own remote copy beats an eviction notice).
+// that refuse the block — no space, or already hosting a sibling replica or
+// shard of the same key — are skipped for the next candidate; the block's
+// owner is the last resort (its own remote copy beats an eviction notice).
 func (n *Node) migrateBlock(ctx context.Context, b hostedBlock) error {
 	data, err := n.recv.Read(b.h, b.h.Class)
 	if err != nil {
@@ -226,29 +210,19 @@ func (n *Node) migrateBlock(ctx context.Context, b hostedBlock) error {
 	return lastErr
 }
 
-// migrateTo copies one hosted block to a specific successor, records the
-// redirect tombstone, and notifies the owner of the new home.
+// migrateTo copies one hosted block to a specific successor — reserving on
+// the owner's behalf, with the shard tag if the block is a stripe shard, so
+// the successor hosts it exactly as this node did — records the redirect
+// tombstone, and notifies the owner of the new home.
 func (n *Node) migrateTo(ctx context.Context, b hostedBlock, to transport.NodeID, data []byte) error {
-	resp, err := n.ep.Call(ctx, to, encodeAllocReq(allocReq{
-		Key: b.ref.key, Class: int32(b.h.Class), Owner: int32(b.ref.owner),
-	}))
+	offset, err := parkBlock(ctx, n.ep, to, b.ref.owner, b.shard, b.ref.key, b.h.Class, data)
 	if err != nil {
-		return fmt.Errorf("core: drain alloc on node %d: %w", to, err)
-	}
-	alloc, err := decodeAllocResp(resp)
-	if err != nil {
-		return err
-	}
-	if err := n.ep.WriteRegion(ctx, to, RecvRegionID, alloc.Offset, data); err != nil {
-		fctx, cancel := detached(ctx)
-		defer cancel()
-		_, _ = n.ep.Call(fctx, to, encodeFreeReq(freeReq{Key: b.ref.key, Offset: alloc.Offset}))
 		return fmt.Errorf("core: drain copy to node %d: %w", to, err)
 	}
 	n.drainMu.Lock()
-	n.movedTo[b.ref.key] = movedBlock{to: to, offset: alloc.Offset}
+	n.movedTo[b.ref.key] = movedBlock{to: to, offset: offset}
 	n.drainMu.Unlock()
-	n.notifyMoved(ctx, b.ref, to, alloc.Offset)
+	n.notifyMoved(ctx, b.ref, to, offset)
 	n.takeOwner(b.h)
 	_ = n.recv.Free(b.h)
 	return nil

@@ -96,6 +96,83 @@ func TestDecommissionMigratesAndRedirects(t *testing.T) {
 	})
 }
 
+// TestDeleteAllFollowsRedirectHome: once a read has followed a decommission
+// redirect, DeleteAll must release the block at its new home, as Delete does.
+// Releasing at the drained host, which no longer holds the block, would
+// strand the migrated copy on its successor.
+func TestDeleteAllFollowsRedirectHome(t *testing.T) {
+	tc := newTestCluster(t, 4, smallConfig)
+	client := NewClient(tc.nodes[0].ep)
+	data := bytes.Repeat([]byte{0x5A}, 2048)
+	tc.run(t, func(ctx context.Context, p *des.Proc) {
+		if err := client.Put(ctx, 2, 9, data); err != nil {
+			t.Errorf("Put: %v", err)
+			return
+		}
+		if _, err := client.Decommission(ctx, 2); err != nil {
+			t.Errorf("Decommission: %v", err)
+			return
+		}
+		successor := findHost(tc, 1, 9, 2)
+		if successor == 0 {
+			t.Error("migrated block not found on any peer")
+			return
+		}
+		if err := client.SyncMap(ctx, 1); err != nil {
+			t.Errorf("SyncMap after drain: %v", err)
+			return
+		}
+		if got, err := client.Get(ctx, 2, 9); err != nil || !bytes.Equal(got, data) {
+			t.Errorf("Get after drain = %d bytes, %v", len(got), err)
+			return
+		}
+		if r := client.Redirects(); r != 1 {
+			t.Errorf("redirects = %d, want 1 (the handle must record the new home)", r)
+		}
+		if err := client.DeleteAll(ctx, 2, []uint64{9}); err != nil {
+			t.Errorf("DeleteAll: %v", err)
+		}
+		if live := tc.nodes[successor-1].RecvPool().Stats().LiveBlocks; live != 0 {
+			t.Errorf("successor node %d still hosts %d blocks after DeleteAll: migrated block stranded", successor, live)
+		}
+	})
+}
+
+// TestPutAllReleasesDisplacedBlockAtItsHome: the block a PutAll overwrite
+// displaces is released where it lives. The handle is rewritten by hand to
+// the state a followed redirect leaves (put to node 2, now homed on node 4),
+// because a drained node refuses the overwrite itself.
+func TestPutAllReleasesDisplacedBlockAtItsHome(t *testing.T) {
+	tc := newTestCluster(t, 4, smallConfig)
+	client := NewClient(tc.nodes[0].ep)
+	fresh := bytes.Repeat([]byte{0xA5}, 2048)
+	tc.run(t, func(ctx context.Context, p *des.Proc) {
+		if err := client.Put(ctx, 4, 9, bytes.Repeat([]byte{0x5A}, 2048)); err != nil {
+			t.Errorf("Put: %v", err)
+			return
+		}
+		client.mu.Lock()
+		h := client.handles[clientKey{node: 4, key: 9}]
+		delete(client.handles, clientKey{node: 4, key: 9})
+		h.home = 4
+		client.handles[clientKey{node: 2, key: 9}] = h
+		client.mu.Unlock()
+		if err := client.PutAll(ctx, 2, []Entry{{Key: 9, Data: fresh}}); err != nil {
+			t.Errorf("PutAll: %v", err)
+			return
+		}
+		if live := tc.nodes[3].RecvPool().Stats().LiveBlocks; live != 0 {
+			t.Errorf("node 4 still hosts %d blocks: displaced block stranded at its home", live)
+		}
+		if got, err := client.Get(ctx, 2, 9); err != nil || !bytes.Equal(got, fresh) {
+			t.Errorf("Get after overwrite = %d bytes, %v", len(got), err)
+		}
+		if live := tc.nodes[1].RecvPool().Stats().LiveBlocks; live != 1 {
+			t.Errorf("node 2 hosts %d blocks, want the 1 fresh block", live)
+		}
+	})
+}
+
 func TestDecommissionTwoHopChain(t *testing.T) {
 	tc := newTestCluster(t, 5, smallConfig)
 	client := NewClient(tc.nodes[0].ep)

@@ -49,22 +49,13 @@ func (n *Node) Harvest(ctx context.Context, wantBytes int64) (int64, int, error)
 	moved := 0
 	var firstErr error
 	if reclaimed < wantBytes {
-		var blocks []hostedBlock
-		for i := range n.owners {
-			sh := &n.owners[i]
-			sh.mu.Lock()
-			for h, ref := range sh.refs {
-				blocks = append(blocks, hostedBlock{h: h, ref: ref})
-			}
-			sh.mu.Unlock()
-		}
 		// Group blocks by slab: budget only comes back a whole slab at a
 		// time, so partially emptying two slabs is strictly worse than fully
 		// emptying one. Evict the cheapest slabs (fewest live blocks) first,
 		// with slab ID as the tiebreak so simulated harvests replay
 		// identically.
 		bySlab := map[int][]hostedBlock{}
-		for _, b := range blocks {
+		for _, b := range n.hostedBlocks() {
 			bySlab[b.h.SlabID] = append(bySlab[b.h.SlabID], b)
 		}
 		slabs := make([]int, 0, len(bySlab))

@@ -13,14 +13,14 @@ import (
 // Control-plane message opcodes (two-sided send/recv traffic, §IV.G: "RDMA
 // send/receive operations for control plane activities").
 const (
-	opAlloc      = 1 // reserve a block in the target's receive pool
-	opFree       = 2 // release a previously reserved block
-	opHeartbeat  = 3 // advertise liveness + free receive-pool bytes
-	opEvicted    = 4 // notify an owner that its block was evicted
-	opStats      = 5 // query free receive-pool bytes
-	opMetrics    = 6 // fetch the node's rendered metrics tree
-	opAllocBatch = 7 // reserve N blocks in one round trip (all or nothing)
-	opFreeBatch  = 8 // release N blocks in one round trip
+	opAlloc     = 1 // reserve N blocks in the target's receive pool (all or nothing)
+	opFree      = 2 // release N previously reserved blocks
+	opHeartbeat = 3 // advertise liveness + free receive-pool bytes
+	opEvicted   = 4 // notify an owner that its block was evicted
+	opStats     = 5 // query free receive-pool bytes
+	opMetrics   = 6 // fetch the node's rendered metrics tree
+	// 7 and 8 were the batch variants of opAlloc/opFree; both verbs now carry
+	// an entry list, so the numbers stay retired.
 	// Cluster-scale control plane (§IV.C-D dynamic membership).
 	opMapSync      = 9  // epoch-versioned map catch-up: deltas or snapshot
 	opLocate       = 10 // confirm a block's location; a moved block redirects
@@ -32,7 +32,7 @@ const (
 	// Balloon harvesting (§IV.F adaptive donation).
 	opHarvest = 15 // ask a donor to reclaim part of its donated pool
 	// Erasure-coded remote memory (DESIGN.md §16).
-	opAllocShard = 16 // reserve a block for one shard of an RS(k,m) stripe
+	opAllocShard = 16 // opAlloc plus a trailing (idx, k, m) shard tag
 	opShardStat  = 17 // ask which shard of a stripe this node hosts
 )
 
@@ -49,29 +49,9 @@ const (
 
 var errShortMessage = errors.New("core: short control message")
 
-// allocReq asks the remote node to reserve a class-sized block for entry key.
-// Owner names the block's true owner when the requester allocates on its
-// behalf — migration allocs (drain, harvest) are issued by the departing
-// host, not the owner. Zero means the caller is the owner. The target
-// refuses an on-behalf alloc when it already hosts a copy of (owner, key):
-// landing a replica next to its sibling would collapse both onto one slot of
-// the owner's replica map and strand a block.
-type allocReq struct {
-	Key   uint64
-	Class int32
-	Owner int32
-}
-
-// allocResp returns the block's global offset within the receive region.
-type allocResp struct {
-	Offset int64
-}
-
-// freeReq releases the block at the given global offset.
-type freeReq struct {
-	Key    uint64
-	Offset int64
-}
+// errRemote marks an in-band stError answer: the peer was reached and refused,
+// as opposed to a transport failure.
+var errRemote = errors.New("core: remote error")
 
 // heartbeatReq advertises the sender's free receive-pool bytes, plus any
 // metric digests piggybacking up the observability tree: the sender's own
@@ -90,68 +70,6 @@ type evictedReq struct {
 // statsResp reports free receive-pool bytes.
 type statsResp struct {
 	FreeBytes int64
-}
-
-func encodeAllocReq(r allocReq) []byte {
-	buf := make([]byte, 1+8+4+4)
-	buf[0] = opAlloc
-	binary.BigEndian.PutUint64(buf[1:9], r.Key)
-	binary.BigEndian.PutUint32(buf[9:13], uint32(r.Class))
-	binary.BigEndian.PutUint32(buf[13:17], uint32(r.Owner))
-	return buf
-}
-
-func decodeAllocReq(b []byte) (allocReq, error) {
-	if len(b) < 17 {
-		return allocReq{}, errShortMessage
-	}
-	return allocReq{
-		Key:   binary.BigEndian.Uint64(b[1:9]),
-		Class: int32(binary.BigEndian.Uint32(b[9:13])),
-		Owner: int32(binary.BigEndian.Uint32(b[13:17])),
-	}, nil
-}
-
-func encodeAllocResp(r allocResp) []byte {
-	buf := make([]byte, 1+8)
-	buf[0] = stOK
-	binary.BigEndian.PutUint64(buf[1:9], uint64(r.Offset))
-	return buf
-}
-
-func decodeAllocResp(b []byte) (allocResp, error) {
-	if len(b) < 1 {
-		return allocResp{}, errShortMessage
-	}
-	switch b[0] {
-	case stOK:
-		if len(b) < 9 {
-			return allocResp{}, errShortMessage
-		}
-		return allocResp{Offset: int64(binary.BigEndian.Uint64(b[1:9]))}, nil
-	case stNoSpace:
-		return allocResp{}, ErrRemoteFull
-	default:
-		return allocResp{}, fmt.Errorf("core: remote alloc failed: %s", b[1:])
-	}
-}
-
-func encodeFreeReq(r freeReq) []byte {
-	buf := make([]byte, 1+8+8)
-	buf[0] = opFree
-	binary.BigEndian.PutUint64(buf[1:9], r.Key)
-	binary.BigEndian.PutUint64(buf[9:17], uint64(r.Offset))
-	return buf
-}
-
-func decodeFreeReq(b []byte) (freeReq, error) {
-	if len(b) < 17 {
-		return freeReq{}, errShortMessage
-	}
-	return freeReq{
-		Key:    binary.BigEndian.Uint64(b[1:9]),
-		Offset: int64(binary.BigEndian.Uint64(b[9:17])),
-	}, nil
 }
 
 func encodeHeartbeatReq(r heartbeatReq) []byte {
@@ -192,145 +110,196 @@ func decodeEvictedReq(b []byte) (evictedReq, error) {
 	return evictedReq{Key: binary.BigEndian.Uint64(b[1:9])}, nil
 }
 
-// Entry-handle flag bits carried in batch alloc requests and recorded in
-// client handles. The hosting node treats payloads as opaque; the flags tell
-// the *owner's* read path how to decode what it parked.
+// Entry-handle flag bits recorded in client handles. The hosting node treats
+// payloads as opaque; the flags tell the *owner's* read path how to decode
+// what it parked, so they never travel.
 const (
 	// flagDeflate marks a payload stored deflate-compressed (§IV.H); Get
 	// inflates it back to the entry's raw length.
 	flagDeflate = 1 << 0
 )
 
-// batchAllocEntry is one slot of a batch allocation: the entry key, its size
-// class, and the handle flags byte.
-type batchAllocEntry struct {
-	Key   uint64
-	Class int32
-	Flags byte
-}
+// The two data-path control verbs (§IV.G: two-sided send/recv for control,
+// one-sided read/write for data). Both carry an entry list whose count is
+// implied by the payload length:
+//
+//	reserve  [opAlloc][i32 owner] + N x [u64 key][u32 class]
+//	         [opAllocShard] ... the same ... + [u8 idx][u8 k][u8 m]
+//	         reply [stOK] + N x [u64 offset] | [stNoSpace] | [stError]...
+//	release  [opFree] + N x [u64 key][u64 offset]
+//	         reply [stOK] | [stError]...
+//
+// N = 1 is the single-block case, and its sizes are load-bearing: the
+// simulated fabric charges len(payload)/bandwidth per Call, so the figure
+// goldens move if a one-block message grows (see TestReservationSizesPinned).
+const (
+	reserveHeaderBytes = 1 + 4
+	reserveEntryBytes  = 8 + 4
+	shardTagBytes      = 3
+	releaseEntryBytes  = 8 + 8
+	offsetBytes        = 8
+)
 
-// batchFreeEntry is one slot of a batch free.
-type batchFreeEntry struct {
-	Key    uint64
-	Offset int64
-}
-
-// maxBatchEntries bounds one batch request (a 64 Ki-entry batch of minimum
-// 512 B classes already exceeds any receive pool this repo configures).
+// maxBatchEntries bounds one reserve or release request (a 64 Ki-entry batch
+// of minimum 512 B classes already exceeds any receive pool this repo
+// configures).
 const maxBatchEntries = 1 << 16
 
-// encodeAllocBatchReq encodes [opAllocBatch][u32 count] followed by count
-// fixed-width entries of [u64 key][u32 class][u8 flags].
-func encodeAllocBatchReq(entries []batchAllocEntry) []byte {
-	buf := make([]byte, 5+13*len(entries))
-	buf[0] = opAllocBatch
-	binary.BigEndian.PutUint32(buf[1:5], uint32(len(entries)))
-	off := 5
+// reservation is one slot of a reserve request: the entry key and the size
+// class to reserve for it.
+type reservation struct {
+	Key   uint64
+	Class int32
+}
+
+// reserveReq is a decoded reserve request. Entries stay in the payload and
+// are read in place, so the donor's handler allocates only its reply.
+//
+// Owner names the blocks' true owner when the requester reserves on its
+// behalf — drain and harvest migration is issued by the departing host — and
+// zero means the caller. A tagged Shard marks each block as shard idx of the
+// owner's RS(k, m) stripe under its key; the donor records the coordinates
+// for opShardStat and the invariant checkers. On-behalf and shard reserves
+// are refused for a key the donor already hosts: two replicas would collapse
+// onto one slot of the owner's replica map, two shards of a stripe on one
+// donor would halve its erasure tolerance.
+type reserveReq struct {
+	Owner   int32
+	Shard   shardInfo
+	entries []byte
+}
+
+func (r reserveReq) count() int { return len(r.entries) / reserveEntryBytes }
+
+func (r reserveReq) entry(i int) reservation {
+	b := r.entries[i*reserveEntryBytes:]
+	return reservation{
+		Key:   binary.BigEndian.Uint64(b[0:8]),
+		Class: int32(binary.BigEndian.Uint32(b[8:12])),
+	}
+}
+
+func encodeReserveReq(owner int32, shard shardInfo, entries []reservation) []byte {
+	n := reserveHeaderBytes + reserveEntryBytes*len(entries)
+	buf := make([]byte, n, n+shardTagBytes)
+	buf[0] = opAlloc
+	binary.BigEndian.PutUint32(buf[1:5], uint32(owner))
+	off := reserveHeaderBytes
 	for _, e := range entries {
 		binary.BigEndian.PutUint64(buf[off:off+8], e.Key)
 		binary.BigEndian.PutUint32(buf[off+8:off+12], uint32(e.Class))
-		buf[off+12] = e.Flags
-		off += 13
+		off += reserveEntryBytes
+	}
+	if shard.tagged() {
+		buf[0] = opAllocShard
+		buf = append(buf, shard.idx, shard.k, shard.m)
 	}
 	return buf
 }
 
-func decodeAllocBatchReq(b []byte) ([]batchAllocEntry, error) {
-	if len(b) < 5 {
-		return nil, errShortMessage
+func decodeReserveReq(b []byte) (reserveReq, error) {
+	if len(b) < reserveHeaderBytes {
+		return reserveReq{}, errShortMessage
 	}
-	count := int(binary.BigEndian.Uint32(b[1:5]))
-	if count <= 0 || count > maxBatchEntries {
-		return nil, fmt.Errorf("core: batch alloc count %d out of range", count)
-	}
-	if len(b) < 5+13*count {
-		return nil, errShortMessage
-	}
-	entries := make([]batchAllocEntry, count)
-	off := 5
-	for i := range entries {
-		entries[i] = batchAllocEntry{
-			Key:   binary.BigEndian.Uint64(b[off : off+8]),
-			Class: int32(binary.BigEndian.Uint32(b[off+8 : off+12])),
-			Flags: b[off+12],
+	r := reserveReq{Owner: int32(binary.BigEndian.Uint32(b[1:5])), entries: b[reserveHeaderBytes:]}
+	if b[0] == opAllocShard {
+		if len(r.entries) < shardTagBytes {
+			return reserveReq{}, errShortMessage
 		}
-		off += 13
+		tag := r.entries[len(r.entries)-shardTagBytes:]
+		r.Shard = shardInfo{idx: tag[0], k: tag[1], m: tag[2]}
+		if !r.Shard.tagged() {
+			return reserveReq{}, errors.New("core: shard tag with k = 0")
+		}
+		r.entries = r.entries[:len(r.entries)-shardTagBytes]
 	}
-	return entries, nil
+	if err := checkEntryList(len(r.entries), reserveEntryBytes); err != nil {
+		return reserveReq{}, err
+	}
+	return r, nil
 }
 
-// encodeAllocBatchResp encodes [stOK] followed by one u64 global offset per
-// requested entry, in request order.
-func encodeAllocBatchResp(offsets []int64) []byte {
-	buf := make([]byte, 1+8*len(offsets))
-	buf[0] = stOK
+// checkEntryList validates the length of a fixed-width entry list: whole
+// entries only, at least one, at most maxBatchEntries.
+func checkEntryList(listBytes, entryBytes int) error {
+	if listBytes == 0 || listBytes%entryBytes != 0 {
+		return errShortMessage
+	}
+	if listBytes/entryBytes > maxBatchEntries {
+		return fmt.Errorf("core: %d entries in one request exceeds %d", listBytes/entryBytes, maxBatchEntries)
+	}
+	return nil
+}
+
+// reserveResp is a validated stOK reserve reply: one global offset per
+// requested entry, in request order, read in place.
+type reserveResp []byte
+
+func (r reserveResp) offset(i int) int64 {
+	return int64(binary.BigEndian.Uint64(r[1+offsetBytes*i:]))
+}
+
+// newReserveResp returns an stOK reply with room for count offsets, which the
+// donor's handler fills in as it reserves.
+func newReserveResp(count int) reserveResp {
+	return make(reserveResp, 1+offsetBytes*count) // stOK == 0
+}
+
+func (r reserveResp) setOffset(i int, off int64) {
+	binary.BigEndian.PutUint64(r[1+offsetBytes*i:], uint64(off))
+}
+
+func decodeReserveResp(b []byte, count int) (reserveResp, error) {
+	if err := checkOKResp(b); err != nil {
+		return nil, err
+	}
+	if len(b) < 1+offsetBytes*count {
+		return nil, errShortMessage
+	}
+	return reserveResp(b), nil
+}
+
+// block names one reserved block from the owner's side: the node hosting it,
+// the entry key, and the block's global offset in that node's receive region.
+type block struct {
+	node   transport.NodeID
+	key    uint64
+	offset int64
+}
+
+// releaseReq is the validated entry list of a release request; like
+// reserveReq's, entries are read in place.
+type releaseReq []byte
+
+func (r releaseReq) count() int { return len(r) / releaseEntryBytes }
+
+func (r releaseReq) entry(i int) (key uint64, offset int64) {
+	b := r[i*releaseEntryBytes:]
+	return binary.BigEndian.Uint64(b[0:8]), int64(binary.BigEndian.Uint64(b[8:16]))
+}
+
+// encodeReleaseReq encodes the key and offset of every block; the caller has
+// already grouped blocks by hosting node.
+func encodeReleaseReq(blocks []block) []byte {
+	buf := make([]byte, 1+releaseEntryBytes*len(blocks))
+	buf[0] = opFree
 	off := 1
-	for _, o := range offsets {
-		binary.BigEndian.PutUint64(buf[off:off+8], uint64(o))
-		off += 8
+	for _, b := range blocks {
+		binary.BigEndian.PutUint64(buf[off:off+8], b.key)
+		binary.BigEndian.PutUint64(buf[off+8:off+16], uint64(b.offset))
+		off += releaseEntryBytes
 	}
 	return buf
 }
 
-func decodeAllocBatchResp(b []byte, count int) ([]int64, error) {
+func decodeReleaseReq(b []byte) (releaseReq, error) {
 	if len(b) < 1 {
 		return nil, errShortMessage
 	}
-	switch b[0] {
-	case stOK:
-		if len(b) < 1+8*count {
-			return nil, errShortMessage
-		}
-		offsets := make([]int64, count)
-		off := 1
-		for i := range offsets {
-			offsets[i] = int64(binary.BigEndian.Uint64(b[off : off+8]))
-			off += 8
-		}
-		return offsets, nil
-	case stNoSpace:
-		return nil, ErrRemoteFull
-	default:
-		return nil, fmt.Errorf("core: remote batch alloc failed: %s", b[1:])
+	if err := checkEntryList(len(b)-1, releaseEntryBytes); err != nil {
+		return nil, err
 	}
-}
-
-// encodeFreeBatchReq encodes [opFreeBatch][u32 count] followed by count
-// fixed-width entries of [u64 key][u64 offset].
-func encodeFreeBatchReq(entries []batchFreeEntry) []byte {
-	buf := make([]byte, 5+16*len(entries))
-	buf[0] = opFreeBatch
-	binary.BigEndian.PutUint32(buf[1:5], uint32(len(entries)))
-	off := 5
-	for _, e := range entries {
-		binary.BigEndian.PutUint64(buf[off:off+8], e.Key)
-		binary.BigEndian.PutUint64(buf[off+8:off+16], uint64(e.Offset))
-		off += 16
-	}
-	return buf
-}
-
-func decodeFreeBatchReq(b []byte) ([]batchFreeEntry, error) {
-	if len(b) < 5 {
-		return nil, errShortMessage
-	}
-	count := int(binary.BigEndian.Uint32(b[1:5]))
-	if count <= 0 || count > maxBatchEntries {
-		return nil, fmt.Errorf("core: batch free count %d out of range", count)
-	}
-	if len(b) < 5+16*count {
-		return nil, errShortMessage
-	}
-	entries := make([]batchFreeEntry, count)
-	off := 5
-	for i := range entries {
-		entries[i] = batchFreeEntry{
-			Key:    binary.BigEndian.Uint64(b[off : off+8]),
-			Offset: int64(binary.BigEndian.Uint64(b[off+8 : off+16])),
-		}
-		off += 16
-	}
-	return entries, nil
+	return releaseReq(b[1:]), nil
 }
 
 func encodeStatsReq() []byte { return []byte{opStats} }
@@ -399,7 +368,7 @@ func checkOKResp(b []byte) error {
 	case stNoSpace:
 		return ErrRemoteFull
 	default:
-		return fmt.Errorf("core: remote error: %s", b[1:])
+		return fmt.Errorf("%w: %s", errRemote, b[1:])
 	}
 }
 
@@ -616,47 +585,6 @@ func decodeHarvestResp(b []byte) (harvestResp, error) {
 	return harvestResp{
 		Reclaimed: int64(binary.BigEndian.Uint64(b[1:9])),
 		Moved:     int32(binary.BigEndian.Uint32(b[9:13])),
-	}, nil
-}
-
-// allocShardReq asks the remote node to reserve a class-sized block for shard
-// Idx of owner's RS(K, M) stripe under key. Unlike opAlloc, the target always
-// refuses when it already hosts any block under (owner, key) — two shards of
-// one stripe on one donor would halve the stripe's erasure tolerance — and it
-// records the shard coordinates so invariant checkers and repair tooling can
-// ask which shard lives where (opShardStat).
-type allocShardReq struct {
-	Key   uint64
-	Class int32
-	Owner int32
-	Idx   uint8
-	K     uint8
-	M     uint8
-}
-
-func encodeAllocShardReq(r allocShardReq) []byte {
-	buf := make([]byte, 1+8+4+4+3)
-	buf[0] = opAllocShard
-	binary.BigEndian.PutUint64(buf[1:9], r.Key)
-	binary.BigEndian.PutUint32(buf[9:13], uint32(r.Class))
-	binary.BigEndian.PutUint32(buf[13:17], uint32(r.Owner))
-	buf[17] = r.Idx
-	buf[18] = r.K
-	buf[19] = r.M
-	return buf
-}
-
-func decodeAllocShardReq(b []byte) (allocShardReq, error) {
-	if len(b) < 20 {
-		return allocShardReq{}, errShortMessage
-	}
-	return allocShardReq{
-		Key:   binary.BigEndian.Uint64(b[1:9]),
-		Class: int32(binary.BigEndian.Uint32(b[9:13])),
-		Owner: int32(binary.BigEndian.Uint32(b[13:17])),
-		Idx:   b[17],
-		K:     b[18],
-		M:     b[19],
 	}, nil
 }
 

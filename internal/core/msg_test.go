@@ -12,95 +12,203 @@ import (
 	"godm/internal/transport"
 )
 
-func TestAllocReqRoundTrip(t *testing.T) {
-	f := func(key uint64, class int32) bool {
-		got, err := decodeAllocReq(encodeAllocReq(allocReq{Key: key, Class: class}))
-		return err == nil && got.Key == key && got.Class == class
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
+// reservationCases are the reserve/release messages the round-trip table
+// checks and the fuzz target is seeded with: single-block and window-sized,
+// plain, on-behalf and shard-tagged, keys and classes with high bits set.
+var reservationCases = []struct {
+	name    string
+	owner   int32
+	shard   shardInfo
+	entries []reservation
+	offsets []int64
+}{
+	{"single", 0, shardInfo{}, []reservation{{Key: 42, Class: 4096}}, []int64{8192}},
+	{"single high bits", -2, shardInfo{}, []reservation{{Key: 1<<63 | 42, Class: -1 << 31}}, []int64{-1}},
+	{"on behalf", 7, shardInfo{}, []reservation{{Key: 9, Class: 512}}, []int64{0}},
+	{"shard", 0, shardInfo{idx: 5, k: 4, m: 2}, []reservation{{Key: 0xF00DFACE99887766, Class: 16384}}, []int64{1 << 40}},
+	{"shard on behalf", 3, shardInfo{idx: 0xFF, k: 0xFE, m: 0xFD}, []reservation{{Key: 1, Class: 512}}, []int64{4096}},
+	{"window", 0, shardInfo{}, []reservation{{Key: 1, Class: 512}, {Key: 1<<63 | 42, Class: 4096}, {Key: 7, Class: 2048}}, []int64{0, 4096, 1 << 40}},
+	{"shard window", 0, shardInfo{idx: 1, k: 4, m: 2}, []reservation{{Key: 3, Class: 1024}, {Key: 4, Class: 1024}}, []int64{1024, 2048}},
+}
+
+// TestReservationRoundTrip drives every case through the reserve request,
+// reserve reply and release request codecs.
+func TestReservationRoundTrip(t *testing.T) {
+	for _, tc := range reservationCases {
+		t.Run(tc.name, func(t *testing.T) {
+			req, err := decodeReserveReq(encodeReserveReq(tc.owner, tc.shard, tc.entries))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if req.Owner != tc.owner || req.Shard != tc.shard || req.count() != len(tc.entries) {
+				t.Fatalf("reserve header = owner %d shard %+v count %d, want %d %+v %d",
+					req.Owner, req.Shard, req.count(), tc.owner, tc.shard, len(tc.entries))
+			}
+			reply := newReserveResp(len(tc.entries))
+			blocks := make([]block, len(tc.entries))
+			for i, want := range tc.entries {
+				if got := req.entry(i); got != want {
+					t.Fatalf("reserve entry %d = %+v, want %+v", i, got, want)
+				}
+				reply.setOffset(i, tc.offsets[i])
+				blocks[i] = block{node: 9, key: want.Key, offset: tc.offsets[i]}
+			}
+			back, err := decodeReserveResp(reply, len(tc.entries))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rel, err := decodeReleaseReq(encodeReleaseReq(blocks))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rel.count() != len(blocks) {
+				t.Fatalf("release count = %d, want %d", rel.count(), len(blocks))
+			}
+			for i, b := range blocks {
+				if got := back.offset(i); got != tc.offsets[i] {
+					t.Fatalf("reply offset %d = %d, want %d", i, got, tc.offsets[i])
+				}
+				if key, off := rel.entry(i); key != b.key || off != b.offset {
+					t.Fatalf("release entry %d = (%d, %d), want (%d, %d)", i, key, off, b.key, b.offset)
+				}
+			}
+		})
 	}
 }
 
-func TestFreeReqRoundTrip(t *testing.T) {
-	f := func(key uint64, offset int64) bool {
-		got, err := decodeFreeReq(encodeFreeReq(freeReq{Key: key, Offset: offset}))
-		return err == nil && got.Key == key && got.Offset == offset
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAllocBatchRoundTrip(t *testing.T) {
-	entries := []batchAllocEntry{
-		{Key: 1, Class: 512, Flags: 0},
-		{Key: 1<<63 | 42, Class: 4096, Flags: flagDeflate},
-		{Key: 7, Class: 2048, Flags: 0xFF},
-	}
-	got, err := decodeAllocBatchReq(encodeAllocBatchReq(entries))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(entries) {
-		t.Fatalf("decoded %d entries, want %d", len(got), len(entries))
-	}
-	for i := range entries {
-		if got[i] != entries[i] {
-			t.Fatalf("entry %d = %+v, want %+v", i, got[i], entries[i])
+// TestReservationSizesPinned pins the on-wire size of the five one-block
+// reservation messages. The simulated fabric charges len(payload)/bandwidth
+// per Call, so a single-block message that grows by even a few bytes moves
+// the last digit of cells in internal/exp/testdata/fig8.golden: the N = 1
+// case of the entry-list verbs must cost exactly what the old single-block
+// messages did.
+func TestReservationSizesPinned(t *testing.T) {
+	one := []reservation{{Key: 1, Class: 4096}}
+	reply := newReserveResp(1)
+	for _, tc := range []struct {
+		name string
+		msg  []byte
+		want int
+	}{
+		{"plain reserve", encodeReserveReq(0, shardInfo{}, one), 17},
+		{"shard reserve", encodeReserveReq(0, shardInfo{idx: 1, k: 4, m: 2}, one), 20},
+		{"release", encodeReleaseReq([]block{{node: 2, key: 1, offset: 4096}}), 17},
+		{"reserve reply", reply, 9},
+		{"release reply", okResp(), 1},
+	} {
+		if len(tc.msg) != tc.want {
+			t.Errorf("%s is %d bytes on the wire, want %d", tc.name, len(tc.msg), tc.want)
 		}
 	}
-	offsets := []int64{0, 4096, 1 << 40}
-	back, err := decodeAllocBatchResp(encodeAllocBatchResp(offsets), len(offsets))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range offsets {
-		if back[i] != offsets[i] {
-			t.Fatalf("offset %d = %d, want %d", i, back[i], offsets[i])
+}
+
+func TestReservationDecodeRejectsMalformed(t *testing.T) {
+	reserve := encodeReserveReq(0, shardInfo{}, []reservation{{Key: 1, Class: 512}})
+	shard := encodeReserveReq(0, shardInfo{idx: 1, k: 4, m: 2}, []reservation{{Key: 1, Class: 512}})
+	release := encodeReleaseReq([]block{{key: 1, offset: 512}})
+	untagged := append([]byte(nil), shard...)
+	untagged[len(untagged)-2] = 0 // k = 0: not a stripe
+	for _, tc := range []struct {
+		name   string
+		decode func([]byte) error
+		msg    []byte
+	}{
+		{"bare reserve op", reserveErr, []byte{opAlloc}},
+		{"reserve with no entries", reserveErr, reserve[:reserveHeaderBytes]},
+		{"truncated reserve entry", reserveErr, reserve[:len(reserve)-1]},
+		{"reserve with a stray byte", reserveErr, append(reserve[:len(reserve):len(reserve)], 0)},
+		{"oversized reserve", reserveErr, make([]byte, reserveHeaderBytes+reserveEntryBytes*(maxBatchEntries+1))},
+		{"shard reserve with only a tag", reserveErr, append([]byte{opAllocShard, 0, 0, 0, 0}, 1, 4, 2)},
+		{"shard reserve without its tag", reserveErr, shard[:len(shard)-shardTagBytes]},
+		{"shard tag with k = 0", reserveErr, untagged},
+		{"bare release op", releaseErr, []byte{opFree}},
+		{"truncated release entry", releaseErr, release[:len(release)-1]},
+		{"oversized release", releaseErr, make([]byte, 1+releaseEntryBytes*(maxBatchEntries+1))},
+	} {
+		if tc.decode(tc.msg) == nil {
+			t.Errorf("%s should fail to decode", tc.name)
 		}
 	}
-	if _, err := decodeAllocBatchResp(noSpaceResp(), 3); !errors.Is(err, ErrRemoteFull) {
-		t.Fatalf("no-space batch resp err = %v", err)
+	// Reserve replies: statuses map to errors, and an OK reply must carry one
+	// offset per requested entry.
+	if _, err := decodeReserveResp(noSpaceResp(), 3); !errors.Is(err, ErrRemoteFull) {
+		t.Errorf("no-space reply err = %v, want ErrRemoteFull", err)
 	}
-	if _, err := decodeAllocBatchResp(errorResp(errors.New("boom")), 3); err == nil {
-		t.Fatal("error batch resp should fail")
+	if _, err := decodeReserveResp(errorResp(errors.New("boom")), 3); !errors.Is(err, errRemote) {
+		t.Errorf("error reply err = %v, want errRemote", err)
+	}
+	if _, err := decodeReserveResp(nil, 1); err == nil {
+		t.Error("empty reply should fail")
+	}
+	if _, err := decodeReserveResp(newReserveResp(1), 2); err == nil {
+		t.Error("reply with fewer offsets than entries should fail")
 	}
 }
 
-func TestFreeBatchRoundTrip(t *testing.T) {
-	entries := []batchFreeEntry{{Key: 3, Offset: 8192}, {Key: 9, Offset: 0}}
-	got, err := decodeFreeBatchReq(encodeFreeBatchReq(entries))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range entries {
-		if got[i] != entries[i] {
-			t.Fatalf("entry %d = %+v, want %+v", i, got[i], entries[i])
-		}
-	}
-}
+func reserveErr(b []byte) error { _, err := decodeReserveReq(b); return err }
+func releaseErr(b []byte) error { _, err := decodeReleaseReq(b); return err }
 
-func TestBatchDecodeRejectsMalformed(t *testing.T) {
-	if _, err := decodeAllocBatchReq([]byte{opAllocBatch}); err == nil {
-		t.Fatal("short batch alloc header should fail")
+// FuzzReservationCodec feeds arbitrary bytes to the decoders that face the
+// wire on the reserve/release path. Each must never panic, must re-encode
+// whatever it accepted to the identical bytes, and — since entries are read
+// in place — can never report more entries than the input has room for.
+func FuzzReservationCodec(f *testing.F) {
+	for _, tc := range reservationCases {
+		f.Add(encodeReserveReq(tc.owner, tc.shard, tc.entries))
+		blocks := make([]block, len(tc.entries))
+		reply := newReserveResp(len(tc.entries))
+		for i, e := range tc.entries {
+			blocks[i] = block{key: e.Key, offset: tc.offsets[i]}
+			reply.setOffset(i, tc.offsets[i])
+		}
+		f.Add(encodeReleaseReq(blocks))
+		f.Add([]byte(reply))
 	}
-	// A count that promises more entries than the payload carries.
-	req := encodeAllocBatchReq([]batchAllocEntry{{Key: 1, Class: 512}})
-	if _, err := decodeAllocBatchReq(req[:len(req)-1]); err == nil {
-		t.Fatal("truncated batch alloc should fail")
-	}
-	huge := []byte{opAllocBatch, 0xFF, 0xFF, 0xFF, 0xFF}
-	if _, err := decodeAllocBatchReq(huge); err == nil {
-		t.Fatal("oversized batch count should fail")
-	}
-	if _, err := decodeFreeBatchReq([]byte{opFreeBatch, 0, 0, 0, 1}); err == nil {
-		t.Fatal("truncated batch free should fail")
-	}
-	// A short OK response (fewer offsets than requested entries).
-	if _, err := decodeAllocBatchResp(encodeAllocBatchResp([]int64{1}), 2); err == nil {
-		t.Fatal("short batch alloc resp should fail")
-	}
+	f.Add(noSpaceResp())
+	f.Add(errorResp(errors.New("boom")))
+	f.Add([]byte{opAllocShard, 0, 0, 0, 0, 1, 0, 2})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if req, err := decodeReserveReq(in); err == nil && (in[0] == opAlloc || in[0] == opAllocShard) {
+			if req.count() > len(in)/reserveEntryBytes {
+				t.Fatalf("reserve: %d entries from %d bytes", req.count(), len(in))
+			}
+			entries := make([]reservation, req.count())
+			for i := range entries {
+				entries[i] = req.entry(i)
+			}
+			if out := encodeReserveReq(req.Owner, req.Shard, entries); !bytes.Equal(out, in) {
+				t.Fatalf("reserve re-encodes to %x, want %x", out, in)
+			}
+		}
+		if req, err := decodeReleaseReq(in); err == nil && in[0] == opFree {
+			if req.count() > len(in)/reserveEntryBytes {
+				t.Fatalf("release: %d entries from %d bytes", req.count(), len(in))
+			}
+			blocks := make([]block, req.count())
+			for i := range blocks {
+				blocks[i].key, blocks[i].offset = req.entry(i)
+			}
+			if out := encodeReleaseReq(blocks); !bytes.Equal(out, in) {
+				t.Fatalf("release re-encodes to %x, want %x", out, in)
+			}
+		}
+		// The owner decodes a reply knowing how many entries it asked for;
+		// the largest count the reply can satisfy must decode, one more must
+		// not, and the accepted offsets must rebuild the same bytes.
+		count := (len(in) - 1) / offsetBytes
+		if resp, err := decodeReserveResp(in, count); err == nil {
+			if _, err := decodeReserveResp(in, count+1); err == nil {
+				t.Fatalf("reply of %d bytes satisfied %d entries", len(in), count+1)
+			}
+			out := newReserveResp(count)
+			for i := 0; i < count; i++ {
+				out.setOffset(i, resp.offset(i))
+			}
+			if !bytes.Equal(out, in[:len(out)]) {
+				t.Fatalf("reply re-encodes to %x, want %x", out, in[:len(out)])
+			}
+		}
+	})
 }
 
 func TestHeartbeatAndStatsRoundTrip(t *testing.T) {
@@ -115,22 +223,6 @@ func TestHeartbeatAndStatsRoundTrip(t *testing.T) {
 	ev, err := decodeEvictedReq(encodeEvictedReq(evictedReq{Key: 99}))
 	if err != nil || ev.Key != 99 {
 		t.Fatalf("evicted round trip: %+v, %v", ev, err)
-	}
-}
-
-func TestAllocRespStatuses(t *testing.T) {
-	got, err := decodeAllocResp(encodeAllocResp(allocResp{Offset: 4096}))
-	if err != nil || got.Offset != 4096 {
-		t.Fatalf("ok resp: %+v, %v", got, err)
-	}
-	if _, err := decodeAllocResp(noSpaceResp()); !errors.Is(err, ErrRemoteFull) {
-		t.Fatalf("no-space resp err = %v", err)
-	}
-	if _, err := decodeAllocResp(errorResp(errors.New("boom"))); err == nil {
-		t.Fatal("error resp should fail")
-	}
-	if _, err := decodeAllocResp(nil); err == nil {
-		t.Fatal("empty resp should fail")
 	}
 }
 
@@ -150,13 +242,7 @@ func TestCheckOKResp(t *testing.T) {
 }
 
 func TestDecodersRejectShortMessages(t *testing.T) {
-	short := []byte{opAlloc}
-	if _, err := decodeAllocReq(short); err == nil {
-		t.Fatal("alloc")
-	}
-	if _, err := decodeFreeReq(short); err == nil {
-		t.Fatal("free")
-	}
+	short := []byte{opHeartbeat}
 	if _, err := decodeHeartbeatReq(short); err == nil {
 		t.Fatal("heartbeat")
 	}

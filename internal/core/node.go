@@ -139,9 +139,12 @@ type ownerRef struct {
 }
 
 // shardInfo records which shard of an RS(k, m) stripe a hosted block carries.
+// Every real stripe has k >= 1, so the zero value means "not a shard".
 type shardInfo struct {
 	idx, k, m uint8
 }
+
+func (s shardInfo) tagged() bool { return s.k != 0 }
 
 // ownerShardCount is the number of lock stripes over the receive pool's
 // owner bookkeeping. Independent control-plane ops on distinct blocks hash
@@ -149,12 +152,20 @@ type shardInfo struct {
 const ownerShardCount = 16
 
 // ownerShard is one stripe of the recvOwners map. byKey is the reverse
-// (owner,key)→handle-count index that makes HostsRemoteKey O(shards) instead
-// of O(blocks) under the old single big lock.
+// (owner,key) index that makes HostsRemoteKey and ShardInfo O(shards) instead
+// of O(blocks).
 type ownerShard struct {
 	mu    sync.Mutex
 	refs  map[slab.Handle]ownerRef
-	byKey map[ownerRef]int
+	byKey map[ownerRef]hostedKey
+}
+
+// hostedKey is one stripe's record of an (owner, key): how many of its blocks
+// hash to the stripe and, when they are a stripe shard, its coordinates. The
+// record dies with the stripe's last block under the key.
+type hostedKey struct {
+	blocks int
+	shard  shardInfo
 }
 
 // ownerShardIdx stripes a handle to its owner shard.
@@ -209,12 +220,6 @@ type Node struct {
 
 	owners [ownerShardCount]ownerShard
 
-	// shardMu guards shardMeta: the coordinates (idx, k, m) of each
-	// erasure-coded shard parked in our receive pool, keyed like the owner
-	// bookkeeping. Entries die with the last block under their (owner, key).
-	shardMu   sync.Mutex
-	shardMeta map[ownerRef]shardInfo
-
 	repairMu       sync.Mutex
 	pendingRepairs []pendingRepair
 
@@ -252,12 +257,18 @@ type Node struct {
 	lastSync map[cluster.NodeID]cluster.Epoch
 }
 
-// addOwner records who parked h in the receive pool.
-func (n *Node) addOwner(h slab.Handle, ref ownerRef) {
+// addOwner records who parked h in the receive pool, and as which shard of
+// the owner's stripe (zero: not a shard).
+func (n *Node) addOwner(h slab.Handle, ref ownerRef, shard shardInfo) {
 	sh := &n.owners[ownerShardIdx(h)]
 	sh.mu.Lock()
 	sh.refs[h] = ref
-	sh.byKey[ref]++
+	e := sh.byKey[ref]
+	e.blocks++
+	if shard.tagged() {
+		e.shard = shard
+	}
+	sh.byKey[ref] = e
 	sh.mu.Unlock()
 }
 
@@ -265,121 +276,104 @@ func (n *Node) addOwner(h slab.Handle, ref ownerRef) {
 func (n *Node) takeOwner(h slab.Handle) (ownerRef, bool) {
 	sh := &n.owners[ownerShardIdx(h)]
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	ref, ok := sh.refs[h]
 	if !ok {
-		sh.mu.Unlock()
 		return ownerRef{}, false
 	}
 	delete(sh.refs, h)
-	gone := false
-	if sh.byKey[ref]--; sh.byKey[ref] <= 0 {
+	if e := sh.byKey[ref]; e.blocks > 1 {
+		e.blocks--
+		sh.byKey[ref] = e
+	} else {
 		delete(sh.byKey, ref)
-		gone = true
-	}
-	sh.mu.Unlock()
-	if gone {
-		n.dropShardMeta(ref)
 	}
 	return ref, true
 }
 
-// takeOwners removes the owner records for a batch of handles, taking each
-// stripe's lock at most once, and returns the refs that were present.
-func (n *Node) takeOwners(handles []slab.Handle) []ownerRef {
-	var byShard [ownerShardCount][]slab.Handle
-	for _, h := range handles {
-		i := ownerShardIdx(h)
-		byShard[i] = append(byShard[i], h)
-	}
-	refs := make([]ownerRef, 0, len(handles))
-	var gone []ownerRef
-	for i := range byShard {
-		if len(byShard[i]) == 0 {
-			continue
-		}
+// lookupKey folds every stripe's record of (owner, key).
+func (n *Node) lookupKey(owner transport.NodeID, key uint64) (out hostedKey) {
+	ref := ownerRef{owner: owner, key: key}
+	for i := range n.owners {
 		sh := &n.owners[i]
 		sh.mu.Lock()
-		for _, h := range byShard[i] {
-			ref, ok := sh.refs[h]
-			if !ok {
-				continue
-			}
-			delete(sh.refs, h)
-			if sh.byKey[ref]--; sh.byKey[ref] <= 0 {
-				delete(sh.byKey, ref)
-				gone = append(gone, ref)
-			}
-			refs = append(refs, ref)
-		}
+		e := sh.byKey[ref]
 		sh.mu.Unlock()
+		out.blocks += e.blocks
+		if e.shard.tagged() {
+			out.shard = e.shard
+		}
 	}
-	for _, ref := range gone {
-		n.dropShardMeta(ref)
-	}
-	return refs
+	return out
 }
 
-// dropShardMeta forgets a shard's coordinates once its last block is gone.
-func (n *Node) dropShardMeta(ref ownerRef) {
-	n.shardMu.Lock()
-	if n.shardMeta != nil {
-		delete(n.shardMeta, ref)
-	}
-	n.shardMu.Unlock()
+// HostsRemoteKey reports whether this node currently hosts a receive-pool
+// block that owner parked under key. The chaos invariant checkers use it to
+// prove that aborted writes and batches leave no stranded copies behind.
+func (n *Node) HostsRemoteKey(owner transport.NodeID, key uint64) bool {
+	return n.lookupKey(owner, key).blocks > 0
 }
 
 // ShardInfo reports which shard of owner's stripe under key this node hosts.
 // Chaos invariant checkers use it to prove each shard of a stripe landed on
 // its own donor at the position the stripe map records.
 func (n *Node) ShardInfo(owner transport.NodeID, key uint64) (idx, k, m int, ok bool) {
-	n.shardMu.Lock()
-	si, hosted := n.shardMeta[ownerRef{owner: owner, key: key}]
-	n.shardMu.Unlock()
-	if !hosted {
-		return 0, 0, 0, false
+	si := n.lookupKey(owner, key).shard
+	return int(si.idx), int(si.k), int(si.m), si.tagged()
+}
+
+// hostedBlock is one block parked in the receive pool, for the drain walk.
+type hostedBlock struct {
+	h     slab.Handle
+	ref   ownerRef
+	shard shardInfo
+}
+
+// hostedBlocks snapshots every block parked in the receive pool.
+func (n *Node) hostedBlocks() []hostedBlock {
+	var blocks []hostedBlock
+	for i := range n.owners {
+		sh := &n.owners[i]
+		sh.mu.Lock()
+		for h, ref := range sh.refs {
+			blocks = append(blocks, hostedBlock{h: h, ref: ref, shard: sh.byKey[ref].shard})
+		}
+		sh.mu.Unlock()
 	}
-	return int(si.idx), int(si.k), int(si.m), true
+	return blocks
 }
 
 // coreMetrics pre-binds the request-path instruments so hot paths never take
 // the registry's name-lookup lock.
 type coreMetrics struct {
-	sharedPuts        *metrics.Counter
-	remotePuts        *metrics.Counter
-	sharedGets        *metrics.Counter
-	remoteGets        *metrics.Counter
-	remoteAllocs      *metrics.Counter
-	batchAllocs       *metrics.Counter
-	batchAllocEntries *metrics.Counter
-	batchAllocAborts  *metrics.Counter
-	batchFrees        *metrics.Counter
-	evictedBlocks     *metrics.Counter
-	repairsDone       *metrics.Counter
-	harvestedBytes    *metrics.Counter
-	harvestMoved      *metrics.Counter
-	recvFreeBytes     *metrics.Gauge
-	remotePutLatency  *metrics.Histogram
-	remoteGetLatency  *metrics.Histogram
+	sharedPuts       *metrics.Counter
+	remotePuts       *metrics.Counter
+	sharedGets       *metrics.Counter
+	remoteGets       *metrics.Counter
+	remoteAllocs     *metrics.Counter
+	evictedBlocks    *metrics.Counter
+	repairsDone      *metrics.Counter
+	harvestedBytes   *metrics.Counter
+	harvestMoved     *metrics.Counter
+	recvFreeBytes    *metrics.Gauge
+	remotePutLatency *metrics.Histogram
+	remoteGetLatency *metrics.Histogram
 }
 
 func newCoreMetrics(reg *metrics.Registry) coreMetrics {
 	return coreMetrics{
-		sharedPuts:        reg.Counter("shared_puts"),
-		remotePuts:        reg.Counter("remote_puts"),
-		sharedGets:        reg.Counter("shared_gets"),
-		remoteGets:        reg.Counter("remote_gets"),
-		remoteAllocs:      reg.Counter("remote_allocs"),
-		batchAllocs:       reg.Counter("batch_allocs"),
-		batchAllocEntries: reg.Counter("batch_alloc_entries"),
-		batchAllocAborts:  reg.Counter("batch_alloc_aborts"),
-		batchFrees:        reg.Counter("batch_frees"),
-		evictedBlocks:     reg.Counter("evicted_blocks"),
-		repairsDone:       reg.Counter("repairs_done"),
-		harvestedBytes:    reg.Counter("harvested_bytes"),
-		harvestMoved:      reg.Counter("harvest_moved_blocks"),
-		recvFreeBytes:     reg.Gauge("recv_free_bytes"),
-		remotePutLatency:  reg.Histogram("remote_put_latency"),
-		remoteGetLatency:  reg.Histogram("remote_get_latency"),
+		sharedPuts:       reg.Counter("shared_puts"),
+		remotePuts:       reg.Counter("remote_puts"),
+		sharedGets:       reg.Counter("shared_gets"),
+		remoteGets:       reg.Counter("remote_gets"),
+		remoteAllocs:     reg.Counter("remote_allocs"),
+		evictedBlocks:    reg.Counter("evicted_blocks"),
+		repairsDone:      reg.Counter("repairs_done"),
+		harvestedBytes:   reg.Counter("harvested_bytes"),
+		harvestMoved:     reg.Counter("harvest_moved_blocks"),
+		recvFreeBytes:    reg.Gauge("recv_free_bytes"),
+		remotePutLatency: reg.Histogram("remote_put_latency"),
+		remoteGetLatency: reg.Histogram("remote_get_latency"),
 	}
 }
 
@@ -451,7 +445,7 @@ func NewNode(cfg Config, ep transport.Endpoint, dir *cluster.Directory) (*Node, 
 	}
 	for i := range n.owners {
 		n.owners[i].refs = map[slab.Handle]ownerRef{}
-		n.owners[i].byKey = map[ownerRef]int{}
+		n.owners[i].byKey = map[ownerRef]hostedKey{}
 	}
 	n.met = newCoreMetrics(n.reg)
 	n.met.recvFreeBytes.Set(recv.FreeBytes())
@@ -491,7 +485,6 @@ func NewNode(cfg Config, ep transport.Endpoint, dir *cluster.Directory) (*Node, 
 		// domain tags; plain balancers already guarantee distinct donors.
 		n.balancer = placement.SpreadDomains(n.balancer)
 	}
-	n.shardMeta = map[ownerRef]shardInfo{}
 	ep.SetHandler(n.handleCall)
 	dir.Join(cluster.NodeID(cfg.ID), n.recv.FreeBytes())
 	return n, nil
@@ -826,30 +819,18 @@ func (n *Node) handleCall(ctx context.Context, from transport.NodeID, payload []
 	sp.Annotate("op", int(payload[0]))
 	defer sp.End()
 	switch payload[0] {
-	case opAlloc:
-		req, err := decodeAllocReq(payload)
+	case opAlloc, opAllocShard:
+		req, err := decodeReserveReq(payload)
 		if err != nil {
 			return errorResp(err), nil
 		}
-		return n.handleAlloc(from, req), nil
+		return n.handleReserve(from, req), nil
 	case opFree:
-		req, err := decodeFreeReq(payload)
+		req, err := decodeReleaseReq(payload)
 		if err != nil {
 			return errorResp(err), nil
 		}
-		return n.handleFree(req), nil
-	case opAllocBatch:
-		entries, err := decodeAllocBatchReq(payload)
-		if err != nil {
-			return errorResp(err), nil
-		}
-		return n.handleAllocBatch(from, entries), nil
-	case opFreeBatch:
-		entries, err := decodeFreeBatchReq(payload)
-		if err != nil {
-			return errorResp(err), nil
-		}
-		return n.handleFreeBatch(entries), nil
+		return n.handleRelease(req), nil
 	case opHeartbeat:
 		req, err := decodeHeartbeatReq(payload)
 		if err != nil {
@@ -914,12 +895,6 @@ func (n *Node) handleCall(ctx context.Context, from transport.NodeID, payload []
 			return errorResp(err), nil
 		}
 		return encodeHarvestResp(harvestResp{Reclaimed: reclaimed, Moved: int32(moved)}), nil
-	case opAllocShard:
-		req, err := decodeAllocShardReq(payload)
-		if err != nil {
-			return errorResp(err), nil
-		}
-		return n.handleAllocShard(from, req), nil
 	case opShardStat:
 		req, err := decodeShardStatReq(payload)
 		if err != nil {
@@ -929,19 +904,21 @@ func (n *Node) handleCall(ctx context.Context, from transport.NodeID, payload []
 		if req.Owner != 0 {
 			owner = transport.NodeID(req.Owner)
 		}
-		idx, k, m, hosted := n.ShardInfo(owner, req.Key)
-		return encodeShardStatResp(shardStatResp{
-			Hosted: hosted, Idx: uint8(idx), K: uint8(k), M: uint8(m),
-		}), nil
+		si := n.lookupKey(owner, req.Key).shard
+		return encodeShardStatResp(shardStatResp{Hosted: si.tagged(), Idx: si.idx, K: si.k, M: si.m}), nil
 	default:
 		return errorResp(fmt.Errorf("core: unknown op %d", payload[0])), nil
 	}
 }
 
-// handleAlloc reserves a receive-pool block for a remote owner (RDMS). The
-// entry key stripes the allocation across pool shards, so concurrent allocs
-// for distinct keys take distinct locks even within one size class.
-func (n *Node) handleAlloc(from transport.NodeID, req allocReq) []byte {
+// handleReserve reserves one receive-pool block per request entry for a
+// remote owner (RDMS) in one control-plane round trip — a single Put and a
+// §IV.H window batch are the same message. The request is all-or-nothing: if
+// any entry cannot be reserved, every block already reserved for it is
+// released and the whole request fails, so the owner never has to track a
+// partially-reserved window. Offsets go straight into the reply buffer, which
+// doubles as the rollback list.
+func (n *Node) handleReserve(from transport.NodeID, req reserveReq) []byte {
 	if n.Draining() {
 		// A draining node must not hand out blocks: freed space staying
 		// unreused is what keeps optimistic stale-epoch reads byte-correct
@@ -951,150 +928,66 @@ func (n *Node) handleAlloc(from transport.NodeID, req allocReq) []byte {
 	owner := from
 	if req.Owner != 0 {
 		owner = transport.NodeID(req.Owner)
-		if owner != from && n.HostsRemoteKey(owner, req.Key) {
-			// An on-behalf (migration) alloc for a key we already host: a
-			// sibling replica lives here, and two copies under one
-			// (owner, key) would alias in the owner's replica map.
-			return noSpaceResp()
-		}
 	}
-	h, err := n.recv.AllocHint(int(req.Class), req.Key)
+	// An on-behalf (migration) or shard reserve for a key we already host
+	// means a sibling replica or shard lives here: refuse, whoever asks.
+	refuseSiblings := owner != from || req.Shard.tagged()
+	count := req.count()
+	reply := newReserveResp(count)
+	// Every entry stripes to the first entry's shard so a fresh window stays
+	// contiguous in the region — the layout span coalescing on the client
+	// data plane relies on. For one entry that is its own key: concurrent
+	// reserves for distinct keys take distinct locks within one size class.
+	hint := req.entry(0).Key
+	var err error
+	done := 0
+	for ; done < count; done++ {
+		e := req.entry(done)
+		if refuseSiblings && n.HostsRemoteKey(owner, e.Key) {
+			err = slab.ErrNoSpace
+			break
+		}
+		var h slab.Handle
+		if h, err = n.recv.AllocHint(int(e.Class), hint); err != nil {
+			break
+		}
+		var off int64
+		if off, err = n.recv.GlobalOffset(h); err != nil {
+			_ = n.recv.Free(h)
+			break
+		}
+		n.addOwner(h, ownerRef{owner: owner, key: e.Key}, req.Shard)
+		reply.setOffset(done, off)
+	}
 	if err != nil {
+		for i := 0; i < done; i++ {
+			_ = n.releaseAt(reply.offset(i))
+		}
 		if errors.Is(err, slab.ErrNoSpace) {
 			return noSpaceResp()
 		}
 		return errorResp(err)
 	}
-	off, err := n.recv.GlobalOffset(h)
-	if err != nil {
-		_ = n.recv.Free(h)
-		return errorResp(err)
-	}
-	n.addOwner(h, ownerRef{owner: owner, key: req.Key})
-	n.counters.remoteAllocs.Add(1)
-	n.met.remoteAllocs.Inc()
+	n.counters.remoteAllocs.Add(int64(count))
+	n.met.remoteAllocs.Add(int64(count))
 	n.met.recvFreeBytes.Set(n.recv.FreeBytes())
-	return encodeAllocResp(allocResp{Offset: off})
+	return reply
 }
 
-// handleAllocShard reserves a receive-pool block for one shard of an
-// RS(k, m) stripe. It refuses whenever this node already hosts any block
-// under (owner, key) — whoever the requester is — because two shards of one
-// stripe on one donor would shrink the set of losses the stripe survives,
-// and records the shard's coordinates for opShardStat and the invariant
-// checkers.
-func (n *Node) handleAllocShard(from transport.NodeID, req allocShardReq) []byte {
-	if n.Draining() {
-		return noSpaceResp()
-	}
-	owner := from
-	if req.Owner != 0 {
-		owner = transport.NodeID(req.Owner)
-	}
-	ref := ownerRef{owner: owner, key: req.Key}
-	if n.HostsRemoteKey(owner, req.Key) {
-		return noSpaceResp()
-	}
-	h, err := n.recv.AllocHint(int(req.Class), req.Key)
-	if err != nil {
-		if errors.Is(err, slab.ErrNoSpace) {
-			return noSpaceResp()
-		}
-		return errorResp(err)
-	}
-	off, err := n.recv.GlobalOffset(h)
-	if err != nil {
-		_ = n.recv.Free(h)
-		return errorResp(err)
-	}
-	n.addOwner(h, ref)
-	n.shardMu.Lock()
-	n.shardMeta[ref] = shardInfo{idx: req.Idx, k: req.K, m: req.M}
-	n.shardMu.Unlock()
-	n.counters.remoteAllocs.Add(1)
-	n.met.remoteAllocs.Inc()
-	n.met.recvFreeBytes.Set(n.recv.FreeBytes())
-	return encodeAllocResp(allocResp{Offset: off})
-}
-
-// handleAllocBatch reserves a run of receive-pool blocks for a remote owner
-// in one control-plane round trip (the §IV.H window batch path). The batch
-// is all-or-nothing: if any slot cannot be reserved, every slot already
-// reserved is released and the whole batch fails, so the owner never has to
-// track a partially-allocated window.
-func (n *Node) handleAllocBatch(from transport.NodeID, entries []batchAllocEntry) []byte {
-	if n.Draining() {
-		return noSpaceResp()
-	}
-	handles := make([]slab.Handle, 0, len(entries))
-	offsets := make([]int64, 0, len(entries))
-	rollback := func() {
-		for _, h := range handles {
-			_ = n.recv.Free(h)
-		}
-	}
-	// The whole window stripes to the first entry's shard so a fresh batch
-	// allocation stays contiguous in the region — the layout span coalescing
-	// on the client data plane relies on.
-	hint := entries[0].Key
-	for _, e := range entries {
-		h, err := n.recv.AllocHint(int(e.Class), hint)
-		if err != nil {
-			rollback()
-			n.met.batchAllocAborts.Inc()
-			if errors.Is(err, slab.ErrNoSpace) {
-				return noSpaceResp()
-			}
-			return errorResp(err)
-		}
-		off, err := n.recv.GlobalOffset(h)
-		if err != nil {
-			_ = n.recv.Free(h)
-			rollback()
-			n.met.batchAllocAborts.Inc()
-			return errorResp(err)
-		}
-		handles = append(handles, h)
-		offsets = append(offsets, off)
-	}
-	for i, h := range handles {
-		n.addOwner(h, ownerRef{owner: from, key: entries[i].Key})
-	}
-	n.counters.remoteAllocs.Add(int64(len(handles)))
-	n.met.batchAllocs.Inc()
-	n.met.batchAllocEntries.Add(int64(len(handles)))
-	n.met.remoteAllocs.Add(int64(len(handles)))
-	n.met.recvFreeBytes.Set(n.recv.FreeBytes())
-	return encodeAllocBatchResp(offsets)
-}
-
-// handleFreeBatch releases a run of receive-pool blocks in one round trip.
-// Like opFree, freeing an already-evicted block is not an error, and
-// duplicate offsets within one batch collapse to a single free. Every entry
-// is processed even if one fails mid-batch — the first error is reported
-// after the rest have been freed, so a partial failure can never strand the
-// remaining blocks — and the owner bookkeeping takes each stripe's lock at
-// most once per batch instead of once per entry.
-func (n *Node) handleFreeBatch(entries []batchFreeEntry) []byte {
-	handles := make([]slab.Handle, 0, len(entries))
-	seen := make(map[slab.Handle]bool, len(entries))
-	for _, e := range entries {
-		h, err := n.recv.HandleAt(e.Offset)
-		if err != nil || seen[h] {
-			// Already evicted (or repeated in this batch): not an error.
-			continue
-		}
-		seen[h] = true
-		handles = append(handles, h)
-	}
-	n.takeOwners(handles)
+// handleRelease releases receive-pool blocks (RDMS). Releasing a block that
+// is already gone — evicted, or named twice in one request — is not an error
+// (§IV.D failure semantics match local free of a gone page). Every entry is
+// processed even if one fails; the first error is reported after the rest
+// have been freed, so a partial failure can never strand the remaining
+// blocks.
+func (n *Node) handleRelease(req releaseReq) []byte {
 	var firstErr error
-	for _, h := range handles {
-		if err := n.recv.Free(h); err != nil && firstErr == nil {
+	for i, count := 0, req.count(); i < count; i++ {
+		_, off := req.entry(i)
+		if err := n.releaseAt(off); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
-	n.met.batchFrees.Inc()
 	n.met.recvFreeBytes.Set(n.recv.FreeBytes())
 	if firstErr != nil {
 		return errorResp(firstErr)
@@ -1102,37 +995,15 @@ func (n *Node) handleFreeBatch(entries []batchFreeEntry) []byte {
 	return okResp()
 }
 
-// HostsRemoteKey reports whether this node currently hosts a receive-pool
-// block that owner parked under key. The chaos invariant checkers use it to
-// prove that aborted writes and batches leave no stranded copies behind. The
-// reverse (owner,key) index makes this O(stripes), not O(blocks).
-func (n *Node) HostsRemoteKey(owner transport.NodeID, key uint64) bool {
-	ref := ownerRef{owner: owner, key: key}
-	for i := range n.owners {
-		sh := &n.owners[i]
-		sh.mu.Lock()
-		hosted := sh.byKey[ref] > 0
-		sh.mu.Unlock()
-		if hosted {
-			return true
-		}
-	}
-	return false
-}
-
-// handleFree releases a receive-pool block (RDMS).
-func (n *Node) handleFree(req freeReq) []byte {
-	h, err := n.recv.HandleAt(req.Offset)
+// releaseAt frees the hosted block at a global offset together with its owner
+// record. No live block there is not an error.
+func (n *Node) releaseAt(off int64) error {
+	h, err := n.recv.HandleAt(off)
 	if err != nil {
-		// Already evicted: freeing an absent entry is not an error (§IV.D
-		// failure semantics match local free of a gone page).
-		return okResp()
+		return nil
 	}
 	n.takeOwner(h)
-	if err := n.recv.Free(h); err != nil {
-		return errorResp(err)
-	}
-	return okResp()
+	return n.recv.Free(h)
 }
 
 // handleEvicted records that a remote host dropped one of our blocks; the
@@ -1165,7 +1036,12 @@ func (n *Node) EvictRecvSlabs(ctx context.Context, wantBytes int64) (int64, erro
 			return reclaimed, err
 		}
 		reclaimed += int64(n.cfg.SlabSize)
-		owners := n.takeOwners(victims)
+		owners := make([]ownerRef, 0, len(victims))
+		for _, h := range victims {
+			if ref, ok := n.takeOwner(h); ok {
+				owners = append(owners, ref)
+			}
+		}
 		n.counters.evictedBlocks.Add(int64(len(victims)))
 		n.met.evictedBlocks.Add(int64(len(victims)))
 		for _, ref := range owners {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -55,30 +56,27 @@ var _ replication.Store = (*remoteStore)(nil)
 
 // Put implements replication.Store: reserve remotely, then one-sided write.
 func (s *remoteStore) Put(ctx context.Context, node replication.NodeID, id replication.EntryID, data []byte) error {
+	return s.put(ctx, node, id, shardInfo{}, data)
+}
+
+// PutShard implements ec.ShardStore: Put with the stripe coordinates riding
+// the reserve, so the donor can refuse a sibling shard and answer
+// opShardStat.
+func (s *remoteStore) PutShard(ctx context.Context, node replication.NodeID, id replication.EntryID, idx, k, m int, data []byte) error {
+	return s.put(ctx, node, id, shardInfo{idx: uint8(idx), k: uint8(k), m: uint8(m)}, data)
+}
+
+func (s *remoteStore) put(ctx context.Context, node replication.NodeID, id replication.EntryID, shard shardInfo, data []byte) error {
 	to := transport.NodeID(node)
 	key := uint64(id)
 	class := s.classFor(key, len(data))
-	resp, err := s.node.ep.Call(ctx, to, encodeAllocReq(allocReq{Key: key, Class: int32(class)}))
-	if err != nil {
-		return fmt.Errorf("core: alloc on node %d: %w", to, err)
-	}
-	alloc, err := decodeAllocResp(resp)
+	offset, err := parkBlock(ctx, s.node.ep, to, 0, shard, key, class, data)
 	if err != nil {
 		return err
 	}
-	if err := s.node.ep.WriteRegion(ctx, to, RecvRegionID, alloc.Offset, data); err != nil {
-		// Release the reservation so a half-finished put strands no remote
-		// bytes; best-effort on a detached context (the write failure may be
-		// the caller's context dying), and the remote's eviction path is the
-		// backstop if the free itself is lost.
-		fctx, cancel := detached(ctx)
-		defer cancel()
-		_, _ = s.node.ep.Call(fctx, to, encodeFreeReq(freeReq{Key: key, Offset: alloc.Offset}))
-		return fmt.Errorf("core: one-sided write to node %d: %w", to, err)
-	}
 	s.mu.Lock()
 	s.handles[remoteKey{node: to, key: key}] = remoteHandle{
-		offset:  alloc.Offset,
+		offset:  offset,
 		class:   class,
 		dataLen: len(data),
 	}
@@ -115,12 +113,12 @@ func (s *remoteStore) Delete(ctx context.Context, node replication.NodeID, id re
 	if !ok {
 		return nil // absent: idempotent
 	}
-	resp, err := s.node.ep.Call(ctx, to, encodeFreeReq(freeReq{Key: key, Offset: h.offset}))
-	if err != nil {
-		// The remote is unreachable; its eviction path reclaims the block.
-		return nil
+	if err := release(ctx, s.node.ep, block{node: to, key: key, offset: h.offset}); errors.Is(err, errRemote) {
+		return err
 	}
-	return checkOKResp(resp)
+	// Released, or the remote is unreachable and its eviction path reclaims
+	// the block.
+	return nil
 }
 
 var (
@@ -167,39 +165,6 @@ func (s *remoteStore) GetInto(ctx context.Context, node replication.NodeID, id r
 	if err := transport.ReadRegionInto(ctx, s.node.ep, to, RecvRegionID, h.offset, dst); err != nil {
 		return fmt.Errorf("core: one-sided read from node %d: %w", to, err)
 	}
-	return nil
-}
-
-// PutShard implements ec.ShardStore: reserve a shard block remotely —
-// carrying the stripe coordinates so the donor can refuse a sibling shard
-// and answer opShardStat — then one-sided write, mirroring Put.
-func (s *remoteStore) PutShard(ctx context.Context, node replication.NodeID, id replication.EntryID, idx, k, m int, data []byte) error {
-	to := transport.NodeID(node)
-	key := uint64(id)
-	class := s.classFor(key, len(data))
-	resp, err := s.node.ep.Call(ctx, to, encodeAllocShardReq(allocShardReq{
-		Key: key, Class: int32(class), Idx: uint8(idx), K: uint8(k), M: uint8(m),
-	}))
-	if err != nil {
-		return fmt.Errorf("core: shard alloc on node %d: %w", to, err)
-	}
-	alloc, err := decodeAllocResp(resp)
-	if err != nil {
-		return err
-	}
-	if err := s.node.ep.WriteRegion(ctx, to, RecvRegionID, alloc.Offset, data); err != nil {
-		fctx, cancel := detached(ctx)
-		defer cancel()
-		_, _ = s.node.ep.Call(fctx, to, encodeFreeReq(freeReq{Key: key, Offset: alloc.Offset}))
-		return fmt.Errorf("core: one-sided shard write to node %d: %w", to, err)
-	}
-	s.mu.Lock()
-	s.handles[remoteKey{node: to, key: key}] = remoteHandle{
-		offset:  alloc.Offset,
-		class:   class,
-		dataLen: len(data),
-	}
-	s.mu.Unlock()
 	return nil
 }
 

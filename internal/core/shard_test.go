@@ -29,7 +29,7 @@ func TestEvictSelfOwnedQueuesRepairOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n.addOwner(h, ref)
+		n.addOwner(h, ref, shardInfo{})
 	}
 	if !n.HostsRemoteKey(n.cfg.ID, key) {
 		t.Fatal("HostsRemoteKey = false before eviction")
@@ -55,11 +55,10 @@ func TestEvictSelfOwnedQueuesRepairOnce(t *testing.T) {
 	}
 }
 
-// TestFreeBatchFreesAllAndCountsOnce covers the batched free path: duplicate
+// TestReleaseFreesEveryEntry covers the multi-entry release path: duplicate
 // offsets collapse, already-gone offsets are skipped without error, every
-// live entry is freed, the batchFrees counter moves once per batch, and the
-// owner index is left clean.
-func TestFreeBatchFreesAllAndCountsOnce(t *testing.T) {
+// live entry is freed, and the owner index is left clean.
+func TestReleaseFreesEveryEntry(t *testing.T) {
 	tc := newTestCluster(t, 1, smallConfig)
 	n := tc.nodes[0]
 	owner := transport.NodeID(9)
@@ -69,7 +68,7 @@ func TestFreeBatchFreesAllAndCountsOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n.addOwner(h, ownerRef{owner: owner, key: uint64(i)})
+		n.addOwner(h, ownerRef{owner: owner, key: uint64(i)}, shardInfo{})
 		off, err := n.recv.GlobalOffset(h)
 		if err != nil {
 			t.Fatal(err)
@@ -85,26 +84,24 @@ func TestFreeBatchFreesAllAndCountsOnce(t *testing.T) {
 	if err := n.recv.Free(h0); err != nil {
 		t.Fatal(err)
 	}
-	before := n.met.batchFrees.Value()
-	entries := []batchFreeEntry{
-		{Key: 0, Offset: offs[0]}, // stale: already freed
-		{Key: 1, Offset: offs[1]},
-		{Key: 1, Offset: offs[1]}, // duplicate of the same block
-		{Key: 2, Offset: offs[2]},
+	req, err := decodeReleaseReq(encodeReleaseReq([]block{
+		{key: 0, offset: offs[0]}, // stale: already freed
+		{key: 1, offset: offs[1]},
+		{key: 1, offset: offs[1]}, // duplicate of the same block
+		{key: 2, offset: offs[2]},
+	}))
+	if err != nil {
+		t.Fatal(err)
 	}
-	resp := n.handleFreeBatch(entries)
-	if err := checkOKResp(resp); err != nil {
-		t.Fatalf("handleFreeBatch: %v", err)
-	}
-	if got := n.met.batchFrees.Value() - before; got != 1 {
-		t.Fatalf("batchFrees moved by %d, want 1", got)
+	if err := checkOKResp(n.handleRelease(req)); err != nil {
+		t.Fatalf("handleRelease: %v", err)
 	}
 	if st := n.recv.Stats(); st.LiveBlocks != 0 {
 		t.Fatalf("recv pool still has %d live blocks", st.LiveBlocks)
 	}
 	for k := uint64(0); k < 3; k++ {
 		if n.HostsRemoteKey(owner, k) {
-			t.Fatalf("owner index still lists key %d after batch free", k)
+			t.Fatalf("owner index still lists key %d after release", k)
 		}
 	}
 }

@@ -81,7 +81,9 @@ func (vs *VirtualServer) PutShared(id pagetable.EntryID, data []byte, class, raw
 		_ = vs.node.shared.Free(h)
 		return err
 	}
-	vs.dropOld(context.Background(), id)
+	if old, err := vs.table.Get(id); err == nil {
+		_ = vs.releaseLocation(context.Background(), id, old)
+	}
 	vs.table.Put(id, pagetable.Location{
 		Tier:       pagetable.TierSharedMemory,
 		Primary:    pagetable.NodeID(vs.node.cfg.ID),
@@ -98,7 +100,9 @@ func (vs *VirtualServer) PutShared(id pagetable.EntryID, data []byte, class, raw
 // PutRemote replicates an entry into the receive pools of remote group
 // members (the RDMC path). It returns ErrRemoteFull or ErrNoCandidates when
 // cluster memory cannot hold the entry, in which case the caller should fall
-// through to disk.
+// through to disk. Overwriting an entry that already lives in remote memory
+// releases the old copies first, so a failed overwrite leaves the entry
+// absent (the caller still holds the payload).
 func (vs *VirtualServer) PutRemote(ctx context.Context, id pagetable.EntryID, data []byte, class, rawSize int) error {
 	if len(data) > class {
 		return fmt.Errorf("core: payload %d exceeds class %d", len(data), class)
@@ -108,19 +112,18 @@ func (vs *VirtualServer) PutRemote(ctx context.Context, id pagetable.EntryID, da
 	sp.Annotate("class", class)
 	defer sp.End()
 	start := trace.Now(ctx)
-	// A striped overwrite must release the old stripe before the new write:
-	// donors refuse a second block under the same (owner, key) — the
-	// distinct-donor invariant — so the replication path's write-new-then-
-	// drop-old order cannot land a fresh stripe on any donor of the old one.
-	// The caller still holds the payload, so the only durability gap is the
-	// write itself; an aborted write leaves the entry absent, never torn
-	// across stripe generations.
-	if vs.node.ecReg != nil {
-		if old, err := vs.table.Get(id); err == nil && old.Tier == pagetable.TierRemote {
-			vs.table.Delete(id)
-			if err := vs.releaseLocation(ctx, id, old); err != nil {
-				sp.Annotate("stale_release_err", err)
-			}
+	// Release before write, under every durability policy: donors refuse a
+	// second shard under the same (owner, key) — the distinct-donor invariant
+	// — so a fresh stripe could not land on any donor of the old one; and
+	// under replication the owner keeps one handle per (donor, key), so
+	// writing first and dropping the old set afterwards would free the copy
+	// just written wherever the two donor sets overlap. The only durability
+	// gap is the write itself, and an entry is never torn across generations.
+	old, oldErr := vs.table.Get(id)
+	if oldErr == nil && old.Tier == pagetable.TierRemote {
+		vs.table.Delete(id)
+		if err := vs.releaseLocation(ctx, id, old); err != nil {
+			sp.Annotate("stale_release_err", err)
 		}
 	}
 	_, pick := trace.Start(ctx, "placement.pick")
@@ -141,7 +144,11 @@ func (vs *VirtualServer) PutRemote(ctx context.Context, id pagetable.EntryID, da
 		sp.Annotate("err", err)
 		return err
 	}
-	vs.dropOld(ctx, id)
+	if oldErr == nil && old.Tier != pagetable.TierRemote {
+		// A predecessor in the shared pool goes only once the remote copies
+		// have landed.
+		_ = vs.releaseLocation(ctx, id, old)
+	}
 	loc := pagetable.Location{
 		Tier:       pagetable.TierRemote,
 		Primary:    pagetable.NodeID(nodes[0]),
@@ -269,15 +276,6 @@ func (vs *VirtualServer) Delete(ctx context.Context, id pagetable.EntryID) error
 	}
 	vs.table.Delete(id)
 	return vs.releaseLocation(ctx, id, loc)
-}
-
-// dropOld releases storage held by a previous version of id, if any.
-func (vs *VirtualServer) dropOld(ctx context.Context, id pagetable.EntryID) {
-	loc, err := vs.table.Get(id)
-	if err != nil {
-		return
-	}
-	_ = vs.releaseLocation(ctx, id, loc)
 }
 
 func (vs *VirtualServer) releaseLocation(ctx context.Context, id pagetable.EntryID, loc pagetable.Location) error {

@@ -568,11 +568,11 @@ func testRedirectOpFidelity(t *testing.T, f Fabric) {
 }
 
 // testShardAllocOpFidelity checks the erasure-coding control frames cross
-// both fabrics bit-exactly: the 20-byte shard-alloc request ([op][key u64]
-// [class u32][owner u32][idx][k][m]) and the 13-byte shard-stat request with
-// its 5-byte coordinate answer ([stOK][hosted][idx][k][m]). A corrupted idx
-// or k would make a repair reconstruct the wrong shard, so every field is
-// driven with high bits set.
+// both fabrics bit-exactly: the 20-byte one-block shard reserve ([op]
+// [owner u32][key u64][class u32][idx][k][m]) and the 13-byte shard-stat
+// request with its 5-byte coordinate answer ([stOK][hosted][idx][k][m]). A
+// corrupted idx or k would make a repair reconstruct the wrong shard, so
+// every field is driven with high bits set.
 func testShardAllocOpFidelity(t *testing.T, f Fabric) {
 	const (
 		opAllocShard = 16
@@ -589,7 +589,7 @@ func testShardAllocOpFidelity(t *testing.T, f Fabric) {
 			// Answer with an alloc-style [stOK][offset u64] echoing the key so
 			// the caller can verify the request fields arrived intact.
 			b := []byte{stOK}
-			b = binary.BigEndian.AppendUint64(b, binary.BigEndian.Uint64(payload[1:9]))
+			b = binary.BigEndian.AppendUint64(b, binary.BigEndian.Uint64(payload[5:13]))
 			return b, nil
 		case opShardStat:
 			if len(payload) != 13 {
@@ -605,9 +605,9 @@ func testShardAllocOpFidelity(t *testing.T, f Fabric) {
 	})
 	allocShard := func(key uint64, class, owner uint32, idx, k, m byte) []byte {
 		b := []byte{opAllocShard}
+		b = binary.BigEndian.AppendUint32(b, owner)
 		b = binary.BigEndian.AppendUint64(b, key)
 		b = binary.BigEndian.AppendUint32(b, class)
-		b = binary.BigEndian.AppendUint32(b, owner)
 		return append(b, idx, k, m)
 	}
 	f.Run(t, func(ctx context.Context) {
