@@ -1,7 +1,8 @@
 // Command dmnode runs one disaggregated memory node as a real process: it
 // listens for verbs traffic over TCP, donates a receive pool to the cluster,
-// serves control-plane allocations, and periodically heartbeats its peers
-// and repairs lost replicas.
+// serves control-plane allocations, and periodically exchanges heartbeats
+// with its group leader (or, as a leader, with its members and the root) and
+// re-replicates what crashed peers held.
 //
 // A three-node cluster on one machine:
 //
@@ -58,16 +59,12 @@ func run(args []string) error {
 		lanes     = fs.Int("conns-per-peer", 0, "pooled TCP connections per peer (0 = auto)")
 		shards    = fs.Int("pool-shards", 0, "lock shards per memory pool (0 = auto, 1 = single-lock)")
 		httpAddr  = fs.String("http", "", "serve /metrics, /stats, /trace, and /debug/pprof on this address (empty = disabled)")
-		hbMode    = fs.String("heartbeat", "mesh", "control-plane scheme: mesh (all-to-all) or tree (members<->group leader<->root, O(group) per tick)")
-		groupSize = fs.Int("group-size", 0, "directory group size for the heartbeat tree (0 = one flat group)")
+		groupSize = fs.Int("group-size", 0, "nodes per sharing group: members beat their group leader, leaders beat the root (0 = one flat group, every node beats its leader)")
 		drain     = fs.Bool("drain", false, "on shutdown, decommission first: migrate hosted blocks to peers and announce departure")
 		balancer  = fs.String("balancer", "power-of-two", "remote-placement policy: power-of-two, load-aware, weighted-rr, round-robin, or random")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *hbMode != "mesh" && *hbMode != "tree" {
-		return fmt.Errorf("bad -heartbeat %q, want mesh or tree", *hbMode)
 	}
 	peers, err := parsePeers(*peersFlag)
 	if err != nil {
@@ -206,7 +203,7 @@ func run(args []string) error {
 			// cancellation mid-RPC.
 			ctx, cancel := context.WithTimeout(context.Background(), *tick)
 			ctx = trace.WithTracer(ctx, tracer)
-			err := tickOnce(ctx, node, dir, *hbMode == "tree", log.Printf)
+			err := tickOnce(ctx, node, log.Printf)
 			cancel()
 			if err != nil {
 				return fmt.Errorf("maintenance tick: %w", err)
@@ -240,30 +237,22 @@ func run(args []string) error {
 	}
 }
 
-// tickOnce runs one heartbeat/maintenance round — all-to-all mesh by
-// default, or the hierarchical tree exchange (heartbeats plus epoch-tagged
-// map deltas with this node's tree targets only) when tree is set. Transient
-// cluster conditions — a peer vanishing mid-tick (transport.ErrUnreachable),
-// the round's deadline expiring, or the cluster momentarily lacking
-// replacement capacity — are logged and left for the next tick to retry:
-// Maintain keeps failed repairs queued. Any other error is returned and
-// terminates the daemon.
-func tickOnce(ctx context.Context, node *core.Node, dir *cluster.Directory, tree bool, logf func(format string, v ...any)) error {
-	if tree {
-		node.TreeHeartbeat(ctx)
-		for _, e := range node.TickWatched() {
-			if e.Kind == cluster.EventNodeDown {
-				if queued := node.RepairLost(transport.NodeID(e.Node)); queued > 0 {
-					logf("node %d down: queued %d repairs", e.Node, queued)
-				}
-			}
+// tickOnce runs one heartbeat/maintenance round: the control-plane exchange
+// with this node's tree targets, re-replication queued for every peer the
+// round reports down (seen first-hand or learned from a target's map deltas),
+// then the repairs. Transient cluster conditions — a peer vanishing mid-tick
+// (transport.ErrUnreachable), the round's deadline expiring, or the cluster
+// momentarily lacking replacement capacity — are logged and left for the next
+// tick to retry: Maintain keeps failed repairs queued. Any other error is
+// returned and terminates the daemon.
+func tickOnce(ctx context.Context, node *core.Node, logf func(format string, v ...any)) error {
+	for _, e := range node.HeartbeatRound(ctx) {
+		if e.Kind != cluster.EventNodeDown {
+			continue
 		}
-	} else {
-		node.BroadcastHeartbeat(ctx)
-		if err := node.Heartbeat(); err != nil {
-			return fmt.Errorf("heartbeat: %w", err)
+		if queued := node.RepairLost(transport.NodeID(e.Node)); queued > 0 {
+			logf("node %d down: queued %d repairs", e.Node, queued)
 		}
-		dir.Tick()
 	}
 	repaired, err := node.Maintain(ctx)
 	if repaired > 0 {

@@ -143,7 +143,12 @@ func TestChaosStripeSurvivesDonorDrain(t *testing.T) {
 	owner := cl.Nodes[0].ID()
 	const entries = 4
 	cl.Run(t, func(ctx context.Context) {
-		cl.HeartbeatRound(ctx)
+		// Two rounds, not one: the drained donor picks the successor from its
+		// own directory, and a member learns its peers' free bytes by pulling
+		// the leader's deltas the round after they beat the leader.
+		for i := 0; i < 2; i++ {
+			cl.HeartbeatRound(ctx)
+		}
 		for i := 0; i < entries; i++ {
 			if err := vs.PutRemote(ctx, pagetable.EntryID(i), cl.Payload(i, 4096), 4096, 4096); err != nil {
 				t.Errorf("put %d: %v", i, err)

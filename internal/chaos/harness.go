@@ -258,48 +258,20 @@ func (cl *Cluster) DumpOnFailure(t *testing.T) {
 	})
 }
 
-// HeartbeatRound performs one failure-detector interval: every node that the
-// injector has not crashed broadcasts its heartbeat, records its own, and
-// advances its directory tick. It returns the membership events each node
-// observed, indexed like Nodes.
+// HeartbeatRound performs one control-plane interval: every node the injector
+// has not crashed runs its core.Node.HeartbeatRound in ID order — heartbeats
+// and epoch-tagged map deltas exchanged with its tree targets only, then its
+// watch-scoped failure detector — exactly what each dmnode does on its own
+// timer. It returns the membership events each node observed (first-hand and
+// adopted), indexed like Nodes. Per-node traffic is O(group size), so the
+// same round drives 6 nodes and 24.
 func (cl *Cluster) HeartbeatRound(ctx context.Context) [][]cluster.Event {
 	events := make([][]cluster.Event, len(cl.Nodes))
-	for _, n := range cl.Nodes {
+	for i, n := range cl.Nodes {
 		if cl.Inj.Crashed(ctx, n.ID()) {
 			continue // a dead process sends nothing and does not tick
 		}
-		n.BroadcastHeartbeat(ctx)
-		_ = n.Heartbeat()
-	}
-	for i, n := range cl.Nodes {
-		if cl.Inj.Crashed(ctx, n.ID()) {
-			continue
-		}
-		events[i] = cl.Dirs[i].Tick()
-	}
-	return events
-}
-
-// TreeHeartbeatRound performs one interval of the hierarchical control
-// plane: every node the injector has not crashed exchanges heartbeats and
-// epoch-tagged map deltas with its tree targets only (members with their
-// group leader, leaders with the root and their members), then advances its
-// watch-scoped failure detector. It returns the membership events each node
-// observed, indexed like Nodes. Per-node traffic is O(group size), so this
-// is the round to drive at 24-node-and-up scale.
-func (cl *Cluster) TreeHeartbeatRound(ctx context.Context) [][]cluster.Event {
-	events := make([][]cluster.Event, len(cl.Nodes))
-	for _, n := range cl.Nodes {
-		if cl.Inj.Crashed(ctx, n.ID()) {
-			continue
-		}
-		n.TreeHeartbeat(ctx)
-	}
-	for i, n := range cl.Nodes {
-		if cl.Inj.Crashed(ctx, n.ID()) {
-			continue
-		}
-		events[i] = n.TickWatched()
+		events[i] = n.HeartbeatRound(ctx)
 	}
 	return events
 }

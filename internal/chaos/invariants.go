@@ -265,8 +265,8 @@ func RequireLeaderAgreement(t testing.TB, dirs []*cluster.Directory, g int) clus
 // leader per group, and the same root. It also bounds client staleness:
 // every listed client map must be within maxLag epochs of its origin
 // directory's current epoch (a client that has never synced fails). Call it
-// after enough tree heartbeat rounds for deltas to propagate; before that,
-// views may legitimately differ.
+// after enough heartbeat rounds for deltas to propagate; before that, views
+// may legitimately differ.
 func (cl *Cluster) RequireEpochConvergence(t testing.TB, dirs []*cluster.Directory, clients []*core.Client, maxLag int) {
 	t.Helper()
 	tb := checked(t, "epoch_convergence")
@@ -324,15 +324,16 @@ func (cl *Cluster) RequireEpochConvergence(t testing.TB, dirs []*cluster.Directo
 	}
 }
 
-// RequireFailoverWithin drives tree heartbeat rounds until every surviving
-// directory has marked victim down (or gone) and agrees on a live root and
-// a live leader for every group with members, failing the test if
-// convergence takes more than within rounds. It returns the number of rounds
-// actually taken — the election latency the scale benchmarks record.
+// RequireFailoverWithin drives heartbeat rounds until every surviving
+// directory has marked victim down (or gone) and all of them agree on one
+// live root and one live leader for every group with members, failing the
+// test if convergence takes more than within rounds. It returns the number of
+// rounds actually taken — the election latency the scale benchmarks record.
 func (cl *Cluster) RequireFailoverWithin(ctx context.Context, t testing.TB, victim transport.NodeID, within int) int {
 	t.Helper()
 	tb := checked(t, "failover_within")
 	converged := func() bool {
+		var ref *cluster.Directory
 		for i, dir := range cl.Dirs {
 			if cl.Nodes[i].ID() == victim {
 				continue
@@ -340,8 +341,11 @@ func (cl *Cluster) RequireFailoverWithin(ctx context.Context, t testing.TB, vict
 			if dir.Alive(cluster.NodeID(victim)) {
 				return false
 			}
+			if ref == nil {
+				ref = dir
+			}
 			root, ok := dir.RootLeader()
-			if !ok || root == cluster.NodeID(victim) {
+			if refRoot, _ := ref.RootLeader(); !ok || root != refRoot || !dir.Alive(root) {
 				return false
 			}
 			for g := 0; g < dir.Groups(); g++ {
@@ -349,7 +353,7 @@ func (cl *Cluster) RequireFailoverWithin(ctx context.Context, t testing.TB, vict
 					continue
 				}
 				l, lok := dir.Leader(g)
-				if !lok || l == cluster.NodeID(victim) || !dir.Alive(l) {
+				if refL, _ := ref.Leader(g); !lok || l != refL || !dir.Alive(l) {
 					return false
 				}
 			}
@@ -357,7 +361,7 @@ func (cl *Cluster) RequireFailoverWithin(ctx context.Context, t testing.TB, vict
 		return true
 	}
 	for round := 1; round <= within; round++ {
-		cl.TreeHeartbeatRound(ctx)
+		cl.HeartbeatRound(ctx)
 		if converged() {
 			return round
 		}

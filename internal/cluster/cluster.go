@@ -330,28 +330,35 @@ func freeChangeSignificant(old, new int64) bool {
 	return new/old >= 2 || old/new >= 2
 }
 
-// Tick advances the failure detector one interval: nodes whose last
-// heartbeat is older than the timeout are declared down, and affected groups
-// re-elect leaders.
+// Tick advances the failure detector one interval, watching everyone: nodes
+// whose last heartbeat is older than the timeout are declared down, and
+// affected groups re-elect leaders. This is the form for deployments whose
+// nodes share one directory; a node with a directory of its own ticks only
+// over its tree targets (TickWatched).
 func (d *Directory) Tick() []Event {
 	return d.TickWatched(nil)
 }
 
-// TickWatched is Tick with tree-scoped failure detection: only nodes in
-// watched (nil = everyone) can be declared down. In the heartbeat tree a
-// node hears directly from the handful of peers it exchanges beats with —
-// everyone else's lastBeat is refreshed second-hand by Reconcile — so only
-// the watched set is eligible for a first-hand down verdict.
+// TickWatched is Tick with scoped failure detection: only nodes in watched
+// (nil = everyone) can be declared down. A node hears directly from the
+// handful of peers it exchanges beats with and learns of everyone else
+// second-hand through Reconcile, so only the watched set is eligible for a
+// first-hand down verdict.
 func (d *Directory) TickWatched(watched map[NodeID]bool) []Event {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.tick++
 	var events []Event
 	for _, id := range d.sortedIDs() {
+		m := d.members[id]
 		if watched != nil && !watched[id] {
+			// Not ours to judge. Hold its detector at "now", so a peer that
+			// enters the watch set later — a new leader's members, a new
+			// root's leaders — starts with a full timeout of grace rather
+			// than an instant verdict on a beat it was never asked to send.
+			m.lastBeat = d.tick
 			continue
 		}
-		m := d.members[id]
 		if m.alive && d.tick-m.lastBeat > d.cfg.HeartbeatTimeout {
 			m.alive = false
 			events = append(events, Event{Kind: EventNodeDown, Node: m.id, Group: m.group})
@@ -521,13 +528,12 @@ func (d *Directory) ApplySync(self NodeID, resp SyncResponse, watched map[NodeID
 	return events
 }
 
-// TreeTargets returns the peers node self exchanges heartbeats with in the
-// hierarchical scheme, sorted by ID: members beat their group leader
-// (falling back to the root, then the lowest-ID alive node, while leadership
-// is unknown); leaders beat their group's members plus the root; the root
-// beats every group leader plus its own group. The same set is the node's
-// watch set for TickWatched — these are exactly the peers it has first-hand
-// liveness evidence for.
+// TreeTargets returns the peers node self exchanges heartbeats with, sorted
+// by ID: members beat their group leader (falling back to the root, then the
+// lowest-ID alive node, while leadership is unknown); leaders beat their
+// group's members plus the root; the root beats every group leader plus its
+// own group. The same set is the node's watch set for TickWatched — these
+// are exactly the peers it has first-hand liveness evidence for.
 func (d *Directory) TreeTargets(self NodeID) []NodeID {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -579,16 +585,6 @@ func (d *Directory) TreeTargets(self NodeID) []NodeID {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// WatchSet returns TreeTargets as a set, for TickWatched and Reconcile.
-func (d *Directory) WatchSet(self NodeID) map[NodeID]bool {
-	targets := d.TreeTargets(self)
-	set := make(map[NodeID]bool, len(targets))
-	for _, id := range targets {
-		set[id] = true
-	}
-	return set
 }
 
 func (d *Directory) aliveLocked(id NodeID) bool {
@@ -729,9 +725,6 @@ func (d *Directory) RootLeader() (NodeID, bool) {
 	defer d.mu.Unlock()
 	return d.rootLocked()
 }
-
-// SuperLeader is the historical name for RootLeader.
-func (d *Directory) SuperLeader() (NodeID, bool) { return d.RootLeader() }
 
 func (d *Directory) rootLocked() (NodeID, bool) {
 	var best *member

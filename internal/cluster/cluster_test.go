@@ -299,47 +299,47 @@ func BenchmarkTick100Nodes(b *testing.B) {
 	}
 }
 
-func TestSuperLeaderIsMaxFreeAmongLeaders(t *testing.T) {
+func TestRootLeaderIsMaxFreeAmongLeaders(t *testing.T) {
 	d := newDir(t, Config{GroupSize: 2, HeartbeatTimeout: 3})
 	// Two groups after four joins; leaders are the max-free member of each.
 	d.Join(1, 100)
 	d.Join(2, 400)
 	d.Join(3, 300)
 	d.Join(4, 200)
-	super, ok := d.SuperLeader()
+	root, ok := d.RootLeader()
 	if !ok {
-		t.Fatal("no super leader")
+		t.Fatal("no root leader")
 	}
 	// Stable join grouping: group0 = {1,2}, group1 = {3,4}; leaders 2 and 3;
 	// node 2 (400) has the most memory.
-	if super != 2 {
-		t.Fatalf("super leader = %d, want 2", super)
+	if root != 2 {
+		t.Fatalf("root leader = %d, want 2", root)
 	}
 }
 
-func TestSuperLeaderSurvivesLeaderCrash(t *testing.T) {
+func TestRootLeaderSurvivesLeaderCrash(t *testing.T) {
 	d := newDir(t, Config{GroupSize: 8, HeartbeatTimeout: 1})
 	d.Join(1, 100)
 	d.Join(2, 300)
 	d.Join(3, 200)
-	if super, _ := d.SuperLeader(); super != 2 {
-		t.Fatalf("initial super = %d, want 2", super)
+	if root, _ := d.RootLeader(); root != 2 {
+		t.Fatalf("initial root = %d, want 2", root)
 	}
 	for i := 0; i < 4; i++ {
 		_ = d.Heartbeat(1, 100)
 		_ = d.Heartbeat(3, 200)
 		d.Tick()
 	}
-	super, ok := d.SuperLeader()
-	if !ok || super != 3 {
-		t.Fatalf("super after crash = %d (%v), want 3", super, ok)
+	root, ok := d.RootLeader()
+	if !ok || root != 3 {
+		t.Fatalf("root after crash = %d (%v), want 3", root, ok)
 	}
 }
 
-func TestSuperLeaderEmptyCluster(t *testing.T) {
+func TestRootLeaderEmptyCluster(t *testing.T) {
 	d := newDir(t, DefaultConfig())
-	if _, ok := d.SuperLeader(); ok {
-		t.Fatal("empty cluster has no super leader")
+	if _, ok := d.RootLeader(); ok {
+		t.Fatal("empty cluster has no root leader")
 	}
 }
 

@@ -407,6 +407,36 @@ func TestReconcileVouchingAndWatchScope(t *testing.T) {
 	}
 }
 
+// TestTickWatchedNewWatcherGrace: a peer that was nobody's to judge is not
+// condemned on the tick it enters the watch set — a freshly elected leader
+// starts watching members that were never asked to beat it. The detector
+// clock of an unwatched node is held at now, so the newcomer gets the full
+// timeout to send its first beat.
+func TestTickWatchedNewWatcherGrace(t *testing.T) {
+	d := newDir(t, Config{GroupSize: 4, HeartbeatTimeout: 2})
+	d.Join(1, 100)
+	d.Join(2, 200)
+	d.Join(3, 300)
+	for i := 0; i < 10; i++ {
+		_ = d.Heartbeat(2, 200)
+		d.TickWatched(map[NodeID]bool{2: true})
+	}
+	if !d.Alive(3) {
+		t.Fatal("unwatched node 3 declared down")
+	}
+	both := map[NodeID]bool{2: true, 3: true}
+	for i := 0; i < 2; i++ {
+		_ = d.Heartbeat(2, 200)
+		if d.TickWatched(both); !d.Alive(3) {
+			t.Fatalf("node 3 declared down %d tick(s) after entering the watch set, timeout is 2", i+1)
+		}
+	}
+	_ = d.Heartbeat(2, 200)
+	if d.TickWatched(both); d.Alive(3) {
+		t.Fatal("silent watched node 3 still alive past the timeout")
+	}
+}
+
 // TestAdoptLeadersAuthority pins the root-wins rule: upstream leadership
 // overwrites a local provisional choice, but a leader the local view
 // believes dead is not adopted.

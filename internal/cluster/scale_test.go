@@ -180,8 +180,12 @@ func (s *scaleSim) heartbeatRound(round int, now time.Duration) {
 		}
 		self := s.refreshDigest(n)
 		n.store.Tick()
-		watched := n.dir.WatchSet(id)
-		for _, target := range n.dir.TreeTargets(id) {
+		targets := n.dir.TreeTargets(id)
+		watched := make(map[NodeID]bool, len(targets))
+		for _, target := range targets {
+			watched[target] = true
+		}
+		for _, target := range targets {
 			peer := s.nodes[target]
 			if peer == nil || !peer.up {
 				continue // unreachable: the watcher's detector goes stale
@@ -228,7 +232,7 @@ func (s *scaleSim) heartbeatRound(round int, now time.Duration) {
 }
 
 // refreshDigest re-snapshots a node's registry into its own store entry, as
-// core.Node does at the top of every TreeHeartbeat.
+// core.Node does at the top of every HeartbeatRound.
 func (s *scaleSim) refreshDigest(n *simNode) metrics.NodeDigest {
 	n.seq++
 	nd := metrics.NodeDigest{

@@ -5,84 +5,115 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 
 	"godm/internal/cluster"
+	"godm/internal/des"
 	"godm/internal/pagetable"
 	"godm/internal/transport"
 )
 
-// This file is the node side of the cluster-scale control plane (§IV.C-D):
-// tree-scoped heartbeats with epoch-versioned map sync, graceful
-// decommission with block migration, and the redirect protocol that lets
-// stale-epoch readers chase a moved block instead of failing.
+// This file is the node side of the control plane (§IV.C-D): the heartbeat
+// round with its epoch-versioned map sync, graceful decommission with block
+// migration, and the redirect protocol that lets stale-epoch readers chase a
+// moved block instead of failing.
 
-// TreeHeartbeat runs one heartbeat-tree exchange: beat every tree target
-// (members beat their group leader, leaders beat the root and their members,
-// the root beats all leaders), then pull each target's map deltas and fold
-// them in. Liveness adopted this way is watch-scoped — only the targets this
-// node exchanges beats with can be declared down first-hand — so the
-// per-round fan-out is O(group size), not O(cluster size), and so is the
-// delta traffic. Unreachable targets are skipped; the failure detector
-// (TickWatched) turns their silence into a down verdict.
-func (n *Node) TreeHeartbeat(ctx context.Context) {
+// HeartbeatRound runs one control-plane round — the only membership path a
+// node has. It records the node's own beat, refreshes its digest, exchanges a
+// heartbeat and an epoch-delta map sync with each of its tree targets (members
+// with their group leader, leaders with the root and their members, the root
+// with every leader; one flat group is a star around its leader), and then
+// advances the failure detector over those same targets. It returns every
+// membership event the round produced, first-hand verdicts and ones adopted
+// from a target's deltas alike: the caller hands each EventNodeDown to
+// RepairLost however the node came to learn of it.
+//
+// Per-round traffic is O(group size). Over a real fabric the exchanges fan
+// out concurrently, so a dead target costs the round one context timeout and
+// starves no other target of its beat; under the discrete-event simulation
+// they stay serial (a simulated process issues its fabric operations from its
+// own goroutine), as in replication.fanout. Responses are folded in target
+// order on both, after the last exchange returns. Unreachable targets are
+// skipped; the failure detector turns their silence into a down verdict.
+func (n *Node) HeartbeatRound(ctx context.Context) []cluster.Event {
 	self := cluster.NodeID(n.cfg.ID)
 	free := n.recv.FreeBytes()
 	n.met.recvFreeBytes.Set(free)
 	_ = n.dir.Heartbeat(self, free)
-	watched := n.dir.WatchSet(self)
+	targets := n.dir.TreeTargets(self)
+	watched := make(map[cluster.NodeID]bool, len(targets))
+	for _, t := range targets {
+		watched[t] = true
+	}
 	// One digest refresh per round; the piggyback set varies per target (a
 	// group leader relays its members' digests on its beat to the root), so
 	// the heartbeat payload is encoded per target.
 	selfDigest := n.refreshDigest()
 	n.obsStore.Tick()
-	for _, target := range n.dir.TreeTargets(self) {
+
+	n.syncMu.Lock()
+	after := make([]cluster.Epoch, len(targets))
+	for i, t := range targets {
+		after[i] = n.lastSync[t]
+	}
+	n.syncMu.Unlock()
+	syncs := make([]*cluster.SyncResponse, len(targets))
+	exchange := func(i int) {
+		target := targets[i]
 		to := transport.NodeID(target)
 		hb := encodeHeartbeatReq(heartbeatReq{
 			FreeBytes: free,
 			Digests:   n.digestsFor(target, selfDigest),
 		})
 		if _, err := n.ep.Call(ctx, to, hb); err != nil {
-			continue
+			return
 		}
-		n.syncMu.Lock()
-		after := n.lastSync[target]
-		n.syncMu.Unlock()
-		resp, err := n.ep.Call(ctx, to, encodeMapSyncReq(cluster.SyncRequest{Origin: target, Epoch: after}))
+		resp, err := n.ep.Call(ctx, to, encodeMapSyncReq(cluster.SyncRequest{Origin: target, Epoch: after[i]}))
 		if err != nil {
+			return
+		}
+		if sr, err := decodeMapSyncResp(resp); err == nil {
+			syncs[i] = &sr
+		}
+	}
+	if _, simulated := des.FromContext(ctx); simulated || len(targets) == 1 {
+		for i := range targets {
+			exchange(i)
+		}
+	} else {
+		var wg sync.WaitGroup
+		for i := range targets {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				exchange(i)
+			}(i)
+		}
+		wg.Wait()
+	}
+
+	var events []cluster.Event
+	n.syncMu.Lock()
+	for i, sr := range syncs {
+		if sr == nil {
 			continue
 		}
-		sr, err := decodeMapSyncResp(resp)
-		if err != nil {
-			continue
-		}
-		for _, ev := range n.dir.ApplySync(self, sr, watched) {
-			if ev.Kind == cluster.EventNodeLeft {
-				n.obsStore.Drop(int64(ev.Node))
-			}
-		}
-		var seen cluster.Epoch
+		events = append(events, n.dir.ApplySync(self, *sr, watched)...)
 		switch {
 		case sr.Snapshot != nil:
-			seen = sr.Snapshot.Epoch
+			n.lastSync[targets[i]] = sr.Snapshot.Epoch
 		case len(sr.Deltas) > 0:
-			seen = sr.Deltas[len(sr.Deltas)-1].Epoch
-		default:
-			continue
+			n.lastSync[targets[i]] = sr.Deltas[len(sr.Deltas)-1].Epoch
 		}
-		n.syncMu.Lock()
-		if n.lastSync == nil {
-			n.lastSync = map[cluster.NodeID]cluster.Epoch{}
-		}
-		n.lastSync[target] = seen
-		n.syncMu.Unlock()
 	}
-}
-
-// TickWatched advances the node's failure detector over its tree watch set
-// and returns the resulting events (the daemon feeds EventNodeDown into
-// RepairLost, exactly as with the all-to-all Tick).
-func (n *Node) TickWatched() []cluster.Event {
-	return n.dir.TickWatched(n.dir.WatchSet(cluster.NodeID(n.cfg.ID)))
+	n.syncMu.Unlock()
+	events = append(events, n.dir.TickWatched(watched)...)
+	for _, ev := range events {
+		if ev.Kind == cluster.EventNodeLeft {
+			n.obsStore.Drop(int64(ev.Node))
+		}
+	}
+	return events
 }
 
 // Draining reports whether the node has begun a decommission drain (it

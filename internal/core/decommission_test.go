@@ -293,11 +293,11 @@ func TestDecommissionRepointsOwnerPageTable(t *testing.T) {
 	})
 }
 
-// TestTreeHeartbeatConvergence runs per-node directories connected only by
+// TestHeartbeatRoundConvergence runs per-node directories connected only by
 // the heartbeat tree and asserts second-hand liveness: when a member goes
 // silent, its watcher detects the death first-hand and every other directory
 // learns it through epoch-tagged map deltas within a few rounds.
-func TestTreeHeartbeatConvergence(t *testing.T) {
+func TestHeartbeatRoundConvergence(t *testing.T) {
 	const n = 6
 	env := des.NewEnv()
 	fabric := simnet.New(env, simnet.DefaultParams())
@@ -333,8 +333,7 @@ func TestTreeHeartbeatConvergence(t *testing.T) {
 				if i == n-1 && round >= deadFrom {
 					continue
 				}
-				node.TreeHeartbeat(ctx)
-				node.TickWatched()
+				node.HeartbeatRound(ctx)
 			}
 		}
 		for i, node := range nodes[:n-1] {

@@ -251,7 +251,7 @@ type Node struct {
 	draining bool
 	movedTo  map[uint64]movedBlock
 
-	// syncMu guards the per-peer map-sync cursors used by TreeHeartbeat to
+	// syncMu guards the per-peer map-sync cursors used by HeartbeatRound to
 	// ask each tree target only for deltas it has not yet seen.
 	syncMu   sync.Mutex
 	lastSync map[cluster.NodeID]cluster.Epoch
@@ -440,6 +440,7 @@ func NewNode(cfg Config, ep transport.Endpoint, dir *cluster.Directory) (*Node, 
 		recvBuf:  recvBuf,
 		balancer: balancer,
 		vservers: map[string]*VirtualServer{},
+		lastSync: map[cluster.NodeID]cluster.Epoch{},
 		reg:      metrics.NewRegistry(fmt.Sprintf("core/node-%d", cfg.ID)),
 		replReg:  metrics.NewRegistry(fmt.Sprintf("replication/node-%d", cfg.ID)),
 	}
@@ -455,7 +456,7 @@ func NewNode(cfg Config, ep transport.Endpoint, dir *cluster.Directory) (*Node, 
 	}
 	n.slos = metrics.NewSLOSet(n.reg, obj)
 	n.obsStore = metrics.NewClusterStore(int64(cfg.ID))
-	n.remote = &remoteStore{node: n, handles: map[remoteKey]remoteHandle{}}
+	n.remote = &remoteStore{node: n, handles: map[remoteKey]remoteHandle{}, classes: map[uint64]int{}}
 	spec, err := parseDurability(cfg.Durability, cfg.ReplicationFactor)
 	if err != nil {
 		return nil, err
@@ -768,48 +769,6 @@ func (n *Node) pickRemotes(count int, exclude []transport.NodeID) ([]replication
 	return out, nil
 }
 
-// Heartbeat advertises this node's free receive-pool bytes to the directory
-// (in-process) — the cluster-wide equivalent is BroadcastHeartbeat.
-func (n *Node) Heartbeat() error {
-	free := n.recv.FreeBytes()
-	n.met.recvFreeBytes.Set(free)
-	return n.dir.Heartbeat(cluster.NodeID(n.cfg.ID), free)
-}
-
-// BroadcastHeartbeat sends a heartbeat to every other known node over the
-// control plane, for deployments where each node runs its own directory.
-// Over a real fabric the calls fan out concurrently — the multiplexed
-// transport pipelines them over pooled connections — so one slow or dead
-// peer no longer delays the heartbeats of the rest past its round-trip (or
-// context) timeout. Under the discrete-event simulation the fan-out stays
-// serial: a simulated process is cooperative and must issue its fabric
-// operations from its own goroutine.
-func (n *Node) BroadcastHeartbeat(ctx context.Context) {
-	msg := encodeHeartbeatReq(heartbeatReq{FreeBytes: n.recv.FreeBytes()})
-	if _, simulated := des.FromContext(ctx); simulated {
-		for _, st := range n.dir.Snapshot() {
-			if st.ID == cluster.NodeID(n.cfg.ID) || !st.Alive {
-				continue
-			}
-			// Best-effort: the failure detector handles unreachable peers.
-			_, _ = n.ep.Call(ctx, transport.NodeID(st.ID), msg)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for _, st := range n.dir.Snapshot() {
-		if st.ID == cluster.NodeID(n.cfg.ID) || !st.Alive {
-			continue
-		}
-		wg.Add(1)
-		go func(to transport.NodeID) {
-			defer wg.Done()
-			_, _ = n.ep.Call(ctx, to, msg)
-		}(transport.NodeID(st.ID))
-	}
-	wg.Wait()
-}
-
 // handleCall is the control-plane dispatcher (RDMS side).
 func (n *Node) handleCall(ctx context.Context, from transport.NodeID, payload []byte) ([]byte, error) {
 	if len(payload) == 0 {
@@ -1066,10 +1025,9 @@ func (n *Node) EvictRecvSlabs(ctx context.Context, wantBytes int64) (int64, erro
 // RepairLost enqueues re-replication for every remote entry whose replica set
 // includes lost, as if the node had managed to send eviction notices before
 // dying. A crashed host cannot notify anyone, so the failure detector is the
-// only signal: call this when the directory reports EventNodeDown (the chaos
-// harness and a production tick loop both do), then let the next Maintain
-// pass restore the replication factor. It returns the number of entries
-// queued.
+// only signal: call this for every EventNodeDown that HeartbeatRound returns
+// (dmnode's tick loop does), then let the next Maintain pass restore the
+// replication factor. It returns the number of entries queued.
 func (n *Node) RepairLost(lost transport.NodeID) int {
 	n.vsMu.RLock()
 	servers := append([]*VirtualServer(nil), n.vsByIndex...)
@@ -1209,6 +1167,9 @@ func (n *Node) repairEntry(ctx context.Context, job repairJob) ([]transport.Node
 		ex = append(ex, job.lost...)
 		return n.pickRemotes(count, ex)
 	}
+	// Replacement copies reserve the class the entry was written with.
+	n.remote.setClass(job.key, n.policy.ShardClass(loc.StoredSize))
+	defer n.remote.clearClass(job.key)
 	newSet, still, err := n.policy.Restore(ctx, nodes, replication.EntryID(job.key), lost, pick)
 	if err != nil {
 		return nil, fmt.Errorf("core: restore entry %d: %w", id, err)

@@ -56,11 +56,11 @@ func TestClusterRespRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTreeHeartbeatDigestAggregation runs per-node directories connected only
+// TestHeartbeatRoundDigestAggregation runs per-node directories connected only
 // by the heartbeat tree and asserts the observability plane converges: after
 // two rounds (member→leader, leader→root) the root's store covers every
 // node, and its aggregated op counters exactly equal the sum over members.
-func TestTreeHeartbeatDigestAggregation(t *testing.T) {
+func TestHeartbeatRoundDigestAggregation(t *testing.T) {
 	const n = 6
 	env := des.NewEnv()
 	fabric := simnet.New(env, simnet.DefaultParams())
@@ -103,8 +103,7 @@ func TestTreeHeartbeatDigestAggregation(t *testing.T) {
 		// slack round for leader stores folding before their root beat).
 		for round := 0; round < 3; round++ {
 			for _, node := range nodes {
-				node.TreeHeartbeat(ctx)
-				node.TickWatched()
+				node.HeartbeatRound(ctx)
 			}
 		}
 		root, ok := nodes[0].dir.RootLeader()
@@ -246,8 +245,7 @@ func TestAttachedRegistryReachesRootDigest(t *testing.T) {
 		ctx := des.NewContext(context.Background(), p)
 		for round := 0; round < 3; round++ {
 			for _, node := range nodes {
-				node.TreeHeartbeat(ctx)
-				node.TickWatched()
+				node.HeartbeatRound(ctx)
 			}
 		}
 		root, ok := nodes[0].dir.RootLeader()

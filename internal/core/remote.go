@@ -24,9 +24,12 @@ type remoteStore struct {
 	// handles is the client half of the disaggregated memory map: where each
 	// of our keys lives inside each remote node's receive region.
 	handles map[remoteKey]remoteHandle
-	// classes records the size class to request per key (set by the caller
-	// before a replicated write fans out).
-	classes sync.Map // uint64 -> int
+	// classes holds the size class to reserve for a key on any donor while a
+	// replicated write or a repair of it is in flight: the caller sets it
+	// before the policy fans out and clears it when the policy returns, so
+	// the map is bounded by the operations in progress, not by the keys ever
+	// written.
+	classes map[uint64]int
 }
 
 type remoteKey struct {
@@ -40,14 +43,25 @@ type remoteHandle struct {
 	dataLen int
 }
 
-// setClass records the allocation class for key before a Write fans out.
+// setClass records the allocation class for key before a Write or Restore
+// fans out; clearClass forgets it once the policy has returned.
 func (s *remoteStore) setClass(key uint64, class int) {
-	s.classes.Store(key, class)
+	s.mu.Lock()
+	s.classes[key] = class
+	s.mu.Unlock()
+}
+
+func (s *remoteStore) clearClass(key uint64) {
+	s.mu.Lock()
+	delete(s.classes, key)
+	s.mu.Unlock()
 }
 
 func (s *remoteStore) classFor(key uint64, dataLen int) int {
-	if v, ok := s.classes.Load(key); ok {
-		return v.(int)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if class, ok := s.classes[key]; ok {
+		return class
 	}
 	return dataLen
 }

@@ -137,6 +137,7 @@ func (vs *VirtualServer) PutRemote(ctx context.Context, id pagetable.EntryID, da
 	// Each donor allocates the per-shard class: the full class under
 	// replication, ceil(class/k) under RS(k, m) — coding's capacity win.
 	vs.node.remote.setClass(key, vs.node.policy.ShardClass(class))
+	defer vs.node.remote.clearClass(key)
 	if err := vs.node.policy.Write(ctx, nodes, replication.EntryID(key), data); err != nil {
 		if errors.Is(err, replication.ErrAborted) {
 			err = fmt.Errorf("%w: %v", ErrRemoteFull, err)

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Observability-plane smoke test: boot a real 3-node dmnode cluster on the
-# tree control plane, let the metrics digests ride two heartbeat rounds to
+# Observability-plane smoke test: boot a real 3-node dmnode cluster on default
+# control-plane flags, let the metrics digests ride two heartbeat rounds to
 # the root, then assert the root's /cluster aggregate equals the sum of the
 # per-node /metrics counters — the end-to-end contract of the tree-aggregated
 # observability plane. Also exercises /healthz, /debug/flight, dmctl top, and
@@ -16,11 +16,11 @@ go build -o "$bin/dmnode" ./cmd/dmnode
 go build -o "$bin/dmctl" ./cmd/dmctl
 
 "$bin/dmnode" -id 1 -listen 127.0.0.1:7471 -http 127.0.0.1:9471 -recv-mib 16 -shared-mib 16 -tick 500ms \
-  -heartbeat tree -peers "2=127.0.0.1:7472,3=127.0.0.1:7473" &
+  -peers "2=127.0.0.1:7472,3=127.0.0.1:7473" &
 "$bin/dmnode" -id 2 -listen 127.0.0.1:7472 -http 127.0.0.1:9472 -recv-mib 16 -shared-mib 16 -tick 500ms \
-  -heartbeat tree -peers "1=127.0.0.1:7471,3=127.0.0.1:7473" &
+  -peers "1=127.0.0.1:7471,3=127.0.0.1:7473" &
 "$bin/dmnode" -id 3 -listen 127.0.0.1:7473 -http 127.0.0.1:9473 -recv-mib 16 -shared-mib 16 -tick 500ms \
-  -heartbeat tree -peers "1=127.0.0.1:7471,2=127.0.0.1:7472" &
+  -peers "1=127.0.0.1:7471,2=127.0.0.1:7472" &
 
 for port in 9471 9472 9473; do
   for i in $(seq 1 50); do
@@ -31,7 +31,7 @@ for port in 9471 9472 9473; do
 done
 
 # Park entries on every node so each one's remote_allocs counter moves, then
-# stop driving traffic and let >=2 tree rounds relay the final digests to the
+# stop driving traffic and let >=2 heartbeat rounds relay the final digests to the
 # root. Counters are quiescent after that, so the comparison can be exact.
 "$bin/dmctl" -node 1=127.0.0.1:7471 put 101 "alpha"
 "$bin/dmctl" -node 2=127.0.0.1:7472 put 202 "beta"
@@ -69,7 +69,9 @@ echo "aggregate remote_allocs $agg == per-node sum $want"
 # Liveness and the flight recorder answer on every node.
 for port in 9471 9472 9473; do
   curl -fsS "http://127.0.0.1:$port/healthz" | grep -q "state serving" || { echo ":$port /healthz not serving" >&2; exit 1; }
-  curl -fsS "http://127.0.0.1:$port/debug/flight" | grep -q "flight recorder:" || { echo ":$port /debug/flight missing" >&2; exit 1; }
+  # No -q: the dump outgrows a pipe buffer, and grep leaving at the first match
+  # fails curl's write, which pipefail reports as a missing endpoint.
+  curl -fsS "http://127.0.0.1:$port/debug/flight" | grep "flight recorder:" >/dev/null || { echo ":$port /debug/flight missing" >&2; exit 1; }
 done
 
 # dmctl rides the same digests over the fabric (no HTTP needed).
