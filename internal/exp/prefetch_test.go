@@ -5,7 +5,8 @@ import "testing"
 // TestPrefetchAcceptance pins the experiment's headline claims: the trend
 // prefetcher beats in-batch readahead on at least two of the three shapes,
 // and on the adversarial-stride walk — where the only correct prediction is
-// no prediction — it stays within 5% of prefetching disabled.
+// no prediction — it stays within 5% of prefetching disabled. The tier
+// ladder on top of it finishes no later than Leap alone on every shape.
 func TestPrefetchAcceptance(t *testing.T) {
 	res, err := Prefetch(DefaultScale())
 	if err != nil {
@@ -50,10 +51,19 @@ func TestPrefetchAcceptance(t *testing.T) {
 				t.Errorf("%s: Leap accuracy %.2f, want >= 0.5", sh.Shape, sh.Leap.Accuracy)
 			}
 		}
-		// The ladder must actually move pages in both directions.
+		// The ladder must actually move pages in both directions, and must
+		// pay for itself: the same faults as Leap, served no slower.
 		if sh.Tiered.Demotions == 0 || sh.Tiered.Promotions == 0 {
 			t.Errorf("%s: tiered demotions=%d promotions=%d, want both > 0",
 				sh.Shape, sh.Tiered.Demotions, sh.Tiered.Promotions)
+		}
+		if sh.Tiered.Faults != sh.Leap.Faults {
+			t.Errorf("%s: tiered faults %d != Leap's %d on the same trace",
+				sh.Shape, sh.Tiered.Faults, sh.Leap.Faults)
+		}
+		if sh.Tiered.Completion > sh.Leap.Completion {
+			t.Errorf("%s: tiered completion %v > Leap's %v: the ladder costs more than it saves",
+				sh.Shape, sh.Tiered.Completion, sh.Leap.Completion)
 		}
 	}
 }

@@ -16,52 +16,16 @@ package prefetch
 
 import "fmt"
 
-// Defaults for Config fields left zero.
+// The detector's shape, fixed: H deltas of history, the smallest window the
+// majority vote tries, and the AIMD depth controller's start, cap and
+// doubling streak.
 const (
-	DefaultHistory   = 32
-	DefaultMinWindow = 4
-	DefaultInitDepth = 4
-	DefaultMaxDepth  = 64
-	DefaultHitStreak = 8
+	historySize = 32
+	minWindow   = 4
+	initDepth   = 4
+	maxDepth    = 64
+	hitStreak   = 8
 )
-
-// Config tunes a Detector.
-type Config struct {
-	// HistorySize is H, the number of recent access deltas retained.
-	HistorySize int
-	// MinWindow is the smallest majority-vote window tried before the
-	// detector gives up on the current history.
-	MinWindow int
-	// InitDepth is the starting prefetch depth (pages per prediction).
-	InitDepth int
-	// MaxDepth caps the adaptive depth.
-	MaxDepth int
-	// HitStreak is how many consecutive prefetch hits double the depth.
-	HitStreak int
-	// AddressSpace bounds predictions to pages in [0, AddressSpace). It is
-	// the one required field: a detector that can predict beyond the address
-	// space would fetch garbage.
-	AddressSpace int
-}
-
-func (c Config) withDefaults() Config {
-	if c.HistorySize <= 0 {
-		c.HistorySize = DefaultHistory
-	}
-	if c.MinWindow <= 0 {
-		c.MinWindow = DefaultMinWindow
-	}
-	if c.InitDepth <= 0 {
-		c.InitDepth = DefaultInitDepth
-	}
-	if c.MaxDepth <= 0 {
-		c.MaxDepth = DefaultMaxDepth
-	}
-	if c.HitStreak <= 0 {
-		c.HitStreak = DefaultHitStreak
-	}
-	return c
-}
 
 // Stats counts detector activity.
 type Stats struct {
@@ -76,7 +40,7 @@ type Stats struct {
 // Detector is one process's stride detector. It is not safe for concurrent
 // use; the swap engine drives it from the simulation's event loop.
 type Detector struct {
-	cfg    Config
+	space  int   // predictions stay within [0, space)
 	deltas []int // ring buffer of recent deltas
 	head   int   // next write position
 	n      int   // filled entries
@@ -86,16 +50,16 @@ type Detector struct {
 	stats  Stats
 }
 
-// New builds a detector. AddressSpace must be positive.
-func New(cfg Config) (*Detector, error) {
-	if cfg.AddressSpace <= 0 {
-		return nil, fmt.Errorf("prefetch: address space %d must be positive", cfg.AddressSpace)
+// New builds a detector whose predictions stay within [0, addressSpace): one
+// that could predict beyond the address space would fetch garbage.
+func New(addressSpace int) (*Detector, error) {
+	if addressSpace <= 0 {
+		return nil, fmt.Errorf("prefetch: address space %d must be positive", addressSpace)
 	}
-	cfg = cfg.withDefaults()
 	return &Detector{
-		cfg:    cfg,
-		deltas: make([]int, cfg.HistorySize),
-		depth:  NewDepth(cfg.InitDepth, cfg.MaxDepth, cfg.HitStreak),
+		space:  addressSpace,
+		deltas: make([]int, historySize),
+		depth:  NewDepth(initDepth, maxDepth, hitStreak),
 	}, nil
 }
 
@@ -116,7 +80,7 @@ func (d *Detector) Record(page int) {
 
 // Predict votes for a majority trend over the recent history and, if one
 // emerges, returns up to Depth() predicted pages page+Δ, page+2Δ, …, all
-// within [0, AddressSpace). A zero delta majority (repeated same-page
+// within the address space. A zero delta majority (repeated same-page
 // accesses) is no trend. Predictions are not deduplicated against resident
 // state — that is the caller's business.
 func (d *Detector) Predict(page int) []int {
@@ -131,7 +95,7 @@ func (d *Detector) Predict(page int) []int {
 	next := page
 	for i := 0; i < depth; i++ {
 		next += delta
-		if next < 0 || next >= d.cfg.AddressSpace {
+		if next < 0 || next >= d.space {
 			break
 		}
 		out = append(out, next)
@@ -141,10 +105,10 @@ func (d *Detector) Predict(page int) []int {
 }
 
 // majority runs the exponentially shrinking Boyer–Moore vote: try the last
-// w deltas with w = min(n, H), then w/2, w/4, … down to MinWindow. A
+// w deltas with w = min(n, H), then w/2, w/4, … down to minWindow. A
 // candidate wins a window only if it holds a strict majority there.
 func (d *Detector) majority() (int, bool) {
-	for w := d.n; w >= d.cfg.MinWindow; w /= 2 {
+	for w := d.n; w >= minWindow; w /= 2 {
 		cand, count := 0, 0
 		for i := 0; i < w; i++ {
 			v := d.at(i)
@@ -211,18 +175,8 @@ type Depth struct {
 }
 
 // NewDepth builds a controller starting at init, capped at max, doubling
-// after streak consecutive hits. Non-positive arguments take the package
-// defaults.
+// after streak consecutive hits.
 func NewDepth(init, max, streak int) *Depth {
-	if init <= 0 {
-		init = DefaultInitDepth
-	}
-	if max <= 0 {
-		max = DefaultMaxDepth
-	}
-	if streak <= 0 {
-		streak = DefaultHitStreak
-	}
 	if init > max {
 		init = max
 	}

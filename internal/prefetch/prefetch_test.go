@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-func mustNew(t *testing.T, cfg Config) *Detector {
+func mustNew(t *testing.T, addressSpace int) *Detector {
 	t.Helper()
-	d, err := New(cfg)
+	d, err := New(addressSpace)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -16,13 +16,13 @@ func mustNew(t *testing.T, cfg Config) *Detector {
 }
 
 func TestDetectorRequiresAddressSpace(t *testing.T) {
-	if _, err := New(Config{}); err == nil {
+	if _, err := New(0); err == nil {
 		t.Fatal("want error for zero address space")
 	}
 }
 
 func TestSequentialStride(t *testing.T) {
-	d := mustNew(t, Config{AddressSpace: 1 << 20})
+	d := mustNew(t, 1<<20)
 	for pg := 0; pg < 64; pg++ {
 		d.Record(pg)
 	}
@@ -38,7 +38,7 @@ func TestSequentialStride(t *testing.T) {
 }
 
 func TestNegativeStride(t *testing.T) {
-	d := mustNew(t, Config{AddressSpace: 1 << 20})
+	d := mustNew(t, 1<<20)
 	for pg := 1000; pg > 900; pg -= 3 {
 		d.Record(pg)
 	}
@@ -56,13 +56,13 @@ func TestNegativeStride(t *testing.T) {
 // A strided scan with interleaved noise still yields the majority trend via
 // the shrinking window: the most recent half of the history is pure stride.
 func TestShrinkingWindowRecovers(t *testing.T) {
-	d := mustNew(t, Config{HistorySize: 16, AddressSpace: 1 << 20})
+	d := mustNew(t, 1<<20)
 	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 16; i++ { // noise fills the whole ring
+	for i := 0; i <= historySize; i++ { // noise fills the whole ring
 		d.Record(rng.Intn(1 << 20))
 	}
 	base := 5000
-	for i := 0; i < 9; i++ { // stride of 2 dominates the recent window
+	for i := 0; i < 9; i++ { // stride of 2 dominates the recent quarter
 		d.Record(base + 2*i)
 	}
 	got := d.Predict(base + 16)
@@ -72,10 +72,13 @@ func TestShrinkingWindowRecovers(t *testing.T) {
 	if got[0] != base+18 {
 		t.Fatalf("first prediction %d, want %d", got[0], base+18)
 	}
+	if d.n != historySize {
+		t.Fatalf("ring holds %d deltas, want it full at %d", d.n, historySize)
+	}
 }
 
 func TestZeroDeltaIsNoTrend(t *testing.T) {
-	d := mustNew(t, Config{AddressSpace: 1024})
+	d := mustNew(t, 1024)
 	for i := 0; i < 32; i++ {
 		d.Record(42)
 	}
@@ -88,7 +91,7 @@ func TestZeroDeltaIsNoTrend(t *testing.T) {
 }
 
 func TestAdversarialNoMajority(t *testing.T) {
-	d := mustNew(t, Config{AddressSpace: 1 << 20})
+	d := mustNew(t, 1<<20)
 	// Cycle through four distinct deltas — no strict majority at any window.
 	deltas := []int{3, 17, -5, 101}
 	pg := 1 << 10
@@ -129,17 +132,13 @@ func TestDepthAIMD(t *testing.T) {
 	}
 }
 
-// Property: no prediction ever leaves [0, AddressSpace), for any random
+// Property: no prediction ever leaves the address space, for any random
 // access stream, any depth state, any address-space size.
 func TestPropertyPredictionsWithinBounds(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		space := 1 + rng.Intn(1<<16)
-		d := mustNew(t, Config{
-			HistorySize:  1 + rng.Intn(64),
-			MinWindow:    1 + rng.Intn(8),
-			AddressSpace: space,
-		})
+		d := mustNew(t, space)
 		for i := 0; i < 2000; i++ {
 			pg := rng.Intn(space)
 			if rng.Intn(3) == 0 {
@@ -169,7 +168,7 @@ func TestPropertyPredictionsWithinBounds(t *testing.T) {
 func TestPropertyDeterministicTranscript(t *testing.T) {
 	transcript := func(seed int64) string {
 		rng := rand.New(rand.NewSource(seed))
-		d := mustNew(t, Config{AddressSpace: 1 << 14})
+		d := mustNew(t, 1<<14)
 		out := ""
 		for i := 0; i < 1000; i++ {
 			pg := rng.Intn(1 << 14)
@@ -197,7 +196,7 @@ func TestPropertyDeterministicTranscript(t *testing.T) {
 }
 
 func BenchmarkPrefetchDetector(b *testing.B) {
-	d, err := New(Config{AddressSpace: 1 << 20})
+	d, err := New(1 << 20)
 	if err != nil {
 		b.Fatal(err)
 	}

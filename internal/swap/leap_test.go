@@ -139,34 +139,50 @@ func TestLeapDeterministicReplay(t *testing.T) {
 	}
 }
 
-// Tiering: a working set that goes cold must sink down the ladder, and the
-// per-tier occupancy must always sum to the live parked population.
-func TestTieringDemotesColdBatches(t *testing.T) {
-	const pages = 1024
+// tieredRun builds a Tiered manager (resident 64 of 1024 pages) and drives
+// the ladder with the production cadence: set A is written out, set B is
+// hammered until A's batches have sat cold for several demoteAfter periods,
+// and — when rereference is set — A is then re-read until its batches have
+// taken promoteTouches demand fetches each.
+func tieredRun(t *testing.T, reg *metrics.Registry, rereference bool) *Manager {
+	t.Helper()
 	r := newRig(t, 8<<20, 8<<20)
-	cfg := Tiered(64, 5, pages, flatRatio(2))
-	cfg.DemoteAfter = 64
-	cfg.DemoteEvery = 16
-	m, err := NewManager(cfg, r.deps)
+	deps := r.deps
+	if reg != nil {
+		deps.Metrics = NewMetrics(reg)
+	}
+	m, err := NewManager(Tiered(64, 5, 1024, flatRatio(2)), deps)
 	if err != nil {
 		t.Fatal(err)
 	}
+	scan := func(ctx context.Context, from, iters int, write bool) {
+		for it := 0; it < iters; it++ {
+			for pg := from; pg < from+256; pg++ {
+				if err := m.Touch(ctx, pg, 0, write); err != nil {
+					t.Errorf("Touch(%d): %v", pg, err)
+					return
+				}
+			}
+		}
+	}
 	r.env.Go("driver", func(p *des.Proc) {
 		ctx := des.NewContext(context.Background(), p)
-		// Phase 1: write set A out.
-		for pg := 0; pg < 256; pg++ {
-			_ = m.Touch(ctx, pg, 0, true)
-		}
-		// Phase 2: hammer set B; A's batches age out and demote.
-		for it := 0; it < 8; it++ {
-			for pg := 512; pg < 512+256; pg++ {
-				_ = m.Touch(ctx, pg, 0, true)
-			}
+		scan(ctx, 0, 1, true)    // set A goes out
+		scan(ctx, 512, 48, true) // set B ages it cold
+		if rereference {
+			scan(ctx, 0, 16, false)
 		}
 	})
 	if err := r.env.Run(); err != nil {
 		t.Fatal(err)
 	}
+	return m
+}
+
+// Tiering: a working set that goes cold must sink down the ladder, and the
+// per-tier occupancy must always sum to the live parked population.
+func TestTieringDemotesColdBatches(t *testing.T) {
+	m := tieredRun(t, nil, false)
 	st := m.Stats()
 	if st.Demotions == 0 {
 		t.Fatalf("no demotions despite a cold working set (stats %+v)", st)
@@ -187,43 +203,17 @@ func TestTieringDemotesColdBatches(t *testing.T) {
 	if sum != live {
 		t.Fatalf("tier occupancy %d != live batch slots %d (%v)", sum, live, occ)
 	}
-	if occ["remote_deflated"]+occ["disk"]+occ["remote"] == 0 {
-		t.Fatalf("cold set never left the shared tier: %v", occ)
+	if occ["remote_deflated"] == 0 {
+		t.Fatalf("cold set never reached the bottom rung: %v", occ)
+	}
+	if occ["disk"] != 0 {
+		t.Fatalf("idleness sank pages to disk with room in the pools: %v", occ)
 	}
 }
 
 // Re-referencing a demoted batch enough times climbs it back up the ladder.
 func TestTieringPromotesOnReReference(t *testing.T) {
-	const pages = 1024
-	r := newRig(t, 8<<20, 8<<20)
-	cfg := Tiered(64, 5, pages, flatRatio(2))
-	cfg.DemoteAfter = 64
-	cfg.DemoteEvery = 16
-	cfg.PromoteTouches = 1
-	m, err := NewManager(cfg, r.deps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.env.Go("driver", func(p *des.Proc) {
-		ctx := des.NewContext(context.Background(), p)
-		for pg := 0; pg < 256; pg++ {
-			_ = m.Touch(ctx, pg, 0, true)
-		}
-		for it := 0; it < 8; it++ { // age set A cold
-			for pg := 512; pg < 512+256; pg++ {
-				_ = m.Touch(ctx, pg, 0, true)
-			}
-		}
-		for it := 0; it < 4; it++ { // re-reference set A
-			for pg := 0; pg < 256; pg++ {
-				_ = m.Touch(ctx, pg, 0, false)
-			}
-		}
-	})
-	if err := r.env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	st := m.Stats()
+	st := tieredRun(t, nil, true).Stats()
 	if st.Demotions == 0 || st.Promotions == 0 {
 		t.Fatalf("ladder never moved both ways: %+v", st)
 	}
@@ -234,32 +224,8 @@ func TestTieringPromotesOnReReference(t *testing.T) {
 // observability assertion of the tier ladder (dmctl top reads the same
 // digests).
 func TestTierGaugesReachDigestPlane(t *testing.T) {
-	const pages = 1024
-	r := newRig(t, 8<<20, 8<<20)
 	reg := metrics.NewRegistry("swap")
-	cfg := Tiered(64, 5, pages, flatRatio(2))
-	cfg.DemoteAfter = 64
-	cfg.DemoteEvery = 16
-	deps := r.deps
-	deps.Metrics = NewMetrics(reg)
-	m, err := NewManager(cfg, deps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.env.Go("driver", func(p *des.Proc) {
-		ctx := des.NewContext(context.Background(), p)
-		for pg := 0; pg < 256; pg++ {
-			_ = m.Touch(ctx, pg, 0, true)
-		}
-		for it := 0; it < 8; it++ {
-			for pg := 512; pg < 512+256; pg++ {
-				_ = m.Touch(ctx, pg, 0, true)
-			}
-		}
-	})
-	if err := r.env.Run(); err != nil {
-		t.Fatal(err)
-	}
+	m := tieredRun(t, reg, false)
 	d := metrics.DigestRegistries(map[string]*metrics.Registry{"swap": reg})
 	var sum int64
 	for name, occ := range m.TierOccupancy() {
@@ -277,6 +243,86 @@ func TestTierGaugesReachDigestPlane(t *testing.T) {
 	}
 	if d.Counters["swap/tier_demotions"] == 0 {
 		t.Fatal("tier_demotions counter missing or zero in digest")
+	}
+}
+
+// Tiering promotes into the shared pool and demotes into remote memory even
+// when NodeRatio sends no swap-out traffic to the shared tier, so a manager
+// missing either must be refused at construction, not panic at the first
+// promotion.
+func TestTieringRefusedWithoutItsRungs(t *testing.T) {
+	r := newRig(t, 8<<20, 8<<20)
+	noShared := r.deps
+	noShared.Shared = nil
+	if _, err := NewManager(Tiered(64, 0, 1024, flatRatio(2)), noShared); err == nil {
+		t.Error("Tiering without a SharedMem device constructed")
+	}
+	cfg := Tiered(64, 10, 1024, flatRatio(2))
+	cfg.RemoteEnabled = false
+	if _, err := NewManager(cfg, r.deps); err == nil {
+		t.Error("Tiering without the remote tier constructed")
+	}
+}
+
+// Every swap registry counter must equal its Stats field whichever path did
+// the counting: PBS read-ahead, Leap prefetch and the ladder, and — on both —
+// the proactive pump after a cold restart.
+func TestRegistryCountersMatchStats(t *testing.T) {
+	for _, cfg := range []Config{
+		FastSwap(64, 5, true, flatRatio(2)),
+		Tiered(64, 5, 512, flatRatio(2)),
+	} {
+		r := newRig(t, 8<<20, 8<<20)
+		reg := metrics.NewRegistry("swap")
+		deps := r.deps
+		deps.Metrics = NewMetrics(reg)
+		m, err := NewManager(cfg, deps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pumped := 0
+		r.env.Go("driver", func(p *des.Proc) {
+			ctx := des.NewContext(context.Background(), p)
+			scan := func(iters int) {
+				for i := 0; i < iters*512; i++ {
+					if err := m.Touch(ctx, i%512, 0, i%3 == 0); err != nil {
+						t.Errorf("%s: Touch(%d): %v", cfg.Name, i%512, err)
+						return
+					}
+				}
+			}
+			scan(12)
+			m.EvictAll(ctx)
+			pumped = m.ProactiveSwapIn(ctx, 48)
+			scan(2)
+		})
+		if err := r.env.Run(); err != nil {
+			t.Fatal(err)
+		}
+		st := m.Stats()
+		if pumped == 0 || st.Prefetched <= int64(pumped) || st.PrefetchHits == 0 {
+			t.Fatalf("%s: pump restored %d of %d prefetched pages, %d hits: a path went unexercised",
+				cfg.Name, pumped, st.Prefetched, st.PrefetchHits)
+		}
+		if cfg.Tiering && (st.Demotions == 0 || st.Promotions == 0) {
+			t.Fatalf("%s: ladder never moved both ways: %+v", cfg.Name, st)
+		}
+		for name, want := range map[string]int64{
+			"accesses":        st.Accesses,
+			"hits":            st.Hits,
+			"faults":          st.Faults,
+			"swap_ins":        st.SwapIns,
+			"swap_outs":       st.SwapOuts,
+			"prefetched":      st.Prefetched,
+			"prefetch_hits":   st.PrefetchHits,
+			"prefetch_wasted": st.PrefetchWaste,
+			"tier_demotions":  st.Demotions,
+			"tier_promotions": st.Promotions,
+		} {
+			if got := reg.Counter(name).Value(); got != want {
+				t.Errorf("%s: registry counter %s = %d, Stats says %d", cfg.Name, name, got, want)
+			}
+		}
 	}
 }
 

@@ -25,7 +25,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"godm/internal/compress"
@@ -41,13 +40,13 @@ import (
 // PageSize is the swap unit.
 const PageSize = compress.PageSize
 
-// Adaptive-tiering defaults, used for Config fields left zero when Tiering
-// is on: a batch untouched for DefaultDemoteAfter faults is cold, sweeps run
-// every DefaultDemoteEvery faults, and two demand fetches re-promote.
+// Adaptive-tiering cadence. The fault counter is the clock: a batch
+// untouched for demoteAfter faults is cold, sweeps run every demoteEvery
+// faults, and promoteTouches demand fetches climb a batch one rung back up.
 const (
-	DefaultDemoteAfter    = 256
-	DefaultDemoteEvery    = 64
-	DefaultPromoteTouches = 2
+	demoteAfter    = 256
+	demoteEvery    = 64
+	promoteTouches = 2
 	// demotePerSweep bounds how many cold batches one sweep moves, so a
 	// single fault never absorbs an unbounded migration backlog.
 	demotePerSweep = 4
@@ -110,25 +109,14 @@ type Config struct {
 	// AddressSpace is the workload's page count, bounding predictions.
 	// Required when LeapPrefetch is on.
 	AddressSpace int
-	// PrefetchHistory, PrefetchMinWindow, PrefetchMaxDepth and
-	// PrefetchHitStreak tune the detector; zero takes prefetch defaults.
-	PrefetchHistory   int
-	PrefetchMinWindow int
-	PrefetchMaxDepth  int
-	PrefetchHitStreak int
 
-	// Tiering replaces the binary spill with a hotness-driven ladder:
-	// batches idle for DemoteAfter faults are demoted one rung — shared →
-	// remote → remote-deflated → disk — on a sweep every DemoteEvery
-	// faults, and a batch demand-touched PromoteTouches times climbs one
-	// rung back up. Requires PageRatio for the deflated rung's size model.
+	// Tiering adds a hotness-driven ladder over the two pools: a batch idle
+	// for demoteAfter faults sinks one rung — shared → remote →
+	// remote-deflated — and a batch demand-fetched promoteTouches times
+	// climbs one rung back up. Disk and SSD stay outside the ladder: they
+	// take a batch only when the pools are full. Requires RemoteEnabled, a
+	// SharedMem device, and PageRatio for the deflated rung's size model.
 	Tiering bool
-	// DemoteAfter is the idle age (in faults) before a batch turns cold.
-	DemoteAfter int
-	// DemoteEvery is the sweep period in faults.
-	DemoteEvery int
-	// PromoteTouches is the demand-fetch count that re-promotes a batch.
-	PromoteTouches int
 }
 
 func (c Config) validate() error {
@@ -156,6 +144,9 @@ func (c Config) validate() error {
 	if c.Tiering && c.PageRatio == nil {
 		return errors.New("swap: tiering needs PageRatio for the deflated rung")
 	}
+	if c.Tiering && !c.RemoteEnabled {
+		return errors.New("swap: tiering needs the remote tier for its lower rungs")
+	}
 	return nil
 }
 
@@ -167,7 +158,8 @@ type Stats struct {
 	ColdFills  int64 // first-touch zero fills
 	SwapOuts   int64 // pages written out
 	SwapIns    int64 // pages read in on demand
-	Prefetched int64 // pages brought in by PBS/readahead
+	Prefetched int64 // pages brought in ahead of demand (PBS, Leap, pump)
+	// Pages written to and read from each tier, ladder moves included.
 	SharedOuts int64
 	RemoteOuts int64
 	DiskOuts   int64
@@ -258,8 +250,8 @@ type Deps struct {
 	// shared nor remote memory (Linux baseline).
 	VS *core.VirtualServer
 	// DRAM, Shared, and Disk model the local tiers. DRAM and Disk are
-	// required; Shared only when the shared tier is enabled, SSD only when
-	// SSDEnabled.
+	// required; Shared only when the shared tier or Tiering is enabled, SSD
+	// only when SSDEnabled.
 	DRAM   *memdev.DRAM
 	Shared *memdev.SharedMem
 	SSD    *memdev.SSD
@@ -267,65 +259,6 @@ type Deps struct {
 	// Metrics mounts the engine's instrumentation; nil means a private
 	// registry nothing exports.
 	Metrics *Metrics
-}
-
-type tier int
-
-const (
-	tierShared tier = iota + 1
-	tierRemote
-	tierSSD
-	tierDisk
-	// tierRemoteZ is remote memory holding a deflated copy of a batch that
-	// was written uncompressed — the third rung of the adaptive ladder. It
-	// is appended after the historical tiers so trace annotations of the
-	// original four keep their numeric values.
-	tierRemoteZ
-	tierCount
-)
-
-// tierNames label the tiers in metrics families and dmctl top.
-var tierNames = [tierCount]string{
-	tierShared:  "shared",
-	tierRemote:  "remote",
-	tierSSD:     "ssd",
-	tierDisk:    "disk",
-	tierRemoteZ: "remote_deflated",
-}
-
-// ladderDown is the adaptive-tiering demotion ladder: local shared memory →
-// remote uncompressed → remote deflated → disk file. A batch that is already
-// compressed (Config.Compression) skips the deflated rung — deflating twice
-// buys nothing. SSD stays outside the ladder; it is XMemPod's static tier.
-func (m *Manager) ladderDown(b *batchInfo) (tier, bool) {
-	switch b.where {
-	case tierShared:
-		return tierRemote, true
-	case tierRemote:
-		if m.cfg.Compression || b.deflated {
-			return tierDisk, true
-		}
-		return tierRemoteZ, true
-	case tierRemoteZ:
-		return tierDisk, true
-	}
-	return 0, false
-}
-
-// ladderUp is the promotion direction: one rung back towards local memory.
-func (m *Manager) ladderUp(b *batchInfo) (tier, bool) {
-	switch b.where {
-	case tierDisk:
-		if b.deflated {
-			return tierRemoteZ, true
-		}
-		return tierRemote, true
-	case tierRemoteZ:
-		return tierRemote, true
-	case tierRemote:
-		return tierShared, true
-	}
-	return 0, false
 }
 
 type slotRef struct {
@@ -344,9 +277,8 @@ type batchInfo struct {
 	liveCount int
 	total     int // stored payload bytes
 
-	deflated bool  // payload went through the deflated rung's size model
-	lastUse  int64 // fault-clock time of creation or last demand fetch
-	touches  int   // demand fetches since the last promotion
+	lastUse int64 // fault-clock time of creation or last demand fetch
+	touches int   // demand fetches since the last promotion
 }
 
 // Manager is one virtual server's swapping system.
@@ -366,6 +298,7 @@ type Manager struct {
 	nextID   uint64
 	diskNext int64
 	counter  int64
+	zeros    []byte // stand-in payload for every park: sizes move, contents do not
 
 	det          *prefetch.Detector // Leap stride detector (nil unless enabled)
 	prefetchMark map[int]bool       // resident pages brought in by prefetch, unhit
@@ -385,7 +318,7 @@ func NewManager(cfg Config, deps Deps) (*Manager, error) {
 	if deps.DRAM == nil || deps.Disk == nil {
 		return nil, errors.New("swap: DRAM and Disk devices are required")
 	}
-	usesShared := cfg.NodeRatio > 0
+	usesShared := cfg.NodeRatio > 0 || cfg.Tiering // promotion's top rung
 	if (usesShared || cfg.RemoteEnabled) && deps.VS == nil {
 		return nil, errors.New("swap: shared/remote tiers need a virtual server")
 	}
@@ -398,17 +331,6 @@ func NewManager(cfg Config, deps Deps) (*Manager, error) {
 	met := deps.Metrics
 	if met == nil {
 		met = NewMetrics(metrics.NewRegistry("swap"))
-	}
-	if cfg.Tiering {
-		if cfg.DemoteAfter <= 0 {
-			cfg.DemoteAfter = DefaultDemoteAfter
-		}
-		if cfg.DemoteEvery <= 0 {
-			cfg.DemoteEvery = DefaultDemoteEvery
-		}
-		if cfg.PromoteTouches <= 0 {
-			cfg.PromoteTouches = DefaultPromoteTouches
-		}
 	}
 	m := &Manager{
 		cfg:          cfg,
@@ -436,13 +358,7 @@ func NewManager(cfg Config, deps Deps) (*Manager, error) {
 		m.model = model
 	}
 	if cfg.LeapPrefetch {
-		det, err := prefetch.New(prefetch.Config{
-			HistorySize:  cfg.PrefetchHistory,
-			MinWindow:    cfg.PrefetchMinWindow,
-			MaxDepth:     cfg.PrefetchMaxDepth,
-			HitStreak:    cfg.PrefetchHitStreak,
-			AddressSpace: cfg.AddressSpace,
-		})
+		det, err := prefetch.New(cfg.AddressSpace)
 		if err != nil {
 			return nil, err
 		}
@@ -460,25 +376,6 @@ func (m *Manager) Stats() Stats { return m.stats }
 
 // ResidentLen reports the current resident-set size (tests).
 func (m *Manager) ResidentLen() int { return m.lru.Len() + len(m.pending) }
-
-// TierOccupancy reports live parked pages per tier, keyed by tier name
-// ("shared", "remote", "remote_deflated", "ssd", "disk").
-func (m *Manager) TierOccupancy() map[string]int64 {
-	out := make(map[string]int64, int(tierCount))
-	for t := tierShared; t < tierCount; t++ {
-		out[tierNames[t]] = m.tierPop[t]
-	}
-	return out
-}
-
-// ParkedPages is the number of live parked page copies across all tiers.
-func (m *Manager) ParkedPages() int64 {
-	var n int64
-	for t := tierShared; t < tierCount; t++ {
-		n += m.tierPop[t]
-	}
-	return n
-}
 
 // PrefetchDepth reports the adaptive prefetch depth, zero when Leap is off.
 func (m *Manager) PrefetchDepth() int {
@@ -621,36 +518,37 @@ func (m *Manager) insertResident(ctx context.Context, p *des.Proc, page int) {
 	m.trim(ctx, p)
 }
 
-// trim evicts LRU victims until the resident set fits. Dirty victims stage
-// into the send-buffer window for batch write-out; clean victims still have
-// a valid parked copy and are dropped for free (the swap-cache effect).
-// Staged pages occupy the send buffer, not the resident set, so they do not
-// count against capacity here.
+// trim evicts LRU victims until the resident set fits, charging unused
+// prefetched victims as waste. Staged pages occupy the send buffer, not the
+// resident set, so they do not count against capacity here.
 func (m *Manager) trim(ctx context.Context, p *des.Proc) {
 	for m.lru.Len() > m.cfg.ResidentPages {
-		back := m.lru.Back()
-		if back == nil {
-			break
-		}
-		victim := back.Value.(int)
-		m.lru.Remove(back)
-		delete(m.resident, victim)
-		m.noteWaste(victim)
-		if !m.dirty[victim] {
-			if _, ok := m.swapped[victim]; ok {
-				m.stats.CleanDrops++
-				continue
-			}
-		}
-		delete(m.dirty, victim)
-		m.pending[victim] = len(m.window)
-		m.window = append(m.window, victim)
-		m.stats.SwapOuts++
-		m.met.swapOuts.Inc()
+		m.noteWaste(m.evictBack())
 	}
 	if len(m.window) >= m.cfg.Window {
 		m.flushWindow(ctx, p)
 	}
+}
+
+// evictBack takes the LRU victim out of the resident set and returns it. A
+// dirty victim stages into the send-buffer window for batch write-out; a
+// clean one still has a valid parked copy and is dropped for free (the
+// swap-cache effect).
+func (m *Manager) evictBack() int {
+	back := m.lru.Back()
+	victim := back.Value.(int)
+	m.lru.Remove(back)
+	delete(m.resident, victim)
+	if _, parked := m.swapped[victim]; parked && !m.dirty[victim] {
+		m.stats.CleanDrops++
+		return victim
+	}
+	delete(m.dirty, victim)
+	m.pending[victim] = len(m.window)
+	m.window = append(m.window, victim)
+	m.stats.SwapOuts++
+	m.met.swapOuts.Inc()
+	return victim
 }
 
 // EvictAll pushes every resident page out to the backing tiers — the cold
@@ -662,24 +560,9 @@ func (m *Manager) EvictAll(ctx context.Context) {
 		panic("swap: context does not carry a des.Proc")
 	}
 	for m.lru.Len() > 0 {
-		back := m.lru.Back()
-		victim := back.Value.(int)
-		m.lru.Remove(back)
-		delete(m.resident, victim)
 		// A forced cold restart is not the prefetcher's fault: clear marks
 		// without charging waste.
-		delete(m.prefetchMark, victim)
-		if !m.dirty[victim] {
-			if _, ok := m.swapped[victim]; ok {
-				m.stats.CleanDrops++
-				continue
-			}
-		}
-		delete(m.dirty, victim)
-		m.pending[victim] = len(m.window)
-		m.window = append(m.window, victim)
-		m.stats.SwapOuts++
-		m.met.swapOuts.Inc()
+		delete(m.prefetchMark, m.evictBack())
 		if len(m.window) >= m.cfg.Window {
 			m.flushWindow(ctx, p)
 		}
@@ -697,21 +580,25 @@ func (m *Manager) Flush(ctx context.Context) {
 	m.flushWindow(ctx, p)
 }
 
-// storedSize returns the stored class for page plus the compression CPU
-// charged at swap-out.
-func (m *Manager) storedSize(page int) int {
-	if !m.cfg.Compression {
-		return PageSize
+// layout makes pages the slots of b, all live, packed back to back at their
+// stored sizes.
+func (m *Manager) layout(b *batchInfo, pages []int, compressed bool) {
+	n := len(pages)
+	b.slotPage, b.slotOff, b.slotSize, b.live = pages, make([]int, n), make([]int, n), make([]bool, n)
+	off := 0
+	for i, pg := range pages {
+		size := PageSize
+		if compressed {
+			size = m.model.StoredSize(m.cfg.PageRatio(pg))
+		}
+		b.slotOff[i], b.slotSize[i], b.live[i] = off, size, true
+		off += size
 	}
-	return m.model.StoredSize(m.cfg.PageRatio(page))
+	b.liveCount, b.total = n, off
 }
 
-// deflatedSize is the class a page occupies on the deflated rung.
-func (m *Manager) deflatedSize(page int) int {
-	return m.model.StoredSize(m.cfg.PageRatio(page))
-}
-
-// flushWindow writes the staged pages as one batch entry to the chosen tier.
+// flushWindow writes the staged pages as one batch entry to the first tier
+// in tierOrder that takes it.
 func (m *Manager) flushWindow(ctx context.Context, p *des.Proc) {
 	if len(m.window) == 0 {
 		return
@@ -724,17 +611,7 @@ func (m *Manager) flushWindow(ctx context.Context, p *des.Proc) {
 
 	b := &batchInfo{id: m.nextID, lastUse: m.stats.Faults}
 	m.nextID++
-	off := 0
-	for _, pg := range pages {
-		size := m.storedSize(pg)
-		b.slotPage = append(b.slotPage, pg)
-		b.slotOff = append(b.slotOff, off)
-		b.slotSize = append(b.slotSize, size)
-		b.live = append(b.live, true)
-		off += size
-	}
-	b.liveCount = len(pages)
-	b.total = off
+	m.layout(b, pages, m.cfg.Compression)
 	ctx, sp := trace.Start(ctx, "swap.out")
 	sp.Annotate("pages", len(pages))
 	sp.Annotate("bytes", b.total)
@@ -743,7 +620,11 @@ func (m *Manager) flushWindow(ctx context.Context, p *des.Proc) {
 		p.Sleep(time.Duration(len(pages)) * m.cfg.CompressCPU)
 	}
 
-	m.writeBatch(ctx, p, b)
+	for _, t := range m.tierOrder() {
+		if m.park(ctx, p, b, t) {
+			break
+		}
+	}
 	m.noteTier(b.where, len(pages))
 	sp.Annotate("tier", int(b.where))
 	m.met.swapOutLatency.Observe(p.Now() - outStart)
@@ -758,71 +639,6 @@ func (m *Manager) flushWindow(ctx context.Context, p *des.Proc) {
 		m.swapped[pg] = slotRef{batch: b.id, slot: i}
 	}
 	m.batches[b.id] = b
-	m.stats.BytesOut += int64(b.total)
-	m.stats.RawOut += int64(len(pages) * PageSize)
-}
-
-// writeBatch places the batch on the first tier in the configured order
-// with room, falling back tier by tier and resorting to disk.
-func (m *Manager) writeBatch(ctx context.Context, p *des.Proc, b *batchInfo) {
-	payload := make([]byte, b.total)
-	class := roundClass(b.total)
-	for _, t := range m.tierOrder() {
-		switch t {
-		case tierShared:
-			if err := m.deps.VS.PutShared(pagetable.EntryID(b.id), payload, class, len(b.slotPage)*PageSize); err != nil {
-				continue
-			}
-			m.deps.Shared.Move(p, int64(b.total))
-			b.where = tierShared
-			m.stats.SharedOuts += int64(len(b.slotPage))
-			return
-		case tierRemote:
-			p.Sleep(m.cfg.RemoteOverhead + m.splitCost(b.total))
-			if err := m.deps.VS.PutRemote(ctx, pagetable.EntryID(b.id), payload, class, len(b.slotPage)*PageSize); err != nil {
-				continue
-			}
-			b.where = tierRemote
-			m.stats.RemoteOuts += int64(len(b.slotPage))
-			return
-		}
-	}
-	if m.cfg.SSDEnabled {
-		// XMemPod's flash tier: cheaper than the spinning device, capacity
-		// assumed ample (flash swap partitions dwarf DRAM).
-		b.where = tierSSD
-		m.deps.SSD.Transfer(p, int64(b.total))
-		m.stats.SSDOuts += int64(len(b.slotPage))
-		return
-	}
-	// Disk is the unconditional last resort (the OS swap device).
-	b.where = tierDisk
-	b.diskOff = m.diskNext
-	m.diskNext += int64(b.total)
-	m.deps.Disk.Transfer(p, b.diskOff, int64(b.total))
-	m.stats.DiskOuts += int64(len(b.slotPage))
-}
-
-// tierOrder applies the node:cluster distribution ratio of §V.A: NodeRatio
-// tenths of the swap-out traffic try the shared pool first, the rest goes to
-// remote memory.
-func (m *Manager) tierOrder() []tier {
-	sharedOK := m.cfg.NodeRatio > 0
-	remoteOK := m.cfg.RemoteEnabled
-	if !sharedOK && !remoteOK {
-		return nil
-	}
-	if !remoteOK {
-		return []tier{tierShared}
-	}
-	if !sharedOK {
-		return []tier{tierRemote}
-	}
-	m.counter++
-	if int((m.counter-1)%10) < m.cfg.NodeRatio {
-		return []tier{tierShared, tierRemote}
-	}
-	return []tier{tierRemote, tierShared}
 }
 
 // swapIn faults page in from its parked batch, prefetching up to Readahead
@@ -860,40 +676,29 @@ func (m *Manager) swapIn(ctx context.Context, p *des.Proc, page int, ref slotRef
 			slots = append(slots, s)
 		}
 	}
-	bytes, err := m.readSlots(ctx, p, b, ref.slot, slots)
-	if err != nil {
+	if err := m.readSlots(ctx, p, b, slots); err != nil {
 		return err
 	}
-	m.stats.BytesIn += int64(bytes)
 	m.stats.SwapIns++
-	m.stats.Prefetched += int64(len(slots) - 1)
 	m.met.swapIns.Inc()
-	m.met.prefetched.Add(int64(len(slots) - 1))
 	sp.Annotate("tier", int(b.where))
 	sp.Annotate("slots", len(slots))
 	sp.Annotate("prefetched", len(slots)-1)
 
-	// Admit the pages to the resident set as clean copies: their slots stay
-	// live in the batch (swap cache), so a later clean eviction is free.
-	for _, s := range slots {
-		pg := b.slotPage[s]
-		delete(m.dirty, pg)
-		if s != ref.slot {
-			if _, already := m.resident[pg]; already {
-				continue // restored concurrently by the proactive pump
-			}
-			m.resident[pg] = m.lru.PushFront(pg)
-			m.prefetchMark[pg] = true
-			// Prefetch must not recursively evict: trim happens in
-			// insertResident for the faulted page.
-		}
+	// The pages come in as clean copies: their slots stay live in the batch
+	// (swap cache), so a later clean eviction is free. The read-ahead must
+	// not recursively evict: trim happens in insertResident for the faulted
+	// page.
+	delete(m.dirty, page)
+	for _, s := range slots[1:] {
+		m.admitPrefetched(b.slotPage[s])
 	}
 	// Hotness: a demand fetch refreshes the batch, and enough of them in a
 	// row climb it one rung back up the ladder.
 	b.lastUse = m.stats.Faults
 	if m.cfg.Tiering {
 		b.touches++
-		if b.touches >= m.cfg.PromoteTouches {
+		if b.touches >= promoteTouches {
 			b.touches = 0
 			m.promote(ctx, p, b)
 		}
@@ -901,54 +706,21 @@ func (m *Manager) swapIn(ctx context.Context, p *des.Proc, page int, ref slotRef
 	return nil
 }
 
-// readSlots performs the device and fabric transfers for reading the given
-// live slots of batch b from its current tier. anchor is the slot whose
-// offset seeds single-slot and disk reads. It returns the stored bytes
-// moved; per-request stats (SwapIns vs Prefetched) are the caller's.
-func (m *Manager) readSlots(ctx context.Context, p *des.Proc, b *batchInfo, anchor int, slots []int) (int, error) {
-	var bytes int
-	for _, s := range slots {
-		bytes += b.slotSize[s]
+// admitPrefetched enters a page just read ahead of demand into the resident
+// set as a clean, marked copy — the one admission under PBS read-ahead, Leap
+// and the proactive pump. It reports false, and counts nothing, when the
+// page is already resident: another process restored it while this one
+// slept in the transfer.
+func (m *Manager) admitPrefetched(pg int) bool {
+	if _, already := m.resident[pg]; already {
+		return false
 	}
-	switch b.where {
-	case tierShared:
-		if len(slots) == 1 {
-			if _, err := m.deps.VS.GetAt(ctx, pagetable.EntryID(b.id), b.slotOff[anchor], b.slotSize[anchor]); err != nil {
-				return 0, fmt.Errorf("swap: shared read: %w", err)
-			}
-		} else {
-			if _, _, err := m.deps.VS.Get(ctx, pagetable.EntryID(b.id)); err != nil {
-				return 0, fmt.Errorf("swap: shared batch read: %w", err)
-			}
-		}
-		m.deps.Shared.Move(p, int64(bytes))
-		m.stats.SharedIns += int64(len(slots))
-	case tierRemote, tierRemoteZ:
-		p.Sleep(m.cfg.RemoteOverhead + m.splitCost(bytes))
-		if len(slots) == 1 {
-			if _, err := m.deps.VS.GetAt(ctx, pagetable.EntryID(b.id), b.slotOff[anchor], b.slotSize[anchor]); err != nil {
-				return 0, fmt.Errorf("swap: remote read: %w", err)
-			}
-		} else {
-			if _, _, err := m.deps.VS.Get(ctx, pagetable.EntryID(b.id)); err != nil {
-				return 0, fmt.Errorf("swap: remote batch read: %w", err)
-			}
-		}
-		m.stats.RemoteIns += int64(len(slots))
-	case tierSSD:
-		m.deps.SSD.Transfer(p, int64(bytes))
-		m.stats.SSDIns += int64(len(slots))
-	case tierDisk:
-		// One seek for the anchor slot; the rest stream sequentially.
-		m.deps.Disk.Transfer(p, b.diskOff+int64(b.slotOff[anchor]), int64(bytes))
-		m.stats.DiskIns += int64(len(slots))
-	default:
-		return 0, fmt.Errorf("%w: batch %d in unknown tier", ErrNoBacking, b.id)
-	}
-	if m.cfg.Compression || b.where == tierRemoteZ {
-		p.Sleep(time.Duration(len(slots)) * m.decompressCost())
-	}
-	return bytes, nil
+	delete(m.dirty, pg)
+	m.resident[pg] = m.lru.PushFront(pg)
+	m.prefetchMark[pg] = true
+	m.stats.Prefetched++
+	m.met.prefetched.Inc()
+	return true
 }
 
 // leapPrefetch asks the stride detector for a trend at page and fetches the
@@ -991,229 +763,16 @@ func (m *Manager) leapPrefetch(ctx context.Context, p *des.Proc, page int) {
 		sp.Annotate("trigger", page)
 		sp.Annotate("pages", len(slots))
 		sp.Annotate("tier", int(b.where))
-		bytes, err := m.readSlots(pctx, p, b, slots[0], slots)
-		if err != nil {
+		if err := m.readSlots(pctx, p, b, slots); err != nil {
 			sp.EndErr(err)
 			continue
 		}
-		m.stats.BytesIn += int64(bytes)
-		m.stats.Prefetched += int64(len(slots))
-		m.met.prefetched.Add(int64(len(slots)))
 		for _, s := range slots {
-			pg := b.slotPage[s]
-			delete(m.dirty, pg)
-			m.resident[pg] = m.lru.PushFront(pg)
-			m.prefetchMark[pg] = true
+			m.admitPrefetched(b.slotPage[s])
 		}
 		sp.End()
 	}
 	m.trim(ctx, p)
-}
-
-// maybeSweep runs the demotion sweep every DemoteEvery faults: batches idle
-// longer than DemoteAfter move one rung down the ladder, oldest batch ids
-// first, at most demotePerSweep per sweep. The fault counter is the idle
-// clock — wall time would break DES determinism, and fault pressure is what
-// makes local space precious.
-func (m *Manager) maybeSweep(ctx context.Context, p *des.Proc) {
-	if !m.cfg.Tiering {
-		return
-	}
-	m.sweepTick++
-	if m.sweepTick < m.cfg.DemoteEvery {
-		return
-	}
-	m.sweepTick = 0
-	var cold []uint64
-	for id, b := range m.batches {
-		if b.liveCount == 0 {
-			continue
-		}
-		if _, ok := m.ladderDown(b); !ok {
-			continue
-		}
-		if m.stats.Faults-b.lastUse >= int64(m.cfg.DemoteAfter) {
-			cold = append(cold, id)
-		}
-	}
-	sort.Slice(cold, func(i, j int) bool { return cold[i] < cold[j] })
-	if len(cold) > demotePerSweep {
-		cold = cold[:demotePerSweep]
-	}
-	for _, id := range cold {
-		m.demote(ctx, p, m.batches[id])
-	}
-}
-
-// demote moves a cold batch one rung down the ladder.
-func (m *Manager) demote(ctx context.Context, p *des.Proc, b *batchInfo) {
-	to, ok := m.ladderDown(b)
-	if !ok {
-		return
-	}
-	ctx, sp := trace.Start(ctx, "swap.demote")
-	sp.Annotate("batch", int(b.id))
-	sp.Annotate("from", int(b.where))
-	pages := b.liveCount
-	if m.relocate(ctx, p, b, to) {
-		m.stats.Demotions += int64(pages)
-		m.met.demotions.Add(int64(pages))
-		// A fresh rung restarts the idle clock, so the batch descends one
-		// rung per DemoteAfter of further cold time instead of free-falling.
-		b.lastUse = m.stats.Faults
-	}
-	sp.Annotate("to", int(b.where))
-	sp.End()
-}
-
-// promote climbs a hot batch one rung back up the ladder.
-func (m *Manager) promote(ctx context.Context, p *des.Proc, b *batchInfo) {
-	to, ok := m.ladderUp(b)
-	if !ok {
-		return
-	}
-	ctx, sp := trace.Start(ctx, "swap.promote")
-	sp.Annotate("batch", int(b.id))
-	sp.Annotate("from", int(b.where))
-	pages := b.liveCount
-	if m.relocate(ctx, p, b, to) && b.where == to {
-		m.stats.Promotions += int64(pages)
-		m.met.promotions.Add(int64(pages))
-	}
-	sp.Annotate("to", int(b.where))
-	sp.End()
-}
-
-// relocate rewrites batch b onto tier `to`, compacting dead slots on the way:
-// the surviving payload is re-laid without holes, deflated (or inflated)
-// when it crosses the deflated-rung boundary, and every parked ref is
-// re-pointed at its new slot. When the target pool has no room the payload
-// falls through to the disk rung, which always succeeds. Returns false only
-// when the source read failed and the batch was left untouched.
-func (m *Manager) relocate(ctx context.Context, p *des.Proc, b *batchInfo, to tier) bool {
-	from := b.where
-	if from == to {
-		return true
-	}
-	// Read the surviving payload off its current rung.
-	var liveBytes int
-	for s, ok := range b.live {
-		if ok {
-			liveBytes += b.slotSize[s]
-		}
-	}
-	switch from {
-	case tierShared:
-		m.deps.Shared.Move(p, int64(liveBytes))
-	case tierRemote, tierRemoteZ:
-		p.Sleep(m.cfg.RemoteOverhead + m.splitCost(liveBytes))
-		if _, _, err := m.deps.VS.Get(ctx, pagetable.EntryID(b.id)); err != nil {
-			return false
-		}
-	case tierSSD:
-		m.deps.SSD.Transfer(p, int64(liveBytes))
-	case tierDisk:
-		m.deps.Disk.Transfer(p, b.diskOff, int64(liveBytes))
-	}
-
-	// Re-class the payload for the target rung and compact dead slots.
-	deflated := b.deflated
-	pages := b.liveCount
-	switch {
-	case to == tierRemoteZ && !deflated:
-		deflated = true
-		p.Sleep(time.Duration(pages) * m.compressCost())
-	case to == tierRemote && b.deflated:
-		deflated = false
-		p.Sleep(time.Duration(pages) * m.decompressCost())
-	}
-	newPage := make([]int, 0, pages)
-	newOff := make([]int, 0, pages)
-	newSize := make([]int, 0, pages)
-	off := 0
-	for s, ok := range b.live {
-		if !ok {
-			continue
-		}
-		pg := b.slotPage[s]
-		size := m.storedSize(pg)
-		if deflated {
-			size = m.deflatedSize(pg)
-		}
-		newPage = append(newPage, pg)
-		newOff = append(newOff, off)
-		newSize = append(newSize, size)
-		off += size
-	}
-
-	// Drop the old copy, then park the new one; both share the entry id.
-	switch from {
-	case tierShared, tierRemote, tierRemoteZ:
-		_ = m.deps.VS.Delete(ctx, pagetable.EntryID(b.id))
-	}
-	payload := make([]byte, off)
-	class := roundClass(off)
-	wrote := to
-	switch to {
-	case tierShared:
-		if err := m.deps.VS.PutShared(pagetable.EntryID(b.id), payload, class, pages*PageSize); err != nil {
-			wrote = tierDisk
-		} else {
-			m.deps.Shared.Move(p, int64(off))
-		}
-	case tierRemote, tierRemoteZ:
-		p.Sleep(m.cfg.RemoteOverhead + m.splitCost(off))
-		if err := m.deps.VS.PutRemote(ctx, pagetable.EntryID(b.id), payload, class, pages*PageSize); err != nil {
-			wrote = tierDisk
-		}
-	}
-	if wrote == tierDisk {
-		b.diskOff = m.diskNext
-		m.diskNext += int64(off)
-		m.deps.Disk.Transfer(p, b.diskOff, int64(off))
-	}
-
-	m.noteTier(from, -pages)
-	m.noteTier(wrote, pages)
-	b.where = wrote
-	b.deflated = deflated
-	b.slotPage = newPage
-	b.slotOff = newOff
-	b.slotSize = newSize
-	b.live = make([]bool, pages)
-	for i := range b.live {
-		b.live[i] = true
-	}
-	b.liveCount = pages
-	b.total = off
-	for i, pg := range newPage {
-		m.swapped[pg] = slotRef{batch: b.id, slot: i}
-	}
-	return true
-}
-
-// noteTier moves the per-tier occupancy bookkeeping by delta pages.
-func (m *Manager) noteTier(t tier, delta int) {
-	m.tierPop[t] += int64(delta)
-	m.met.tierPages[t].Add(int64(delta))
-}
-
-// compressCost is the per-page deflate CPU: the configured codec cost, or
-// the library default when tiering deflates pages in an otherwise
-// uncompressed configuration.
-func (m *Manager) compressCost() time.Duration {
-	if m.cfg.Compression || m.cfg.CompressCPU > 0 {
-		return m.cfg.CompressCPU
-	}
-	return DefaultCompressCPU
-}
-
-// decompressCost mirrors compressCost for the inflate direction.
-func (m *Manager) decompressCost() time.Duration {
-	if m.cfg.Compression || m.cfg.DecompressCPU > 0 {
-		return m.cfg.DecompressCPU
-	}
-	return DefaultDecompressCPU
 }
 
 // ProactiveSwapIn restores up to maxPages parked pages without waiting for
@@ -1241,61 +800,35 @@ func (m *Manager) ProactiveSwapIn(ctx context.Context, maxPages int) int {
 		if b == nil {
 			break
 		}
-		// Snapshot the slots to restore before sleeping: the foreground can
-		// fault pages of this batch while the transfer is in flight.
-		want := make([]int, 0, b.liveCount)
-		var bytes int
-		for s := range b.live {
-			if !b.live[s] {
-				continue
-			}
-			if _, already := m.resident[b.slotPage[s]]; already {
-				continue
-			}
-			if len(want) >= room || restored+len(want) >= maxPages {
+		// Snapshot what to restore before sleeping: the foreground can fault
+		// pages of this batch, or re-lay its slots, while the transfer is in
+		// flight.
+		limit := min(room, maxPages-restored, b.liveCount)
+		slots := make([]int, 0, limit)
+		pages := make([]int, 0, limit)
+		for s, live := range b.live {
+			if len(slots) == limit {
 				break
 			}
-			want = append(want, s)
-			bytes += b.slotSize[s]
+			if _, already := m.resident[b.slotPage[s]]; live && !already {
+				slots = append(slots, s)
+				pages = append(pages, b.slotPage[s])
+			}
 		}
-		if len(want) == 0 {
+		if len(slots) == 0 {
 			break
 		}
-		switch b.where {
-		case tierShared:
-			m.deps.Shared.Move(p, int64(bytes))
-			m.stats.SharedIns += int64(len(want))
-		case tierRemote, tierRemoteZ:
-			p.Sleep(m.cfg.RemoteOverhead + m.splitCost(bytes))
-			if _, _, err := m.deps.VS.Get(ctx, pagetable.EntryID(b.id)); err != nil {
-				return restored
-			}
-			m.stats.RemoteIns += int64(len(want))
-		case tierSSD:
-			m.deps.SSD.Transfer(p, int64(bytes))
-			m.stats.SSDIns += int64(len(want))
-		case tierDisk:
-			m.deps.Disk.Transfer(p, b.diskOff, int64(b.total))
-			m.stats.DiskIns += int64(len(want))
+		if err := m.readSlots(ctx, p, b, slots); err != nil {
+			return restored
 		}
-		if m.cfg.Compression || b.where == tierRemoteZ {
-			p.Sleep(time.Duration(len(want)) * m.decompressCost())
-		}
-		for _, s := range want {
-			pg := b.slotPage[s]
-			if _, already := m.resident[pg]; already {
-				continue // faulted in while we slept
-			}
+		for _, pg := range pages {
 			if m.lru.Len() >= m.cfg.ResidentPages {
 				break
 			}
-			m.resident[pg] = m.lru.PushFront(pg)
-			m.prefetchMark[pg] = true
-			delete(m.dirty, pg)
-			restored++
-			m.stats.Prefetched++
+			if m.admitPrefetched(pg) {
+				restored++
+			}
 		}
-		m.stats.BytesIn += int64(bytes)
 	}
 	return restored
 }
@@ -1350,25 +883,4 @@ func (m *Manager) releaseBatch(ctx context.Context, b *batchInfo) {
 		// Swap-device slots are reused implicitly by the bump allocator's
 		// successor batches; nothing to free.
 	}
-}
-
-// splitCost is the extra time a transfer of n bytes pays when the fabric
-// message size caps at MaxMessageBytes: one MessageOverhead per message
-// beyond the first.
-func (m *Manager) splitCost(n int) time.Duration {
-	if m.cfg.MaxMessageBytes <= 0 || n <= m.cfg.MaxMessageBytes {
-		return 0
-	}
-	extra := (n + m.cfg.MaxMessageBytes - 1) / m.cfg.MaxMessageBytes
-	return time.Duration(extra-1) * m.cfg.MessageOverhead
-}
-
-// roundClass rounds a batch payload up to the next power of two of at least
-// one page, bounding allocator fragmentation from odd compressed sizes.
-func roundClass(n int) int {
-	c := PageSize
-	for c < n {
-		c *= 2
-	}
-	return c
 }

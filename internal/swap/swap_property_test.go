@@ -3,6 +3,8 @@ package swap
 import (
 	"context"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -107,6 +109,119 @@ func TestEngineMatchesModelProperty(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestLadderProperty drives a long seeded mix of scans, jumps, hot-set
+// re-reads and writes through the Tiered preset and checks the ladder's
+// bookkeeping right after every sweep: the per-tier occupancy, ParkedPages
+// and the live slots recounted from the batches agree, and nothing sits on
+// disk while the pools have room (the rig's hold the whole address space
+// many times over). Afterwards every parked page must fault back in, and a
+// second run of the same seed must be identical.
+func TestLadderProperty(t *testing.T) {
+	const space, resident, accesses = 2048, 96, 30000
+	type outcome struct {
+		stats Stats
+		occ   map[string]int64
+		done  time.Duration
+	}
+	run := func(seed int64) outcome {
+		r := newRig(t, 64<<20, 64<<20)
+		m, err := NewManager(Tiered(resident, 5, space, flatRatio(2)), r.deps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(at int) bool {
+			occ := m.TierOccupancy()
+			var sum, live int64
+			for _, n := range occ {
+				sum += n
+			}
+			for _, b := range m.batches {
+				var n int
+				for _, ok := range b.live {
+					if ok {
+						n++
+					}
+				}
+				if n != b.liveCount {
+					t.Errorf("access %d: batch %d counts %d live slots, holds %d", at, b.id, b.liveCount, n)
+					return false
+				}
+				live += int64(n)
+			}
+			if sum != m.ParkedPages() || sum != live {
+				t.Errorf("access %d: occupancy sums to %d, ParkedPages %d, live slots %d (%v)",
+					at, sum, m.ParkedPages(), live, occ)
+				return false
+			}
+			if occ["disk"] != 0 || occ["ssd"] != 0 {
+				t.Errorf("access %d: pages on an overflow tier with room in the pools: %v", at, occ)
+				return false
+			}
+			return true
+		}
+		var out outcome
+		r.env.Go("driver", func(p *des.Proc) {
+			ctx := des.NewContext(context.Background(), p)
+			rng := rand.New(rand.NewSource(seed))
+			pg, sweeps := 0, 0
+			for i := 0; i < accesses; i++ {
+				switch rng.Intn(8) {
+				case 0:
+					pg = rng.Intn(space) // jump
+				case 1:
+					pg = rng.Intn(128) // hot set, re-read from every rung
+				default:
+					pg = (pg + 1) % space
+				}
+				if err := m.Touch(ctx, pg, time.Microsecond, rng.Intn(3) == 0); err != nil {
+					t.Errorf("access %d: Touch(%d): %v", i, pg, err)
+					return
+				}
+				if m.stats.Faults > 0 && m.sweepTick == 0 && m.stats.Faults/demoteEvery > int64(sweeps) {
+					sweeps++
+					if !check(i) {
+						return
+					}
+				}
+			}
+			if sweeps < 20 {
+				t.Errorf("only %d sweeps in %d accesses", sweeps, accesses)
+			}
+			out = outcome{stats: m.Stats(), occ: m.TierOccupancy(), done: p.Now()}
+			// Every parked page faults back in from whatever rung holds it.
+			parked := make([]int, 0, len(m.swapped))
+			for pg := range m.swapped {
+				parked = append(parked, pg)
+			}
+			sort.Ints(parked)
+			for _, pg := range parked {
+				if err := m.Touch(ctx, pg, 0, false); err != nil {
+					t.Errorf("parked page %d did not fault back: %v", pg, err)
+					return
+				}
+			}
+			check(accesses)
+		})
+		if err := r.env.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	a, b := run(7), run(7)
+	if t.Failed() {
+		return
+	}
+	if a.stats.Demotions == 0 || a.stats.Promotions == 0 {
+		t.Fatalf("ladder never moved both ways: %+v", a.stats)
+	}
+	if a.occ["shared"] == 0 || a.occ["remote"] == 0 || a.occ["remote_deflated"] == 0 {
+		t.Fatalf("trace left a rung empty: %v", a.occ)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("two runs of one seed differ:\n%+v\n%+v", a, b)
 	}
 }
 

@@ -67,10 +67,12 @@ func Leap(resident, nodeRatio, addressSpace int, pageRatio func(int) float64) Co
 }
 
 // Tiered returns the Leap configuration with the adaptive tier ladder on
-// top: cold batches sink local → remote → remote-deflated → disk, and
+// top: cold batches sink shared → remote → remote-deflated, and
 // re-referenced ones climb back. Swap-outs go out raw (hot data should not
 // pay decompress on every fault); the ladder deflates batches only once
-// they have proven cold, which is when the CPU trade pays off.
+// they have proven cold, which is when the CPU trade pays off. The ladder
+// promotes into the shared pool whatever nodeRatio says, so Deps.Shared is
+// required.
 func Tiered(resident, nodeRatio, addressSpace int, pageRatio func(int) float64) Config {
 	cfg := Leap(resident, nodeRatio, addressSpace, pageRatio)
 	cfg.Name = "FastSwap-Tiered"
