@@ -1,20 +1,23 @@
 // Wire codec for the epoch-versioned map sync protocol. Fixed-width
 // big-endian fields, in the style of internal/core's message codec, so the
-// same bytes decode identically on every node and fabric. The codec is
-// exported because both the core node ops (opMapSync) and the transport
-// conformance suite need to round-trip these payloads.
+// same bytes decode identically on every node and fabric. Each record lists
+// its fields once, in wire order, as an internal/wire walk that both appends
+// and reads them. The codec is exported because both the core node ops
+// (opMapSync) and the transport conformance suite need to round-trip these
+// payloads.
 package cluster
 
 import (
-	"encoding/binary"
 	"errors"
+
+	"godm/internal/wire"
 )
 
 // ErrBadSync is returned when a sync payload does not decode.
 var ErrBadSync = errors.New("cluster: malformed sync payload")
 
-// maxWireEntries caps decoded element counts so a corrupt length prefix
-// cannot drive a huge allocation.
+// maxWireEntries caps decoded element counts; wire.List further holds every
+// count to what the remaining input can carry.
 const maxWireEntries = 1 << 20
 
 const (
@@ -23,86 +26,46 @@ const (
 	syncKindSnapshot = 2
 )
 
-// AppendSyncRequest appends the wire form of req to b.
-func AppendSyncRequest(b []byte, req SyncRequest) []byte {
-	b = binary.BigEndian.AppendUint64(b, uint64(req.Origin))
-	b = binary.BigEndian.AppendUint64(b, uint64(req.Epoch))
-	return b
+// decode reads one T from the front of b and returns the remaining bytes.
+func decode[T any](b []byte, fields func(*T, *wire.Walk)) (T, []byte, error) {
+	r := wire.NewReader(b)
+	v := wire.Read(&r, fields)
+	if r.Err() != nil {
+		var zero T
+		return zero, nil, ErrBadSync
+	}
+	return v, r.Rest(), nil
 }
 
-// DecodeSyncRequest decodes a request and returns the remaining bytes.
-func DecodeSyncRequest(b []byte) (SyncRequest, []byte, error) {
-	if len(b) < 16 {
-		return SyncRequest{}, nil, ErrBadSync
-	}
-	req := SyncRequest{
-		Origin: NodeID(int64(binary.BigEndian.Uint64(b[0:8]))),
-		Epoch:  Epoch(binary.BigEndian.Uint64(b[8:16])),
-	}
-	return req, b[16:], nil
+func (req *SyncRequest) fields(w *wire.Walk) {
+	wire.Field64(w, &req.Origin)
+	wire.Field64(w, &req.Epoch)
 }
 
-func appendNodeState(b []byte, s NodeState) []byte {
-	b = binary.BigEndian.AppendUint64(b, uint64(s.ID))
-	b = binary.BigEndian.AppendUint64(b, uint64(s.FreeBytes))
-	if s.Alive {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
-	b = binary.BigEndian.AppendUint32(b, uint32(s.Group))
-	b = binary.BigEndian.AppendUint64(b, s.Gver)
-	return b
+func (s *NodeState) fields(w *wire.Walk) {
+	wire.Field64(w, &s.ID)
+	wire.Field64(w, &s.FreeBytes)
+	w.Bool(&s.Alive)
+	wire.Field32(w, &s.Group)
+	wire.Field64(w, &s.Gver)
 }
 
-func decodeNodeState(b []byte) (NodeState, []byte, error) {
-	if len(b) < 29 {
-		return NodeState{}, nil, ErrBadSync
-	}
-	s := NodeState{
-		ID:        NodeID(int64(binary.BigEndian.Uint64(b[0:8]))),
-		FreeBytes: int64(binary.BigEndian.Uint64(b[8:16])),
-		Alive:     b[16] == 1,
-		Group:     int(int32(binary.BigEndian.Uint32(b[17:21]))),
-		Gver:      binary.BigEndian.Uint64(b[21:29]),
-	}
-	return s, b[29:], nil
+func (ch *Change) fields(w *wire.Walk) {
+	ch.State.fields(w)
+	w.Bool(&ch.Left)
 }
 
-func appendLeaders(b []byte, leaders []GroupLeader) []byte {
-	b = binary.BigEndian.AppendUint32(b, uint32(len(leaders)))
-	for _, gl := range leaders {
-		b = binary.BigEndian.AppendUint32(b, uint32(gl.Group))
-		b = binary.BigEndian.AppendUint64(b, uint64(gl.Leader))
-	}
-	return b
+func (gl *GroupLeader) fields(w *wire.Walk) {
+	wire.Field32(w, &gl.Group)
+	wire.Field64(w, &gl.Leader)
 }
 
-func decodeLeaders(b []byte) ([]GroupLeader, []byte, error) {
-	if len(b) < 4 {
-		return nil, nil, ErrBadSync
-	}
-	n := binary.BigEndian.Uint32(b)
-	b = b[4:]
-	if n > maxWireEntries || len(b) < int(n)*12 {
-		return nil, nil, ErrBadSync
-	}
-	var leaders []GroupLeader
-	for i := uint32(0); i < n; i++ {
-		leaders = append(leaders, GroupLeader{
-			Group:  int(int32(binary.BigEndian.Uint32(b[0:4]))),
-			Leader: NodeID(int64(binary.BigEndian.Uint64(b[4:12]))),
-		})
-		b = b[12:]
-	}
-	return leaders, b, nil
-}
-
-// AppendDelta appends the wire form of one delta to b.
-func AppendDelta(b []byte, d Delta) []byte {
-	b = binary.BigEndian.AppendUint64(b, uint64(d.Epoch))
-	b = binary.BigEndian.AppendUint32(b, uint32(d.Groups))
-	b = binary.BigEndian.AppendUint64(b, uint64(d.Root))
+// [u64 epoch][i32 groups][i64 root][u8 flags: 1 rootOK, 2 leadersChanged]
+// [u32 n] + n x [change], then the leader list when leadersChanged.
+func (d *Delta) fields(w *wire.Walk) {
+	wire.Field64(w, &d.Epoch)
+	wire.Field32(w, &d.Groups)
+	wire.Field64(w, &d.Root)
 	var flags byte
 	if d.RootOK {
 		flags |= 1
@@ -110,173 +73,85 @@ func AppendDelta(b []byte, d Delta) []byte {
 	if d.LeadersChanged {
 		flags |= 2
 	}
-	b = append(b, flags)
-	b = binary.BigEndian.AppendUint32(b, uint32(len(d.Changes)))
-	for _, ch := range d.Changes {
-		b = appendNodeState(b, ch.State)
-		if ch.Left {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
+	wire.Field8(w, &flags)
+	if w.Reading() {
+		d.RootOK, d.LeadersChanged = flags&1 != 0, flags&2 != 0
 	}
+	wire.List(w, &d.Changes, maxWireEntries, (*Change).fields)
 	if d.LeadersChanged {
-		b = appendLeaders(b, d.Leaders)
+		wire.List(w, &d.Leaders, maxWireEntries, (*GroupLeader).fields)
 	}
-	return b
 }
 
-// DecodeDelta decodes one delta and returns the remaining bytes.
-func DecodeDelta(b []byte) (Delta, []byte, error) {
-	if len(b) < 25 {
-		return Delta{}, nil, ErrBadSync
-	}
-	d := Delta{
-		Epoch:  Epoch(binary.BigEndian.Uint64(b[0:8])),
-		Groups: int(int32(binary.BigEndian.Uint32(b[8:12]))),
-		Root:   NodeID(int64(binary.BigEndian.Uint64(b[12:20]))),
-	}
-	flags := b[20]
-	d.RootOK = flags&1 != 0
-	d.LeadersChanged = flags&2 != 0
-	n := binary.BigEndian.Uint32(b[21:25])
-	b = b[25:]
-	if n > maxWireEntries {
-		return Delta{}, nil, ErrBadSync
-	}
-	for i := uint32(0); i < n; i++ {
-		s, rest, err := decodeNodeState(b)
-		if err != nil {
-			return Delta{}, nil, err
-		}
-		if len(rest) < 1 {
-			return Delta{}, nil, ErrBadSync
-		}
-		d.Changes = append(d.Changes, Change{State: s, Left: rest[0] == 1})
-		b = rest[1:]
-	}
-	if d.LeadersChanged {
-		var err error
-		d.Leaders, b, err = decodeLeaders(b)
-		if err != nil {
-			return Delta{}, nil, err
-		}
-	}
-	return d, b, nil
+// [u64 epoch][i32 groups][i64 root][u8 rootOK][u32 n] + n x [node state],
+// then the leader list.
+func (s *MapSnapshot) fields(w *wire.Walk) {
+	wire.Field64(w, &s.Epoch)
+	wire.Field32(w, &s.Groups)
+	wire.Field64(w, &s.Root)
+	w.Bool(&s.RootOK)
+	wire.List(w, &s.Nodes, maxWireEntries, (*NodeState).fields)
+	wire.List(w, &s.Leaders, maxWireEntries, (*GroupLeader).fields)
 }
+
+// [i64 origin][u8 kind], then nothing (current), [u32 n] + n x [delta], or a
+// snapshot.
+func (resp *SyncResponse) fields(w *wire.Walk) {
+	wire.Field64(w, &resp.Origin)
+	kind := byte(syncKindCurrent)
+	switch {
+	case resp.Snapshot != nil:
+		kind = syncKindSnapshot
+	case len(resp.Deltas) > 0:
+		kind = syncKindDeltas
+	}
+	wire.Field8(w, &kind)
+	switch kind {
+	case syncKindCurrent:
+	case syncKindDeltas:
+		wire.List(w, &resp.Deltas, maxWireEntries, (*Delta).fields)
+	case syncKindSnapshot:
+		if w.Reading() {
+			resp.Snapshot = new(MapSnapshot)
+		}
+		resp.Snapshot.fields(w)
+	default:
+		w.Fail()
+	}
+}
+
+// AppendSyncRequest appends the wire form of req to b.
+func AppendSyncRequest(b []byte, req SyncRequest) []byte {
+	return wire.Append(b, &req, (*SyncRequest).fields)
+}
+
+// DecodeSyncRequest decodes a request and returns the remaining bytes.
+func DecodeSyncRequest(b []byte) (SyncRequest, []byte, error) {
+	return decode(b, (*SyncRequest).fields)
+}
+
+// AppendDelta appends the wire form of one delta to b.
+func AppendDelta(b []byte, d Delta) []byte { return wire.Append(b, &d, (*Delta).fields) }
+
+// DecodeDelta decodes one delta and returns the remaining bytes.
+func DecodeDelta(b []byte) (Delta, []byte, error) { return decode(b, (*Delta).fields) }
 
 // AppendSnapshot appends the wire form of a full map snapshot to b.
 func AppendSnapshot(b []byte, s MapSnapshot) []byte {
-	b = binary.BigEndian.AppendUint64(b, uint64(s.Epoch))
-	b = binary.BigEndian.AppendUint32(b, uint32(s.Groups))
-	b = binary.BigEndian.AppendUint64(b, uint64(s.Root))
-	if s.RootOK {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
-	b = binary.BigEndian.AppendUint32(b, uint32(len(s.Nodes)))
-	for _, n := range s.Nodes {
-		b = appendNodeState(b, n)
-	}
-	b = appendLeaders(b, s.Leaders)
-	return b
+	return wire.Append(b, &s, (*MapSnapshot).fields)
 }
 
 // DecodeSnapshot decodes a snapshot and returns the remaining bytes.
 func DecodeSnapshot(b []byte) (MapSnapshot, []byte, error) {
-	if len(b) < 25 {
-		return MapSnapshot{}, nil, ErrBadSync
-	}
-	s := MapSnapshot{
-		Epoch:  Epoch(binary.BigEndian.Uint64(b[0:8])),
-		Groups: int(int32(binary.BigEndian.Uint32(b[8:12]))),
-		Root:   NodeID(int64(binary.BigEndian.Uint64(b[12:20]))),
-		RootOK: b[20] == 1,
-	}
-	n := binary.BigEndian.Uint32(b[21:25])
-	b = b[25:]
-	if n > maxWireEntries {
-		return MapSnapshot{}, nil, ErrBadSync
-	}
-	for i := uint32(0); i < n; i++ {
-		var (
-			ns  NodeState
-			err error
-		)
-		ns, b, err = decodeNodeState(b)
-		if err != nil {
-			return MapSnapshot{}, nil, err
-		}
-		s.Nodes = append(s.Nodes, ns)
-	}
-	var err error
-	s.Leaders, b, err = decodeLeaders(b)
-	if err != nil {
-		return MapSnapshot{}, nil, err
-	}
-	return s, b, nil
+	return decode(b, (*MapSnapshot).fields)
 }
 
 // AppendSyncResponse appends the wire form of resp to b.
 func AppendSyncResponse(b []byte, resp SyncResponse) []byte {
-	b = binary.BigEndian.AppendUint64(b, uint64(resp.Origin))
-	switch {
-	case resp.Snapshot != nil:
-		b = append(b, syncKindSnapshot)
-		b = AppendSnapshot(b, *resp.Snapshot)
-	case len(resp.Deltas) > 0:
-		b = append(b, syncKindDeltas)
-		b = binary.BigEndian.AppendUint32(b, uint32(len(resp.Deltas)))
-		for _, d := range resp.Deltas {
-			b = AppendDelta(b, d)
-		}
-	default:
-		b = append(b, syncKindCurrent)
-	}
-	return b
+	return wire.Append(b, &resp, (*SyncResponse).fields)
 }
 
 // DecodeSyncResponse decodes a response and returns the remaining bytes.
 func DecodeSyncResponse(b []byte) (SyncResponse, []byte, error) {
-	if len(b) < 9 {
-		return SyncResponse{}, nil, ErrBadSync
-	}
-	resp := SyncResponse{Origin: NodeID(int64(binary.BigEndian.Uint64(b[0:8])))}
-	kind := b[8]
-	b = b[9:]
-	switch kind {
-	case syncKindCurrent:
-		return resp, b, nil
-	case syncKindDeltas:
-		if len(b) < 4 {
-			return SyncResponse{}, nil, ErrBadSync
-		}
-		n := binary.BigEndian.Uint32(b)
-		b = b[4:]
-		if n > maxWireEntries {
-			return SyncResponse{}, nil, ErrBadSync
-		}
-		for i := uint32(0); i < n; i++ {
-			var (
-				d   Delta
-				err error
-			)
-			d, b, err = DecodeDelta(b)
-			if err != nil {
-				return SyncResponse{}, nil, err
-			}
-			resp.Deltas = append(resp.Deltas, d)
-		}
-		return resp, b, nil
-	case syncKindSnapshot:
-		snap, rest, err := DecodeSnapshot(b)
-		if err != nil {
-			return SyncResponse{}, nil, err
-		}
-		resp.Snapshot = &snap
-		return resp, rest, nil
-	default:
-		return SyncResponse{}, nil, ErrBadSync
-	}
+	return decode(b, (*SyncResponse).fields)
 }

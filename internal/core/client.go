@@ -153,11 +153,11 @@ func detached(ctx context.Context) (context.Context, context.CancelFunc) {
 
 // Stats returns the free receive-pool bytes node advertises.
 func (c *Client) Stats(ctx context.Context, node transport.NodeID) (int64, error) {
-	resp, err := c.ep.Call(ctx, node, encodeStatsReq())
+	resp, err := c.ep.Call(ctx, node, []byte{opStats})
 	if err != nil {
 		return 0, fmt.Errorf("core: stats from node %d: %w", node, err)
 	}
-	st, err := decodeStatsResp(resp)
+	st, err := decodeReply(resp, (*statsResp).fields)
 	if err != nil {
 		return 0, err
 	}
@@ -167,7 +167,7 @@ func (c *Client) Stats(ctx context.Context, node transport.NodeID) (int64, error
 // Metrics fetches node's rendered metrics tree over the control plane — the
 // transport behind `dmctl stats`.
 func (c *Client) Metrics(ctx context.Context, node transport.NodeID) (string, error) {
-	resp, err := c.ep.Call(ctx, node, encodeMetricsReq())
+	resp, err := c.ep.Call(ctx, node, []byte{opMetrics})
 	if err != nil {
 		return "", fmt.Errorf("core: metrics from node %d: %w", node, err)
 	}
@@ -178,11 +178,11 @@ func (c *Client) Metrics(ctx context.Context, node transport.NodeID) (string, er
 // digest it has heard. Ask the tree root for the whole cluster; this is the
 // transport behind `dmctl top` and the digest-filtered `dmctl stats`.
 func (c *Client) ClusterView(ctx context.Context, node transport.NodeID) ([]metrics.NodeDigest, error) {
-	resp, err := c.ep.Call(ctx, node, encodeClusterReq())
+	resp, err := c.ep.Call(ctx, node, []byte{opCluster})
 	if err != nil {
 		return nil, fmt.Errorf("core: cluster view from node %d: %w", node, err)
 	}
-	return decodeClusterResp(resp)
+	return decodeBody(resp, metrics.DecodeDigestSet)
 }
 
 // ShardStat asks node which shard (if any) of owner's erasure-coded stripe
@@ -190,11 +190,11 @@ func (c *Client) ClusterView(ctx context.Context, node transport.NodeID) ([]metr
 // is the operator-facing passthrough behind `dmctl shard`: it lets repair
 // tooling map a stripe's placement donor by donor.
 func (c *Client) ShardStat(ctx context.Context, node, owner transport.NodeID, key uint64) (hosted bool, idx, k, m int, err error) {
-	resp, err := c.ep.Call(ctx, node, encodeShardStatReq(shardStatReq{Key: key, Owner: int32(owner)}))
+	resp, err := c.ep.Call(ctx, node, encode(opShardStat, shardStatReq{Key: key, Owner: int32(owner)}, (*shardStatReq).fields))
 	if err != nil {
 		return false, 0, 0, 0, fmt.Errorf("core: shard stat from node %d: %w", node, err)
 	}
-	st, err := decodeShardStatResp(resp)
+	st, err := decodeReply(resp, (*shardStatResp).fields)
 	if err != nil {
 		return false, 0, 0, 0, err
 	}

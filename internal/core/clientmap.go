@@ -32,7 +32,7 @@ func (c *Client) SyncMap(ctx context.Context, node transport.NodeID) error {
 	if err != nil {
 		return fmt.Errorf("core: map sync from node %d: %w", node, err)
 	}
-	sr, err := decodeMapSyncResp(resp)
+	sr, err := decodeBody(resp, cluster.DecodeSyncResponse)
 	if err != nil {
 		return err
 	}
@@ -88,7 +88,7 @@ func (c *Client) readEntry(ctx context.Context, ck clientKey, h clientHandle, ds
 func (c *Client) chase(ctx context.Context, node transport.NodeID, key uint64, offset int64) (transport.NodeID, int64, bool) {
 	moved := false
 	for hop := 0; hop < maxRedirects; hop++ {
-		resp, err := c.ep.Call(ctx, node, encodeLocateReq(locateReq{Key: key, Offset: offset}))
+		resp, err := c.ep.Call(ctx, node, encode(opLocate, locateReq{Key: key, Offset: offset}, (*locateReq).fields))
 		if err != nil {
 			return 0, 0, false
 		}
@@ -123,11 +123,11 @@ func (c *Client) rememberHome(ck clientKey, node transport.NodeID, offset int64)
 // reads, locates, and map syncs until its process exits, so stale clients
 // have a window to catch up.
 func (c *Client) Decommission(ctx context.Context, node transport.NodeID) (int, error) {
-	resp, err := c.ep.Call(ctx, node, encodeDecommissionReq())
+	resp, err := c.ep.Call(ctx, node, []byte{opDecommission})
 	if err != nil {
 		return 0, fmt.Errorf("core: decommission node %d: %w", node, err)
 	}
-	dr, err := decodeDecommissionResp(resp)
+	dr, err := decodeReply(resp, (*decommissionResp).fields)
 	if err != nil {
 		return 0, err
 	}
@@ -140,11 +140,11 @@ func (c *Client) Decommission(ctx context.Context, node transport.NodeID) (int, 
 // is met. The node stays in the cluster with a smaller advertised pool. It
 // returns the bytes reclaimed and the number of blocks migrated.
 func (c *Client) Harvest(ctx context.Context, node transport.NodeID, wantBytes int64) (int64, int, error) {
-	resp, err := c.ep.Call(ctx, node, encodeHarvestReq(harvestReq{WantBytes: wantBytes}))
+	resp, err := c.ep.Call(ctx, node, encode(opHarvest, harvestReq{WantBytes: wantBytes}, (*harvestReq).fields))
 	if err != nil {
 		return 0, 0, fmt.Errorf("core: harvest node %d: %w", node, err)
 	}
-	hr, err := decodeHarvestResp(resp)
+	hr, err := decodeReply(resp, (*harvestResp).fields)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -22,12 +22,12 @@ type testCluster struct {
 	nodes  []*Node
 }
 
-func newTestCluster(t *testing.T, n int, shape func(id transport.NodeID) Config) *testCluster {
+func newTestCluster(t testing.TB, n int, shape func(id transport.NodeID) Config) *testCluster {
 	return newTestClusterGrouped(t, n, n, shape)
 }
 
 // newTestClusterGrouped wires n nodes partitioned into groups of groupSize.
-func newTestClusterGrouped(t *testing.T, n, groupSize int, shape func(id transport.NodeID) Config) *testCluster {
+func newTestClusterGrouped(t testing.TB, n, groupSize int, shape func(id transport.NodeID) Config) *testCluster {
 	t.Helper()
 	env := des.NewEnv()
 	fabric := simnet.New(env, simnet.DefaultParams())
@@ -53,7 +53,7 @@ func newTestClusterGrouped(t *testing.T, n, groupSize int, shape func(id transpo
 }
 
 // run executes body as one simulation process.
-func (tc *testCluster) run(t *testing.T, body func(ctx context.Context, p *des.Proc)) {
+func (tc *testCluster) run(t testing.TB, body func(ctx context.Context, p *des.Proc)) {
 	t.Helper()
 	tc.env.Go("test", func(p *des.Proc) {
 		body(des.NewContext(context.Background(), p), p)

@@ -72,7 +72,7 @@ func (n *Node) HeartbeatRound(ctx context.Context) []cluster.Event {
 		if err != nil {
 			return
 		}
-		if sr, err := decodeMapSyncResp(resp); err == nil {
+		if sr, err := decodeBody(resp, cluster.DecodeSyncResponse); err == nil {
 			syncs[i] = &sr
 		}
 	}
@@ -189,7 +189,7 @@ func (n *Node) Decommission(ctx context.Context) (int, error) {
 
 	// Announce the departure so peers drop us via a Left delta immediately.
 	self := cluster.NodeID(n.cfg.ID)
-	leave := encodeLeaveReq(leaveReq{Node: n.cfg.ID})
+	leave := encode(opLeave, leaveReq{Node: n.cfg.ID}, (*leaveReq).fields)
 	for _, st := range n.dir.Snapshot() {
 		if st.ID == self || !st.Alive {
 			continue
@@ -267,17 +267,17 @@ func (n *Node) notifyMoved(ctx context.Context, ref ownerRef, to transport.NodeI
 		n.applyMoved(n.cfg.ID, movedReq{Key: ref.key, NewNode: to, NewOffset: offset})
 		return
 	}
-	_, _ = n.ep.Call(ctx, ref.owner, encodeMovedReq(movedReq{Key: ref.key, NewNode: to, NewOffset: offset}))
+	_, _ = n.ep.Call(ctx, ref.owner, encode(opMoved, movedReq{Key: ref.key, NewNode: to, NewOffset: offset}, (*movedReq).fields))
 }
 
-// notifyEvicted tells a block's owner the block is gone (drain fallback when
-// no successor could take the copy).
+// notifyEvicted tells a block's owner the block is gone: slab eviction, and
+// the drain fallback when no successor could take the copy.
 func (n *Node) notifyEvicted(ctx context.Context, ref ownerRef) {
 	if ref.owner == n.cfg.ID {
 		n.handleEvicted(n.cfg.ID, evictedReq{Key: ref.key})
 		return
 	}
-	_, _ = n.ep.Call(ctx, ref.owner, encodeEvictedReq(evictedReq{Key: ref.key}))
+	_, _ = n.ep.Call(ctx, ref.owner, encode(opEvicted, evictedReq{Key: ref.key}, (*evictedReq).fields))
 }
 
 // applyMoved is the owner side of opMoved: rehome the replica handle and
@@ -313,7 +313,7 @@ func (n *Node) handleLocate(req locateReq) []byte {
 	mv, movedOK := n.movedTo[req.Key]
 	n.drainMu.Unlock()
 	if movedOK {
-		return encodeRedirectResp(redirect{Node: mv.to, Offset: mv.offset})
+		return encode(stRedirect, redirect{Node: mv.to, Offset: mv.offset}, (*redirect).fields)
 	}
 	h, err := n.recv.HandleAt(req.Offset)
 	if err != nil {

@@ -111,11 +111,11 @@ func (n *Node) Harvest(ctx context.Context, wantBytes int64) (int64, int, error)
 // HarvestRemote asks another node to harvest wantBytes from its donated
 // pool; the donor side is Node.Harvest.
 func (n *Node) HarvestRemote(ctx context.Context, node transport.NodeID, wantBytes int64) (int64, int, error) {
-	resp, err := n.ep.Call(ctx, node, encodeHarvestReq(harvestReq{WantBytes: wantBytes}))
+	resp, err := n.ep.Call(ctx, node, encode(opHarvest, harvestReq{WantBytes: wantBytes}, (*harvestReq).fields))
 	if err != nil {
 		return 0, 0, fmt.Errorf("core: harvest node %d: %w", node, err)
 	}
-	hr, err := decodeHarvestResp(resp)
+	hr, err := decodeReply(resp, (*harvestResp).fields)
 	if err != nil {
 		return 0, 0, err
 	}

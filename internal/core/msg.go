@@ -8,6 +8,7 @@ import (
 	"godm/internal/cluster"
 	"godm/internal/metrics"
 	"godm/internal/transport"
+	"godm/internal/wire"
 )
 
 // Control-plane message opcodes (two-sided send/recv traffic, §IV.G: "RDMA
@@ -53,13 +54,80 @@ var errShortMessage = errors.New("core: short control message")
 // as opposed to a transport failure.
 var errRemote = errors.New("core: remote error")
 
+// errRedirect is checkOKResp's answer for stRedirect; only the locate path
+// reads the new home out of the body, every other caller treats it as a
+// refusal.
+var errRedirect = errors.New("core: block moved")
+
+// Each fixed-layout message below lists its fields once, as an internal/wire
+// walk that encode and decode both run. A request's fields sit behind its
+// opcode, a reply's behind the status checkOKResp reads.
+
+// encode returns [tag] followed by v's fields.
+func encode[T any](tag byte, v T, fields func(*T, *wire.Walk)) []byte {
+	b := make([]byte, 1, 32) // every fixed-layout message fits without regrowing
+	b[0] = tag
+	return wire.Append(b, &v, fields)
+}
+
+// decode reads a T's fields from the front of body — a request past its
+// opcode, a reply past its status — and returns the bytes behind them.
+func decode[T any](body []byte, fields func(*T, *wire.Walk)) (T, []byte, error) {
+	r := wire.NewReader(body)
+	v := wire.Read(&r, fields)
+	return v, r.Rest(), shortErr(&r)
+}
+
+// shortErr turns the cursor's latched error into the package's.
+func shortErr(r *wire.Reader) error {
+	if r.Err() != nil {
+		return errShortMessage
+	}
+	return nil
+}
+
+// decodeReply opens a reply's envelope and reads the fields of its body.
+func decodeReply[T any](b []byte, fields func(*T, *wire.Walk)) (T, error) {
+	return decodeBody(b, func(body []byte) (T, []byte, error) { return decode(body, fields) })
+}
+
+// decodeBody opens a reply's envelope and hands the body to dec: decode, or
+// the cluster or metrics decoder of what the reply carries.
+func decodeBody[T any](b []byte, dec func([]byte) (T, []byte, error)) (T, error) {
+	r, err := checkOKResp(b)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	v, _, err := dec(r.Rest())
+	return v, err
+}
+
 // heartbeatReq advertises the sender's free receive-pool bytes, plus any
 // metric digests piggybacking up the observability tree: the sender's own
 // digest on every beat and, on a group leader's beat to the root, its
 // members' stored digests.
+//
+//	[opHeartbeat][i64 free] + an optional digest set (metrics.AppendDigestSet)
 type heartbeatReq struct {
 	FreeBytes int64
 	Digests   []metrics.NodeDigest
+}
+
+func (r *heartbeatReq) fields(w *wire.Walk) { wire.Field64(w, &r.FreeBytes) }
+
+func encodeHeartbeatReq(r heartbeatReq) []byte {
+	// The digest set rides after the fixed header; pre-digest decoders ignore
+	// trailing bytes, so mixed-version clusters interoperate.
+	return metrics.AppendDigestSet(encode(opHeartbeat, r, (*heartbeatReq).fields), r.Digests)
+}
+
+func decodeHeartbeatReq(b []byte) (heartbeatReq, error) {
+	r, rest, err := decode(b[1:], (*heartbeatReq).fields)
+	if err == nil && len(rest) > 0 {
+		r.Digests, _, err = metrics.DecodeDigestSet(rest)
+	}
+	return r, err
 }
 
 // evictedReq tells the owner that its block for Key on the sender is gone.
@@ -67,48 +135,14 @@ type evictedReq struct {
 	Key uint64
 }
 
+func (r *evictedReq) fields(w *wire.Walk) { wire.Field64(w, &r.Key) }
+
 // statsResp reports free receive-pool bytes.
 type statsResp struct {
 	FreeBytes int64
 }
 
-func encodeHeartbeatReq(r heartbeatReq) []byte {
-	buf := make([]byte, 1+8, 1+8+2)
-	buf[0] = opHeartbeat
-	binary.BigEndian.PutUint64(buf[1:9], uint64(r.FreeBytes))
-	// The digest set rides after the fixed header; pre-digest decoders ignore
-	// trailing bytes, so mixed-version clusters interoperate.
-	return metrics.AppendDigestSet(buf, r.Digests)
-}
-
-func decodeHeartbeatReq(b []byte) (heartbeatReq, error) {
-	if len(b) < 9 {
-		return heartbeatReq{}, errShortMessage
-	}
-	r := heartbeatReq{FreeBytes: int64(binary.BigEndian.Uint64(b[1:9]))}
-	if len(b) > 9 {
-		set, _, err := metrics.DecodeDigestSet(b[9:])
-		if err != nil {
-			return heartbeatReq{}, err
-		}
-		r.Digests = set
-	}
-	return r, nil
-}
-
-func encodeEvictedReq(r evictedReq) []byte {
-	buf := make([]byte, 1+8)
-	buf[0] = opEvicted
-	binary.BigEndian.PutUint64(buf[1:9], r.Key)
-	return buf
-}
-
-func decodeEvictedReq(b []byte) (evictedReq, error) {
-	if len(b) < 9 {
-		return evictedReq{}, errShortMessage
-	}
-	return evictedReq{Key: binary.BigEndian.Uint64(b[1:9])}, nil
-}
+func (r *statsResp) fields(w *wire.Walk) { wire.Field64(w, &r.FreeBytes) }
 
 // Entry-handle flag bits recorded in client handles. The hosting node treats
 // payloads as opaque; the flags tell the *owner's* read path how to decode
@@ -250,7 +284,7 @@ func (r reserveResp) setOffset(i int, off int64) {
 }
 
 func decodeReserveResp(b []byte, count int) (reserveResp, error) {
-	if err := checkOKResp(b); err != nil {
+	if _, err := checkOKResp(b); err != nil {
 		return nil, err
 	}
 	if len(b) < 1+offsetBytes*count {
@@ -302,27 +336,10 @@ func decodeReleaseReq(b []byte) (releaseReq, error) {
 	return releaseReq(b[1:]), nil
 }
 
-func encodeStatsReq() []byte { return []byte{opStats} }
-
-func encodeMetricsReq() []byte { return []byte{opMetrics} }
-
-func encodeClusterReq() []byte { return []byte{opCluster} }
-
 // encodeClusterResp ships the responding node's ClusterStore contents —
 // every contributor digest it has heard — for dmctl top / stats filtering.
 func encodeClusterResp(set []metrics.NodeDigest) []byte {
 	return metrics.AppendDigestSet([]byte{stOK}, set)
-}
-
-func decodeClusterResp(b []byte) ([]metrics.NodeDigest, error) {
-	if len(b) < 1 {
-		return nil, errShortMessage
-	}
-	if b[0] != stOK {
-		return nil, fmt.Errorf("core: cluster view failed: %s", b[1:])
-	}
-	set, _, err := metrics.DecodeDigestSet(b[1:])
-	return set, err
 }
 
 func encodeMetricsResp(text string) []byte {
@@ -330,24 +347,8 @@ func encodeMetricsResp(text string) []byte {
 }
 
 func decodeMetricsResp(b []byte) (string, error) {
-	if len(b) < 1 || b[0] != stOK {
-		return "", errShortMessage
-	}
-	return string(b[1:]), nil
-}
-
-func encodeStatsResp(r statsResp) []byte {
-	buf := make([]byte, 1+8)
-	buf[0] = stOK
-	binary.BigEndian.PutUint64(buf[1:9], uint64(r.FreeBytes))
-	return buf
-}
-
-func decodeStatsResp(b []byte) (statsResp, error) {
-	if len(b) < 9 || b[0] != stOK {
-		return statsResp{}, errShortMessage
-	}
-	return statsResp{FreeBytes: int64(binary.BigEndian.Uint64(b[1:9]))}, nil
+	r, err := checkOKResp(b)
+	return string(r.Rest()), err
 }
 
 func okResp() []byte { return []byte{stOK} }
@@ -358,17 +359,24 @@ func errorResp(err error) []byte {
 	return append([]byte{stError}, err.Error()...)
 }
 
-func checkOKResp(b []byte) error {
-	if len(b) < 1 {
-		return errShortMessage
-	}
-	switch b[0] {
-	case stOK:
-		return nil
-	case stNoSpace:
-		return ErrRemoteFull
+// checkOKResp is the one reply envelope: every reply is [status][body], and
+// this is the only place a status byte is interpreted. stOK yields a cursor
+// over the body and allocates nothing; stNoSpace is ErrRemoteFull; stRedirect
+// is errRedirect with the cursor over the new home; anything else is the
+// peer's refusal, errRemote wrapping its text.
+func checkOKResp(b []byte) (wire.Reader, error) {
+	r := wire.NewReader(b)
+	switch st := r.U8(); {
+	case r.Err() != nil:
+		return r, shortErr(&r)
+	case st == stOK:
+		return r, nil
+	case st == stNoSpace:
+		return r, ErrRemoteFull
+	case st == stRedirect:
+		return r, errRedirect
 	default:
-		return fmt.Errorf("%w: %s", errRemote, b[1:])
+		return r, fmt.Errorf("%w: %s", errRemote, r.Rest())
 	}
 }
 
@@ -378,27 +386,8 @@ func encodeMapSyncReq(req cluster.SyncRequest) []byte {
 	return cluster.AppendSyncRequest([]byte{opMapSync}, req)
 }
 
-func decodeMapSyncReq(b []byte) (cluster.SyncRequest, error) {
-	if len(b) < 1 {
-		return cluster.SyncRequest{}, errShortMessage
-	}
-	req, _, err := cluster.DecodeSyncRequest(b[1:])
-	return req, err
-}
-
 func encodeMapSyncResp(resp cluster.SyncResponse) []byte {
 	return cluster.AppendSyncResponse([]byte{stOK}, resp)
-}
-
-func decodeMapSyncResp(b []byte) (cluster.SyncResponse, error) {
-	if len(b) < 1 {
-		return cluster.SyncResponse{}, errShortMessage
-	}
-	if b[0] != stOK {
-		return cluster.SyncResponse{}, fmt.Errorf("core: remote map sync failed: %s", b[1:])
-	}
-	resp, _, err := cluster.DecodeSyncResponse(b[1:])
-	return resp, err
 }
 
 // locateReq asks whether the block parked under key is still at offset on
@@ -409,58 +398,31 @@ type locateReq struct {
 	Offset int64
 }
 
+func (r *locateReq) fields(w *wire.Walk) {
+	wire.Field64(w, &r.Key)
+	wire.Field64(w, &r.Offset)
+}
+
 // redirect is the payload of an stRedirect response: the block's new home.
 type redirect struct {
 	Node   transport.NodeID
 	Offset int64
 }
 
-func encodeLocateReq(r locateReq) []byte {
-	buf := make([]byte, 1+8+8)
-	buf[0] = opLocate
-	binary.BigEndian.PutUint64(buf[1:9], r.Key)
-	binary.BigEndian.PutUint64(buf[9:17], uint64(r.Offset))
-	return buf
-}
-
-func decodeLocateReq(b []byte) (locateReq, error) {
-	if len(b) < 17 {
-		return locateReq{}, errShortMessage
-	}
-	return locateReq{
-		Key:    binary.BigEndian.Uint64(b[1:9]),
-		Offset: int64(binary.BigEndian.Uint64(b[9:17])),
-	}, nil
-}
-
-func encodeRedirectResp(r redirect) []byte {
-	buf := make([]byte, 1+8+8)
-	buf[0] = stRedirect
-	binary.BigEndian.PutUint64(buf[1:9], uint64(r.Node))
-	binary.BigEndian.PutUint64(buf[9:17], uint64(r.Offset))
-	return buf
+func (r *redirect) fields(w *wire.Walk) {
+	wire.Field64(w, &r.Node)
+	wire.Field64(w, &r.Offset)
 }
 
 // decodeLocateResp returns (redirect, false, nil) when the block moved,
 // (zero, true, nil) when it is confirmed in place, and an error otherwise.
 func decodeLocateResp(b []byte) (redirect, bool, error) {
-	if len(b) < 1 {
-		return redirect{}, false, errShortMessage
+	r, err := checkOKResp(b)
+	if err == errRedirect {
+		rd, _, err := decode(r.Rest(), (*redirect).fields)
+		return rd, false, err
 	}
-	switch b[0] {
-	case stOK:
-		return redirect{}, true, nil
-	case stRedirect:
-		if len(b) < 17 {
-			return redirect{}, false, errShortMessage
-		}
-		return redirect{
-			Node:   transport.NodeID(binary.BigEndian.Uint64(b[1:9])),
-			Offset: int64(binary.BigEndian.Uint64(b[9:17])),
-		}, false, nil
-	default:
-		return redirect{}, false, fmt.Errorf("core: locate failed: %s", b[1:])
-	}
+	return redirect{}, err == nil, err
 }
 
 // movedReq tells a block's owner that the block for Key now lives on NewNode
@@ -471,24 +433,10 @@ type movedReq struct {
 	NewOffset int64
 }
 
-func encodeMovedReq(r movedReq) []byte {
-	buf := make([]byte, 1+8+8+8)
-	buf[0] = opMoved
-	binary.BigEndian.PutUint64(buf[1:9], r.Key)
-	binary.BigEndian.PutUint64(buf[9:17], uint64(r.NewNode))
-	binary.BigEndian.PutUint64(buf[17:25], uint64(r.NewOffset))
-	return buf
-}
-
-func decodeMovedReq(b []byte) (movedReq, error) {
-	if len(b) < 25 {
-		return movedReq{}, errShortMessage
-	}
-	return movedReq{
-		Key:       binary.BigEndian.Uint64(b[1:9]),
-		NewNode:   transport.NodeID(binary.BigEndian.Uint64(b[9:17])),
-		NewOffset: int64(binary.BigEndian.Uint64(b[17:25])),
-	}, nil
+func (r *movedReq) fields(w *wire.Walk) {
+	wire.Field64(w, &r.Key)
+	wire.Field64(w, &r.NewNode)
+	wire.Field64(w, &r.NewOffset)
 }
 
 // leaveReq announces Node's graceful departure; the receiver records it as a
@@ -497,65 +445,21 @@ type leaveReq struct {
 	Node transport.NodeID
 }
 
-func encodeLeaveReq(r leaveReq) []byte {
-	buf := make([]byte, 1+8)
-	buf[0] = opLeave
-	binary.BigEndian.PutUint64(buf[1:9], uint64(r.Node))
-	return buf
-}
-
-func decodeLeaveReq(b []byte) (leaveReq, error) {
-	if len(b) < 9 {
-		return leaveReq{}, errShortMessage
-	}
-	return leaveReq{Node: transport.NodeID(binary.BigEndian.Uint64(b[1:9]))}, nil
-}
-
-func encodeDecommissionReq() []byte { return []byte{opDecommission} }
+func (r *leaveReq) fields(w *wire.Walk) { wire.Field64(w, &r.Node) }
 
 // decommissionResp reports how many hosted blocks the drain migrated.
 type decommissionResp struct {
 	Moved int32
 }
 
-func encodeDecommissionResp(r decommissionResp) []byte {
-	buf := make([]byte, 1+4)
-	buf[0] = stOK
-	binary.BigEndian.PutUint32(buf[1:5], uint32(r.Moved))
-	return buf
-}
-
-func decodeDecommissionResp(b []byte) (decommissionResp, error) {
-	if len(b) < 1 {
-		return decommissionResp{}, errShortMessage
-	}
-	if b[0] != stOK {
-		return decommissionResp{}, fmt.Errorf("core: remote decommission failed: %s", b[1:])
-	}
-	if len(b) < 5 {
-		return decommissionResp{}, errShortMessage
-	}
-	return decommissionResp{Moved: int32(binary.BigEndian.Uint32(b[1:5]))}, nil
-}
+func (r *decommissionResp) fields(w *wire.Walk) { wire.Field32(w, &r.Moved) }
 
 // harvestReq asks a donor node to reclaim wantBytes from its receive pool.
 type harvestReq struct {
 	WantBytes int64
 }
 
-func encodeHarvestReq(r harvestReq) []byte {
-	buf := make([]byte, 1+8)
-	buf[0] = opHarvest
-	binary.BigEndian.PutUint64(buf[1:9], uint64(r.WantBytes))
-	return buf
-}
-
-func decodeHarvestReq(b []byte) (harvestReq, error) {
-	if len(b) < 9 {
-		return harvestReq{}, errShortMessage
-	}
-	return harvestReq{WantBytes: int64(binary.BigEndian.Uint64(b[1:9]))}, nil
-}
+func (r *harvestReq) fields(w *wire.Walk) { wire.Field64(w, &r.WantBytes) }
 
 // harvestResp reports how much budget came back and how many hosted blocks
 // had to migrate to get it.
@@ -564,34 +468,20 @@ type harvestResp struct {
 	Moved     int32
 }
 
-func encodeHarvestResp(r harvestResp) []byte {
-	buf := make([]byte, 1+8+4)
-	buf[0] = stOK
-	binary.BigEndian.PutUint64(buf[1:9], uint64(r.Reclaimed))
-	binary.BigEndian.PutUint32(buf[9:13], uint32(r.Moved))
-	return buf
-}
-
-func decodeHarvestResp(b []byte) (harvestResp, error) {
-	if len(b) < 1 {
-		return harvestResp{}, errShortMessage
-	}
-	if b[0] != stOK {
-		return harvestResp{}, fmt.Errorf("core: remote harvest failed: %s", b[1:])
-	}
-	if len(b) < 13 {
-		return harvestResp{}, errShortMessage
-	}
-	return harvestResp{
-		Reclaimed: int64(binary.BigEndian.Uint64(b[1:9])),
-		Moved:     int32(binary.BigEndian.Uint32(b[9:13])),
-	}, nil
+func (r *harvestResp) fields(w *wire.Walk) {
+	wire.Field64(w, &r.Reclaimed)
+	wire.Field32(w, &r.Moved)
 }
 
 // shardStatReq asks which shard of owner's stripe under Key the target hosts.
 type shardStatReq struct {
 	Key   uint64
 	Owner int32
+}
+
+func (r *shardStatReq) fields(w *wire.Walk) {
+	wire.Field64(w, &r.Key)
+	wire.Field32(w, &r.Owner)
 }
 
 // shardStatResp carries the hosted shard's coordinates; Hosted false means
@@ -603,45 +493,9 @@ type shardStatResp struct {
 	M      uint8
 }
 
-func encodeShardStatReq(r shardStatReq) []byte {
-	buf := make([]byte, 1+8+4)
-	buf[0] = opShardStat
-	binary.BigEndian.PutUint64(buf[1:9], r.Key)
-	binary.BigEndian.PutUint32(buf[9:13], uint32(r.Owner))
-	return buf
-}
-
-func decodeShardStatReq(b []byte) (shardStatReq, error) {
-	if len(b) < 13 {
-		return shardStatReq{}, errShortMessage
-	}
-	return shardStatReq{
-		Key:   binary.BigEndian.Uint64(b[1:9]),
-		Owner: int32(binary.BigEndian.Uint32(b[9:13])),
-	}, nil
-}
-
-func encodeShardStatResp(r shardStatResp) []byte {
-	buf := make([]byte, 1+4)
-	buf[0] = stOK
-	if r.Hosted {
-		buf[1] = 1
-	}
-	buf[2] = r.Idx
-	buf[3] = r.K
-	buf[4] = r.M
-	return buf
-}
-
-func decodeShardStatResp(b []byte) (shardStatResp, error) {
-	if len(b) < 1 {
-		return shardStatResp{}, errShortMessage
-	}
-	if b[0] != stOK {
-		return shardStatResp{}, fmt.Errorf("core: remote shard stat failed: %s", b[1:])
-	}
-	if len(b) < 5 {
-		return shardStatResp{}, errShortMessage
-	}
-	return shardStatResp{Hosted: b[1] == 1, Idx: b[2], K: b[3], M: b[4]}, nil
+func (r *shardStatResp) fields(w *wire.Walk) {
+	w.Bool(&r.Hosted)
+	wire.Field8(w, &r.Idx)
+	wire.Field8(w, &r.K)
+	wire.Field8(w, &r.M)
 }

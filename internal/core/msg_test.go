@@ -216,41 +216,28 @@ func TestHeartbeatAndStatsRoundTrip(t *testing.T) {
 	if err != nil || hb.FreeBytes != 12345 {
 		t.Fatalf("heartbeat round trip: %+v, %v", hb, err)
 	}
-	st, err := decodeStatsResp(encodeStatsResp(statsResp{FreeBytes: 777}))
+	st, err := decodeReply(encode(stOK, statsResp{FreeBytes: 777}, (*statsResp).fields), (*statsResp).fields)
 	if err != nil || st.FreeBytes != 777 {
 		t.Fatalf("stats round trip: %+v, %v", st, err)
 	}
-	ev, err := decodeEvictedReq(encodeEvictedReq(evictedReq{Key: 99}))
+	ev, _, err := decode(encode(opEvicted, evictedReq{Key: 99}, (*evictedReq).fields)[1:], (*evictedReq).fields)
 	if err != nil || ev.Key != 99 {
 		t.Fatalf("evicted round trip: %+v, %v", ev, err)
 	}
 }
 
 func TestCheckOKResp(t *testing.T) {
-	if err := checkOKResp(okResp()); err != nil {
+	if _, err := checkOKResp(okResp()); err != nil {
 		t.Fatal(err)
 	}
-	if err := checkOKResp(noSpaceResp()); !errors.Is(err, ErrRemoteFull) {
+	if _, err := checkOKResp(noSpaceResp()); !errors.Is(err, ErrRemoteFull) {
 		t.Fatalf("err = %v", err)
 	}
-	if err := checkOKResp(errorResp(errors.New("x"))); err == nil {
+	if _, err := checkOKResp(errorResp(errors.New("x"))); err == nil {
 		t.Fatal("expected error")
 	}
-	if err := checkOKResp(nil); err == nil {
+	if _, err := checkOKResp(nil); err == nil {
 		t.Fatal("expected error for empty")
-	}
-}
-
-func TestDecodersRejectShortMessages(t *testing.T) {
-	short := []byte{opHeartbeat}
-	if _, err := decodeHeartbeatReq(short); err == nil {
-		t.Fatal("heartbeat")
-	}
-	if _, err := decodeEvictedReq(short); err == nil {
-		t.Fatal("evicted")
-	}
-	if _, err := decodeStatsResp(short); err == nil {
-		t.Fatal("stats")
 	}
 }
 

@@ -777,6 +777,7 @@ func (n *Node) handleCall(ctx context.Context, from transport.NodeID, payload []
 	_, sp := trace.Start(ctx, "core.handle")
 	sp.Annotate("op", int(payload[0]))
 	defer sp.End()
+	body := payload[1:]
 	switch payload[0] {
 	case opAlloc, opAllocShard:
 		req, err := decodeReserveReq(payload)
@@ -799,39 +800,39 @@ func (n *Node) handleCall(ctx context.Context, from transport.NodeID, payload []
 		n.foldDigests(req.Digests)
 		return okResp(), nil
 	case opEvicted:
-		req, err := decodeEvictedReq(payload)
+		req, _, err := decode(body, (*evictedReq).fields)
 		if err != nil {
 			return errorResp(err), nil
 		}
 		n.handleEvicted(from, req)
 		return okResp(), nil
 	case opStats:
-		return encodeStatsResp(statsResp{FreeBytes: n.recv.FreeBytes()}), nil
+		return encode(stOK, statsResp{FreeBytes: n.recv.FreeBytes()}, (*statsResp).fields), nil
 	case opMetrics:
 		return encodeMetricsResp(n.metricsText()), nil
 	case opCluster:
 		return encodeClusterResp(n.ClusterView()), nil
 	case opMapSync:
-		req, err := decodeMapSyncReq(payload)
+		req, _, err := cluster.DecodeSyncRequest(body)
 		if err != nil {
 			return errorResp(err), nil
 		}
 		return encodeMapSyncResp(n.dir.Sync(cluster.NodeID(n.cfg.ID), req)), nil
 	case opLocate:
-		req, err := decodeLocateReq(payload)
+		req, _, err := decode(body, (*locateReq).fields)
 		if err != nil {
 			return errorResp(err), nil
 		}
 		return n.handleLocate(req), nil
 	case opMoved:
-		req, err := decodeMovedReq(payload)
+		req, _, err := decode(body, (*movedReq).fields)
 		if err != nil {
 			return errorResp(err), nil
 		}
 		n.applyMoved(from, req)
 		return okResp(), nil
 	case opLeave:
-		req, err := decodeLeaveReq(payload)
+		req, _, err := decode(body, (*leaveReq).fields)
 		if err != nil {
 			return errorResp(err), nil
 		}
@@ -843,9 +844,9 @@ func (n *Node) handleCall(ctx context.Context, from transport.NodeID, payload []
 		if err != nil {
 			return errorResp(err), nil
 		}
-		return encodeDecommissionResp(decommissionResp{Moved: int32(moved)}), nil
+		return encode(stOK, decommissionResp{Moved: int32(moved)}, (*decommissionResp).fields), nil
 	case opHarvest:
-		req, err := decodeHarvestReq(payload)
+		req, _, err := decode(body, (*harvestReq).fields)
 		if err != nil {
 			return errorResp(err), nil
 		}
@@ -853,9 +854,9 @@ func (n *Node) handleCall(ctx context.Context, from transport.NodeID, payload []
 		if err != nil {
 			return errorResp(err), nil
 		}
-		return encodeHarvestResp(harvestResp{Reclaimed: reclaimed, Moved: int32(moved)}), nil
+		return encode(stOK, harvestResp{Reclaimed: reclaimed, Moved: int32(moved)}, (*harvestResp).fields), nil
 	case opShardStat:
-		req, err := decodeShardStatReq(payload)
+		req, _, err := decode(body, (*shardStatReq).fields)
 		if err != nil {
 			return errorResp(err), nil
 		}
@@ -864,7 +865,7 @@ func (n *Node) handleCall(ctx context.Context, from transport.NodeID, payload []
 			owner = transport.NodeID(req.Owner)
 		}
 		si := n.lookupKey(owner, req.Key).shard
-		return encodeShardStatResp(shardStatResp{Hosted: si.tagged(), Idx: si.idx, K: si.k, M: si.m}), nil
+		return encode(stOK, shardStatResp{Hosted: si.tagged(), Idx: si.idx, K: si.k, M: si.m}, (*shardStatResp).fields), nil
 	default:
 		return errorResp(fmt.Errorf("core: unknown op %d", payload[0])), nil
 	}
@@ -1008,13 +1009,9 @@ func (n *Node) EvictRecvSlabs(ctx context.Context, wantBytes int64) (int64, erro
 				continue
 			}
 			notified[ref] = true
-			if ref.owner == n.cfg.ID {
-				n.handleEvicted(n.cfg.ID, evictedReq{Key: ref.key})
-				continue
-			}
 			// Best-effort notification; if the owner is unreachable its own
 			// read path will discover the loss and fail over to replicas.
-			_, _ = n.ep.Call(ctx, ref.owner, encodeEvictedReq(evictedReq{Key: ref.key}))
+			n.notifyEvicted(ctx, ref)
 		}
 	}
 	// Shrink the registered budget so the memory actually returns to the OS.

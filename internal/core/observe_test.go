@@ -47,11 +47,11 @@ func TestClusterRespRoundTrip(t *testing.T) {
 	set := []metrics.NodeDigest{
 		{Node: 1, Seq: 4, D: metrics.DigestRegistries(map[string]*metrics.Registry{"core": reg})},
 	}
-	got, err := decodeClusterResp(encodeClusterResp(set))
+	got, err := decodeBody(encodeClusterResp(set), metrics.DecodeDigestSet)
 	if err != nil || len(got) != 1 || got[0].D.Counters["core/remote_puts"] != 2 {
 		t.Fatalf("cluster resp round trip = %+v, %v", got, err)
 	}
-	if _, err := decodeClusterResp(errorResp(ErrNoSpace)); err == nil {
+	if _, err := decodeBody(errorResp(ErrNoSpace), metrics.DecodeDigestSet); err == nil {
 		t.Fatal("error response decoded as success")
 	}
 }

@@ -21,7 +21,7 @@ func release(ctx context.Context, ep transport.Verbs, blocks ...block) error {
 		}
 		resp, err := ep.Call(ctx, node, encodeReleaseReq(blocks[:n]))
 		if err == nil {
-			err = checkOKResp(resp)
+			_, err = checkOKResp(resp)
 		}
 		if err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("core: release on node %d: %w", node, err)

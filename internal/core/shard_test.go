@@ -93,7 +93,7 @@ func TestReleaseFreesEveryEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := checkOKResp(n.handleRelease(req)); err != nil {
+	if _, err := checkOKResp(n.handleRelease(req)); err != nil {
 		t.Fatalf("handleRelease: %v", err)
 	}
 	if st := n.recv.Stats(); st.LiveBlocks != 0 {

@@ -18,10 +18,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"time"
+
+	"godm/internal/wire"
 )
 
 // Digest is a mergeable point-in-time copy of one node's instrumentation,
@@ -225,8 +228,8 @@ func Aggregate(set []NodeDigest) (Digest, error) {
 // ErrBadDigest is returned when a digest wire payload is malformed.
 var ErrBadDigest = errors.New("metrics: malformed digest payload")
 
-// maxDigestEntries bounds names per section and nodes per set against
-// corrupt length prefixes.
+// maxDigestEntries bounds names per section and nodes per set; the cursor
+// further holds every count to what the remaining input can carry.
 const maxDigestEntries = 1 << 12
 
 // Histogram bound schemas on the wire.
@@ -239,17 +242,22 @@ const (
 var defaultLatencyBounds = NewLatencyHistogram().bounds
 
 func isDefaultBounds(bounds []time.Duration) bool {
-	if len(bounds) != len(defaultLatencyBounds) {
-		return false
-	}
-	for i, b := range bounds {
-		if defaultLatencyBounds[i] != b {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(bounds, defaultLatencyBounds)
 }
 
+// decode runs read over b and returns the bytes it left; any read the cursor
+// refused makes the whole payload ErrBadDigest.
+func decode[T any](b []byte, read func(*wire.Reader) T) (T, []byte, error) {
+	r := wire.NewReader(b)
+	v := read(&r)
+	if r.Err() != nil {
+		var zero T
+		return zero, nil, ErrBadDigest
+	}
+	return v, r.Rest(), nil
+}
+
+// A name is [u8 len][bytes], truncated to 255 bytes.
 func appendName(b []byte, name string) []byte {
 	if len(name) > 255 {
 		name = name[:255]
@@ -258,55 +266,40 @@ func appendName(b []byte, name string) []byte {
 	return append(b, name...)
 }
 
-func decodeName(b []byte) (string, []byte, error) {
-	if len(b) < 1 {
-		return "", nil, ErrBadDigest
-	}
-	n := int(b[0])
-	if len(b) < 1+n {
-		return "", nil, ErrBadDigest
-	}
-	return string(b[1 : 1+n]), b[1+n:], nil
-}
+func readName(r *wire.Reader) string { return string(r.Bytes(int(r.U8()))) }
 
-func appendNamedInts(b []byte, m map[string]int64) []byte {
+// A section — counters, gauges, histograms — is [u16 n] + n x [name][value],
+// names in sorted order; a counter or gauge value is one i64.
+func appendSection[V any](b []byte, m map[string]V, value func([]byte, V) []byte) []byte {
 	b = binary.BigEndian.AppendUint16(b, uint16(len(m)))
 	for _, k := range sortedKeys(m) {
-		b = appendName(b, k)
-		b = binary.BigEndian.AppendUint64(b, uint64(m[k]))
+		b = value(appendName(b, k), m[k])
 	}
 	return b
 }
 
-func decodeNamedInts(b []byte) (map[string]int64, []byte, error) {
-	if len(b) < 2 {
-		return nil, nil, ErrBadDigest
+// readSection stops at the first refused read instead of walking out the
+// count on zeros: a histogram allocates its buckets before it reads them.
+func readSection[V any](r *wire.Reader, minValueBytes int, value func(*wire.Reader) V) map[string]V {
+	n := r.Count(2, maxDigestEntries, 1+minValueBytes)
+	m := make(map[string]V, n)
+	for ; n > 0 && r.Err() == nil; n-- {
+		k := readName(r)
+		m[k] = value(r)
 	}
-	n := int(binary.BigEndian.Uint16(b))
-	b = b[2:]
-	if n > maxDigestEntries {
-		return nil, nil, ErrBadDigest
-	}
-	m := make(map[string]int64, n)
-	for i := 0; i < n; i++ {
-		var (
-			k   string
-			err error
-		)
-		if k, b, err = decodeName(b); err != nil {
-			return nil, nil, err
-		}
-		if len(b) < 8 {
-			return nil, nil, ErrBadDigest
-		}
-		m[k] = int64(binary.BigEndian.Uint64(b))
-		b = b[8:]
-	}
-	return m, b, nil
+	return m
 }
 
-// appendHistogram encodes one snapshot: [schema][bounds?][count][sum][min]
-// [max][u16 nonzero]{[u16 idx][i64 cnt]}…
+func appendI64(b []byte, v int64) []byte { return binary.BigEndian.AppendUint64(b, uint64(v)) }
+
+// One histogram snapshot is [schema][bounds?][count][sum][min][max]
+// [u16 nonzero]{[u16 idx][i64 cnt]}…, where explicit bounds are
+// [u16 n] + n x [i64 bound].
+const (
+	minHistogramBytes = 1 + 4*8 + 2
+	sparseCountBytes  = 2 + 8
+)
+
 func appendHistogram(b []byte, s HistogramSnapshot) []byte {
 	if isDefaultBounds(s.Bounds) {
 		b = append(b, histSchemaDefault)
@@ -337,129 +330,79 @@ func appendHistogram(b []byte, s HistogramSnapshot) []byte {
 	return b
 }
 
-func decodeHistogram(b []byte) (HistogramSnapshot, []byte, error) {
+func readHistogram(r *wire.Reader) HistogramSnapshot {
 	var s HistogramSnapshot
-	if len(b) < 1 {
-		return s, nil, ErrBadDigest
-	}
-	schema := b[0]
-	b = b[1:]
-	switch schema {
+	switch r.U8() {
 	case histSchemaDefault:
 		s.Bounds = append([]time.Duration(nil), defaultLatencyBounds...)
 	case histSchemaExplicit:
-		if len(b) < 2 {
-			return s, nil, ErrBadDigest
-		}
-		n := int(binary.BigEndian.Uint16(b))
-		b = b[2:]
-		if n > maxDigestEntries || len(b) < 8*n {
-			return s, nil, ErrBadDigest
-		}
-		s.Bounds = make([]time.Duration, n)
+		s.Bounds = make([]time.Duration, r.Count(2, maxDigestEntries, 8))
 		for i := range s.Bounds {
-			s.Bounds[i] = time.Duration(binary.BigEndian.Uint64(b))
-			b = b[8:]
+			s.Bounds[i] = time.Duration(r.I64())
 		}
 	default:
-		return s, nil, ErrBadDigest
+		r.Fail()
 	}
-	if len(b) < 8*4+2 {
-		return s, nil, ErrBadDigest
-	}
-	s.Count = int64(binary.BigEndian.Uint64(b))
-	s.Sum = time.Duration(binary.BigEndian.Uint64(b[8:]))
-	s.Min = time.Duration(binary.BigEndian.Uint64(b[16:]))
-	s.Max = time.Duration(binary.BigEndian.Uint64(b[24:]))
-	nonzero := int(binary.BigEndian.Uint16(b[32:]))
-	b = b[34:]
+	s.Count = r.I64()
+	s.Sum = time.Duration(r.I64())
+	s.Min = time.Duration(r.I64())
+	s.Max = time.Duration(r.I64())
 	s.Counts = make([]int64, len(s.Bounds)+1)
-	if nonzero > len(s.Counts) || len(b) < 10*nonzero {
-		return s, nil, ErrBadDigest
-	}
-	for i := 0; i < nonzero; i++ {
-		idx := int(binary.BigEndian.Uint16(b))
+	for n := r.Count(2, len(s.Counts), sparseCountBytes); n > 0; n-- {
+		idx := int(r.U16())
 		if idx >= len(s.Counts) {
-			return s, nil, ErrBadDigest
+			r.Fail()
+			break
 		}
-		s.Counts[idx] = int64(binary.BigEndian.Uint64(b[2:]))
-		b = b[10:]
+		s.Counts[idx] = r.I64()
 	}
-	return s, b, nil
+	return s
 }
 
-// AppendDigest appends d's wire form to b.
+// AppendDigest appends d's wire form to b: the counter, gauge and histogram
+// sections.
 func AppendDigest(b []byte, d Digest) []byte {
-	b = appendNamedInts(b, d.Counters)
-	b = appendNamedInts(b, d.Gauges)
-	b = binary.BigEndian.AppendUint16(b, uint16(len(d.Hists)))
-	for _, k := range sortedKeys(d.Hists) {
-		b = appendName(b, k)
-		b = appendHistogram(b, d.Hists[k])
-	}
-	return b
+	b = appendSection(b, d.Counters, appendI64)
+	b = appendSection(b, d.Gauges, appendI64)
+	return appendSection(b, d.Hists, appendHistogram)
+}
+
+func readDigest(r *wire.Reader) Digest {
+	var d Digest
+	d.Counters = readSection(r, 8, (*wire.Reader).I64)
+	d.Gauges = readSection(r, 8, (*wire.Reader).I64)
+	d.Hists = readSection(r, minHistogramBytes, readHistogram)
+	return d
 }
 
 // DecodeDigest decodes one digest, returning the remaining bytes.
-func DecodeDigest(b []byte) (Digest, []byte, error) {
-	var (
-		d   Digest
-		err error
-	)
-	if d.Counters, b, err = decodeNamedInts(b); err != nil {
-		return d, nil, err
-	}
-	if d.Gauges, b, err = decodeNamedInts(b); err != nil {
-		return d, nil, err
-	}
-	if len(b) < 2 {
-		return d, nil, ErrBadDigest
-	}
-	n := int(binary.BigEndian.Uint16(b))
-	b = b[2:]
-	if n > maxDigestEntries {
-		return d, nil, ErrBadDigest
-	}
-	d.Hists = make(map[string]HistogramSnapshot, n)
-	for i := 0; i < n; i++ {
-		var k string
-		if k, b, err = decodeName(b); err != nil {
-			return d, nil, err
-		}
-		var hs HistogramSnapshot
-		if hs, b, err = decodeHistogram(b); err != nil {
-			return d, nil, err
-		}
-		d.Hists[k] = hs
-	}
-	return d, b, nil
+func DecodeDigest(b []byte) (Digest, []byte, error) { return decode(b, readDigest) }
+
+// minNodeDigestBytes is a contributor record with three empty sections.
+const minNodeDigestBytes = 8 + 8 + 4 + 3*2
+
+// header is the fixed part of a contributor record: [i64 node][u64 seq]
+// [u32 age]; the digest follows.
+func (nd *NodeDigest) header(w *wire.Walk) {
+	wire.Field64(w, &nd.Node)
+	wire.Field64(w, &nd.Seq)
+	wire.Field32(w, &nd.Age)
 }
 
 // AppendNodeDigest appends one contributor record: origin, sequence,
 // staleness age, then the digest.
 func AppendNodeDigest(b []byte, nd NodeDigest) []byte {
-	b = binary.BigEndian.AppendUint64(b, uint64(nd.Node))
-	b = binary.BigEndian.AppendUint64(b, nd.Seq)
-	b = binary.BigEndian.AppendUint32(b, nd.Age)
-	return AppendDigest(b, nd.D)
+	return AppendDigest(wire.Append(b, &nd, (*NodeDigest).header), nd.D)
+}
+
+func readNodeDigest(r *wire.Reader) NodeDigest {
+	nd := wire.Read(r, (*NodeDigest).header)
+	nd.D = readDigest(r)
+	return nd
 }
 
 // DecodeNodeDigest decodes one contributor record, returning the remainder.
-func DecodeNodeDigest(b []byte) (NodeDigest, []byte, error) {
-	var nd NodeDigest
-	if len(b) < 20 {
-		return nd, nil, ErrBadDigest
-	}
-	nd.Node = int64(binary.BigEndian.Uint64(b))
-	nd.Seq = binary.BigEndian.Uint64(b[8:])
-	nd.Age = binary.BigEndian.Uint32(b[16:])
-	var err error
-	nd.D, b, err = DecodeDigest(b[20:])
-	if err != nil {
-		return nd, nil, err
-	}
-	return nd, b, nil
-}
+func DecodeNodeDigest(b []byte) (NodeDigest, []byte, error) { return decode(b, readNodeDigest) }
 
 // AppendDigestSet appends a contributor set ([u16 n] then records).
 func AppendDigestSet(b []byte, set []NodeDigest) []byte {
@@ -470,27 +413,17 @@ func AppendDigestSet(b []byte, set []NodeDigest) []byte {
 	return b
 }
 
-// DecodeDigestSet decodes a contributor set, returning the remainder.
-func DecodeDigestSet(b []byte) ([]NodeDigest, []byte, error) {
-	if len(b) < 2 {
-		return nil, nil, ErrBadDigest
-	}
-	n := int(binary.BigEndian.Uint16(b))
-	b = b[2:]
-	if n > maxDigestEntries {
-		return nil, nil, ErrBadDigest
-	}
+func readDigestSet(r *wire.Reader) []NodeDigest {
+	n := r.Count(2, maxDigestEntries, minNodeDigestBytes)
 	set := make([]NodeDigest, 0, n)
-	for i := 0; i < n; i++ {
-		nd, rest, err := DecodeNodeDigest(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		set = append(set, nd)
-		b = rest
+	for ; n > 0 && r.Err() == nil; n-- { // as in readSection
+		set = append(set, readNodeDigest(r))
 	}
-	return set, b, nil
+	return set
 }
+
+// DecodeDigestSet decodes a contributor set, returning the remainder.
+func DecodeDigestSet(b []byte) ([]NodeDigest, []byte, error) { return decode(b, readDigestSet) }
 
 // ---- rendering ----
 
