@@ -26,6 +26,16 @@
 // silently dropped by Put, so a conservative caller may Put any buffer whose
 // provenance it knows is "mine and dead".
 //
+// # Checking the contract
+//
+// Built with -tags bufdebug, the pool enforces what it can observe: Put fills
+// the released buffer with a poison byte and panics if the buffer is already
+// in the pool (double release), Get panics if the poison was disturbed while
+// the buffer sat there (write after release), and a read after release yields
+// poison, which any test that verifies its bytes trips over. CI runs the
+// transport conformance and chaos suites that way. Without the tag the hooks
+// compile to nothing.
+//
 // Size classes are powers of two from 4 KiB to 4 MiB; requests above the top
 // class allocate directly (rare: bulk transfers), smaller ones ride in the
 // 4 KiB class so a page-sized op never hands back a multi-megabyte buffer.
@@ -80,6 +90,7 @@ func Get(n int) []byte {
 		b := (*p)[:n]
 		*p = nil
 		boxes.Put(p)
+		debugGet(b)
 		return b
 	}
 	return make([]byte, n, MinBuf<<c)
@@ -98,6 +109,7 @@ func Put(b []byte) {
 	if c != MinBuf<<cl {
 		return
 	}
+	debugPut(b)
 	p := boxes.Get().(*[]byte)
 	*p = b[:0]
 	pools[cl].Put(p)

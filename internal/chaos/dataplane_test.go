@@ -1,7 +1,7 @@
-// Data-plane chaos scenarios: a replica holder whose one-sided writes all
-// fail mid-fan-out, and batched client writes that must stay atomic while
-// their target's data plane is down. Both run on the simulated and the TCP
-// fabric and replay deterministically per seed.
+// Data-plane chaos scenarios: a replica holder whose puts all fail
+// mid-fan-out, and batched client writes that must stay atomic while their
+// target takes no puts. Both run on the simulated and the TCP fabric and
+// replay deterministically per seed.
 package chaos
 
 import (
@@ -15,18 +15,17 @@ import (
 	"godm/internal/pagetable"
 )
 
-// runFanoutVictimScenario makes every one-sided write to one replica holder
-// fail while the control plane stays healthy — the worst case for the
-// parallel fan-out, because allocations succeed everywhere and then exactly
-// one stream of the fan-out dies. Every failed write must roll back to
-// zero stranded copies on every node; every committed write must be intact
-// on all holders.
+// runFanoutVictimScenario makes every put to one replica holder fail while
+// every other donor stays healthy — the worst case for the parallel fan-out,
+// because the copies land everywhere else and exactly one stream of the
+// fan-out dies. Every failed write must roll back to zero stranded copies on
+// every node; every committed write must be intact on all holders.
 func runFanoutVictimScenario(t *testing.T, kind FabricKind, seed int64, writes int) (outcomes []string) {
 	t.Helper()
 	cl := New(t, kind, seed, DefaultConfig())
 	defer cl.Close()
 	victim := cl.Nodes[len(cl.Nodes)-1].ID()
-	cl.Inj.AddRule(faulty.Rule{Kind: faulty.KindDrop, Verb: faulty.VerbWrite,
+	cl.Inj.AddRule(faulty.Rule{Kind: faulty.KindDrop, Verb: faulty.VerbCall,
 		From: faulty.AnyNode, To: victim, Pct: 100})
 
 	vs, err := cl.Nodes[0].AddServer("fanout", 0)
@@ -49,8 +48,8 @@ func runFanoutVictimScenario(t *testing.T, kind FabricKind, seed int64, writes i
 			if werr != nil {
 				failed++
 				// The decisive check: the aborted fan-out released every
-				// reservation it made on every node, including the ones
-				// whose writes succeeded before the victim's stream died.
+				// copy it parked on every node — the ones that landed
+				// before the victim's stream died.
 				RequireNoStrandedCopies(t, cl.Nodes, owner, vs.WireKey(id))
 			}
 		}
@@ -82,10 +81,10 @@ func TestChaosFanoutVictimTCP(t *testing.T) {
 }
 
 // runBatchAtomicityScenario drives window-batched client writes (PutAll)
-// against a donor whose data plane goes dark halfway through: batches
-// issued while writes are dropped must abort as a unit — previous versions
-// intact, no blocks left from the abort — and batches after recovery must
-// commit as a unit.
+// against a donor that goes dark halfway through: batches issued while its
+// puts are dropped must abort as a unit — previous versions intact, no
+// blocks left from the abort — and batches after recovery must commit as a
+// unit.
 func runBatchAtomicityScenario(t *testing.T, kind FabricKind, seed int64) (outcomes []string) {
 	t.Helper()
 	cl := New(t, kind, seed, Config{Nodes: 2, ReplicationFactor: 1, HeartbeatTimeout: 3})
@@ -122,10 +121,10 @@ func runBatchAtomicityScenario(t *testing.T, kind FabricKind, seed int64) (outco
 		putRound(keys)
 		cl.Inj.SetEnabled(true)
 
-		// Dark phase: every one-sided write to the donor is dropped, so each
-		// batch allocates successfully and then fails mid-flight. Half the
-		// keys already exist (overwrites), half are fresh per round.
-		cl.Inj.AddRule(faulty.Rule{Kind: faulty.KindDrop, Verb: faulty.VerbWrite,
+		// Dark phase: every put to the donor is dropped. Half the keys
+		// already exist (overwrites, whose displaced blocks ride the put and
+		// must survive its loss), half are fresh per round.
+		cl.Inj.AddRule(faulty.Rule{Kind: faulty.KindDrop, Verb: faulty.VerbCall,
 			From: faulty.AnyNode, To: target.ID(), Pct: 100})
 		for r := 0; r < 3; r++ {
 			mixed := append([]uint64{}, keys[:window/2]...)

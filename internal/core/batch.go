@@ -32,7 +32,7 @@ type blockRef struct {
 // where each block starts exactly at the previous block's end
 // (off == prev.off + prev.class) — the layout a fresh batch allocation
 // produces — capping each span's wire size at transport.MaxFrameSize. Each
-// span becomes one one-sided transfer instead of len(span) transfers.
+// span becomes one one-sided read instead of len(span) reads.
 func coalesceSpans(refs []blockRef) [][]blockRef {
 	sort.Slice(refs, func(i, j int) bool { return refs[i].off < refs[j].off })
 	var spans [][]blockRef
@@ -52,28 +52,16 @@ func coalesceSpans(refs []blockRef) [][]blockRef {
 	return spans
 }
 
-// vecPool recycles the iovec lists multi-block spans are described with; the
-// payload bytes themselves are never staged — the gather list references the
-// caller's encoded payloads directly (zero-copy until the fabric).
-var vecPool = sync.Pool{New: func() any { return new([][]byte) }}
-
-// zeroPad is the shared padding source for the gap between a payload's end
-// and its block's class boundary inside a coalesced span. Gaps are always
-// smaller than one size class (≤ 4 KiB for granularity classes, and exact-fit
-// classes above that), so one page of zeros covers any single gap; the
-// writer still loops for safety.
-var zeroPad [4096]byte
-
-// PutAll parks a window of entries in node's receive pool: one reserve round
-// trip takes every block all-or-nothing, then the payloads are
-// scatter-gathered into contiguous spans and written with as few one-sided
-// writes as the allocation layout allows (§IV.H window-based batching).
+// PutAll parks a window of entries in node's receive pool in one put round
+// trip: every block is taken all-or-nothing, the payloads ride the call as a
+// gather list, and the blocks the window displaces are freed by the same
+// message (§IV.H window-based batching). A window too large for one frame is
+// sent as frame-sized sub-batches.
 //
-// The batch is atomic: on any failure every block reserved for it is
-// released and no handle changes, so previously parked versions of the keys
-// remain readable. On success, displaced blocks from overwritten keys are
-// released in one round trip per hosting node. Keys must be unique within one
-// call.
+// The batch is atomic: on any failure every block parked for it is released
+// and no handle changes, so previously parked versions of the keys remain
+// readable — displaced blocks ride only the last sub-batch, the one whose
+// success commits the window. Keys must be unique within one call.
 func (c *Client) PutAll(ctx context.Context, node transport.NodeID, entries []Entry) error {
 	if len(entries) == 0 {
 		return nil
@@ -85,7 +73,7 @@ func (c *Client) PutAll(ctx context.Context, node transport.NodeID, entries []En
 	sp.Annotate("entries", len(entries))
 	defer sp.End()
 
-	reqs := make([]reservation, len(entries))
+	reqs := make([]putEntry, len(entries))
 	payloads := make([][]byte, len(entries))
 	handles := make([]clientHandle, len(entries))
 	seen := make(map[uint64]bool, len(entries))
@@ -96,87 +84,97 @@ func (c *Client) PutAll(ctx context.Context, node transport.NodeID, entries []En
 		seen[e.Key] = true
 		payload, class, flags := c.encodeEntry(e.Data)
 		payloads[i] = payload
-		reqs[i] = reservation{Key: e.Key, Class: int32(class)}
+		reqs[i] = putEntry{Key: e.Key, Class: int32(class), Len: int32(len(payload))}
 		handles[i] = clientHandle{class: class, storedLen: len(payload), rawLen: len(e.Data), flags: flags}
 	}
-
-	offsets, err := reserve(ctx, c.ep, node, 0, shardInfo{}, reqs, func(offsets reserveResp) error {
-		refs := make([]blockRef, len(entries))
-		for i, h := range handles {
-			refs[i] = blockRef{idx: i, off: offsets.offset(i), class: h.class, payloadLen: h.storedLen}
+	// Displaced blocks at home on node ride the put; ones that followed a
+	// drain elsewhere are released after the commit.
+	var riding, away []block
+	c.mu.Lock()
+	for _, e := range entries {
+		ck := clientKey{node: node, key: e.Key}
+		old, ok := c.handles[ck]
+		if !ok {
+			continue
 		}
-		spans := coalesceSpans(refs)
-		sp.Annotate("spans", len(spans))
-		return c.writeSpans(ctx, node, spans, payloads)
-	})
-	if err != nil {
-		return err
+		if b := old.block(ck); b.node == node {
+			riding = append(riding, b)
+		} else {
+			away = append(away, b)
+		}
+	}
+	c.mu.Unlock()
+
+	// Every sub-batch leaves room for the whole window's header, so the split
+	// depends on payload bytes alone.
+	budget := transport.MaxFrameSize - putHeaderBytes - len(entries)*(putEntryBytes+releaseEntryBytes)
+	for lo := 0; lo < len(entries); {
+		hi, size := lo, 0
+		for hi < len(entries) && (hi == lo || size+len(payloads[hi]) <= budget) {
+			size += len(payloads[hi])
+			hi++
+		}
+		var old []block
+		if hi == len(entries) {
+			old = riding
+		}
+		offsets, err := put(ctx, c.ep, node, 0, shardInfo{}, reqs[lo:hi], payloads[lo:hi], old)
+		if err != nil {
+			// Best-effort, on a detached context (the failure may be the
+			// caller's context dying); eviction is the backstop.
+			parked := make([]block, lo)
+			for i := range parked {
+				parked[i] = block{node: node, key: reqs[i].Key, offset: handles[i].offset}
+			}
+			fctx, cancel := detached(ctx)
+			_ = release(fctx, c.ep, parked...)
+			cancel()
+			c.doubt(node, err, old)
+			return err
+		}
+		for i := lo; i < hi; i++ {
+			handles[i].offset = offsets.offset(i - lo)
+		}
+		lo = hi
 	}
 
-	// Commit: install the new handles, then release displaced blocks.
-	var displaced []block
 	c.mu.Lock()
 	for i, e := range entries {
-		ck := clientKey{node: node, key: e.Key}
-		if old, ok := c.handles[ck]; ok {
-			displaced = append(displaced, old.block(ck))
-		}
-		handles[i].offset = offsets.offset(i)
-		c.handles[ck] = handles[i]
+		c.handles[clientKey{node: node, key: e.Key}] = handles[i]
 	}
 	c.mu.Unlock()
 	// Best-effort: a failure strands the old blocks only until the host
 	// evicts them.
-	_ = release(ctx, c.ep, displaced...)
+	_ = release(ctx, c.ep, away...)
 	return nil
 }
 
-// writeSpans describes each span as an iovec list — the payload slices in
-// offset order, with shared zero-padding slices filling the gap between a
-// payload's end and its block's class boundary — and hands the list to one
-// gather write per span. No assembly copy happens on this side: a vectored
-// fabric (tcpnet, simnet) carries the list as-is, and transport.WriteRegionV
-// falls back to a single pooled gather only for fabrics without the
-// capability. Padding bytes are zeros the receiver never reads.
-func (c *Client) writeSpans(ctx context.Context, node transport.NodeID, spans [][]blockRef, payloads [][]byte) error {
-	vp := vecPool.Get().(*[][]byte)
-	defer func() {
-		// Drop payload references before pooling so the list doesn't pin
-		// caller buffers across uses.
-		full := (*vp)[:cap(*vp)]
-		for i := range full {
-			full[i] = nil
+// handlesOf returns the handles behind keys on node, with their block refs
+// for span coalescing; doubted handles are settled first.
+func (c *Client) handlesOf(ctx context.Context, node transport.NodeID, keys []uint64) ([]clientHandle, []blockRef, error) {
+	handles := make([]clientHandle, len(keys))
+	refs := make([]blockRef, len(keys))
+	c.mu.Lock()
+	for i, k := range keys {
+		h, ok := c.handles[clientKey{node: node, key: k}]
+		if !ok {
+			c.mu.Unlock()
+			return nil, nil, fmt.Errorf("core: no handle for key %d on node %d", k, node)
 		}
-		vecPool.Put(vp)
-	}()
-	for _, span := range spans {
-		if len(span) == 1 {
-			r := span[0]
-			if err := c.ep.WriteRegion(ctx, node, RecvRegionID, r.off, payloads[r.idx]); err != nil {
-				return fmt.Errorf("core: batch write to node %d: %w", node, err)
-			}
-			continue
-		}
-		vec := (*vp)[:0]
-		pos := span[0].off
-		for _, r := range span {
-			for gap := r.off - pos; gap > 0; gap -= int64(len(zeroPad)) {
-				pad := gap
-				if pad > int64(len(zeroPad)) {
-					pad = int64(len(zeroPad))
-				}
-				vec = append(vec, zeroPad[:pad])
-			}
-			vec = append(vec, payloads[r.idx])
-			pos = r.off + int64(r.payloadLen)
-		}
-		err := transport.WriteRegionV(ctx, c.ep, node, RecvRegionID, span[0].off, vec)
-		*vp = vec[:0]
-		if err != nil {
-			return fmt.Errorf("core: batch write to node %d: %w", node, err)
-		}
+		handles[i] = h
 	}
-	return nil
+	c.mu.Unlock()
+	for i, h := range handles {
+		if h.doubted {
+			var err error
+			if h, err = c.settle(ctx, clientKey{node: node, key: keys[i]}, h); err != nil {
+				return nil, nil, err
+			}
+			handles[i] = h
+		}
+		refs[i] = blockRef{idx: i, off: h.offset, class: h.class, payloadLen: h.storedLen}
+	}
+	return handles, refs, nil
 }
 
 // GetAll reads back a batch of entries parked on node. Handles whose blocks
@@ -191,19 +189,10 @@ func (c *Client) GetAll(ctx context.Context, node transport.NodeID, keys []uint6
 	ctx, sp := trace.Start(ctx, "client.get_all")
 	sp.Annotate("entries", len(keys))
 	defer sp.End()
-	handles := make([]clientHandle, len(keys))
-	refs := make([]blockRef, len(keys))
-	c.mu.Lock()
-	for i, k := range keys {
-		h, ok := c.handles[clientKey{node: node, key: k}]
-		if !ok {
-			c.mu.Unlock()
-			return nil, fmt.Errorf("core: no handle for key %d on node %d", k, node)
-		}
-		handles[i] = h
-		refs[i] = blockRef{idx: i, off: h.offset, class: h.class, payloadLen: h.storedLen}
+	handles, refs, err := c.handlesOf(ctx, node, keys)
+	if err != nil {
+		return nil, err
 	}
-	c.mu.Unlock()
 	spans := coalesceSpans(refs)
 	sp.Annotate("spans", len(spans))
 	out := make(map[uint64][]byte, len(keys))
@@ -256,23 +245,15 @@ func (c *Client) GetAllInto(ctx context.Context, node transport.NodeID, keys []u
 	ctx, sp := trace.Start(ctx, "client.get_all")
 	sp.Annotate("entries", len(keys))
 	defer sp.End()
-	handles := make([]clientHandle, len(keys))
-	refs := make([]blockRef, len(keys))
-	c.mu.Lock()
-	for i, k := range keys {
-		h, ok := c.handles[clientKey{node: node, key: k}]
-		if !ok {
-			c.mu.Unlock()
-			return fmt.Errorf("core: no handle for key %d on node %d", k, node)
-		}
-		if len(dsts[i]) < h.rawLen {
-			c.mu.Unlock()
-			return fmt.Errorf("core: dst for key %d holds %d bytes, entry is %d", k, len(dsts[i]), h.rawLen)
-		}
-		handles[i] = h
-		refs[i] = blockRef{idx: i, off: h.offset, class: h.class, payloadLen: h.storedLen}
+	handles, refs, err := c.handlesOf(ctx, node, keys)
+	if err != nil {
+		return err
 	}
-	c.mu.Unlock()
+	for i, h := range handles {
+		if len(dsts[i]) < h.rawLen {
+			return fmt.Errorf("core: dst for key %d holds %d bytes, entry is %d", keys[i], len(dsts[i]), h.rawLen)
+		}
+	}
 	spans := coalesceSpans(refs)
 	sp.Annotate("spans", len(spans))
 	for _, span := range spans {

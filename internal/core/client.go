@@ -17,8 +17,7 @@ import (
 // Client is a lightweight handle for using a disaggregated memory node's
 // donated receive pool from outside the node manager — the interface a CLI
 // tool or an application-level cache uses to park data entries in a peer's
-// idle memory (alloc over the control plane, one-sided writes and reads for
-// data).
+// idle memory (two-sided puts and releases, one-sided reads).
 //
 // Beyond per-entry Put/Get/Delete it offers the §IV.H batch data plane:
 // PutAll/GetAll/DeleteAll move whole windows of entries with one
@@ -63,6 +62,9 @@ type clientHandle struct {
 	// home, when non-zero, is where the block actually lives after a
 	// decommission redirect was followed; zero means the clientKey's node.
 	home transport.NodeID
+	// doubted marks a block whose release rode a put that failed in transit:
+	// the donor may have run it all the same. The next read settles it.
+	doubted bool
 }
 
 // minEntryClass is the smallest allocation requested for an entry, matching
@@ -201,11 +203,11 @@ func (c *Client) ShardStat(ctx context.Context, node, owner transport.NodeID, ke
 	return st.Hosted, int(st.Idx), int(st.K), int(st.M), nil
 }
 
-// Put parks data under key in node's receive pool. Re-putting a key whose
-// new payload still fits the previously reserved class overwrites the block
-// in place with a single one-sided write (no alloc round trip); otherwise a
-// fresh block is reserved and the displaced one is freed, so overwrites
-// never leak remote memory.
+// Put parks data under key in node's receive pool, in one round trip either
+// way. Re-putting a key whose new payload still fits the previously reserved
+// class overwrites the block in place with a single one-sided write (the
+// donor's CPU stays out of it); otherwise one put call parks a fresh block
+// and frees the displaced one, so overwrites never leak remote memory.
 func (c *Client) Put(ctx context.Context, node transport.NodeID, key uint64, data []byte) error {
 	payload, class, flags := c.encodeEntry(data)
 	ck := clientKey{node: node, key: key}
@@ -213,16 +215,24 @@ func (c *Client) Put(ctx context.Context, node transport.NodeID, key uint64, dat
 	old, hadOld := c.handles[ck]
 	c.mu.Unlock()
 	h := clientHandle{class: class, storedLen: len(payload), rawLen: len(data), flags: flags}
-	inPlace := hadOld && len(payload) <= old.class
-	if inPlace {
+	away := false // the displaced block lives elsewhere than the put goes
+	if hadOld && !old.doubted && len(payload) <= old.class {
 		home := homeOf(ck, old)
 		if err := c.ep.WriteRegion(ctx, home, RecvRegionID, old.offset, payload); err != nil {
 			return fmt.Errorf("core: write to node %d: %w", home, err)
 		}
 		h.offset, h.class, h.home = old.offset, old.class, old.home
 	} else {
-		offset, err := parkBlock(ctx, c.ep, node, 0, shardInfo{}, key, class, payload)
+		// A displaced block still at home on node is freed by the same call.
+		var displaced []block
+		if b := old.block(ck); hadOld && b.node == node {
+			displaced = []block{b}
+		} else {
+			away = hadOld
+		}
+		offset, err := putBlock(ctx, c.ep, node, 0, shardInfo{}, key, class, payload, displaced...)
 		if err != nil {
+			c.doubt(node, err, displaced)
 			return err
 		}
 		h.offset = offset
@@ -230,10 +240,9 @@ func (c *Client) Put(ctx context.Context, node transport.NodeID, key uint64, dat
 	c.mu.Lock()
 	c.handles[ck] = h
 	c.mu.Unlock()
-	if hadOld && !inPlace {
-		// The displaced block is no longer reachable through any handle;
-		// free it now rather than leaking it until eviction (which is the
-		// backstop if this best-effort release is lost).
+	if away {
+		// It followed a drain to another home: free it there, best-effort
+		// (eviction is the backstop if the release is lost).
 		_ = release(ctx, c.ep, old.block(ck))
 	}
 	return nil
@@ -243,11 +252,9 @@ func (c *Client) Put(ctx context.Context, node transport.NodeID, key uint64, dat
 // freshly allocated and owned by the caller; loops that can reuse a buffer
 // should prefer GetInto, which is allocation-free for uncompressed entries.
 func (c *Client) Get(ctx context.Context, node transport.NodeID, key uint64) ([]byte, error) {
-	c.mu.Lock()
-	h, ok := c.handles[clientKey{node: node, key: key}]
-	c.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("core: no handle for key %d on node %d", key, node)
+	h, err := c.handle(ctx, clientKey{node: node, key: key})
+	if err != nil {
+		return nil, err
 	}
 	out := make([]byte, h.rawLen)
 	if _, err := c.readEntry(ctx, clientKey{node: node, key: key}, h, out); err != nil {
@@ -265,11 +272,9 @@ func (c *Client) Get(ctx context.Context, node transport.NodeID, key uint64) ([]
 // duration of the call and released by return, per the
 // transport.ScatterReader contract.
 func (c *Client) GetInto(ctx context.Context, node transport.NodeID, key uint64, dst []byte) (int, error) {
-	c.mu.Lock()
-	h, ok := c.handles[clientKey{node: node, key: key}]
-	c.mu.Unlock()
-	if !ok {
-		return 0, fmt.Errorf("core: no handle for key %d on node %d", key, node)
+	h, err := c.handle(ctx, clientKey{node: node, key: key})
+	if err != nil {
+		return 0, err
 	}
 	if len(dst) < h.rawLen {
 		return 0, fmt.Errorf("core: dst holds %d bytes, entry is %d", len(dst), h.rawLen)

@@ -285,13 +285,13 @@ func TestPutAllNoSpaceIsAtomic(t *testing.T) {
 	}
 }
 
-// TestPutAllWriteFailureRollsBack drops every one-sided write so the batch
-// fails after its allocation succeeded: the client must release the whole
-// reservation and keep the previous version of every key readable.
-func TestPutAllWriteFailureRollsBack(t *testing.T) {
+// TestPutAllFailureKeepsPreviousVersions drops the batch's put call: nothing
+// is parked, and the previous version of every key — whose release would
+// have ridden that call — stays readable.
+func TestPutAllFailureKeepsPreviousVersions(t *testing.T) {
 	tc := newTestCluster(t, 2, smallConfig)
 	inj := faulty.New(7)
-	inj.AddRule(faulty.Rule{Kind: faulty.KindDrop, Verb: faulty.VerbWrite,
+	inj.AddRule(faulty.Rule{Kind: faulty.KindDrop, Verb: faulty.VerbCall,
 		From: faulty.AnyNode, To: faulty.AnyNode, Pct: 100})
 	inj.SetEnabled(false)
 	client := NewClient(inj.Wrap(tc.nodes[0].ep))
@@ -307,7 +307,7 @@ func TestPutAllWriteFailureRollsBack(t *testing.T) {
 			{Key: 2, Data: bytes.Repeat([]byte{0x77}, 1024)},
 		}
 		if err := client.PutAll(ctx, 2, entries); err == nil {
-			t.Error("PutAll should fail when writes are dropped")
+			t.Error("PutAll should fail when its put is dropped")
 			return
 		}
 		inj.SetEnabled(false)
@@ -320,9 +320,9 @@ func TestPutAllWriteFailureRollsBack(t *testing.T) {
 			t.Error("Get(2) should fail: key 2 was never committed")
 		}
 	})
-	// Only key 1's original block remains; the aborted batch reserved nothing.
+	// Only key 1's original block remains; the aborted batch parked nothing.
 	if st := tc.nodes[1].RecvPool().Stats(); st.LiveBytes != 1024 {
-		t.Fatalf("LiveBytes = %d after rolled-back batch, want 1024", st.LiveBytes)
+		t.Fatalf("LiveBytes = %d after failed batch, want 1024", st.LiveBytes)
 	}
 }
 
@@ -420,65 +420,5 @@ func TestWindowTimerFlushOverTCP(t *testing.T) {
 	got, err := client.Get(ctx, 2, 1)
 	if err != nil || string(got) != "timer" {
 		t.Fatalf("Get after timer flush = %q, %v", got, err)
-	}
-}
-
-// cancelOnWrite cancels a caller-side context the moment a one-sided write
-// is attempted, modelling a caller that dies exactly as the data plane
-// breaks, then delegates to the (fault-injected) inner verbs.
-type cancelOnWrite struct {
-	transport.Verbs
-	cancel context.CancelFunc
-}
-
-func (c *cancelOnWrite) WriteRegion(ctx context.Context, to transport.NodeID, region transport.RegionID, off int64, data []byte) error {
-	c.cancel()
-	return c.Verbs.WriteRegion(ctx, to, region, off, data)
-}
-
-// TestPutRollbackSurvivesCancellationOverTCP is the regression test for
-// cleanup riding a dying context: the injected fault kills the one-sided
-// write at the same instant the caller's context is cancelled, and the
-// rollback free must still reach the donor (it runs detached) so nothing
-// stays reserved.
-func TestPutRollbackSurvivesCancellationOverTCP(t *testing.T) {
-	server, err := tcpnet.Listen(2, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = server.Close() })
-	dir, err := cluster.NewDirectory(cluster.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	node, err := NewNode(Config{
-		ID: 2, SharedPoolBytes: 1 << 20, SendPoolBytes: 1 << 20,
-		RecvPoolBytes: 1 << 20, SlabSize: 1 << 20, ReplicationFactor: 1,
-	}, server, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clientEP, err := tcpnet.Listen(1, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = clientEP.Close() })
-	clientEP.AddPeer(2, server.Addr())
-
-	inj := faulty.New(1)
-	inj.AddRule(faulty.Rule{Kind: faulty.KindDrop, Verb: faulty.VerbWrite,
-		From: faulty.AnyNode, To: faulty.AnyNode, Pct: 100})
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	client := NewClient(&cancelOnWrite{Verbs: inj.Wrap(clientEP), cancel: cancel})
-
-	if err := client.Put(ctx, 2, 1, make([]byte, 4096)); err == nil {
-		t.Fatal("Put should fail: write dropped and context cancelled")
-	}
-	if ctx.Err() == nil {
-		t.Fatal("test wiring broken: context was never cancelled")
-	}
-	if st := node.RecvPool().Stats(); st.LiveBytes != 0 {
-		t.Fatalf("LiveBytes = %d, want 0: rollback free never reached the donor", st.LiveBytes)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"godm/internal/cluster"
@@ -54,6 +55,68 @@ func (h clientHandle) block(ck clientKey) block {
 	return block{node: homeOf(ck, h), key: ck.key, offset: h.offset}
 }
 
+// handle returns the handle a read of ck goes through, settling it first if
+// it is doubted.
+func (c *Client) handle(ctx context.Context, ck clientKey) (clientHandle, error) {
+	c.mu.Lock()
+	h, ok := c.handles[ck]
+	c.mu.Unlock()
+	if !ok {
+		return h, fmt.Errorf("core: no handle for key %d on node %d", ck.key, ck.node)
+	}
+	if h.doubted {
+		return c.settle(ctx, ck, h)
+	}
+	return h, nil
+}
+
+// doubt marks the handles of blocks whose release rode a put that failed. A
+// refusal in-band changed nothing on the donor. A call that failed in transit
+// — a reply lost, a deadline passed — may have run there all the same, and
+// then those blocks are free, soon someone else's: reading through their
+// handles would return a stranger's bytes. The versions they hold stay
+// readable if they survived; each read asks first (settle).
+func (c *Client) doubt(node transport.NodeID, err error, displaced []block) {
+	if errors.Is(err, errRemote) || errors.Is(err, ErrRemoteFull) {
+		return
+	}
+	c.mu.Lock()
+	for _, b := range displaced {
+		ck := clientKey{node: node, key: b.key}
+		if h, ok := c.handles[ck]; ok && h.offset == b.offset {
+			h.doubted = true
+			c.handles[ck] = h
+		}
+	}
+	c.mu.Unlock()
+}
+
+// settle asks a doubted handle's donor whether the block is still the key's:
+// if so the doubt is cleared, if not the handle is dropped — the version is
+// gone with the put that displaced it and never told us where the new one is.
+func (c *Client) settle(ctx context.Context, ck clientKey, h clientHandle) (clientHandle, error) {
+	node := homeOf(ck, h)
+	_, inPlace, err := c.locate(ctx, node, ck.key, h.offset)
+	if err != nil && !errors.Is(err, errRemote) {
+		return h, err // no answer: still in doubt
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if cur, ok := c.handles[ck]; !ok || cur != h {
+		if !ok {
+			return h, fmt.Errorf("core: no handle for key %d on node %d", ck.key, ck.node)
+		}
+		return cur, nil // re-put meanwhile
+	}
+	if !inPlace {
+		delete(c.handles, ck)
+		return h, fmt.Errorf("core: key %d on node %d was displaced by a put whose reply was lost", ck.key, node)
+	}
+	h.doubted = false
+	c.handles[ck] = h
+	return h, nil
+}
+
 // readEntry is the redirect-aware read path behind Get and GetInto. The
 // common case is one optimistic one-sided read straight from the recorded
 // home — a draining host keeps migrated bytes intact (it refuses new
@@ -82,17 +145,23 @@ func (c *Client) readEntry(ctx context.Context, ck clientKey, h clientHandle, ds
 	return c.getInto(ctx, node, h, dst)
 }
 
+// locate asks node whether the block for key is at offset: in place, moved
+// (the redirect says where), or — errRemote — neither.
+func (c *Client) locate(ctx context.Context, node transport.NodeID, key uint64, offset int64) (redirect, bool, error) {
+	resp, err := c.ep.Call(ctx, node, encode(opLocate, locateReq{Key: key, Offset: offset}, (*locateReq).fields))
+	if err != nil {
+		return redirect{}, false, fmt.Errorf("core: locate key %d on node %d: %w", key, node, err)
+	}
+	return decodeLocateResp(resp)
+}
+
 // chase asks node where the block for key at offset lives, following up to
 // maxRedirects stRedirect hops, and reports the final location and whether
 // it differs from the starting one.
 func (c *Client) chase(ctx context.Context, node transport.NodeID, key uint64, offset int64) (transport.NodeID, int64, bool) {
 	moved := false
 	for hop := 0; hop < maxRedirects; hop++ {
-		resp, err := c.ep.Call(ctx, node, encode(opLocate, locateReq{Key: key, Offset: offset}, (*locateReq).fields))
-		if err != nil {
-			return 0, 0, false
-		}
-		rd, inPlace, err := decodeLocateResp(resp)
+		rd, inPlace, err := c.locate(ctx, node, key, offset)
 		if err != nil {
 			return 0, 0, false
 		}

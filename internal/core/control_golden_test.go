@@ -72,9 +72,16 @@ func goldenCases() []goldenCase {
 		},
 		Leaders: []cluster.GroupLeader{{Group: 0, Leader: 2}},
 	}
-	reply := newReserveResp(2)
+	reply := newPutResp(2)
 	reply.setOffset(0, 8192)
 	reply.setOffset(1, 1<<40)
+	// A two-shard window that displaces one old block: every section present.
+	shardPut := putParts{
+		Shard:    shardInfo{idx: 1, k: 4, m: 2},
+		Entries:  []putEntry{{Key: 1<<63 | 9, Class: 512, Len: 2}, {Key: 10, Class: 1024, Len: 0}},
+		Releases: []block{{key: 1<<63 | 9, offset: 1 << 40}},
+		Payload:  []byte{0xAB, 0xCD},
+	}
 	// A heartbeat cut behind its fixed header is the pre-digest frame.
 	legacyHeartbeat := func(n int) bool { return n == 9 }
 	opcode := func(b []byte) (any, error) {
@@ -84,10 +91,9 @@ func goldenCases() []goldenCase {
 		return b[0], nil
 	}
 	return []goldenCase{
-		{name: "req/reserve", msg: encodeReserveReq(7, shardInfo{}, []reservation{{Key: 42, Class: 4096}}),
-			decode: decReserveReq, want: reserveParts{Owner: 7, Entries: []reservation{{Key: 42, Class: 4096}}}},
-		{name: "req/reserve-shard", msg: encodeReserveReq(0, shardInfo{idx: 1, k: 4, m: 2}, []reservation{{Key: 1<<63 | 9, Class: 512}}),
-			decode: decReserveReq, want: reserveParts{Shard: shardInfo{idx: 1, k: 4, m: 2}, Entries: []reservation{{Key: 1<<63 | 9, Class: 512}}}},
+		{name: "req/put", msg: putMessage(putParts{Owner: 7, Entries: []putEntry{{Key: 42, Class: 4096, Len: 3}}, Payload: []byte("abc")}),
+			decode: decPutReq, want: putParts{Owner: 7, Entries: []putEntry{{Key: 42, Class: 4096, Len: 3}}, Payload: []byte("abc")}},
+		{name: "req/put-shard-overwrite", msg: putMessage(shardPut), decode: decPutReq, want: shardPut},
 		{name: "req/release", msg: encodeReleaseReq([]block{{node: 2, key: 1, offset: 4096}}),
 			decode: decReleaseReq, want: []block{{key: 1, offset: 4096}}},
 		{name: "req/heartbeat", msg: encodeHeartbeatReq(heartbeatReq{FreeBytes: 12345}),
@@ -114,8 +120,8 @@ func goldenCases() []goldenCase {
 		{name: "resp/error", msg: errorResp(errors.New("boom")), decode: decStatus, wantErr: errRemote},
 		{name: "resp/redirect", msg: encRedirectResp(redirect{Node: 5, Offset: 8192}),
 			decode: decLocateResp, want: locateAnswer{Moved: redirect{Node: 5, Offset: 8192}}},
-		{name: "resp/reserve", msg: reply,
-			decode: func(b []byte) (any, error) { return decReserveResp(b, 2) }, want: []int64{8192, 1 << 40}},
+		{name: "resp/put", msg: reply,
+			decode: func(b []byte) (any, error) { return decPutResp(b, 2) }, want: []int64{8192, 1 << 40}},
 		{name: "resp/stats", msg: encStatsResp(statsResp{FreeBytes: 777}), decode: decStatsResp, want: statsResp{FreeBytes: 777}},
 		{name: "resp/metrics", msg: encodeMetricsResp("core\n  remote_puts 3\n"),
 			decode:   func(b []byte) (any, error) { return anyOf(decodeMetricsResp(b)) },
@@ -199,7 +205,7 @@ func TestRefusedReplyErrorShape(t *testing.T) {
 		"decommission": decDecommissionResp,
 		"harvest":      decHarvestResp,
 		"shardStat":    decShardStatResp,
-		"reserve":      func(b []byte) (any, error) { return decReserveResp(b, 1) },
+		"put":          func(b []byte) (any, error) { return decPutResp(b, 1) },
 		"release":      decStatus,
 	}
 	for name, decode := range decoders {
@@ -217,11 +223,19 @@ func TestRefusedReplyErrorShape(t *testing.T) {
 
 func anyOf[T any](v T, err error) (any, error) { return v, err }
 
-// reserveParts is a reserve request's view copied out of its payload.
-type reserveParts struct {
-	Owner   int32
-	Shard   shardInfo
-	Entries []reservation
+// putParts is a put request's view copied out of its payload.
+type putParts struct {
+	Owner    int32
+	Shard    shardInfo
+	Entries  []putEntry
+	Releases []block
+	Payload  []byte
+}
+
+// putMessage is the put request as the donor's handler receives it: the
+// header the owner encodes with the payload bytes gathered behind it.
+func putMessage(p putParts) []byte {
+	return append(encodePutReq(p.Owner, p.Shard, p.Entries, p.Releases), p.Payload...)
 }
 
 // locateAnswer is decodeLocateResp's two results as one comparable value.
@@ -230,14 +244,18 @@ type locateAnswer struct {
 	InPlace bool
 }
 
-func decReserveReq(b []byte) (any, error) {
-	req, err := decodeReserveReq(b)
+func decPutReq(b []byte) (any, error) {
+	req, err := decodePutReq(b)
 	if err != nil {
 		return nil, err
 	}
-	parts := reserveParts{Owner: req.Owner, Shard: req.Shard}
+	parts := putParts{Owner: req.Owner, Shard: req.Shard, Payload: append([]byte(nil), req.payload...)}
 	for i := 0; i < req.count(); i++ {
 		parts.Entries = append(parts.Entries, req.entry(i))
+	}
+	for i := 0; i < req.releases.count(); i++ {
+		key, off := req.releases.entry(i)
+		parts.Releases = append(parts.Releases, block{key: key, offset: off})
 	}
 	return parts, nil
 }
@@ -255,8 +273,8 @@ func decReleaseReq(b []byte) (any, error) {
 	return blocks, nil
 }
 
-func decReserveResp(b []byte, count int) (any, error) {
-	resp, err := decodeReserveResp(b, count)
+func decPutResp(b []byte, count int) (any, error) {
+	resp, err := decodePutResp(b, count)
 	if err != nil {
 		return nil, err
 	}

@@ -183,7 +183,7 @@ func (n *Node) Decommission(ctx context.Context) (int, error) {
 		// No new home: tell the owner the block is gone so its repair path
 		// re-replicates from the surviving copies.
 		n.notifyEvicted(ctx, b.ref)
-		n.takeOwner(b.h)
+		n.takeOwner(b.h, nil)
 		_ = n.recv.Free(b.h)
 	}
 
@@ -241,12 +241,12 @@ func (n *Node) migrateBlock(ctx context.Context, b hostedBlock) error {
 	return lastErr
 }
 
-// migrateTo copies one hosted block to a specific successor — reserving on
+// migrateTo copies one hosted block to a specific successor — one put on
 // the owner's behalf, with the shard tag if the block is a stripe shard, so
 // the successor hosts it exactly as this node did — records the redirect
 // tombstone, and notifies the owner of the new home.
 func (n *Node) migrateTo(ctx context.Context, b hostedBlock, to transport.NodeID, data []byte) error {
-	offset, err := parkBlock(ctx, n.ep, to, b.ref.owner, b.shard, b.ref.key, b.h.Class, data)
+	offset, err := putBlock(ctx, n.ep, to, b.ref.owner, b.shard, b.ref.key, b.h.Class, data)
 	if err != nil {
 		return fmt.Errorf("core: drain copy to node %d: %w", to, err)
 	}
@@ -254,7 +254,7 @@ func (n *Node) migrateTo(ctx context.Context, b hostedBlock, to transport.NodeID
 	n.movedTo[b.ref.key] = movedBlock{to: to, offset: offset}
 	n.drainMu.Unlock()
 	n.notifyMoved(ctx, b.ref, to, offset)
-	n.takeOwner(b.h)
+	n.takeOwner(b.h, nil)
 	_ = n.recv.Free(b.h)
 	return nil
 }
@@ -315,15 +315,7 @@ func (n *Node) handleLocate(req locateReq) []byte {
 	if movedOK {
 		return encode(stRedirect, redirect{Node: mv.to, Offset: mv.offset}, (*redirect).fields)
 	}
-	h, err := n.recv.HandleAt(req.Offset)
-	if err != nil {
-		return errorResp(fmt.Errorf("core: no block at offset %d", req.Offset))
-	}
-	sh := &n.owners[ownerShardIdx(h)]
-	sh.mu.Lock()
-	ref, ok := sh.refs[h]
-	sh.mu.Unlock()
-	if !ok || ref.key != req.Key {
+	if _, ref, ok := n.ownerAt(req.Offset); !ok || ref.key != req.Key {
 		return errorResp(fmt.Errorf("core: offset %d does not hold key %d", req.Offset, req.Key))
 	}
 	return okResp()

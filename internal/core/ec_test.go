@@ -353,10 +353,10 @@ func TestMaintainPartialShardRepairRequeues(t *testing.T) {
 		dir.Leave(cluster.NodeID(lost2))
 		owner.RepairLost(lost1)
 		owner.RepairLost(lost2)
-		// One of the two spares refuses the replacement shard write.
+		// One of the two spares never receives the replacement shard.
 		blocked := spares[1]
 		inj.AddRule(faulty.Rule{
-			Kind: faulty.KindDrop, Verb: faulty.VerbWrite,
+			Kind: faulty.KindDrop, Verb: faulty.VerbCall,
 			From: faulty.AnyNode, To: blocked, Pct: 100,
 		})
 		inj.SetEnabled(true)

@@ -91,7 +91,7 @@ func (n *Node) Harvest(ctx context.Context, wantBytes int64) (int64, int, error)
 					firstErr = err
 				}
 				n.notifyEvicted(ctx, b.ref)
-				n.takeOwner(b.h)
+				n.takeOwner(b.h, nil)
 				_ = n.recv.Free(b.h)
 			}
 			reclaimed += n.recv.ShrinkEmpty(wantBytes - reclaimed)

@@ -14,14 +14,15 @@ import (
 // Control-plane message opcodes (two-sided send/recv traffic, §IV.G: "RDMA
 // send/receive operations for control plane activities").
 const (
-	opAlloc     = 1 // reserve N blocks in the target's receive pool (all or nothing)
-	opFree      = 2 // release N previously reserved blocks
+	opPut       = 1 // park N payloads in the target's receive pool (all or nothing), releasing old blocks
+	opFree      = 2 // release N previously parked blocks
 	opHeartbeat = 3 // advertise liveness + free receive-pool bytes
 	opEvicted   = 4 // notify an owner that its block was evicted
 	opStats     = 5 // query free receive-pool bytes
 	opMetrics   = 6 // fetch the node's rendered metrics tree
-	// 7 and 8 were the batch variants of opAlloc/opFree; both verbs now carry
-	// an entry list, so the numbers stay retired.
+	// 7 and 8 were batch variants of a reserve verb and opFree, 16 a shard
+	// reserve; put carries an entry list and the shard tag, so the numbers
+	// stay retired.
 	// Cluster-scale control plane (§IV.C-D dynamic membership).
 	opMapSync      = 9  // epoch-versioned map catch-up: deltas or snapshot
 	opLocate       = 10 // confirm a block's location; a moved block redirects
@@ -33,8 +34,7 @@ const (
 	// Balloon harvesting (§IV.F adaptive donation).
 	opHarvest = 15 // ask a donor to reclaim part of its donated pool
 	// Erasure-coded remote memory (DESIGN.md §16).
-	opAllocShard = 16 // opAlloc plus a trailing (idx, k, m) shard tag
-	opShardStat  = 17 // ask which shard of a stripe this node hosts
+	opShardStat = 17 // ask which shard of a stripe this node hosts
 )
 
 // Response status codes.
@@ -153,147 +153,154 @@ const (
 	flagDeflate = 1 << 0
 )
 
-// The two data-path control verbs (§IV.G: two-sided send/recv for control,
-// one-sided read/write for data). Both carry an entry list whose count is
-// implied by the payload length:
+// The two data-path control verbs. A put is reserve + payload + release-old in
+// one two-sided exchange: the donor allocates a block per entry, copies the
+// entry's payload bytes in, frees the named old blocks and answers with the
+// offsets, so an overwrite costs one round trip. A release frees blocks.
 //
-//	reserve  [opAlloc][i32 owner] + N x [u64 key][u32 class]
-//	         [opAllocShard] ... the same ... + [u8 idx][u8 k][u8 m]
+//	put      [opPut][i32 owner][u8 idx][u8 k][u8 m][u32 N][u32 R]
+//	         + N x [u64 key][u32 class][u32 len]
+//	         + R x [u64 key][u64 old offset]
+//	         + the N payloads, back to back (len bytes each)
 //	         reply [stOK] + N x [u64 offset] | [stNoSpace] | [stError]...
 //	release  [opFree] + N x [u64 key][u64 offset]
 //	         reply [stOK] | [stError]...
 //
-// N = 1 is the single-block case, and its sizes are load-bearing: the
-// simulated fabric charges len(payload)/bandwidth per Call, so the figure
+// The simulated fabric charges len(payload)/bandwidth per Call, so the figure
 // goldens move if a one-block message grows (see TestReservationSizesPinned).
 const (
-	reserveHeaderBytes = 1 + 4
-	reserveEntryBytes  = 8 + 4
-	shardTagBytes      = 3
-	releaseEntryBytes  = 8 + 8
-	offsetBytes        = 8
+	putHeaderBytes    = 1 + 4 + 3 + 4 + 4
+	putEntryBytes     = 8 + 4 + 4
+	releaseEntryBytes = 8 + 8
+	offsetBytes       = 8
 )
 
-// maxBatchEntries bounds one reserve or release request (a 64 Ki-entry batch
-// of minimum 512 B classes already exceeds any receive pool this repo
+// maxBatchEntries bounds one put or release request (a 64 Ki-entry batch of
+// minimum 512 B classes already exceeds any receive pool this repo
 // configures).
 const maxBatchEntries = 1 << 16
 
-// reservation is one slot of a reserve request: the entry key and the size
-// class to reserve for it.
-type reservation struct {
+// putEntry is one slot of a put request: the entry key, the size class to
+// reserve for it and how many payload bytes follow for it.
+type putEntry struct {
 	Key   uint64
 	Class int32
+	Len   int32
 }
 
-// reserveReq is a decoded reserve request. Entries stay in the payload and
-// are read in place, so the donor's handler allocates only its reply.
+// putReq is a decoded put request. Entries, releases and payload stay in the
+// request buffer and are read in place, so the donor's handler allocates only
+// its reply; the buffer is the transport's and dies with the handler.
 //
-// Owner names the blocks' true owner when the requester reserves on its
-// behalf — drain and harvest migration is issued by the departing host — and
-// zero means the caller. A tagged Shard marks each block as shard idx of the
+// Owner names the blocks' true owner when the requester puts on its behalf —
+// drain and harvest migration is issued by the departing host — and zero
+// means the caller. A tagged Shard marks each block as shard idx of the
 // owner's RS(k, m) stripe under its key; the donor records the coordinates
-// for opShardStat and the invariant checkers. On-behalf and shard reserves
-// are refused for a key the donor already hosts: two replicas would collapse
-// onto one slot of the owner's replica map, two shards of a stripe on one
-// donor would halve its erasure tolerance.
-type reserveReq struct {
-	Owner   int32
-	Shard   shardInfo
-	entries []byte
+// for opShardStat and the invariant checkers. On-behalf and shard puts are
+// refused for a key the donor hosts beyond the blocks the request releases:
+// two replicas would collapse onto one slot of the owner's replica map, two
+// shards of a stripe on one donor would halve its erasure tolerance.
+type putReq struct {
+	Owner    int32
+	Shard    shardInfo
+	entries  []byte
+	releases releaseReq
+	payload  []byte
 }
 
-func (r reserveReq) count() int { return len(r.entries) / reserveEntryBytes }
+func (r putReq) count() int { return len(r.entries) / putEntryBytes }
 
-func (r reserveReq) entry(i int) reservation {
-	b := r.entries[i*reserveEntryBytes:]
-	return reservation{
+func (r putReq) entry(i int) putEntry {
+	b := r.entries[i*putEntryBytes:]
+	return putEntry{
 		Key:   binary.BigEndian.Uint64(b[0:8]),
 		Class: int32(binary.BigEndian.Uint32(b[8:12])),
+		Len:   int32(binary.BigEndian.Uint32(b[12:16])),
 	}
 }
 
-func encodeReserveReq(owner int32, shard shardInfo, entries []reservation) []byte {
-	n := reserveHeaderBytes + reserveEntryBytes*len(entries)
-	buf := make([]byte, n, n+shardTagBytes)
-	buf[0] = opAlloc
+// encodePutReq encodes everything but the payload bytes, which ride behind it
+// as further slices of a gather call.
+func encodePutReq(owner int32, shard shardInfo, entries []putEntry, old []block) []byte {
+	buf := make([]byte, putHeaderBytes, putHeaderBytes+putEntryBytes*len(entries)+releaseEntryBytes*len(old))
+	buf[0] = opPut
 	binary.BigEndian.PutUint32(buf[1:5], uint32(owner))
-	off := reserveHeaderBytes
+	buf[5], buf[6], buf[7] = shard.idx, shard.k, shard.m
+	binary.BigEndian.PutUint32(buf[8:12], uint32(len(entries)))
+	binary.BigEndian.PutUint32(buf[12:16], uint32(len(old)))
 	for _, e := range entries {
-		binary.BigEndian.PutUint64(buf[off:off+8], e.Key)
-		binary.BigEndian.PutUint32(buf[off+8:off+12], uint32(e.Class))
-		off += reserveEntryBytes
+		buf = binary.BigEndian.AppendUint64(buf, e.Key)
+		buf = binary.BigEndian.AppendUint32(buf, uint32(e.Class))
+		buf = binary.BigEndian.AppendUint32(buf, uint32(e.Len))
 	}
-	if shard.tagged() {
-		buf[0] = opAllocShard
-		buf = append(buf, shard.idx, shard.k, shard.m)
-	}
-	return buf
+	return appendBlocks(buf, old)
 }
 
-func decodeReserveReq(b []byte) (reserveReq, error) {
-	if len(b) < reserveHeaderBytes {
-		return reserveReq{}, errShortMessage
+// decodePutReq validates the whole frame before the handler allocates
+// anything: at least one entry, both lists inside the frame, every payload no
+// longer than its class, and the payload bytes exactly the sum of the lengths.
+func decodePutReq(b []byte) (putReq, error) {
+	if len(b) < putHeaderBytes {
+		return putReq{}, errShortMessage
 	}
-	r := reserveReq{Owner: int32(binary.BigEndian.Uint32(b[1:5])), entries: b[reserveHeaderBytes:]}
-	if b[0] == opAllocShard {
-		if len(r.entries) < shardTagBytes {
-			return reserveReq{}, errShortMessage
-		}
-		tag := r.entries[len(r.entries)-shardTagBytes:]
-		r.Shard = shardInfo{idx: tag[0], k: tag[1], m: tag[2]}
-		if !r.Shard.tagged() {
-			return reserveReq{}, errors.New("core: shard tag with k = 0")
-		}
-		r.entries = r.entries[:len(r.entries)-shardTagBytes]
+	n, rel := int(binary.BigEndian.Uint32(b[8:12])), int(binary.BigEndian.Uint32(b[12:16]))
+	if n == 0 || n > maxBatchEntries || rel > maxBatchEntries {
+		return putReq{}, fmt.Errorf("core: put of %d entries releasing %d is outside [1, %d]", n, rel, maxBatchEntries)
 	}
-	if err := checkEntryList(len(r.entries), reserveEntryBytes); err != nil {
-		return reserveReq{}, err
+	body := b[putHeaderBytes:]
+	if len(body) < n*putEntryBytes+rel*releaseEntryBytes {
+		return putReq{}, errShortMessage
+	}
+	r := putReq{
+		Owner:    int32(binary.BigEndian.Uint32(b[1:5])),
+		Shard:    shardInfo{idx: b[5], k: b[6], m: b[7]},
+		entries:  body[:n*putEntryBytes],
+		releases: releaseReq(body[n*putEntryBytes:][:rel*releaseEntryBytes]),
+		payload:  body[n*putEntryBytes+rel*releaseEntryBytes:],
+	}
+	var total int64
+	for i := 0; i < n; i++ {
+		e := r.entry(i)
+		if e.Len < 0 || e.Len > e.Class {
+			return putReq{}, fmt.Errorf("core: put entry %d: payload %d exceeds class %d", i, e.Len, e.Class)
+		}
+		total += int64(e.Len)
+	}
+	if total != int64(len(r.payload)) {
+		return putReq{}, fmt.Errorf("core: put carries %d payload bytes, entries claim %d", len(r.payload), total)
 	}
 	return r, nil
 }
 
-// checkEntryList validates the length of a fixed-width entry list: whole
-// entries only, at least one, at most maxBatchEntries.
-func checkEntryList(listBytes, entryBytes int) error {
-	if listBytes == 0 || listBytes%entryBytes != 0 {
-		return errShortMessage
-	}
-	if listBytes/entryBytes > maxBatchEntries {
-		return fmt.Errorf("core: %d entries in one request exceeds %d", listBytes/entryBytes, maxBatchEntries)
-	}
-	return nil
-}
+// putResp is a validated stOK put reply: one global offset per entry, in
+// request order, read in place.
+type putResp []byte
 
-// reserveResp is a validated stOK reserve reply: one global offset per
-// requested entry, in request order, read in place.
-type reserveResp []byte
-
-func (r reserveResp) offset(i int) int64 {
+func (r putResp) offset(i int) int64 {
 	return int64(binary.BigEndian.Uint64(r[1+offsetBytes*i:]))
 }
 
-// newReserveResp returns an stOK reply with room for count offsets, which the
-// donor's handler fills in as it reserves.
-func newReserveResp(count int) reserveResp {
-	return make(reserveResp, 1+offsetBytes*count) // stOK == 0
+// newPutResp returns an stOK reply with room for count offsets, which the
+// donor's handler fills in as it allocates.
+func newPutResp(count int) putResp {
+	return make(putResp, 1+offsetBytes*count) // stOK == 0
 }
 
-func (r reserveResp) setOffset(i int, off int64) {
+func (r putResp) setOffset(i int, off int64) {
 	binary.BigEndian.PutUint64(r[1+offsetBytes*i:], uint64(off))
 }
 
-func decodeReserveResp(b []byte, count int) (reserveResp, error) {
+func decodePutResp(b []byte, count int) (putResp, error) {
 	if _, err := checkOKResp(b); err != nil {
 		return nil, err
 	}
 	if len(b) < 1+offsetBytes*count {
 		return nil, errShortMessage
 	}
-	return reserveResp(b), nil
+	return putResp(b), nil
 }
 
-// block names one reserved block from the owner's side: the node hosting it,
+// block names one parked block from the owner's side: the node hosting it,
 // the entry key, and the block's global offset in that node's receive region.
 type block struct {
 	node   transport.NodeID
@@ -301,8 +308,8 @@ type block struct {
 	offset int64
 }
 
-// releaseReq is the validated entry list of a release request; like
-// reserveReq's, entries are read in place.
+// releaseReq is a validated release list — a release request's, or the one
+// riding a put; like putReq's, entries are read in place.
 type releaseReq []byte
 
 func (r releaseReq) count() int { return len(r) / releaseEntryBytes }
@@ -315,23 +322,28 @@ func (r releaseReq) entry(i int) (key uint64, offset int64) {
 // encodeReleaseReq encodes the key and offset of every block; the caller has
 // already grouped blocks by hosting node.
 func encodeReleaseReq(blocks []block) []byte {
-	buf := make([]byte, 1+releaseEntryBytes*len(blocks))
+	buf := make([]byte, 1, 1+releaseEntryBytes*len(blocks))
 	buf[0] = opFree
-	off := 1
+	return appendBlocks(buf, blocks)
+}
+
+// appendBlocks appends a release list: [u64 key][u64 offset] per block.
+func appendBlocks(buf []byte, blocks []block) []byte {
 	for _, b := range blocks {
-		binary.BigEndian.PutUint64(buf[off:off+8], b.key)
-		binary.BigEndian.PutUint64(buf[off+8:off+16], uint64(b.offset))
-		off += releaseEntryBytes
+		buf = binary.BigEndian.AppendUint64(buf, b.key)
+		buf = binary.BigEndian.AppendUint64(buf, uint64(b.offset))
 	}
 	return buf
 }
 
+// decodeReleaseReq accepts whole entries only: at least one, at most
+// maxBatchEntries.
 func decodeReleaseReq(b []byte) (releaseReq, error) {
-	if len(b) < 1 {
+	if len(b) <= 1 || (len(b)-1)%releaseEntryBytes != 0 {
 		return nil, errShortMessage
 	}
-	if err := checkEntryList(len(b)-1, releaseEntryBytes); err != nil {
-		return nil, err
+	if n := (len(b) - 1) / releaseEntryBytes; n > maxBatchEntries {
+		return nil, fmt.Errorf("core: %d entries in one request exceeds %d", n, maxBatchEntries)
 	}
 	return releaseReq(b[1:]), nil
 }

@@ -3,57 +3,57 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"godm/internal/des"
 	"godm/internal/pagetable"
 	"godm/internal/transport"
+	"godm/internal/wire/wiretest"
 )
 
-// reservationCases are the reserve/release messages the round-trip table
-// checks and the fuzz target is seeded with: single-block and window-sized,
-// plain, on-behalf and shard-tagged, keys and classes with high bits set.
+// reservationCases are the put/release messages the round-trip table checks
+// and the fuzz target is seeded with: single-block and window-sized, plain,
+// on-behalf and shard-tagged, with and without displaced blocks, keys and
+// classes with high bits set.
 var reservationCases = []struct {
 	name    string
-	owner   int32
-	shard   shardInfo
-	entries []reservation
+	put     putParts
 	offsets []int64
 }{
-	{"single", 0, shardInfo{}, []reservation{{Key: 42, Class: 4096}}, []int64{8192}},
-	{"single high bits", -2, shardInfo{}, []reservation{{Key: 1<<63 | 42, Class: -1 << 31}}, []int64{-1}},
-	{"on behalf", 7, shardInfo{}, []reservation{{Key: 9, Class: 512}}, []int64{0}},
-	{"shard", 0, shardInfo{idx: 5, k: 4, m: 2}, []reservation{{Key: 0xF00DFACE99887766, Class: 16384}}, []int64{1 << 40}},
-	{"shard on behalf", 3, shardInfo{idx: 0xFF, k: 0xFE, m: 0xFD}, []reservation{{Key: 1, Class: 512}}, []int64{4096}},
-	{"window", 0, shardInfo{}, []reservation{{Key: 1, Class: 512}, {Key: 1<<63 | 42, Class: 4096}, {Key: 7, Class: 2048}}, []int64{0, 4096, 1 << 40}},
-	{"shard window", 0, shardInfo{idx: 1, k: 4, m: 2}, []reservation{{Key: 3, Class: 1024}, {Key: 4, Class: 1024}}, []int64{1024, 2048}},
+	{"single", putParts{Entries: []putEntry{{Key: 42, Class: 4096, Len: 5}}, Payload: []byte("hello")}, []int64{8192}},
+	{"single high bits", putParts{Owner: -2, Entries: []putEntry{{Key: 1<<63 | 42, Class: 1<<31 - 1, Len: 1}}, Payload: []byte{0xFF}}, []int64{-1}},
+	{"on behalf", putParts{Owner: 7, Entries: []putEntry{{Key: 9, Class: 512, Len: 2}}, Payload: []byte{1, 2}}, []int64{0}},
+	{"shard", putParts{Shard: shardInfo{idx: 5, k: 4, m: 2}, Entries: []putEntry{{Key: 0xF00DFACE99887766, Class: 16384, Len: 3}}, Payload: []byte{7, 8, 9}}, []int64{1 << 40}},
+	{"shard overwrite on behalf", putParts{Owner: 3, Shard: shardInfo{idx: 0xFF, k: 0xFE, m: 0xFD},
+		Entries: []putEntry{{Key: 1, Class: 512, Len: 1}}, Releases: []block{{key: 1, offset: 1 << 40}}, Payload: []byte{0}}, []int64{4096}},
+	{"window", putParts{Entries: []putEntry{{Key: 1, Class: 512, Len: 2}, {Key: 1<<63 | 42, Class: 4096, Len: 0}, {Key: 7, Class: 2048, Len: 3}},
+		Releases: []block{{key: 7, offset: 512}, {key: 1, offset: -1}}, Payload: []byte{1, 2, 3, 4, 5}}, []int64{0, 4096, 1 << 40}},
+	{"empty payloads", putParts{Entries: []putEntry{{Key: 3, Class: 1024}, {Key: 4, Class: 1024}}}, []int64{1024, 2048}},
 }
 
-// TestReservationRoundTrip drives every case through the reserve request,
-// reserve reply and release request codecs.
+// TestReservationRoundTrip drives every case through the put request, put
+// reply and release request codecs.
 func TestReservationRoundTrip(t *testing.T) {
 	for _, tc := range reservationCases {
 		t.Run(tc.name, func(t *testing.T) {
-			req, err := decodeReserveReq(encodeReserveReq(tc.owner, tc.shard, tc.entries))
+			got, err := decPutReq(putMessage(tc.put))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if req.Owner != tc.owner || req.Shard != tc.shard || req.count() != len(tc.entries) {
-				t.Fatalf("reserve header = owner %d shard %+v count %d, want %d %+v %d",
-					req.Owner, req.Shard, req.count(), tc.owner, tc.shard, len(tc.entries))
+			if !reflect.DeepEqual(got, tc.put) {
+				t.Fatalf("put decodes to\n%+v, want\n%+v", got, tc.put)
 			}
-			reply := newReserveResp(len(tc.entries))
-			blocks := make([]block, len(tc.entries))
-			for i, want := range tc.entries {
-				if got := req.entry(i); got != want {
-					t.Fatalf("reserve entry %d = %+v, want %+v", i, got, want)
-				}
-				reply.setOffset(i, tc.offsets[i])
-				blocks[i] = block{node: 9, key: want.Key, offset: tc.offsets[i]}
+			reply := newPutResp(len(tc.offsets))
+			blocks := make([]block, len(tc.offsets))
+			for i, off := range tc.offsets {
+				reply.setOffset(i, off)
+				blocks[i] = block{node: 9, key: tc.put.Entries[i].Key, offset: off}
 			}
-			back, err := decodeReserveResp(reply, len(tc.entries))
+			back, err := decodePutResp(reply, len(tc.offsets))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -76,24 +76,25 @@ func TestReservationRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReservationSizesPinned pins the on-wire size of the five one-block
-// reservation messages. The simulated fabric charges len(payload)/bandwidth
-// per Call, so a single-block message that grows by even a few bytes moves
-// the last digit of cells in internal/exp/testdata/fig8.golden: the N = 1
-// case of the entry-list verbs must cost exactly what the old single-block
-// messages did.
+// TestReservationSizesPinned pins the on-wire size of the one-block put and
+// release messages. The simulated fabric charges len(payload)/bandwidth per
+// Call, so a single-block message that grows by even a few bytes moves the
+// last digit of cells in internal/exp/testdata/fig8.golden; the goldens were
+// re-recorded once, on purpose, when the put verb replaced reserve + one-sided
+// write (one message per swap-out instead of two), and these sizes are what
+// they were recorded with.
 func TestReservationSizesPinned(t *testing.T) {
-	one := []reservation{{Key: 1, Class: 4096}}
-	reply := newReserveResp(1)
+	one := []putEntry{{Key: 1, Class: 4096, Len: 4096}}
+	old := []block{{node: 2, key: 1, offset: 4096}}
 	for _, tc := range []struct {
 		name string
 		msg  []byte
 		want int
 	}{
-		{"plain reserve", encodeReserveReq(0, shardInfo{}, one), 17},
-		{"shard reserve", encodeReserveReq(0, shardInfo{idx: 1, k: 4, m: 2}, one), 20},
-		{"release", encodeReleaseReq([]block{{node: 2, key: 1, offset: 4096}}), 17},
-		{"reserve reply", reply, 9},
+		{"put header, plain or shard", encodePutReq(0, shardInfo{idx: 1, k: 4, m: 2}, one, nil), 32},
+		{"put header displacing one block", encodePutReq(0, shardInfo{}, one, old), 48},
+		{"release", encodeReleaseReq(old), 17},
+		{"put reply", newPutResp(1), 9},
 		{"release reply", okResp(), 1},
 	} {
 		if len(tc.msg) != tc.want {
@@ -103,24 +104,33 @@ func TestReservationSizesPinned(t *testing.T) {
 }
 
 func TestReservationDecodeRejectsMalformed(t *testing.T) {
-	reserve := encodeReserveReq(0, shardInfo{}, []reservation{{Key: 1, Class: 512}})
-	shard := encodeReserveReq(0, shardInfo{idx: 1, k: 4, m: 2}, []reservation{{Key: 1, Class: 512}})
+	put := putMessage(reservationCases[0].put)
+	window := putMessage(reservationCases[5].put)
 	release := encodeReleaseReq([]block{{key: 1, offset: 512}})
-	untagged := append([]byte(nil), shard...)
-	untagged[len(untagged)-2] = 0 // k = 0: not a stripe
+	patched := func(msg []byte, at int, v byte) []byte {
+		out := append([]byte(nil), msg...)
+		out[at] = v
+		return out
+	}
+	oversized := make([]byte, putHeaderBytes+putEntryBytes*(maxBatchEntries+1)) // well-formed but for its count
+	oversized[0] = opPut
+	binary.BigEndian.PutUint32(oversized[8:12], maxBatchEntries+1)
 	for _, tc := range []struct {
 		name   string
 		decode func([]byte) error
 		msg    []byte
 	}{
-		{"bare reserve op", reserveErr, []byte{opAlloc}},
-		{"reserve with no entries", reserveErr, reserve[:reserveHeaderBytes]},
-		{"truncated reserve entry", reserveErr, reserve[:len(reserve)-1]},
-		{"reserve with a stray byte", reserveErr, append(reserve[:len(reserve):len(reserve)], 0)},
-		{"oversized reserve", reserveErr, make([]byte, reserveHeaderBytes+reserveEntryBytes*(maxBatchEntries+1))},
-		{"shard reserve with only a tag", reserveErr, append([]byte{opAllocShard, 0, 0, 0, 0}, 1, 4, 2)},
-		{"shard reserve without its tag", reserveErr, shard[:len(shard)-shardTagBytes]},
-		{"shard tag with k = 0", reserveErr, untagged},
+		{"bare put op", putErr, []byte{opPut}},
+		{"put with no entries", putErr, patched(put[:putHeaderBytes], 11, 0)},
+		{"put header only", putErr, put[:putHeaderBytes]},
+		{"truncated put entry", putErr, put[:putHeaderBytes+putEntryBytes-1]},
+		{"put missing a payload byte", putErr, put[:len(put)-1]},
+		{"put with a stray payload byte", putErr, append(put[:len(put):len(put)], 0)},
+		{"put payload longer than its class", putErr, patched(put, putHeaderBytes+8+2, 0)}, // class 4096 -> 0
+		{"put with a negative length", putErr, patched(put, putHeaderBytes+12, 0x80)},
+		{"put claiming more entries than it carries", putErr, patched(put, 11, 2)},
+		{"put claiming more releases than it carries", putErr, patched(window, 15, 0xFF)},
+		{"oversized put", putErr, oversized},
 		{"bare release op", releaseErr, []byte{opFree}},
 		{"truncated release entry", releaseErr, release[:len(release)-1]},
 		{"oversized release", releaseErr, make([]byte, 1+releaseEntryBytes*(maxBatchEntries+1))},
@@ -129,59 +139,97 @@ func TestReservationDecodeRejectsMalformed(t *testing.T) {
 			t.Errorf("%s should fail to decode", tc.name)
 		}
 	}
-	// Reserve replies: statuses map to errors, and an OK reply must carry one
-	// offset per requested entry.
-	if _, err := decodeReserveResp(noSpaceResp(), 3); !errors.Is(err, ErrRemoteFull) {
+	// Put replies: statuses map to errors, and an OK reply must carry one
+	// offset per entry.
+	if _, err := decodePutResp(noSpaceResp(), 3); !errors.Is(err, ErrRemoteFull) {
 		t.Errorf("no-space reply err = %v, want ErrRemoteFull", err)
 	}
-	if _, err := decodeReserveResp(errorResp(errors.New("boom")), 3); !errors.Is(err, errRemote) {
+	if _, err := decodePutResp(errorResp(errors.New("boom")), 3); !errors.Is(err, errRemote) {
 		t.Errorf("error reply err = %v, want errRemote", err)
 	}
-	if _, err := decodeReserveResp(nil, 1); err == nil {
+	if _, err := decodePutResp(nil, 1); err == nil {
 		t.Error("empty reply should fail")
 	}
-	if _, err := decodeReserveResp(newReserveResp(1), 2); err == nil {
+	if _, err := decodePutResp(newPutResp(1), 2); err == nil {
 		t.Error("reply with fewer offsets than entries should fail")
 	}
 }
 
-func reserveErr(b []byte) error { _, err := decodeReserveReq(b); return err }
+func putErr(b []byte) error     { _, err := decodePutReq(b); return err }
 func releaseErr(b []byte) error { _, err := decodeReleaseReq(b); return err }
 
+// TestPutRejectedBeforeAnyBlockIsAllocated: a put whose lengths overrun (or
+// fall short of) the frame is refused in-band by the decoder, so the donor's
+// pool is untouched — the handler never sees it.
+func TestPutRejectedBeforeAnyBlockIsAllocated(t *testing.T) {
+	tc := newTestCluster(t, 1, smallConfig)
+	n := tc.nodes[0]
+	good := putMessage(putParts{Entries: []putEntry{{Key: 1, Class: 4096, Len: 4}, {Key: 2, Class: 4096, Len: 4}}, Payload: []byte("aaaabbbb")})
+	for name, msg := range map[string][]byte{
+		"second entry overruns the frame": good[:len(good)-1],
+		"frame longer than the entries":   append(good[:len(good):len(good)], 0),
+	} {
+		resp, err := n.handleCall(context.Background(), 2, msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := checkOKResp(resp); !errors.Is(err, errRemote) {
+			t.Errorf("%s: reply err = %v, want an in-band refusal", name, err)
+		}
+		if st := n.recv.Stats(); st.LiveBlocks != 0 || n.HostsRemoteKey(2, 1) {
+			t.Errorf("%s: refused put left %d live blocks", name, st.LiveBlocks)
+		}
+	}
+	if resp, _ := n.handleCall(context.Background(), 2, good); resp[0] != stOK {
+		t.Fatalf("well-formed put refused: %v", resp)
+	}
+	if st := n.recv.Stats(); st.LiveBlocks != 2 {
+		t.Fatalf("well-formed put parked %d blocks, want 2", st.LiveBlocks)
+	}
+}
+
 // FuzzReservationCodec feeds arbitrary bytes to the decoders that face the
-// wire on the reserve/release path. Each must never panic, must re-encode
-// whatever it accepted to the identical bytes, and — since entries are read
-// in place — can never report more entries than the input has room for.
+// wire on the put/release path. Each must never panic, must re-encode
+// whatever it accepted to the identical bytes, must allocate in proportion to
+// its input, and — since entries are read in place — can never report more
+// entries or payload than the input has room for. A put the decoder accepts
+// is also handed to a donor, which must answer in-band.
 func FuzzReservationCodec(f *testing.F) {
 	for _, tc := range reservationCases {
-		f.Add(encodeReserveReq(tc.owner, tc.shard, tc.entries))
-		blocks := make([]block, len(tc.entries))
-		reply := newReserveResp(len(tc.entries))
-		for i, e := range tc.entries {
-			blocks[i] = block{key: e.Key, offset: tc.offsets[i]}
-			reply.setOffset(i, tc.offsets[i])
+		f.Add(putMessage(tc.put))
+		blocks := make([]block, len(tc.offsets))
+		reply := newPutResp(len(tc.offsets))
+		for i, off := range tc.offsets {
+			blocks[i] = block{key: tc.put.Entries[i].Key, offset: off}
+			reply.setOffset(i, off)
 		}
 		f.Add(encodeReleaseReq(blocks))
 		f.Add([]byte(reply))
 	}
 	f.Add(noSpaceResp())
 	f.Add(errorResp(errors.New("boom")))
-	f.Add([]byte{opAllocShard, 0, 0, 0, 0, 1, 0, 2})
+	f.Add(encodePutReq(0, shardInfo{}, []putEntry{{Key: 1, Class: 512, Len: 512}}, nil)) // lengths overrun the frame
 	f.Fuzz(func(t *testing.T, in []byte) {
-		if req, err := decodeReserveReq(in); err == nil && (in[0] == opAlloc || in[0] == opAllocShard) {
-			if req.count() > len(in)/reserveEntryBytes {
-				t.Fatalf("reserve: %d entries from %d bytes", req.count(), len(in))
+		var (
+			req putReq
+			err error
+		)
+		wiretest.CheckAllocBound(t, len(in), func() { req, err = decodePutReq(in) })
+		if err == nil && in[0] == opPut {
+			if req.count() > len(in)/putEntryBytes || req.releases.count() > len(in)/releaseEntryBytes || len(req.payload) > len(in) {
+				t.Fatalf("put: %d entries, %d releases, %d payload bytes from %d bytes", req.count(), req.releases.count(), len(req.payload), len(in))
 			}
-			entries := make([]reservation, req.count())
-			for i := range entries {
-				entries[i] = req.entry(i)
+			parts, _ := decPutReq(in)
+			if out := putMessage(parts.(putParts)); !bytes.Equal(out, in) {
+				t.Fatalf("put re-encodes to %x, want %x", out, in)
 			}
-			if out := encodeReserveReq(req.Owner, req.Shard, entries); !bytes.Equal(out, in) {
-				t.Fatalf("reserve re-encodes to %x, want %x", out, in)
+			tc := newTestCluster(t, 1, smallConfig)
+			if resp, err := tc.nodes[0].handleCall(context.Background(), 2, in); err != nil || len(resp) == 0 {
+				t.Fatalf("donor answered an accepted put out of band: %v, %v", resp, err)
 			}
 		}
 		if req, err := decodeReleaseReq(in); err == nil && in[0] == opFree {
-			if req.count() > len(in)/reserveEntryBytes {
+			if req.count() > len(in)/releaseEntryBytes {
 				t.Fatalf("release: %d entries from %d bytes", req.count(), len(in))
 			}
 			blocks := make([]block, req.count())
@@ -196,11 +244,11 @@ func FuzzReservationCodec(f *testing.F) {
 		// the largest count the reply can satisfy must decode, one more must
 		// not, and the accepted offsets must rebuild the same bytes.
 		count := (len(in) - 1) / offsetBytes
-		if resp, err := decodeReserveResp(in, count); err == nil {
-			if _, err := decodeReserveResp(in, count+1); err == nil {
+		if resp, err := decodePutResp(in, count); err == nil {
+			if _, err := decodePutResp(in, count+1); err == nil {
 				t.Fatalf("reply of %d bytes satisfied %d entries", len(in), count+1)
 			}
-			out := newReserveResp(count)
+			out := newPutResp(count)
 			for i := 0; i < count; i++ {
 				out.setOffset(i, resp.offset(i))
 			}

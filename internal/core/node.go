@@ -272,13 +272,14 @@ func (n *Node) addOwner(h slab.Handle, ref ownerRef, shard shardInfo) {
 	sh.mu.Unlock()
 }
 
-// takeOwner removes and returns the owner record for h, if any.
-func (n *Node) takeOwner(h slab.Handle) (ownerRef, bool) {
+// takeOwner removes and returns the owner record for h, if any — when want
+// is non-nil, only if the record is *want.
+func (n *Node) takeOwner(h slab.Handle, want *ownerRef) (ownerRef, bool) {
 	sh := &n.owners[ownerShardIdx(h)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	ref, ok := sh.refs[h]
-	if !ok {
+	if !ok || (want != nil && ref != *want) {
 		return ownerRef{}, false
 	}
 	delete(sh.refs, h)
@@ -779,18 +780,18 @@ func (n *Node) handleCall(ctx context.Context, from transport.NodeID, payload []
 	defer sp.End()
 	body := payload[1:]
 	switch payload[0] {
-	case opAlloc, opAllocShard:
-		req, err := decodeReserveReq(payload)
+	case opPut:
+		req, err := decodePutReq(payload)
 		if err != nil {
 			return errorResp(err), nil
 		}
-		return n.handleReserve(from, req), nil
+		return n.handlePut(from, req), nil
 	case opFree:
 		req, err := decodeReleaseReq(payload)
 		if err != nil {
 			return errorResp(err), nil
 		}
-		return n.handleRelease(req), nil
+		return n.handleRelease(from, req), nil
 	case opHeartbeat:
 		req, err := decodeHeartbeatReq(payload)
 		if err != nil {
@@ -871,14 +872,16 @@ func (n *Node) handleCall(ctx context.Context, from transport.NodeID, payload []
 	}
 }
 
-// handleReserve reserves one receive-pool block per request entry for a
+// handlePut parks one payload per request entry in the receive pool for a
 // remote owner (RDMS) in one control-plane round trip — a single Put and a
-// §IV.H window batch are the same message. The request is all-or-nothing: if
-// any entry cannot be reserved, every block already reserved for it is
-// released and the whole request fails, so the owner never has to track a
-// partially-reserved window. Offsets go straight into the reply buffer, which
-// doubles as the rollback list.
-func (n *Node) handleReserve(from transport.NodeID, req reserveReq) []byte {
+// §IV.H window batch are the same message: allocate a block, copy the entry's
+// payload bytes in, and once every entry has landed free the old blocks the
+// request names. The request is all-or-nothing: if any entry cannot be
+// parked, every block already taken for it is freed, nothing old is released
+// and the whole request fails, so the owner never has to track a partial
+// window. Offsets go straight into the reply buffer, which doubles as the
+// rollback list.
+func (n *Node) handlePut(from transport.NodeID, req putReq) []byte {
 	if n.Draining() {
 		// A draining node must not hand out blocks: freed space staying
 		// unreused is what keeps optimistic stale-epoch reads byte-correct
@@ -889,23 +892,41 @@ func (n *Node) handleReserve(from transport.NodeID, req reserveReq) []byte {
 	if req.Owner != 0 {
 		owner = transport.NodeID(req.Owner)
 	}
-	// An on-behalf (migration) or shard reserve for a key we already host
-	// means a sibling replica or shard lives here: refuse, whoever asks.
+	// What the request displaces is settled before anything is allocated: an
+	// entry of a replayed or retried put names an offset that is free by now,
+	// and one of the blocks allocated below may land exactly there.
+	var few [4]hostedBlock
+	old := few[:0]
+	if c := req.releases.count(); c > len(few) {
+		old = make([]hostedBlock, 0, c)
+	}
+	old = n.named(owner, req.releases, old)
+	// An on-behalf (migration) or shard put for a key we host beyond what the
+	// request displaces means a sibling replica or shard lives here: refuse,
+	// whoever asks.
 	refuseSiblings := owner != from || req.Shard.tagged()
 	count := req.count()
-	reply := newReserveResp(count)
+	reply := newPutResp(count)
 	// Every entry stripes to the first entry's shard so a fresh window stays
 	// contiguous in the region — the layout span coalescing on the client
-	// data plane relies on. For one entry that is its own key: concurrent
-	// reserves for distinct keys take distinct locks within one size class.
+	// read path relies on. For one entry that is its own key: concurrent puts
+	// for distinct keys take distinct locks within one size class.
 	hint := req.entry(0).Key
 	var err error
-	done := 0
+	done, at := 0, 0
 	for ; done < count; done++ {
 		e := req.entry(done)
-		if refuseSiblings && n.HostsRemoteKey(owner, e.Key) {
-			err = slab.ErrNoSpace
-			break
+		if refuseSiblings {
+			siblings := n.lookupKey(owner, e.Key).blocks
+			for _, b := range old {
+				if b.ref.key == e.Key {
+					siblings--
+				}
+			}
+			if siblings > 0 {
+				err = slab.ErrNoSpace
+				break
+			}
 		}
 		var h slab.Handle
 		if h, err = n.recv.AllocHint(int(e.Class), hint); err != nil {
@@ -916,12 +937,17 @@ func (n *Node) handleReserve(from transport.NodeID, req reserveReq) []byte {
 			_ = n.recv.Free(h)
 			break
 		}
+		// The block is ours alone until the reply names its offset, so the
+		// copy needs no lock — it is the one-sided write, issued locally.
+		at += copy(n.recvBuf[off:], req.payload[at:at+int(e.Len)])
 		n.addOwner(h, ownerRef{owner: owner, key: e.Key}, req.Shard)
 		reply.setOffset(done, off)
 	}
 	if err != nil {
 		for i := 0; i < done; i++ {
-			_ = n.releaseAt(reply.offset(i))
+			if b, ok := n.blockOf(owner, req.entry(i).Key, reply.offset(i)); ok {
+				_ = n.free(b)
+			}
 		}
 		if errors.Is(err, slab.ErrNoSpace) {
 			return noSpaceResp()
@@ -930,8 +956,57 @@ func (n *Node) handleReserve(from transport.NodeID, req reserveReq) []byte {
 	}
 	n.counters.remoteAllocs.Add(int64(count))
 	n.met.remoteAllocs.Add(int64(count))
+	// The new generation is installed; a displaced block that fails to free
+	// is the eviction path's to reclaim, not a reason to fail the put.
+	for _, b := range old {
+		_ = n.free(b)
+	}
 	n.met.recvFreeBytes.Set(n.recv.FreeBytes())
 	return reply
+}
+
+// ownerAt returns the live block at a global offset of the receive region
+// and its owner record, if there is one.
+func (n *Node) ownerAt(off int64) (slab.Handle, ownerRef, bool) {
+	h, err := n.recv.HandleAt(off)
+	if err != nil {
+		return h, ownerRef{}, false
+	}
+	sh := &n.owners[ownerShardIdx(h)]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	ref, ok := sh.refs[h]
+	return h, ref, ok
+}
+
+// blockOf returns owner's block for key at a global offset, if that is what
+// lives there. A release says what the owner knew when it was sent; by the
+// time it arrives (late, or replayed by the fabric) the offset may be free or
+// re-issued to another key, and freeing whatever lives there now would
+// destroy a stranger's block. Such an entry names nothing.
+func (n *Node) blockOf(owner transport.NodeID, key uint64, off int64) (hostedBlock, bool) {
+	h, ref, ok := n.ownerAt(off)
+	return hostedBlock{h: h, ref: ref}, ok && ref == ownerRef{owner: owner, key: key}
+}
+
+// named appends to into the blocks a release list names.
+func (n *Node) named(owner transport.NodeID, rel releaseReq, into []hostedBlock) []hostedBlock {
+	for i, count := 0, rel.count(); i < count; i++ {
+		key, off := rel.entry(i)
+		if b, ok := n.blockOf(owner, key, off); ok {
+			into = append(into, b)
+		}
+	}
+	return into
+}
+
+// free frees a block together with its owner record, unless it changed hands
+// since it was looked up.
+func (n *Node) free(b hostedBlock) error {
+	if _, ok := n.takeOwner(b.h, &b.ref); !ok {
+		return nil
+	}
+	return n.recv.Free(b.h)
 }
 
 // handleRelease releases receive-pool blocks (RDMS). Releasing a block that
@@ -940,12 +1015,14 @@ func (n *Node) handleReserve(from transport.NodeID, req reserveReq) []byte {
 // processed even if one fails; the first error is reported after the rest
 // have been freed, so a partial failure can never strand the remaining
 // blocks.
-func (n *Node) handleRelease(req releaseReq) []byte {
+func (n *Node) handleRelease(from transport.NodeID, req releaseReq) []byte {
 	var firstErr error
 	for i, count := 0, req.count(); i < count; i++ {
-		_, off := req.entry(i)
-		if err := n.releaseAt(off); err != nil && firstErr == nil {
-			firstErr = err
+		key, off := req.entry(i)
+		if b, ok := n.blockOf(from, key, off); ok {
+			if err := n.free(b); err != nil && firstErr == nil {
+				firstErr = err
+			}
 		}
 	}
 	n.met.recvFreeBytes.Set(n.recv.FreeBytes())
@@ -953,17 +1030,6 @@ func (n *Node) handleRelease(req releaseReq) []byte {
 		return errorResp(firstErr)
 	}
 	return okResp()
-}
-
-// releaseAt frees the hosted block at a global offset together with its owner
-// record. No live block there is not an error.
-func (n *Node) releaseAt(off int64) error {
-	h, err := n.recv.HandleAt(off)
-	if err != nil {
-		return nil
-	}
-	n.takeOwner(h)
-	return n.recv.Free(h)
 }
 
 // handleEvicted records that a remote host dropped one of our blocks; the
@@ -998,7 +1064,7 @@ func (n *Node) EvictRecvSlabs(ctx context.Context, wantBytes int64) (int64, erro
 		reclaimed += int64(n.cfg.SlabSize)
 		owners := make([]ownerRef, 0, len(victims))
 		for _, h := range victims {
-			if ref, ok := n.takeOwner(h); ok {
+			if ref, ok := n.takeOwner(h, nil); ok {
 				owners = append(owners, ref)
 			}
 		}

@@ -11,12 +11,11 @@ import (
 	"godm/internal/transport"
 )
 
-// remoteStore adapts the transport verbs to replication.Store: the control
-// plane (two-sided Call) reserves and releases blocks in remote receive
-// pools, while the data plane moves payloads with one-sided RDMA writes and
-// reads (§IV.G: "one-sided RDMA write/read operations for data plane
-// activities and RDMA send/receive operations for control plane
-// activities").
+// remoteStore adapts the transport verbs to replication.Store: a two-sided
+// put parks a payload in a remote receive pool (reserve, copy and release of
+// the displaced block in one exchange), a two-sided release frees it, and
+// reads stay one-sided (§IV.G's split, folded on the write side so a put is
+// one round trip, not three).
 type remoteStore struct {
 	node *Node
 
@@ -57,43 +56,41 @@ func (s *remoteStore) clearClass(key uint64) {
 	s.mu.Unlock()
 }
 
-func (s *remoteStore) classFor(key uint64, dataLen int) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if class, ok := s.classes[key]; ok {
-		return class
-	}
-	return dataLen
-}
-
 var _ replication.Store = (*remoteStore)(nil)
 
-// Put implements replication.Store: reserve remotely, then one-sided write.
+// Put implements replication.Store.
 func (s *remoteStore) Put(ctx context.Context, node replication.NodeID, id replication.EntryID, data []byte) error {
 	return s.put(ctx, node, id, shardInfo{}, data)
 }
 
 // PutShard implements ec.ShardStore: Put with the stripe coordinates riding
-// the reserve, so the donor can refuse a sibling shard and answer
-// opShardStat.
+// along, so the donor can refuse a sibling shard and answer opShardStat.
 func (s *remoteStore) PutShard(ctx context.Context, node replication.NodeID, id replication.EntryID, idx, k, m int, data []byte) error {
 	return s.put(ctx, node, id, shardInfo{idx: uint8(idx), k: uint8(k), m: uint8(m)}, data)
 }
 
+// put parks data on node in one round trip; a handle already held for
+// (node, key) names the block this generation displaces, whose release rides
+// the same put. On failure that handle stays, for the caller's rollback.
 func (s *remoteStore) put(ctx context.Context, node replication.NodeID, id replication.EntryID, shard shardInfo, data []byte) error {
-	to := transport.NodeID(node)
-	key := uint64(id)
-	class := s.classFor(key, len(data))
-	offset, err := parkBlock(ctx, s.node.ep, to, 0, shard, key, class, data)
+	rk := remoteKey{node: transport.NodeID(node), key: uint64(id)}
+	s.mu.Lock()
+	class, ok := s.classes[rk.key]
+	if !ok {
+		class = len(data)
+	}
+	prev, displaced := s.handles[rk]
+	s.mu.Unlock()
+	var old []block
+	if displaced {
+		old = []block{{node: rk.node, key: rk.key, offset: prev.offset}}
+	}
+	offset, err := putBlock(ctx, s.node.ep, rk.node, 0, shard, rk.key, class, data, old...)
 	if err != nil {
 		return err
 	}
 	s.mu.Lock()
-	s.handles[remoteKey{node: to, key: key}] = remoteHandle{
-		offset:  offset,
-		class:   class,
-		dataLen: len(data),
-	}
+	s.handles[rk] = remoteHandle{offset: offset, class: class, dataLen: len(data)}
 	s.mu.Unlock()
 	return nil
 }

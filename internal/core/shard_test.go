@@ -80,7 +80,7 @@ func TestReleaseFreesEveryEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.takeOwner(h0)
+	n.takeOwner(h0, nil)
 	if err := n.recv.Free(h0); err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestReleaseFreesEveryEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := checkOKResp(n.handleRelease(req)); err != nil {
+	if _, err := checkOKResp(n.handleRelease(owner, req)); err != nil {
 		t.Fatalf("handleRelease: %v", err)
 	}
 	if st := n.recv.Stats(); st.LiveBlocks != 0 {

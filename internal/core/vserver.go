@@ -4,8 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 	"sync/atomic"
 
+	"godm/internal/des"
 	"godm/internal/pagetable"
 	"godm/internal/replication"
 	"godm/internal/slab"
@@ -100,9 +103,16 @@ func (vs *VirtualServer) PutShared(id pagetable.EntryID, data []byte, class, raw
 // PutRemote replicates an entry into the receive pools of remote group
 // members (the RDMC path). It returns ErrRemoteFull or ErrNoCandidates when
 // cluster memory cannot hold the entry, in which case the caller should fall
-// through to disk. Overwriting an entry that already lives in remote memory
-// releases the old copies first, so a failed overwrite leaves the entry
-// absent (the caller still holds the payload).
+// through to disk.
+//
+// Overwriting an entry that already lives in remote memory is still one round
+// trip: on a donor that stays in the set the old block's release rides the
+// put that replaces it (remoteStore.put), and donors that drop out of the set
+// are released while the policy's write fans out. The entry is absent from the
+// map for the duration, and a failed overwrite leaves it absent with nothing
+// of either generation behind — the policy rolls back the copies that
+// landed, and every old donor is released (the caller still holds the
+// payload).
 func (vs *VirtualServer) PutRemote(ctx context.Context, id pagetable.EntryID, data []byte, class, rawSize int) error {
 	if len(data) > class {
 		return fmt.Errorf("core: payload %d exceeds class %d", len(data), class)
@@ -112,40 +122,72 @@ func (vs *VirtualServer) PutRemote(ctx context.Context, id pagetable.EntryID, da
 	sp.Annotate("class", class)
 	defer sp.End()
 	start := trace.Now(ctx)
-	// Release before write, under every durability policy: donors refuse a
-	// second shard under the same (owner, key) — the distinct-donor invariant
-	// — so a fresh stripe could not land on any donor of the old one; and
-	// under replication the owner keeps one handle per (donor, key), so
-	// writing first and dropping the old set afterwards would free the copy
-	// just written wherever the two donor sets overlap. The only durability
-	// gap is the write itself, and an entry is never torn across generations.
+	// A reader must never assemble an entry from two generations: the old
+	// location leaves the map before the first put lands.
 	old, oldErr := vs.table.Get(id)
-	if oldErr == nil && old.Tier == pagetable.TierRemote {
+	overwrite := oldErr == nil && old.Tier == pagetable.TierRemote
+	if overwrite {
 		vs.table.Delete(id)
-		if err := vs.releaseLocation(ctx, id, old); err != nil {
-			sp.Annotate("stale_release_err", err)
+	}
+	fail := func(err error) error {
+		if overwrite {
+			// Donors the new generation never reached still host the old one;
+			// detached, because the failure may be the caller's context dying.
+			rbCtx, cancel := detached(ctx)
+			_ = vs.releaseLocation(rbCtx, id, old)
+			cancel()
 		}
+		sp.Annotate("err", err)
+		return err
 	}
 	_, pick := trace.Start(ctx, "placement.pick")
 	nodes, err := vs.node.pickRemotes(vs.node.policy.Width(), nil)
 	pick.EndErr(err)
 	if err != nil {
-		sp.Annotate("err", err)
-		return err
+		return fail(err)
 	}
-	key := vs.key(id)
+	key := replication.EntryID(vs.key(id))
 	// Each donor allocates the per-shard class: the full class under
 	// replication, ceil(class/k) under RS(k, m) — coding's capacity win.
-	vs.node.remote.setClass(key, vs.node.policy.ShardClass(class))
-	defer vs.node.remote.clearClass(key)
-	if err := vs.node.policy.Write(ctx, nodes, replication.EntryID(key), data); err != nil {
+	vs.node.remote.setClass(uint64(key), vs.node.policy.ShardClass(class))
+	defer vs.node.remote.clearClass(uint64(key))
+	// Old donors outside the new set are released through the store, not the
+	// policy (whose Delete would forget the stripe being written): beside the
+	// write over a real fabric, after it and in order under the simulation.
+	var stale []replication.NodeID
+	if overwrite {
+		for _, o := range locationNodes(old) {
+			if !slices.Contains(nodes, o) {
+				stale = append(stale, o)
+			}
+		}
+	}
+	drop := func(o replication.NodeID) { _ = vs.node.remote.Delete(ctx, o, key) }
+	_, simulated := des.FromContext(ctx)
+	var wg sync.WaitGroup
+	if !simulated {
+		for _, o := range stale {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				drop(o)
+			}()
+		}
+	}
+	err = vs.node.policy.Write(ctx, nodes, key, data)
+	if simulated {
+		for _, o := range stale {
+			drop(o)
+		}
+	}
+	wg.Wait()
+	if err != nil {
 		if errors.Is(err, replication.ErrAborted) {
 			err = fmt.Errorf("%w: %v", ErrRemoteFull, err)
 		}
-		sp.Annotate("err", err)
-		return err
+		return fail(err)
 	}
-	if oldErr == nil && old.Tier != pagetable.TierRemote {
+	if oldErr == nil && !overwrite {
 		// A predecessor in the shared pool goes only once the remote copies
 		// have landed.
 		_ = vs.releaseLocation(ctx, id, old)

@@ -435,9 +435,8 @@ func (c *Cache) dropLocked(ctx context.Context, key string) error {
 // trimLocked parks LRU entries remotely until the local tier fits. Victims
 // are gathered first, grouped by their target peer, and spilled in windows
 // of up to cfg.WindowSize entries (§IV.H write combining): each window is
-// one batched alloc round trip plus span-coalesced one-sided writes instead
-// of two round trips per entry, and its members stay linked for batch
-// read-ahead on the way back.
+// one put round trip instead of one per entry, and its members stay linked
+// for batch read-ahead on the way back.
 func (c *Cache) trimLocked(ctx context.Context) error {
 	var victims []*entry
 	for c.localBytes > c.cfg.LocalBytes {

@@ -272,6 +272,11 @@ func runFig9System(sys string, scale Scale) (Fig9Series, error) {
 			return err
 		}
 		srv.ColdRestart(ctx)
+		// Throughput windows sit on absolute multiples of window, and the
+		// curve keeps only whole windows past the restart: idle up to the
+		// next boundary, so every system's first point covers the same
+		// stretch of its recovery however long its paging storm took.
+		p.Sleep(window - p.Now()%window)
 		restarted = true
 		measureStart = p.Now()
 		_, err := srv.RunFor(ctx, measureFor, scale.Seed)

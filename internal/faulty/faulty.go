@@ -458,89 +458,44 @@ func (f *Endpoint) SetHandler(h transport.Handler) { f.inner.SetHandler(h) }
 // Close implements transport.Endpoint.
 func (f *Endpoint) Close() error { return f.inner.Close() }
 
+// admit rolls one outbound operation's fate and serves its injected delay. A
+// non-nil error is the operation's outcome: it never reaches the peer.
+func (f *Endpoint) admit(ctx context.Context, verb Verb, to transport.NodeID) (decision, error) {
+	d := f.inj.decide(ctx, verb, f.inner.ID(), to)
+	if d.delay > 0 {
+		f.inj.clock.Sleep(ctx, d.delay)
+		if err := ctx.Err(); err != nil {
+			return d, err
+		}
+	}
+	return d, d.err
+}
+
 // WriteRegion implements transport.Verbs. A truncated write lands a torn
 // prefix on the peer before failing — the §IV.D atomicity machinery above
 // must make such writes invisible.
 func (f *Endpoint) WriteRegion(ctx context.Context, to transport.NodeID, region transport.RegionID, offset int64, data []byte) error {
-	d := f.inj.decide(ctx, VerbWrite, f.inner.ID(), to)
-	if d.delay > 0 {
-		f.inj.clock.Sleep(ctx, d.delay)
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-	}
-	if d.err != nil {
-		return d.err
+	d, err := f.admit(ctx, VerbWrite, to)
+	if err != nil {
+		return err
 	}
 	if d.truncate {
 		_ = f.inner.WriteRegion(ctx, to, region, offset, data[:len(data)/2])
 		return injectedf("truncated write %d->%d after %d/%d bytes", f.inner.ID(), to, len(data)/2, len(data))
 	}
-	err := f.inner.WriteRegion(ctx, to, region, offset, data)
+	err = f.inner.WriteRegion(ctx, to, region, offset, data)
 	if err == nil && d.duplicate {
 		_ = f.inner.WriteRegion(ctx, to, region, offset, data)
 	}
 	return err
 }
 
-// WriteRegionV implements transport.VectoredWriter under the same fault
-// schedule as WriteRegion: a truncated write lands a torn prefix of the
-// gathered payload (sliced from the iovec, no assembly copy) before failing.
-func (f *Endpoint) WriteRegionV(ctx context.Context, to transport.NodeID, region transport.RegionID, offset int64, bufs [][]byte) error {
-	d := f.inj.decide(ctx, VerbWrite, f.inner.ID(), to)
-	if d.delay > 0 {
-		f.inj.clock.Sleep(ctx, d.delay)
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-	}
-	if d.err != nil {
-		return d.err
-	}
-	if d.truncate {
-		total := 0
-		for _, b := range bufs {
-			total += len(b)
-		}
-		_ = transport.WriteRegionV(ctx, f.inner, to, region, offset, prefixVec(bufs, total/2))
-		return injectedf("truncated write %d->%d after %d/%d bytes", f.inner.ID(), to, total/2, total)
-	}
-	err := transport.WriteRegionV(ctx, f.inner, to, region, offset, bufs)
-	if err == nil && d.duplicate {
-		_ = transport.WriteRegionV(ctx, f.inner, to, region, offset, bufs)
-	}
-	return err
-}
-
-// prefixVec returns the iovec covering the first n bytes of bufs, slicing
-// the boundary buffer instead of copying.
-func prefixVec(bufs [][]byte, n int) [][]byte {
-	out := make([][]byte, 0, len(bufs))
-	for _, b := range bufs {
-		if n <= 0 {
-			break
-		}
-		if len(b) > n {
-			b = b[:n]
-		}
-		out = append(out, b)
-		n -= len(b)
-	}
-	return out
-}
-
 // ReadRegion implements transport.Verbs. A truncated read charges the fabric
 // but discards the short response, as a length-framed receiver would.
 func (f *Endpoint) ReadRegion(ctx context.Context, to transport.NodeID, region transport.RegionID, offset int64, n int) ([]byte, error) {
-	d := f.inj.decide(ctx, VerbRead, f.inner.ID(), to)
-	if d.delay > 0 {
-		f.inj.clock.Sleep(ctx, d.delay)
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	if d.err != nil {
-		return nil, d.err
+	d, err := f.admit(ctx, VerbRead, to)
+	if err != nil {
+		return nil, err
 	}
 	if d.truncate {
 		_, _ = f.inner.ReadRegion(ctx, to, region, offset, n)
@@ -558,21 +513,15 @@ func (f *Endpoint) ReadRegion(ctx context.Context, to transport.NodeID, region t
 // response is discarded at the framing layer), honouring the ScatterReader
 // ownership contract that dst is released untouched on error.
 func (f *Endpoint) ReadRegionInto(ctx context.Context, to transport.NodeID, region transport.RegionID, offset int64, dst []byte) error {
-	d := f.inj.decide(ctx, VerbRead, f.inner.ID(), to)
-	if d.delay > 0 {
-		f.inj.clock.Sleep(ctx, d.delay)
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-	}
-	if d.err != nil {
-		return d.err
+	d, err := f.admit(ctx, VerbRead, to)
+	if err != nil {
+		return err
 	}
 	if d.truncate {
 		_, _ = f.inner.ReadRegion(ctx, to, region, offset, len(dst))
 		return injectedf("truncated read %d->%d", f.inner.ID(), to)
 	}
-	err := transport.ReadRegionInto(ctx, f.inner, to, region, offset, dst)
+	err = transport.ReadRegionInto(ctx, f.inner, to, region, offset, dst)
 	if err == nil && d.duplicate {
 		_ = transport.ReadRegionInto(ctx, f.inner, to, region, offset, dst)
 	}
@@ -583,15 +532,9 @@ func (f *Endpoint) ReadRegionInto(ctx context.Context, to transport.NodeID, regi
 // twice — the at-least-once hazard the control-plane protocols must absorb;
 // a truncated call never reaches the handler.
 func (f *Endpoint) Call(ctx context.Context, to transport.NodeID, payload []byte) ([]byte, error) {
-	d := f.inj.decide(ctx, VerbCall, f.inner.ID(), to)
-	if d.delay > 0 {
-		f.inj.clock.Sleep(ctx, d.delay)
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	if d.err != nil {
-		return nil, d.err
+	d, err := f.admit(ctx, VerbCall, to)
+	if err != nil {
+		return nil, err
 	}
 	if d.truncate {
 		return nil, injectedf("truncated call %d->%d", f.inner.ID(), to)
@@ -599,6 +542,24 @@ func (f *Endpoint) Call(ctx context.Context, to transport.NodeID, payload []byte
 	resp, err := f.inner.Call(ctx, to, payload)
 	if err == nil && d.duplicate {
 		_, _ = f.inner.Call(ctx, to, payload)
+	}
+	return resp, err
+}
+
+// CallV implements transport.VectoredCaller under Call's fault schedule, so
+// a gather call is one VerbCall to the rules and the bufs pass through
+// unassembled.
+func (f *Endpoint) CallV(ctx context.Context, to transport.NodeID, bufs [][]byte) ([]byte, error) {
+	d, err := f.admit(ctx, VerbCall, to)
+	if err != nil {
+		return nil, err
+	}
+	if d.truncate {
+		return nil, injectedf("truncated call %d->%d", f.inner.ID(), to)
+	}
+	resp, err := transport.CallV(ctx, f.inner, to, bufs)
+	if err == nil && d.duplicate {
+		_, _ = transport.CallV(ctx, f.inner, to, bufs)
 	}
 	return resp, err
 }

@@ -225,51 +225,6 @@ func (e *Endpoint) WriteRegion(ctx context.Context, to transport.NodeID, region 
 	return dst.applyWrite(region, offset, data)
 }
 
-// WriteRegionV implements transport.VectoredWriter: the slices of bufs land
-// contiguously at offset as one transfer, charged for their total size —
-// the simulated twin of the TCP fabric's writev path.
-func (e *Endpoint) WriteRegionV(ctx context.Context, to transport.NodeID, region transport.RegionID, offset int64, bufs [][]byte) error {
-	p := proc(ctx)
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	var total int64
-	for _, b := range bufs {
-		total += int64(len(b))
-	}
-	if total > transport.MaxFrameSize {
-		return fmt.Errorf("%w: payload %d exceeds %d", transport.ErrFrameTooLarge, total, transport.MaxFrameSize)
-	}
-	if err := e.checkOpen(); err != nil {
-		return err
-	}
-	p.Sleep(e.fabric.params.PerMessage)
-	e.fabric.link(e.id, to).Transfer(p, total)
-	dst, err := e.fabric.target(e.id, to)
-	if err != nil {
-		return err
-	}
-	return dst.applyWriteV(region, offset, total, bufs)
-}
-
-func (e *Endpoint) applyWriteV(region transport.RegionID, offset int64, total int64, bufs [][]byte) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	buf, ok := e.regions[region]
-	if !ok {
-		return fmt.Errorf("%w: region %d on node %d", transport.ErrNoRegion, region, e.id)
-	}
-	if offset < 0 || offset+total > int64(len(buf)) {
-		return fmt.Errorf("%w: [%d,%d) in region of %d bytes",
-			transport.ErrOutOfBounds, offset, offset+total, len(buf))
-	}
-	at := offset
-	for _, b := range bufs {
-		at += int64(copy(buf[at:], b))
-	}
-	return nil
-}
-
 func (e *Endpoint) applyWrite(region transport.RegionID, offset int64, data []byte) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()

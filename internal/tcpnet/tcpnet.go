@@ -63,8 +63,8 @@
 // Senders queue an iovec list — a pooled header block plus the caller's
 // payload slices, unmodified — and the flush goroutine hands the whole burst
 // to the kernel with one vectored write (net.Buffers, i.e. writev on a TCP
-// socket). WriteRegionV extends this to gather writes: the slices land
-// contiguously on the peer without the client ever concatenating them.
+// socket). CallV extends this to gather calls: the slices reach the peer's
+// handler as one payload without the client ever concatenating them.
 // Inbound, the demux reader is length-aware: a response whose round trip
 // registered a destination buffer (ReadRegionInto) is scattered straight
 // into it with io.ReadFull, and every other payload comes from the shared
@@ -264,13 +264,14 @@ const burstBytes = 64 << 10
 // flush hands the whole queue to the kernel with one net.Buffers vectored
 // write. The embedding connection's mutex guards all fields.
 type vecQueue struct {
-	bufs    net.Buffers            // queued iovecs, in frame order
-	wto     net.Buffers            // WriteTo staging (see flush)
-	hdrs    []*[reqHeaderSize]byte // header blocks in flight, recycled on flush
-	free    []*[reqHeaderSize]byte // header block freelist
-	release [][]byte               // pooled payloads released after flush
-	queued  int64                  // bytes in bufs
-	written int64                  // bytes the kernel has accepted since dial
+	bufs     net.Buffers            // queued iovecs, in frame order
+	wto      net.Buffers            // WriteTo staging (see flush)
+	hdrs     []*[reqHeaderSize]byte // header blocks in flight, recycled on flush
+	free     []*[reqHeaderSize]byte // header block freelist
+	release  [][]byte               // pooled payloads released after flush
+	raceCopy []byte                 // race builds only: see flush
+	queued   int64                  // bytes in bufs
+	written  int64                  // bytes the kernel has accepted since dial
 }
 
 // header returns a recycled (or new) header block and tracks it for reuse
@@ -305,10 +306,15 @@ func (q *vecQueue) flush(conn net.Conn) error {
 		// ioSync release that pairs with read(2)'s acquire; the writev path
 		// has no annotation, so vectored data sent to an endpoint in this
 		// same process would be falsely reported as racing with the peer's
-		// reads. Degrade to per-iovec writes when the detector is active.
+		// reads. Degrade to per-iovec writes when the detector is active —
+		// from a copy: the detector logs write(2)'s read of its buffer only
+		// once the syscall has returned, after the release, and by then the
+		// peer may have answered and the caller be refilling the slice it
+		// lent us. The copy's read of it is ordered before the release.
 		for _, b := range q.bufs {
 			var m int
-			m, err = conn.Write(b)
+			q.raceCopy = append(q.raceCopy[:0], b...)
+			m, err = conn.Write(q.raceCopy)
 			n += int64(m)
 			if err != nil {
 				break
@@ -648,18 +654,15 @@ func (e *Endpoint) serveConn(conn net.Conn) {
 			// pooled response rides the queue as an iovec and is released by
 			// the flush that confirms the kernel took it.
 			var status byte
-			var resp []byte
-			var pooled bool
+			var resp, release []byte
 			if req.op == opRead && req.n > maxPayload {
 				status = statusAppError
 				resp = []byte(fmt.Sprintf("read of %d bytes exceeds %d-byte frame limit", req.n, maxPayload))
-			} else {
-				status, resp, pooled = e.execute(e.baseCtx, req, true)
+			} else if status, resp = e.execute(e.baseCtx, req, true); req.op == opRead {
+				release = resp
 			}
-			werr := e.respond(cw, req.id, status, resp, pooled, false)
-			if req.pooled {
-				putBuf(req.payload)
-			}
+			werr := e.respond(cw, req.id, status, resp, release, false)
+			putBuf(req.payload)
 			if werr != nil {
 				return
 			}
@@ -677,17 +680,17 @@ func (e *Endpoint) serveConn(conn net.Conn) {
 			go func(req request) {
 				defer callWG.Done()
 				defer func() { <-e.callSem }()
-				status, resp, _ := e.execute(e.baseCtx, req, false)
+				status, resp := e.execute(e.baseCtx, req, false)
 				// Workers hand the flush to the connection's flusher so a
-				// burst of completing handlers coalesces into one syscall.
-				_ = e.respond(cw, req.id, status, resp, false, true)
+				// burst of completing handlers coalesces into one syscall. The
+				// pooled request payload is released by that flush, not here, so
+				// even a response that aliases it reaches the wire intact.
+				_ = e.respond(cw, req.id, status, resp, req.payload, true)
 			}(req)
 		default:
-			if req.pooled {
-				putBuf(req.payload)
-			}
+			putBuf(req.payload)
 			if e.respond(cw, req.id, statusAppError,
-				[]byte(fmt.Sprintf("unknown op %d", req.op)), false, false) != nil {
+				[]byte(fmt.Sprintf("unknown op %d", req.op)), nil, false) != nil {
 				return
 			}
 		}
@@ -738,24 +741,21 @@ func (cw *connWriter) flushLoop() {
 	}
 }
 
-// respond queues one response frame as iovecs. A pooled payload stays queued
-// until the flush that hands it to the kernel releases it. With
-// deferFlush=false (read-loop fast path) the frame waits for the loop-top
-// flush; with deferFlush=true (call workers) the connection's flush
-// goroutine batches the burst.
-func (e *Endpoint) respond(cw *connWriter, id uint64, status byte, payload []byte, pooled, deferFlush bool) error {
+// respond queues one response frame as iovecs. release, when non-nil, is a
+// pooled buffer the frame depends on — an opRead's response payload, an
+// opCall's request payload — handed back to the pool by the flush that gives
+// the frame to the kernel. With deferFlush=false (read-loop fast path) the
+// frame waits for the loop-top flush; with deferFlush=true (call workers) the
+// connection's flush goroutine batches the burst.
+func (e *Endpoint) respond(cw *connWriter, id uint64, status byte, payload, release []byte, deferFlush bool) error {
 	if len(payload) > maxPayload {
-		if pooled {
-			putBuf(payload)
-		}
+		putBuf(release)
 		return fmt.Errorf("%w: payload %d exceeds %d", ErrFrameTooLarge, len(payload), maxPayload)
 	}
 	cw.mu.Lock()
 	if cw.dead {
 		cw.mu.Unlock()
-		if pooled {
-			putBuf(payload)
-		}
+		putBuf(release)
 		return errors.New("tcpnet: connection writer failed")
 	}
 	hdr := cw.q.header()
@@ -765,9 +765,9 @@ func (e *Endpoint) respond(cw *connWriter, id uint64, status byte, payload []byt
 	cw.q.bufs = append(cw.q.bufs, hdr[:respHeaderSize])
 	if len(payload) > 0 {
 		cw.q.bufs = append(cw.q.bufs, payload)
-		if pooled {
-			cw.q.release = append(cw.q.release, payload)
-		}
+	}
+	if release != nil {
+		cw.q.release = append(cw.q.release, release)
 	}
 	cw.q.queued += int64(respHeaderSize + len(payload))
 	cw.mu.Unlock()
@@ -784,38 +784,37 @@ func (e *Endpoint) respond(cw *connWriter, id uint64, status byte, payload []byt
 // execute runs one decoded request against local state. ctx is the request
 // context handed to control-plane handlers: the endpoint's base context for
 // inbound frames, the caller's context on the loopback path. When pool is
-// true the opRead response buffer comes from the frame pool and the returned
-// bool tells the caller to recycle it after the frame is written; the
-// loopback path passes pool=false because its result is handed to the
-// application. No branch holds regMu across socket I/O: the copy under the
-// read lock is what lets the caller frame the response after the lock is
-// released.
-func (e *Endpoint) execute(ctx context.Context, req request, pool bool) (byte, []byte, bool) {
+// true the opRead response buffer comes from the frame pool and the caller
+// recycles it after the frame is written; the loopback path passes pool=false
+// because its result is handed to the application. No branch holds regMu
+// across socket I/O: the copy under the read lock is what lets the caller
+// frame the response after the lock is released.
+func (e *Endpoint) execute(ctx context.Context, req request, pool bool) (byte, []byte) {
 	switch req.op {
 	case opWrite:
 		e.regMu.RLock()
 		buf, ok := e.regions[req.region]
 		if !ok {
 			e.regMu.RUnlock()
-			return statusNoRegion, nil, false
+			return statusNoRegion, nil
 		}
 		if req.offset < 0 || req.offset+int64(len(req.payload)) > int64(len(buf)) {
 			e.regMu.RUnlock()
-			return statusOutOfBounds, nil, false
+			return statusOutOfBounds, nil
 		}
 		copy(buf[req.offset:], req.payload)
 		e.regMu.RUnlock()
-		return statusOK, nil, false
+		return statusOK, nil
 	case opRead:
 		e.regMu.RLock()
 		buf, ok := e.regions[req.region]
 		if !ok {
 			e.regMu.RUnlock()
-			return statusNoRegion, nil, false
+			return statusNoRegion, nil
 		}
 		if req.offset < 0 || req.n < 0 || req.offset+int64(req.n) > int64(len(buf)) {
 			e.regMu.RUnlock()
-			return statusOutOfBounds, nil, false
+			return statusOutOfBounds, nil
 		}
 		var out []byte
 		if pool {
@@ -825,21 +824,21 @@ func (e *Endpoint) execute(ctx context.Context, req request, pool bool) (byte, [
 		}
 		copy(out, buf[req.offset:])
 		e.regMu.RUnlock()
-		return statusOK, out, pool
+		return statusOK, out
 	case opCall:
 		e.regMu.RLock()
 		h := e.handler
 		e.regMu.RUnlock()
 		if h == nil {
-			return statusNoHandler, nil, false
+			return statusNoHandler, nil
 		}
 		resp, err := h(ctx, req.from, req.payload)
 		if err != nil {
-			return statusAppError, []byte(err.Error()), false
+			return statusAppError, []byte(err.Error())
 		}
-		return statusOK, resp, false
+		return statusOK, resp
 	default:
-		return statusAppError, []byte(fmt.Sprintf("unknown op %d", req.op)), false
+		return statusAppError, []byte(fmt.Sprintf("unknown op %d", req.op))
 	}
 }
 
@@ -1131,7 +1130,7 @@ func waitForBurst(mu *sync.Mutex, q *vecQueue) {
 }
 
 // roundTrip runs one request against a peer. payload and extra together form
-// the request payload (extra is WriteRegionV's gather list; both may be
+// the request payload (extra is CallV's gather list; both may be
 // nil); dst, when non-nil, is the caller's destination buffer for an opRead
 // response, scattered into directly by the demux reader.
 func (e *Endpoint) roundTrip(ctx context.Context, to transport.NodeID, op byte, region transport.RegionID, offset int64, n int, payload []byte, extra [][]byte, dst []byte) ([]byte, error) {
@@ -1153,13 +1152,19 @@ func (e *Endpoint) roundTrip(ctx context.Context, to transport.NodeID, op byte, 
 		if e.isClosed() {
 			return nil, transport.ErrClosed
 		}
-		if op == opWrite && extra != nil {
-			return nil, e.writeLocalV(to, region, offset, payload, extra)
-		}
 		if op == opRead && dst != nil {
 			return nil, e.readLocalInto(to, region, offset, dst)
 		}
-		status, resp, _ := e.execute(ctx, request{
+		if extra != nil {
+			// A gather call: the handler needs one contiguous payload.
+			payload = getBuf(plen)
+			defer putBuf(payload)
+			at := 0
+			for _, b := range extra {
+				at += copy(payload[at:], b)
+			}
+		}
+		status, resp := e.execute(ctx, request{
 			op: op, from: e.id, region: region, offset: offset, n: n, payload: payload,
 		}, false)
 		return e.decodeStatus(to, region, status, resp)
@@ -1261,28 +1266,6 @@ func (e *Endpoint) attempt(ctx context.Context, to transport.NodeID, op byte, re
 	return out, false, err
 }
 
-// writeLocalV applies a loopback gather write directly to the region.
-func (e *Endpoint) writeLocalV(to transport.NodeID, region transport.RegionID, offset int64, payload []byte, extra [][]byte) error {
-	e.regMu.RLock()
-	defer e.regMu.RUnlock()
-	buf, ok := e.regions[region]
-	if !ok {
-		return fmt.Errorf("%w: region %d on node %d", transport.ErrNoRegion, region, to)
-	}
-	total := int64(len(payload))
-	for _, b := range extra {
-		total += int64(len(b))
-	}
-	if offset < 0 || offset+total > int64(len(buf)) {
-		return fmt.Errorf("%w: region %d on node %d", transport.ErrOutOfBounds, region, to)
-	}
-	at := offset + int64(copy(buf[offset:], payload))
-	for _, b := range extra {
-		at += int64(copy(buf[at:], b))
-	}
-	return nil
-}
-
 // readLocalInto applies a loopback scatter read directly from the region.
 func (e *Endpoint) readLocalInto(to transport.NodeID, region transport.RegionID, offset int64, dst []byte) error {
 	e.regMu.RLock()
@@ -1322,15 +1305,6 @@ func (e *Endpoint) WriteRegion(ctx context.Context, to transport.NodeID, region 
 	return err
 }
 
-// WriteRegionV implements transport.VectoredWriter: bufs ride the write
-// queue as one frame's iovec list and land contiguously at offset on the
-// peer — the concatenation is performed by the kernel's vectored write and
-// the peer's sequential apply, never by an intermediate assembly copy here.
-func (e *Endpoint) WriteRegionV(ctx context.Context, to transport.NodeID, region transport.RegionID, offset int64, bufs [][]byte) error {
-	_, err := e.roundTrip(ctx, to, opWrite, region, offset, 0, nil, bufs, nil)
-	return err
-}
-
 // ReadRegion implements transport.Verbs. The returned buffer is drawn from
 // the shared frame pool; the caller owns it and may release it with
 // bufpool.Put when done (retaining it merely strands one pooled buffer).
@@ -1353,8 +1327,16 @@ func (e *Endpoint) Call(ctx context.Context, to transport.NodeID, payload []byte
 	return e.roundTrip(ctx, to, opCall, 0, 0, 0, payload, nil, nil)
 }
 
-// request is one decoded request frame. pooled marks a payload drawn from
-// the frame pool (one-sided writes only; call payloads are handler-owned).
+// CallV implements transport.VectoredCaller: bufs ride the write queue as one
+// frame's iovec list, and the peer reads them into one pooled payload for
+// its handler.
+func (e *Endpoint) CallV(ctx context.Context, to transport.NodeID, bufs [][]byte) ([]byte, error) {
+	return e.roundTrip(ctx, to, opCall, 0, 0, 0, nil, bufs, nil)
+}
+
+// request is one decoded request frame. Its payload is drawn from the frame
+// pool: the serving loop releases it once the op has been applied (one-sided)
+// or its response flushed (calls — handlers see it only until they return).
 type request struct {
 	op      byte
 	id      uint64
@@ -1363,28 +1345,6 @@ type request struct {
 	offset  int64
 	n       int
 	payload []byte
-	pooled  bool
-}
-
-// writeRequest frames one request without flushing; the caller decides when
-// the flush syscall happens (see Endpoint.send's coalescing).
-func writeRequest(w *bufio.Writer, op byte, id uint64, from transport.NodeID, region transport.RegionID, offset int64, n int, payload []byte) error {
-	if len(payload) > maxPayload {
-		return fmt.Errorf("%w: payload %d exceeds %d", ErrFrameTooLarge, len(payload), maxPayload)
-	}
-	var hdr [reqHeaderSize]byte
-	hdr[0] = op
-	binary.BigEndian.PutUint64(hdr[1:9], id)
-	binary.BigEndian.PutUint64(hdr[9:17], uint64(from))
-	binary.BigEndian.PutUint32(hdr[17:21], uint32(region))
-	binary.BigEndian.PutUint64(hdr[21:29], uint64(offset))
-	binary.BigEndian.PutUint32(hdr[29:33], uint32(n))
-	binary.BigEndian.PutUint32(hdr[33:37], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
 }
 
 func readRequest(r *bufio.Reader) (request, error) {
@@ -1410,63 +1370,18 @@ func readRequest(r *bufio.Reader) (request, error) {
 	if payloadLen > maxPayload {
 		return request{}, errors.New("tcpnet: oversized frame")
 	}
-	if req.op == opCall {
-		// Handlers may retain their payload, so it cannot come from the pool.
-		req.payload = make([]byte, payloadLen)
-	} else {
-		req.payload = getBuf(int(payloadLen))
-		req.pooled = true
-	}
+	req.payload = getBuf(int(payloadLen))
 	if _, err := io.ReadFull(r, req.payload); err != nil {
-		if req.pooled {
-			putBuf(req.payload)
-		}
+		putBuf(req.payload)
 		return request{}, err
 	}
 	return req, nil
-}
-
-func writeResponse(w *bufio.Writer, id uint64, status byte, payload []byte) error {
-	if len(payload) > maxPayload {
-		return fmt.Errorf("%w: payload %d exceeds %d", ErrFrameTooLarge, len(payload), maxPayload)
-	}
-	var hdr [respHeaderSize]byte
-	binary.BigEndian.PutUint64(hdr[0:8], id)
-	hdr[8] = status
-	binary.BigEndian.PutUint32(hdr[9:13], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-func readResponse(r *bufio.Reader) (id uint64, status byte, payload []byte, err error) {
-	var hdr [respHeaderSize]byte
-	if _, err = io.ReadFull(r, hdr[:]); err != nil {
-		return 0, 0, nil, err
-	}
-	id = binary.BigEndian.Uint64(hdr[0:8])
-	status = hdr[8]
-	payloadLen := binary.BigEndian.Uint32(hdr[9:13])
-	if payloadLen > maxPayload {
-		return 0, 0, nil, errors.New("tcpnet: oversized frame")
-	}
-	payload = make([]byte, payloadLen)
-	if _, err = io.ReadFull(r, payload); err != nil {
-		return 0, 0, nil, err
-	}
-	return id, status, payload, nil
 }
 
 // The frame buffer pool is the repository-wide size-classed pool in
 // internal/bufpool (4 KiB–4 MiB classes), shared with the core client's
 // scratch buffers so a response buffer released by one layer serves the
 // next. These thin wrappers keep the package's historical spelling.
-const (
-	minPoolBuf = bufpool.MinBuf
-	maxPoolBuf = bufpool.MaxBuf
-)
 
 // getBuf returns a length-n buffer, reusing a pooled one when available.
 func getBuf(n int) []byte { return bufpool.Get(n) }

@@ -6,13 +6,16 @@ import (
 	"context"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
+
+	"godm/internal/transport"
 )
 
-// TestVectoredFrameGolden pins the wire format of the vectored write path: a
-// WriteRegionV frame captured off a raw TCP listener must be byte-identical
-// to the frame the reference codec (writeRequest) assembles from the
+// TestVectoredFrameGolden pins the wire format of the vectored send path: a
+// CallV frame captured off a raw TCP listener must be byte-identical to the
+// frame the reference codec (writeRequest) assembles from the
 // pre-concatenated payload. This is what makes the writev rewrite invisible
 // to peers running the sequential framing.
 func TestVectoredFrameGolden(t *testing.T) {
@@ -73,15 +76,15 @@ func TestVectoredFrameGolden(t *testing.T) {
 	for _, p := range parts {
 		flat = append(flat, p...)
 	}
-	if err := a.WriteRegionV(context.Background(), 2, 9, 1234, parts); err != nil {
-		t.Fatalf("WriteRegionV: %v", err)
+	if _, err := a.CallV(context.Background(), 2, parts); err != nil {
+		t.Fatalf("CallV: %v", err)
 	}
 	res := <-done
 	if res.err != nil {
 		t.Fatalf("server side: %v", res.err)
 	}
-	if res.req.op != opWrite || res.req.region != 9 || res.req.offset != 1234 {
-		t.Fatalf("decoded frame = op %d region %d offset %d", res.req.op, res.req.region, res.req.offset)
+	if res.req.op != opCall || res.req.from != 1 {
+		t.Fatalf("decoded frame = op %d from %d", res.req.op, res.req.from)
 	}
 	if !bytes.Equal(res.req.payload, flat) {
 		t.Fatal("vectored payload did not arrive as the concatenation of the iovec")
@@ -176,4 +179,103 @@ func BenchmarkTCPNetReadInto(b *testing.B) {
 		}(n)
 	}
 	wg.Wait()
+}
+
+// TestAliasedCallResponseSurvivesPooledPayload: call payloads are drawn from
+// the frame pool and a handler sees its payload only until it returns — but
+// the pooled buffer is released by the flush that hands the response to the
+// kernel, not by the handler's return, so even a handler that answers with a
+// view of its payload (as this package's echo handlers do) gets the right
+// bytes back to its caller while other calls recycle the pool around it.
+func TestAliasedCallResponseSurvivesPooledPayload(t *testing.T) {
+	a, peer := benchPair(t)
+	peer.SetHandler(func(_ context.Context, _ transport.NodeID, payload []byte) ([]byte, error) {
+		return payload[8 : len(payload)-8], nil
+	})
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				msg := bytes.Repeat([]byte{byte(w*50 + i)}, 9000)
+				got, err := a.CallV(ctx, 2, [][]byte{msg[:10], msg[10:]})
+				if err != nil {
+					t.Errorf("CallV: %v", err)
+					return
+				}
+				if !bytes.Equal(got, msg[8:len(msg)-8]) {
+					t.Errorf("caller %d call %d: the answer is not the view of the payload the handler returned", w, i)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// TestCallPayloadsArePooled: in steady state a 64 KiB two-sided call costs
+// no payload-sized allocation on either side of the loopback — the request
+// buffer the handler sees is recycled (scripts/alloc_budget.sh holds the same
+// line on the benchmark).
+func TestCallPayloadsArePooled(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	a, peer := benchPair(t)
+	peer.SetHandler(func(_ context.Context, _ transport.NodeID, payload []byte) ([]byte, error) {
+		return []byte{byte(len(payload) >> 8)}, nil
+	})
+	vec := [][]byte{make([]byte, 32), make([]byte, 64<<10)}
+	ctx := context.Background()
+	call := func() {
+		if _, err := a.CallV(ctx, 2, vec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4*a.lanes; i++ {
+		call() // dial every lane, fill the pool
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const calls = 200
+	for i := 0; i < calls; i++ {
+		call()
+	}
+	runtime.ReadMemStats(&after)
+	if perCall := (after.TotalAlloc - before.TotalAlloc) / calls; perCall > 4<<10 {
+		t.Errorf("a 64 KiB call allocates %d B on average, want no payload-sized allocation", perCall)
+	}
+}
+
+// TestCallerRefillsItsPayloadRightAfterTheCall: a payload slice is lent to
+// the transport only until the verb returns, so a caller may overwrite it the
+// moment it has its answer — the one-round-trip put does, re-encoding shards
+// into the same pooled buffers. Meaningful under -race: the detector logs the
+// socket write's read of the slice only after the syscall returns, which can
+// be after the answer arrived, and used to report the caller's next write as
+// racing with it (the long-standing TestChaosStripeDegradedReadTCP flake).
+func TestCallerRefillsItsPayloadRightAfterTheCall(t *testing.T) {
+	a, peer := benchPair(t)
+	peer.SetHandler(func(_ context.Context, _ transport.NodeID, payload []byte) ([]byte, error) {
+		return []byte{payload[0]}, nil
+	})
+	if _, err := peer.RegisterRegion(1, 64<<10); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	buf := make([]byte, 64<<10)
+	for i := 0; i < 500; i++ {
+		for j := 0; j < len(buf); j += 512 {
+			buf[j] = byte(i)
+		}
+		if got, err := a.Call(ctx, 2, buf); err != nil || got[0] != byte(i) {
+			t.Fatalf("call %d: %v, %v", i, got, err)
+		}
+		buf[0]++
+		if err := a.WriteRegion(ctx, 2, 1, 0, buf); err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+	}
 }

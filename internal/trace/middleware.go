@@ -61,19 +61,6 @@ func (t *traced) ReadRegion(ctx context.Context, to transport.NodeID, region tra
 	return data, err
 }
 
-func (t *traced) WriteRegionV(ctx context.Context, to transport.NodeID, region transport.RegionID, offset int64, bufs [][]byte) error {
-	ctx, sp := t.tr.Start(ctx, "net.write")
-	sp.Annotate("to", int(to))
-	total := 0
-	for _, b := range bufs {
-		total += len(b)
-	}
-	sp.Annotate("bytes", total)
-	err := transport.WriteRegionV(ctx, t.ep, to, region, offset, bufs)
-	sp.EndErr(err)
-	return err
-}
-
 func (t *traced) ReadRegionInto(ctx context.Context, to transport.NodeID, region transport.RegionID, offset int64, dst []byte) error {
 	ctx, sp := t.tr.Start(ctx, "net.read")
 	sp.Annotate("to", int(to))
@@ -88,6 +75,22 @@ func (t *traced) Call(ctx context.Context, to transport.NodeID, payload []byte) 
 	sp.Annotate("to", int(to))
 	sp.Annotate("bytes", len(payload))
 	resp, err := t.ep.Call(ctx, to, injectWire(sp.Context(), payload))
+	sp.EndErr(err)
+	return resp, err
+}
+
+// CallV is Call for a gather list: the envelope rides as one more slice in
+// front of bufs, so a bulk payload is not copied behind it.
+func (t *traced) CallV(ctx context.Context, to transport.NodeID, bufs [][]byte) ([]byte, error) {
+	ctx, sp := t.tr.Start(ctx, "net.call")
+	sp.Annotate("to", int(to))
+	total := 0
+	for _, b := range bufs {
+		total += len(b)
+	}
+	sp.Annotate("bytes", total)
+	vec := append([][]byte{injectWire(sp.Context(), nil)}, bufs...)
+	resp, err := transport.CallV(ctx, t.ep, to, vec)
 	sp.EndErr(err)
 	return resp, err
 }

@@ -48,6 +48,11 @@ var (
 // Handler serves control-plane (two-sided) requests. Implementations must be
 // safe for concurrent use.
 //
+// payload is lent to the handler: it is valid only until the handler returns
+// (the TCP fabric draws it from the frame pool, the simulated fabric passes
+// the caller's own slice), so a handler copies whatever it keeps and never
+// returns a response that aliases it.
+//
 // ctx is the request-scoped context. On the simulated fabric it is the
 // caller's context (so it carries the calling des.Proc and any trace state);
 // on the TCP fabric it is a server context that is cancelled when the
@@ -76,10 +81,11 @@ type Verbs interface {
 
 // VectoredWriter is the gather-write capability: a one-sided write whose
 // payload is a list of slices (an iovec) that land contiguously at offset, in
-// order, as if they had been concatenated — without the fabric requiring the
-// caller to assemble them first. Both fabrics and all transport middlewares
-// implement it natively; WriteRegionV (the package helper) falls back to a
-// pooled gather copy for a Verbs that does not.
+// order, as if they had been concatenated. Nothing in this module issues
+// gather writes any more — a batch's payloads ride its put as a gather call
+// (VectoredCaller) — and no fabric here implements the capability; it and the
+// WriteRegionV helper stay for wrappers that forward it (the benchmark's
+// timing endpoint), which the helper serves with a pooled gather copy.
 //
 // Buffer ownership: every slice remains owned by the caller and must stay
 // unmodified until the call returns (the fabric may reference it until the
@@ -101,6 +107,30 @@ type ScatterReader interface {
 	ReadRegionInto(ctx context.Context, to NodeID, region RegionID, offset int64, dst []byte) error
 }
 
+// VectoredCaller is the gather-call capability: a two-sided call whose
+// request payload is a list of slices the target's Handler receives as one
+// contiguous payload, so a caller never concatenates a bulk body behind its
+// header. The TCP fabric and the fault and trace middlewares implement it
+// natively; CallV (the package helper) falls back to a pooled gather copy
+// for a Verbs that does not. Ownership of bufs is VectoredWriter's.
+type VectoredCaller interface {
+	CallV(ctx context.Context, to NodeID, bufs [][]byte) ([]byte, error)
+}
+
+// gather assembles bufs into one pooled buffer the caller must Put.
+func gather(bufs [][]byte) []byte {
+	total := 0
+	for _, b := range bufs {
+		total += len(b)
+	}
+	out := bufpool.Get(total)
+	n := 0
+	for _, b := range bufs {
+		n += copy(out[n:], b)
+	}
+	return out
+}
+
 // WriteRegionV performs a gather write through v: natively when v implements
 // VectoredWriter, otherwise by assembling bufs into one pooled buffer and
 // issuing a plain WriteRegion. The result on the target region is identical
@@ -110,18 +140,24 @@ func WriteRegionV(ctx context.Context, v Verbs, to NodeID, region RegionID, offs
 	if vw, ok := v.(VectoredWriter); ok {
 		return vw.WriteRegionV(ctx, to, region, offset, bufs)
 	}
-	total := 0
-	for _, b := range bufs {
-		total += len(b)
-	}
-	gather := bufpool.Get(total)
-	n := 0
-	for _, b := range bufs {
-		n += copy(gather[n:], b)
-	}
-	err := v.WriteRegion(ctx, to, region, offset, gather)
-	bufpool.Put(gather)
+	flat := gather(bufs)
+	err := v.WriteRegion(ctx, to, region, offset, flat)
+	bufpool.Put(flat)
 	return err
+}
+
+// CallV performs a gather call through v: natively when v implements
+// VectoredCaller, otherwise as a plain Call of one pooled gather of bufs. The
+// handler sees the same payload bytes either way, and it is one Call at the
+// Verbs level on both paths.
+func CallV(ctx context.Context, v Verbs, to NodeID, bufs [][]byte) ([]byte, error) {
+	if vc, ok := v.(VectoredCaller); ok {
+		return vc.CallV(ctx, to, bufs)
+	}
+	flat := gather(bufs)
+	resp, err := v.Call(ctx, to, flat)
+	bufpool.Put(flat)
+	return resp, err
 }
 
 // ReadRegionInto performs a scatter read of len(dst) bytes through v:

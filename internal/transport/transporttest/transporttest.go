@@ -53,9 +53,10 @@ func Cases() []Case {
 		{"TraceContextPropagation", testTracePropagation},
 		{"VectoredWriteEquivalence", testVectoredWriteEquivalence},
 		{"ScatterReadInto", testScatterReadInto},
+		{"GatherCallEquivalence", testGatherCallEquivalence},
 		{"MapDeltaOpFidelity", testMapDeltaOpFidelity},
 		{"RedirectOpFidelity", testRedirectOpFidelity},
-		{"ShardAllocOpFidelity", testShardAllocOpFidelity},
+		{"ShardPutOpFidelity", testShardPutOpFidelity},
 	}
 }
 
@@ -304,7 +305,7 @@ func testTracePropagation(t *testing.T, f Fabric) {
 			handlerSawContext = true
 			gotTrace = sc.Trace
 		}
-		return payload, nil
+		return append([]byte(nil), payload...), nil // the payload is only lent
 	})
 	f.Run(t, func(ctx context.Context) {
 		ctx = trace.WithTracer(ctx, tr)
@@ -426,6 +427,60 @@ func testScatterReadInto(t *testing.T, f Fabric) {
 		}
 		if err := transport.ReadRegionInto(ctx, eps[0], 2, 99, 0, make([]byte, 8)); !errors.Is(err, transport.ErrNoRegion) {
 			t.Errorf("unknown-region scatter read: %v, want ErrNoRegion", err)
+		}
+	})
+}
+
+// testGatherCallEquivalence checks the gather-call contract through the
+// package helper, so it holds for a Verbs with the transport.VectoredCaller
+// capability and for one without (the helper's pooled-gather fallback): the
+// handler of a CallV receives, as one contiguous payload, byte for byte what
+// the handler of a plain Call of the concatenation receives. The handler
+// copies what it keeps — its payload is only lent to it — and answers with
+// fresh bytes. Oversized totals get the ErrFrameTooLarge of oversized calls.
+func testGatherCallEquivalence(t *testing.T, f Fabric) {
+	eps := f.Endpoints(t, 2)
+	var seen [][]byte
+	eps[1].SetHandler(func(_ context.Context, _ transport.NodeID, payload []byte) ([]byte, error) {
+		seen = append(seen, append([]byte(nil), payload...))
+		return binary.BigEndian.AppendUint32(nil, uint32(len(payload))), nil
+	})
+	// A small header, a bulk body the size of a remote put's, an empty slice
+	// mid-list and an odd tail.
+	body := make([]byte, 64<<10)
+	for i := range body {
+		body[i] = byte(i*31 + i>>8)
+	}
+	parts := [][]byte{[]byte("header:32-bytes-of-control-data!"), body, {}, {0x44, 0x55, 0x66}}
+	var flat []byte
+	for _, p := range parts {
+		flat = append(flat, p...)
+	}
+	f.Run(t, func(ctx context.Context) {
+		for i := 0; i < 3; i++ { // more than once: a recycled frame buffer must not leak into the next call
+			vResp, err := transport.CallV(ctx, eps[0], 2, parts)
+			if err != nil {
+				t.Fatalf("CallV: %v", err)
+			}
+			fResp, err := eps[0].Call(ctx, 2, flat)
+			if err != nil {
+				t.Fatalf("Call: %v", err)
+			}
+			if want := binary.BigEndian.AppendUint32(nil, uint32(len(flat))); !bytes.Equal(vResp, want) || !bytes.Equal(fResp, want) {
+				t.Fatalf("answers %x / %x, want %x", vResp, fResp, want)
+			}
+		}
+		for i, got := range seen {
+			if !bytes.Equal(got, flat) {
+				t.Errorf("delivery %d: the handler saw %d bytes that differ from the %d sent", i, len(got), len(flat))
+			}
+		}
+		if len(seen) != 6 {
+			t.Errorf("handler ran %d times for 6 calls", len(seen))
+		}
+		huge := [][]byte{make([]byte, transport.MaxFrameSize), {0x1}}
+		if _, err := transport.CallV(ctx, eps[0], 2, huge); !errors.Is(err, transport.ErrFrameTooLarge) {
+			t.Errorf("oversized gather call: %v, want ErrFrameTooLarge", err)
 		}
 	})
 }
@@ -567,30 +622,35 @@ func testRedirectOpFidelity(t *testing.T, f Fabric) {
 	})
 }
 
-// testShardAllocOpFidelity checks the erasure-coding control frames cross
-// both fabrics bit-exactly: the 20-byte one-block shard reserve ([op]
-// [owner u32][key u64][class u32][idx][k][m]) and the 13-byte shard-stat
-// request with its 5-byte coordinate answer ([stOK][hosted][idx][k][m]). A
-// corrupted idx or k would make a repair reconstruct the wrong shard, so
-// every field is driven with high bits set.
-func testShardAllocOpFidelity(t *testing.T, f Fabric) {
+// testShardPutOpFidelity checks the erasure-coding control frames cross both
+// fabrics bit-exactly: a one-shard put that displaces a block — the 48-byte
+// header ([op][owner u32][idx][k][m][N u32][R u32] + [key u64][class u32]
+// [len u32] + [key u64][old offset u64]) with the shard's bytes gathered
+// behind it — and the 13-byte shard-stat request with its 5-byte coordinate
+// answer ([stOK][hosted][idx][k][m]). A corrupted idx or k would make a
+// repair reconstruct the wrong shard, so every field is driven with high
+// bits set.
+func testShardPutOpFidelity(t *testing.T, f Fabric) {
 	const (
-		opAllocShard = 16
-		opShardStat  = 17
-		stOK         = 0
+		opPut       = 1
+		opShardStat = 17
+		stOK        = 0
 	)
+	shard := bytes.Repeat([]byte{0xE7, 0x18}, 512)
 	eps := f.Endpoints(t, 2)
 	eps[1].SetHandler(func(_ context.Context, _ transport.NodeID, payload []byte) ([]byte, error) {
 		switch payload[0] {
-		case opAllocShard:
-			if len(payload) != 20 {
-				return nil, fmt.Errorf("shard alloc frame = %d bytes, want 20", len(payload))
+		case opPut:
+			if len(payload) != 48+len(shard) || !bytes.Equal(payload[48:], shard) {
+				return nil, fmt.Errorf("shard put frame = %d bytes, want 48 + the %d-byte shard intact", len(payload), len(shard))
 			}
-			// Answer with an alloc-style [stOK][offset u64] echoing the key so
-			// the caller can verify the request fields arrived intact.
-			b := []byte{stOK}
-			b = binary.BigEndian.AppendUint64(b, binary.BigEndian.Uint64(payload[5:13]))
-			return b, nil
+			// Answer put-style, [stOK][offset u64], with the header folded
+			// into the offset so the caller can tell every field arrived.
+			sum := uint64(0)
+			for _, b := range payload[:48] {
+				sum = sum*131 + uint64(b)
+			}
+			return binary.BigEndian.AppendUint64([]byte{stOK}, sum), nil
 		case opShardStat:
 			if len(payload) != 13 {
 				return nil, fmt.Errorf("shard stat frame = %d bytes, want 13", len(payload))
@@ -603,24 +663,31 @@ func testShardAllocOpFidelity(t *testing.T, f Fabric) {
 			return nil, fmt.Errorf("unexpected op %d", payload[0])
 		}
 	})
-	allocShard := func(key uint64, class, owner uint32, idx, k, m byte) []byte {
-		b := []byte{opAllocShard}
-		b = binary.BigEndian.AppendUint32(b, owner)
-		b = binary.BigEndian.AppendUint64(b, key)
-		b = binary.BigEndian.AppendUint32(b, class)
-		return append(b, idx, k, m)
+	key := uint64(0xF00DFACE99887766)
+	hdr := []byte{opPut}
+	hdr = binary.BigEndian.AppendUint32(hdr, 0xFFEE0001) // owner
+	hdr = append(hdr, 0x3F, 0x3E, 0x02)                  // idx, k, m
+	hdr = binary.BigEndian.AppendUint32(hdr, 1)          // entries
+	hdr = binary.BigEndian.AppendUint32(hdr, 1)          // releases
+	hdr = binary.BigEndian.AppendUint64(hdr, key)
+	hdr = binary.BigEndian.AppendUint32(hdr, 0x80000400) // class
+	hdr = binary.BigEndian.AppendUint32(hdr, uint32(len(shard)))
+	hdr = binary.BigEndian.AppendUint64(hdr, key)
+	hdr = binary.BigEndian.AppendUint64(hdr, 0xFEDCBA9876543210) // old offset
+	want := uint64(0)
+	for _, b := range hdr {
+		want = want*131 + uint64(b)
 	}
 	f.Run(t, func(ctx context.Context) {
-		key := uint64(0xF00DFACE99887766)
-		resp, err := eps[0].Call(ctx, 2, allocShard(key, 0x80000400, 0xFFEE0001, 0x3F, 0x3E, 0x02))
+		resp, err := transport.CallV(ctx, eps[0], 2, [][]byte{hdr, shard})
 		if err != nil {
-			t.Fatalf("shard alloc Call: %v", err)
+			t.Fatalf("shard put Call: %v", err)
 		}
 		if len(resp) != 9 || resp[0] != stOK {
-			t.Fatalf("shard alloc answer = %d bytes status %d", len(resp), resp[0])
+			t.Fatalf("shard put answer = %d bytes status %d", len(resp), resp[0])
 		}
-		if echoed := binary.BigEndian.Uint64(resp[1:9]); echoed != key {
-			t.Errorf("echoed key = %#x, want %#x", echoed, key)
+		if got := binary.BigEndian.Uint64(resp[1:9]); got != want {
+			t.Errorf("header arrived as %#x, sent as %#x", got, want)
 		}
 		stat := []byte{opShardStat}
 		stat = binary.BigEndian.AppendUint64(stat, key)
@@ -629,8 +696,7 @@ func testShardAllocOpFidelity(t *testing.T, f Fabric) {
 		if err != nil {
 			t.Fatalf("shard stat Call: %v", err)
 		}
-		want := []byte{stOK, 1, 0x66, 0xAA, 0xBB}
-		if !bytes.Equal(resp, want) {
+		if want := []byte{stOK, 1, 0x66, 0xAA, 0xBB}; !bytes.Equal(resp, want) {
 			t.Errorf("shard stat answer = %v, want %v", resp, want)
 		}
 	})

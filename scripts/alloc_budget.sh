@@ -1,47 +1,63 @@
 #!/usr/bin/env bash
 # Allocation budget for the zero-copy data plane.
 #
-# Runs the hot transport benchmark with -benchmem and fails if its heap
-# traffic regresses above the checked-in thresholds. The budget guards the
-# vectored-write/scatter-read rewrite (see BENCH_zerocopy.json for how the
-# numbers were established):
+# Runs the hot transport benchmarks with -benchmem and fails if their heap
+# traffic regresses above the checked-in thresholds.
 #
-#   BenchmarkTCPNetParallelRead sits at 4097 B/op, 1 alloc/op — the one
-#   residual allocation is the result buffer the legacy ReadRegion API hands
-#   the caller. Before the rewrite it ran at 4272 B/op, 7 allocs/op, so the
-#   thresholds below are chosen to fail on any return of per-frame staging
-#   copies or header/pool boxing while leaving room for counter noise.
+#   BenchmarkTCPNetParallelRead (one-sided 4 KiB reads) sits at ~4100 B/op,
+#   1 alloc/op — the one residual allocation is the result buffer the legacy
+#   ReadRegion API hands the caller. Before the vectored-write/scatter-read
+#   rewrite it ran at 4272 B/op, 7 allocs/op (BENCH_zerocopy.json), so the
+#   thresholds fail on any return of per-frame staging copies or header/pool
+#   boxing while leaving room for counter noise.
+#
+#   BenchmarkTCPNetCallV64K (the remote put's shape: a two-sided gather call
+#   of a 32-byte header and a 64 KiB body, answered in 9 bytes) sits at
+#   ~145 B/op, 3 allocs/op: the answer, the worker goroutine and a closure.
+#   Its budget is "no payload-sized allocation on either side": the caller
+#   queues the body as an iovec, the server reads it into a pooled buffer. One
+#   64 KiB allocation on even 2 % of the ops would spend the 1024 B/op.
+#
+# Both benchmarks dial every connection lane and fill the frame pool before
+# their timer starts (warmLanes in internal/tcpnet/bench_test.go). They used
+# not to, and -benchtime 2000x then charged ~360 KB of one-time set-up — two
+# 64 KiB bufio readers per lane, the first pooled frames — to 2000 ops: the
+# read row read 4246-4279 B/op against its 4224 budget on hosts with two
+# lanes, with the steady state unchanged. The budget was right; the
+# amortisation was not.
 #
 # Must run WITHOUT the race detector: its instrumentation allocates and would
 # drown the signal (the zero-alloc AllocsPerRun tests skip under -race for
 # the same reason).
 set -eu
 
-MAX_B_PER_OP=4224
-MAX_ALLOCS_PER_OP=2
-
-out=$(go test -run '^$' -bench 'BenchmarkTCPNetParallelRead$' -benchmem -benchtime 2000x ./internal/tcpnet/)
+out=$(go test -run '^$' -bench 'BenchmarkTCPNetParallelRead$|BenchmarkTCPNetCallV64K$' -benchmem -benchtime 2000x ./internal/tcpnet/)
 echo "$out"
 
-line=$(printf '%s\n' "$out" | grep '^BenchmarkTCPNetParallelRead')
-b_per_op=$(printf '%s\n' "$line" | awk '{for (i = 2; i <= NF; i++) if ($i == "B/op") print $(i - 1)}')
-allocs_per_op=$(printf '%s\n' "$line" | awk '{for (i = 2; i <= NF; i++) if ($i == "allocs/op") print $(i - 1)}')
-
-if [ -z "$b_per_op" ] || [ -z "$allocs_per_op" ]; then
-    echo "alloc_budget: could not parse -benchmem output" >&2
-    exit 1
-fi
-
 status=0
-if [ "$b_per_op" -gt "$MAX_B_PER_OP" ]; then
-    echo "alloc_budget: BenchmarkTCPNetParallelRead allocates $b_per_op B/op, budget is $MAX_B_PER_OP" >&2
-    status=1
-fi
-if [ "$allocs_per_op" -gt "$MAX_ALLOCS_PER_OP" ]; then
-    echo "alloc_budget: BenchmarkTCPNetParallelRead makes $allocs_per_op allocs/op, budget is $MAX_ALLOCS_PER_OP" >&2
-    status=1
-fi
+# check NAME MAX_B_PER_OP MAX_ALLOCS_PER_OP
+check() {
+    line=$(printf '%s\n' "$out" | grep "^$1" || true)
+    b_per_op=$(printf '%s\n' "$line" | awk '{for (i = 2; i <= NF; i++) if ($i == "B/op") print $(i - 1)}')
+    allocs_per_op=$(printf '%s\n' "$line" | awk '{for (i = 2; i <= NF; i++) if ($i == "allocs/op") print $(i - 1)}')
+    if [ -z "$b_per_op" ] || [ -z "$allocs_per_op" ]; then
+        echo "alloc_budget: could not parse -benchmem output for $1" >&2
+        status=1
+        return
+    fi
+    if [ "$b_per_op" -gt "$2" ]; then
+        echo "alloc_budget: $1 allocates $b_per_op B/op, budget is $2" >&2
+        status=1
+    fi
+    if [ "$allocs_per_op" -gt "$3" ]; then
+        echo "alloc_budget: $1 makes $allocs_per_op allocs/op, budget is $3" >&2
+        status=1
+    fi
+    echo "alloc_budget: $1: $b_per_op B/op (budget $2), $allocs_per_op allocs/op (budget $3)"
+}
+check BenchmarkTCPNetParallelRead 4224 2
+check BenchmarkTCPNetCallV64K 1024 6
 if [ "$status" -eq 0 ]; then
-    echo "alloc_budget: OK ($b_per_op B/op <= $MAX_B_PER_OP, $allocs_per_op allocs/op <= $MAX_ALLOCS_PER_OP)"
+    echo "alloc_budget: OK"
 fi
 exit "$status"
