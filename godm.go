@@ -188,8 +188,10 @@ var (
 	// DialClient is the TCP convenience wrapper (it accepts no client
 	// options — construct via NewClient to pass any).
 	NewClient = core.NewClient
-	// WithClientCompression deflates entries >= minSize into smaller §IV.H
-	// size classes before they cross the fabric (0 = default threshold).
+	// WithClientCompression compresses entries >= minSize into smaller §IV.H
+	// size classes before they cross the fabric (0 = default threshold),
+	// with internal/compress's LZ block codec; an entry that does not reach
+	// a smaller class travels raw.
 	WithClientCompression = core.WithCompression
 
 	// Balancer constructors (§IV.E policies).

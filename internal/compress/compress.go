@@ -7,20 +7,20 @@
 // 2 KB, 4 KB), against Zswap, whose zbud allocator stores at most two
 // compressed pages per physical page (an effective ratio cap of 2).
 //
-// The package offers a real flate-backed Codec used by the library's data
-// plane and by the Figure 3 experiment, plus a Model codec that predicts
-// stored sizes from a known compressibility ratio so large-scale simulations
-// avoid running deflate on billions of synthetic pages.
+// The package offers a real Codec used by the library's data plane and by the
+// Figure 3 experiment — an in-tree LZ block codec (lz.go: the LZ4 block
+// format, no entropy stage), the LZO/LZ4 class of page compressor Zswap and
+// FastSwap sit on, cheap next to a remote access — plus a Model codec that
+// predicts stored sizes from a known compressibility ratio so large-scale
+// simulations avoid compressing billions of synthetic pages.
 package compress
 
 import (
-	"bytes"
-	"compress/flate"
 	"errors"
 	"fmt"
-	"io"
+	"math"
 	"math/rand"
-	"sync"
+	"slices"
 )
 
 // PageSize is the unit of swap-out and compression: a 4 KB page.
@@ -76,7 +76,7 @@ func (g Granularity) ClassFor(n int) int {
 
 // Compressed is one page after compression and size-class binning.
 type Compressed struct {
-	// Data is the deflate payload, or the raw page when incompressible.
+	// Data is the compressed block, or the raw page when incompressible.
 	Data []byte
 	// StoredSize is the size class the payload occupies in the pool.
 	StoredSize int
@@ -84,14 +84,14 @@ type Compressed struct {
 	Raw bool
 }
 
-// Codec compresses pages with deflate and bins them by a Granularity. It is
-// safe for concurrent use.
+// Codec compresses pages and entries with the LZ block codec and bins them by
+// a Granularity. It holds no state beyond the granularity and is safe for
+// concurrent use.
 type Codec struct {
 	gran Granularity
-	wp   sync.Pool // *flate.Writer
 }
 
-// NewCodec returns a deflate codec using granularity g.
+// NewCodec returns a codec using granularity g.
 func NewCodec(g Granularity) (*Codec, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
@@ -102,82 +102,21 @@ func NewCodec(g Granularity) (*Codec, error) {
 // Granularity returns the codec's size classes.
 func (c *Codec) Granularity() Granularity { return c.gran }
 
-// Compress deflates a PageSize page and bins it. Pages whose compressed form
-// would not fit below the top class are stored raw.
+// Compress compresses a PageSize page and bins it. Pages whose compressed
+// form would not fit below the top class are stored raw.
 func (c *Codec) Compress(page []byte) (Compressed, error) {
 	if len(page) != PageSize {
 		return Compressed{}, fmt.Errorf("compress: page length %d != %d", len(page), PageSize)
 	}
-	var buf bytes.Buffer
-	w, _ := c.writer(&buf)
-	if _, err := w.Write(page); err != nil {
-		return Compressed{}, fmt.Errorf("compress: deflate write: %w", err)
+	payload, ok := c.AppendEntry(nil, page)
+	if class := c.gran.ClassFor(len(payload)); ok && class < PageSize {
+		return Compressed{Data: payload, StoredSize: class}, nil
 	}
-	if err := w.Close(); err != nil {
-		return Compressed{}, fmt.Errorf("compress: deflate close: %w", err)
-	}
-	c.wp.Put(w)
-	payload := buf.Bytes()
-	class := c.gran.ClassFor(len(payload))
-	if class >= PageSize || len(payload) >= PageSize {
-		raw := make([]byte, PageSize)
-		copy(raw, page)
-		return Compressed{Data: raw, StoredSize: PageSize, Raw: true}, nil
-	}
-	return Compressed{Data: payload, StoredSize: class}, nil
+	return Compressed{Data: slices.Clone(page), StoredSize: PageSize, Raw: true}, nil
 }
 
-func (c *Codec) writer(buf *bytes.Buffer) (*flate.Writer, error) {
-	if v := c.wp.Get(); v != nil {
-		w := v.(*flate.Writer)
-		w.Reset(buf)
-		return w, nil
-	}
-	return flate.NewWriter(buf, flate.BestSpeed)
-}
-
-// inflater is a pooled decompressor: a reusable bytes.Reader feeding a
-// flate reader whose 32 KB sliding window survives Reset. The window, the
-// source reader, and the struct itself all come back from the pool; the only
-// steady-state allocation left is stdlib flate re-deriving dynamic-Huffman
-// link tables per block inside huffmanDecoder.init (~230 B for a 4 KB page,
-// versus ~40 KB/op without pooling).
-type inflater struct {
-	src bytes.Reader
-	fr  io.ReadCloser
-}
-
-var inflaters = sync.Pool{New: func() any {
-	inf := &inflater{}
-	inf.fr = flate.NewReader(&inf.src)
-	return inf
-}}
-
-// inflate decompresses payload into exactly len(dst) bytes using a pooled
-// flate reader, failing with an ErrCorrupt-wrapped error on short output or
-// trailing garbage.
-func inflate(dst, payload []byte) error {
-	inf := inflaters.Get().(*inflater)
-	defer inflaters.Put(inf)
-	inf.src.Reset(payload)
-	if err := inf.fr.(flate.Resetter).Reset(&inf.src, nil); err != nil {
-		return fmt.Errorf("%w: reset: %v", ErrCorrupt, err)
-	}
-	n, err := io.ReadFull(inf.fr, dst)
-	if err != nil || n != len(dst) {
-		return fmt.Errorf("%w: read %d of %d bytes: %v", ErrCorrupt, n, len(dst), err)
-	}
-	// A valid payload must end exactly at the expected length.
-	var extra [1]byte
-	if m, _ := inf.fr.Read(extra[:]); m != 0 {
-		return fmt.Errorf("%w: trailing bytes", ErrCorrupt)
-	}
-	return nil
-}
-
-// Decompress reverses Compress into dst, which must be PageSize long. The
-// flate state is pooled: after warm-up this path allocates only the
-// per-block Huffman link tables noted on inflater.
+// Decompress reverses Compress into dst, which must be PageSize long. It
+// allocates nothing.
 func (c *Codec) Decompress(comp Compressed, dst []byte) error {
 	if len(dst) != PageSize {
 		return fmt.Errorf("compress: dst length %d != %d", len(dst), PageSize)
@@ -189,36 +128,40 @@ func (c *Codec) Decompress(comp Compressed, dst []byte) error {
 		copy(dst, comp.Data)
 		return nil
 	}
-	return inflate(dst, comp.Data)
+	return decompressBlock(dst, comp.Data)
 }
 
-// CompressEntry deflates an arbitrary-length payload — the data-plane
-// batching path parks whole entries, not just 4 KiB pages. It returns the
-// deflated bytes and true when compression actually pays (the deflated form
-// is smaller than the input), or (nil, false) for incompressible input. The
-// writer is pooled like Compress's.
+// AppendEntry compresses an arbitrary-length payload — the data-plane
+// batching path parks whole entries, not just 4 KiB pages — onto the end of
+// dst. It returns the extended slice and true when compression pays (the
+// block is shorter than data), or dst as it was and false for incompressible
+// input. With len(data) bytes of spare capacity in dst it allocates nothing,
+// so one buffer can take a whole window of entries.
+func (c *Codec) AppendEntry(dst, data []byte) ([]byte, bool) {
+	// Under 13 bytes a block is all literals behind a token; the match
+	// finder's positions are int32.
+	if len(data) <= lastMatchStart || len(data) > math.MaxInt32 {
+		return dst, false
+	}
+	// A block that fits in one byte less than the input is the only kind
+	// worth having, so that is all the room the encoder is given.
+	at, room := len(dst), len(data)-1
+	dst = slices.Grow(dst, room)
+	n, ok := compressBlock(dst[at:at+room], data)
+	return dst[:at+n], ok
+}
+
+// CompressEntry is AppendEntry into a fresh buffer: the compressed bytes and
+// true, or (nil, false) for incompressible input.
 func (c *Codec) CompressEntry(data []byte) ([]byte, bool) {
-	if len(data) == 0 {
-		return nil, false
-	}
-	var buf bytes.Buffer
-	buf.Grow(len(data))
-	w, _ := c.writer(&buf)
-	if _, err := w.Write(data); err != nil {
-		return nil, false
-	}
-	if err := w.Close(); err != nil {
-		return nil, false
-	}
-	c.wp.Put(w)
-	payload := buf.Bytes()
-	if len(payload) >= len(data) {
+	payload, ok := c.AppendEntry(nil, data)
+	if !ok {
 		return nil, false
 	}
 	return payload, true
 }
 
-// DecompressEntry reverses CompressEntry: it inflates payload back to exactly
+// DecompressEntry reverses CompressEntry: it decodes payload back to exactly
 // rawLen bytes, failing with ErrCorrupt on any mismatch. The returned slice
 // is freshly allocated; callers holding a destination buffer should prefer
 // DecompressEntryInto.
@@ -230,12 +173,12 @@ func DecompressEntry(payload []byte, rawLen int) ([]byte, error) {
 	return out, nil
 }
 
-// DecompressEntryInto inflates payload into exactly len(dst) bytes using
-// pooled flate state — the zero-copy read path's counterpart to
-// DecompressEntry. After warm-up it allocates only the per-block Huffman
-// link tables noted on inflater.
+// DecompressEntryInto decodes payload into exactly len(dst) bytes — the
+// zero-copy read path's counterpart to DecompressEntry. It succeeds only when
+// payload is one whole block that produces len(dst) bytes, fails with an
+// ErrCorrupt-wrapped error otherwise, and allocates nothing either way.
 func DecompressEntryInto(dst, payload []byte) error {
-	return inflate(dst, payload)
+	return decompressBlock(dst, payload)
 }
 
 // EntryClassFor returns the slab size class for an entry payload of n bytes
@@ -269,7 +212,7 @@ func Ratio(rawBytes, storedBytes int64) float64 {
 }
 
 // Model predicts stored size classes from a known per-page compressibility
-// without running deflate, for simulation-scale workloads.
+// without running the codec, for simulation-scale workloads.
 type Model struct {
 	gran Granularity
 }
@@ -283,7 +226,7 @@ func NewModel(g Granularity) (*Model, error) {
 }
 
 // StoredSize returns the class a page with the given compressibility ratio
-// occupies (ratio r means the page deflates to PageSize/r bytes). Ratios at
+// occupies (ratio r means the page compresses to PageSize/r bytes). Ratios at
 // or below 1 store raw.
 func (m *Model) StoredSize(ratio float64) int {
 	if ratio <= 1 {
@@ -292,19 +235,23 @@ func (m *Model) StoredSize(ratio float64) int {
 	return m.gran.ClassFor(int(float64(PageSize) / ratio))
 }
 
-// GeneratePage fills a fresh PageSize page whose deflate-compressed size is
-// approximately PageSize/ratio. Ratio 1 produces an incompressible page of
-// pure random bytes; higher ratios mix in runs of repeated bytes. The same
-// rng state always yields the same page.
+// GeneratePage fills a fresh PageSize page whose compressed size is
+// approximately PageSize/ratio: a prefix of random bytes, then zeros. Ratio 1
+// produces an incompressible page of pure random bytes. The same rng state
+// always yields the same page, and the bytes are pinned by a hash test: the
+// pages are the benchmark's and Figure 3's input, so they must not change
+// when the codec does.
 func GeneratePage(rng *rand.Rand, ratio float64) []byte {
 	if ratio < 1 {
 		ratio = 1
 	}
 	page := make([]byte, PageSize)
-	// Fraction of the page that is random (incompressible). Deflate stores
-	// random data at slightly over 1:1 (plus ~40 bytes of block framing) and
-	// long runs at ~0, so the random byte count is calibrated to make the
-	// deflated size land at PageSize/ratio.
+	// How much of the page is random (incompressible). The two constants were
+	// fitted to deflate, the codec this package used first — random data
+	// stored at slightly over 1:1 plus ~40 bytes of block framing, a zero run
+	// at ~0 — and are kept for input stability. The LZ block codec stores the
+	// random prefix at 1:1 plus ~30 bytes, so it lands a little under
+	// PageSize/ratio, in the same size class.
 	target := float64(PageSize) / ratio
 	nRandom := int((target - 40) / 1.05)
 	if nRandom < 0 {
@@ -313,8 +260,8 @@ func GeneratePage(rng *rand.Rand, ratio float64) []byte {
 	if nRandom > PageSize {
 		nRandom = PageSize
 	}
-	// Interleave random bytes and zero runs in chunks so deflate's 32 KB
-	// window sees genuine runs.
+	// The random bytes are drawn chunk by chunk from the front of the page;
+	// the loop's shape fixes how many rng draws a page costs, so it stays.
 	const chunk = 64
 	written := 0
 	for i := 0; i < PageSize; i += chunk {

@@ -77,12 +77,14 @@ func (c *Client) PutAll(ctx context.Context, node transport.NodeID, entries []En
 	payloads := make([][]byte, len(entries))
 	handles := make([]clientHandle, len(entries))
 	seen := make(map[uint64]bool, len(entries))
+	stage := c.newStage(entries...)
+	defer bufpool.Put(stage)
 	for i, e := range entries {
 		if seen[e.Key] {
 			return fmt.Errorf("core: duplicate key %d in batch", e.Key)
 		}
 		seen[e.Key] = true
-		payload, class, flags := c.encodeEntry(e.Data)
+		payload, class, flags := c.encodeEntry(&stage, e.Data)
 		payloads[i] = payload
 		reqs[i] = putEntry{Key: e.Key, Class: int32(class), Len: int32(len(payload))}
 		handles[i] = clientHandle{class: class, storedLen: len(payload), rawLen: len(e.Data), flags: flags}
@@ -212,7 +214,7 @@ func (c *Client) GetAll(ctx context.Context, node transport.NodeID, keys []uint6
 			rel := r.off - first
 			h := handles[r.idx]
 			view := buf[rel : rel+int64(r.payloadLen)]
-			if h.flags&flagDeflate == 0 {
+			if h.flags&flagCompressed == 0 {
 				out[keys[r.idx]] = view[:h.rawLen]
 				continue
 			}
@@ -233,7 +235,7 @@ func (c *Client) GetAll(ctx context.Context, node transport.NodeID, keys []uint6
 // scatters from the fabric straight into the caller's buffer; multi-entry
 // spans stage one pooled buffer per span (the span read is one contiguous
 // transfer — splitting it across destination buffers requires one copy), and
-// compressed entries inflate into dsts[i] from pooled staging. Steady state
+// compressed entries decode into dsts[i] from pooled staging. Steady state
 // allocates only the span bookkeeping, never payload-sized buffers.
 func (c *Client) GetAllInto(ctx context.Context, node transport.NodeID, keys []uint64, dsts [][]byte) error {
 	if len(keys) != len(dsts) {
@@ -257,7 +259,7 @@ func (c *Client) GetAllInto(ctx context.Context, node transport.NodeID, keys []u
 	spans := coalesceSpans(refs)
 	sp.Annotate("spans", len(spans))
 	for _, span := range spans {
-		if len(span) == 1 && handles[span[0].idx].flags&flagDeflate == 0 {
+		if len(span) == 1 && handles[span[0].idx].flags&flagCompressed == 0 {
 			i := span[0].idx
 			n, err := c.getInto(ctx, node, handles[i], dsts[i])
 			if err != nil {

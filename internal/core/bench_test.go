@@ -23,7 +23,7 @@ type benchFabric struct {
 	donors []transport.NodeID
 }
 
-func newBenchFabric(b *testing.B, donors int, opts ...ClientOption) *benchFabric {
+func newBenchFabric(b testing.TB, donors int, opts ...ClientOption) *benchFabric {
 	return newBenchFabricRTT(b, donors, 0, opts...)
 }
 
@@ -33,7 +33,7 @@ func newBenchFabric(b *testing.B, donors int, opts ...ClientOption) *benchFabric
 // is an in-process single-address-space rig, so without it every byte of a
 // "remote" op is CPU work and concurrent fan-out has nothing to overlap; rtt
 // restores the latency component that dominates a real disaggregated fabric.
-func newBenchFabricRTT(b *testing.B, donors int, rtt time.Duration, opts ...ClientOption) *benchFabric {
+func newBenchFabricRTT(b testing.TB, donors int, rtt time.Duration, opts ...ClientOption) *benchFabric {
 	b.Helper()
 	clientEP, err := tcpnet.Listen(100, "127.0.0.1:0")
 	if err != nil {

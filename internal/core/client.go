@@ -24,7 +24,7 @@ import (
 // control-plane round trip and span-coalesced one-sided transfers, and
 // NewWindow stages entries client-side until the window fills or times out.
 // With WithCompression, entries at or above a threshold travel and rest
-// deflate-compressed, negotiated per entry via a flags byte in the handle.
+// compressed, decided per entry and recorded in a flags byte in the handle.
 type Client struct {
 	ep transport.Verbs
 
@@ -73,16 +73,16 @@ const minEntryClass = 512
 
 // defaultCompressMin is the compression threshold when WithCompression is
 // given a non-positive one: entries below it stay raw (small entries cannot
-// drop below the minimum class, so deflating them buys nothing).
+// drop below the minimum class, so compressing them buys nothing).
 const defaultCompressMin = 1024
 
 // ClientOption configures a Client.
 type ClientOption func(*Client)
 
-// WithCompression makes the client deflate entries of at least minSize bytes
-// before parking them, binning compressed payloads into the §IV.H
-// 4-granularity size classes (smaller class ⇒ smaller slab and fewer bytes
-// on the fabric). Entries that do not shrink below their raw size class are
+// WithCompression makes the client compress entries of at least minSize bytes
+// before parking them (compress.Codec, an LZ block codec), binning compressed
+// payloads into the §IV.H 4-granularity size classes (smaller class ⇒ smaller
+// slab and fewer bytes on the fabric). Entries that do not shrink below their raw size class are
 // stored raw. minSize <= 0 selects a default threshold.
 func WithCompression(minSize int) ClientOption {
 	return func(c *Client) {
@@ -108,33 +108,52 @@ func NewClient(ep transport.Verbs, opts ...ClientOption) *Client {
 	return c
 }
 
+// newStage returns the empty pooled buffer one put call compresses its
+// entries into — room for every entry the client would try, so appending
+// never moves it — or nil when there is nothing to compress. The caller
+// releases it with bufpool.Put once the put has returned: by the transport's
+// contract the payload slices are the caller's again by then, cancellation
+// included.
+func (c *Client) newStage(entries ...Entry) []byte {
+	if c.codec == nil {
+		return nil
+	}
+	room := 0
+	for _, e := range entries {
+		if len(e.Data) >= c.minCompress {
+			room += len(e.Data)
+		}
+	}
+	return bufpool.Get(room)[:0]
+}
+
 // encodeEntry prepares one entry for the wire: the payload to store, the
 // size class to reserve, and the handle flags byte. Compression is applied
-// only when it moves the entry into a strictly smaller size class.
-func (c *Client) encodeEntry(data []byte) (payload []byte, class int, flags byte) {
-	rawClass := len(data)
-	if rawClass < minEntryClass {
-		rawClass = minEntryClass
-	}
+// only when it moves the entry into a strictly smaller size class; the
+// compressed payload is then a view of *stage, which grows by it.
+func (c *Client) encodeEntry(stage *[]byte, data []byte) (payload []byte, class int, flags byte) {
+	rawClass := max(len(data), minEntryClass)
 	if c.codec == nil || len(data) < c.minCompress {
 		return data, rawClass, 0
 	}
-	deflated, ok := c.codec.CompressEntry(data)
+	out, ok := c.codec.AppendEntry(*stage, data)
 	if !ok {
 		return data, rawClass, 0
 	}
-	compClass := c.gran.EntryClassFor(len(deflated))
+	payload = out[len(*stage):]
+	compClass := c.gran.EntryClassFor(len(payload))
 	if compClass >= rawClass {
 		return data, rawClass, 0
 	}
-	return deflated, compClass, flagDeflate
+	*stage = out
+	return payload, compClass, flagCompressed
 }
 
 // decodeEntryInto reverses encodeEntry into dst, which must hold exactly
 // h.rawLen bytes; data may be a view into a staging buffer (it is never
 // retained).
 func decodeEntryInto(dst, data []byte, h clientHandle) error {
-	if h.flags&flagDeflate == 0 {
+	if h.flags&flagCompressed == 0 {
 		copy(dst, data)
 		return nil
 	}
@@ -209,7 +228,9 @@ func (c *Client) ShardStat(ctx context.Context, node, owner transport.NodeID, ke
 // donor's CPU stays out of it); otherwise one put call parks a fresh block
 // and frees the displaced one, so overwrites never leak remote memory.
 func (c *Client) Put(ctx context.Context, node transport.NodeID, key uint64, data []byte) error {
-	payload, class, flags := c.encodeEntry(data)
+	stage := c.newStage(Entry{Data: data})
+	defer bufpool.Put(stage)
+	payload, class, flags := c.encodeEntry(&stage, data)
 	ck := clientKey{node: node, key: key}
 	c.mu.Lock()
 	old, hadOld := c.handles[ck]
@@ -267,9 +288,9 @@ func (c *Client) Get(ctx context.Context, node transport.NodeID, key uint64) ([]
 // returns the entry's decoded length. dst must be at least that long (an
 // entry put as n bytes reads back as n bytes). For uncompressed entries the
 // payload scatters from the fabric straight into dst — no intermediate
-// buffer, no allocation; compressed entries stage the deflate payload in a
-// pooled buffer and inflate into dst. dst is lent to the transport for the
-// duration of the call and released by return, per the
+// buffer, no allocation; compressed entries stage the stored payload in a
+// pooled buffer and decode into dst, also without allocating. dst is lent to
+// the transport for the duration of the call and released by return, per the
 // transport.ScatterReader contract.
 func (c *Client) GetInto(ctx context.Context, node transport.NodeID, key uint64, dst []byte) (int, error) {
 	h, err := c.handle(ctx, clientKey{node: node, key: key})
@@ -285,7 +306,7 @@ func (c *Client) GetInto(ctx context.Context, node transport.NodeID, key uint64,
 // getInto scatters the entry behind h into dst (which must hold rawLen
 // bytes) and returns the decoded length.
 func (c *Client) getInto(ctx context.Context, node transport.NodeID, h clientHandle, dst []byte) (int, error) {
-	if h.flags&flagDeflate == 0 {
+	if h.flags&flagCompressed == 0 {
 		if err := transport.ReadRegionInto(ctx, c.ep, node, RecvRegionID, h.offset, dst[:h.storedLen]); err != nil {
 			return 0, fmt.Errorf("core: read from node %d: %w", node, err)
 		}

@@ -148,9 +148,9 @@ func (r *statsResp) fields(w *wire.Walk) { wire.Field64(w, &r.FreeBytes) }
 // payloads as opaque; the flags tell the *owner's* read path how to decode
 // what it parked, so they never travel.
 const (
-	// flagDeflate marks a payload stored deflate-compressed (§IV.H); Get
-	// inflates it back to the entry's raw length.
-	flagDeflate = 1 << 0
+	// flagCompressed marks a payload stored as a compress.Codec block (§IV.H);
+	// Get decodes it back to the entry's raw length.
+	flagCompressed = 1 << 0
 )
 
 // The two data-path control verbs. A put is reserve + payload + release-old in

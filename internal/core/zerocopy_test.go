@@ -3,11 +3,14 @@ package core
 import (
 	"bytes"
 	"context"
+	"math/rand"
+	"sync"
 	"testing"
+	"time"
 
-	"godm/internal/cluster"
+	"godm/internal/compress"
 	"godm/internal/des"
-	"godm/internal/tcpnet"
+	"godm/internal/wire/wiretest"
 )
 
 // TestGetIntoAndGetAllIntoOverSimFabric checks the caller-buffer read path
@@ -139,56 +142,157 @@ func TestGetIntoZeroAllocOverSim(t *testing.T) {
 // TestGetIntoZeroAllocOverTCP pins the same contract on the real transport:
 // steady-state GetInto scatters the response off the socket into dst with
 // zero allocations on the whole client path (and the loopback donor's serve
-// path, which the global counter also sees).
+// path, which the global counter also sees). A compressed entry is held to
+// the same zero: its stored payload is staged in a pooled buffer and the
+// block decoder allocates nothing.
 func TestGetIntoZeroAllocOverTCP(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
 	}
-	server, err := tcpnet.Listen(2, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name       string
+		opts       []ClientOption
+		data       []byte
+		compressed bool
+	}{
+		{"raw", nil, bytes.Repeat([]byte{0x5A}, 4096), false},
+		{"compressed", []ClientOption{WithCompression(0)}, compress.GeneratePage(rand.New(rand.NewSource(1)), 2), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := context.Background()
+			client := newBenchFabric(t, 1, tc.opts...).client
+			if err := client.Put(ctx, 1, 1, tc.data); err != nil {
+				t.Fatal(err)
+			}
+			if h := client.handles[clientKey{node: 1, key: 1}]; (h.flags&flagCompressed != 0) != tc.compressed {
+				t.Fatalf("entry parked with flags %#x, %d of %d bytes stored", h.flags, h.storedLen, h.rawLen)
+			}
+			dst := make([]byte, 4096)
+			for i := 0; i < 16; i++ {
+				if _, err := client.GetInto(ctx, 1, 1, dst); err != nil {
+					t.Fatal(err)
+				}
+			}
+			allocs := testing.AllocsPerRun(200, func() {
+				if _, err := client.GetInto(ctx, 1, 1, dst); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > 0 {
+				t.Errorf("GetInto allocates %.1f objects/op over tcpnet, want 0", allocs)
+			}
+			if !bytes.Equal(dst, tc.data) {
+				t.Fatal("GetInto returned wrong bytes")
+			}
+		})
 	}
-	t.Cleanup(func() { _ = server.Close() })
-	dir, err := cluster.NewDirectory(cluster.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewNode(Config{
-		ID: 2, SharedPoolBytes: 1 << 20, SendPoolBytes: 1 << 20,
-		RecvPoolBytes: 1 << 20, SlabSize: 1 << 20, ReplicationFactor: 1,
-	}, server, dir); err != nil {
-		t.Fatal(err)
-	}
-	clientEP, err := tcpnet.Listen(1, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = clientEP.Close() })
-	clientEP.AddPeer(2, server.Addr())
+}
 
+// TestCompressedWindowAllocatesNoPayload: a 64-page compressed window moves
+// through PutAll and GetAllInto without a payload-sized allocation in either
+// direction. The put compresses every entry into one pooled staging buffer,
+// the read stages each span in a pooled buffer and decodes into the caller's
+// pages; what is left is per-entry bookkeeping (~20 KiB a put, ~6 KiB a read).
+// One fresh slice per compressed payload (what the put did before) is
+// 128 KiB a window, one per decoded page 256 KiB.
+func TestCompressedWindowAllocatesNoPayload(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	const window, budget = 64, 32 << 10
 	ctx := context.Background()
-	client := NewClient(clientEP)
-	data := bytes.Repeat([]byte{0x5A}, 4096)
-	if err := client.Put(ctx, 2, 1, data); err != nil {
-		t.Fatal(err)
+	client := newBenchFabric(t, 1, WithCompression(0)).client
+	rng := rand.New(rand.NewSource(2))
+	entries := make([]Entry, window)
+	keys := make([]uint64, window)
+	dsts := make([][]byte, window)
+	for i := range entries {
+		entries[i] = Entry{Key: uint64(i), Data: compress.GeneratePage(rng, 2)}
+		keys[i] = uint64(i)
+		dsts[i] = make([]byte, 4096)
 	}
-	dst := make([]byte, 4096)
-	for i := 0; i < 16; i++ {
-		if _, err := client.GetInto(ctx, 2, 1, dst); err != nil {
+	put := func() {
+		if err := client.PutAll(ctx, 1, entries); err != nil {
 			t.Fatal(err)
 		}
 	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := client.GetInto(ctx, 2, 1, dst); err != nil {
+	get := func() {
+		if err := client.GetAllInto(ctx, 1, keys, dsts); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs > 0 {
-		t.Errorf("GetInto allocates %.1f objects/op over tcpnet, want 0", allocs)
 	}
-	if !bytes.Equal(dst, data) {
-		t.Fatal("GetInto returned wrong bytes")
+	for i := 0; i < 4; i++ { // fill the pools, dial the lanes
+		put()
+		get()
 	}
+	if got := wiretest.AllocBytes(put); got > budget {
+		t.Errorf("PutAll of %d compressed pages allocated %d bytes, budget %d", window, got, budget)
+	}
+	if got := wiretest.AllocBytes(get); got > budget {
+		t.Errorf("GetAllInto of %d compressed pages allocated %d bytes, budget %d", window, got, budget)
+	}
+	for i, e := range entries {
+		if h := client.handles[clientKey{node: 1, key: e.Key}]; h.flags&flagCompressed == 0 || h.class != 2048 {
+			t.Fatalf("entry %d parked with flags %#x in class %d, want compressed in 2048", i, h.flags, h.class)
+		}
+		if !bytes.Equal(dsts[i], e.Data) {
+			t.Fatalf("entry %d read back wrong", i)
+		}
+	}
+}
+
+// TestCompressedPutStagingUnderCancellation drives the staging buffer's
+// ownership rule from several goroutines at once: every PutAll compresses
+// into a pooled buffer and releases it on return, half of them under a
+// context that dies mid-call, so a released buffer is re-drawn and rewritten
+// by a neighbour at once. Every window whose put succeeded must read back
+// byte for byte. Run with -race (and -tags bufdebug, which poisons on
+// release): a transport that still read a payload after handing it back
+// would show up as a race with the next owner's compressor, or as poison in
+// a window that claimed success.
+func TestCompressedPutStagingUnderCancellation(t *testing.T) {
+	const clients, rounds, window = 4, 24, 16
+	client := newBenchFabric(t, 1, WithCompression(0)).client
+	var wg sync.WaitGroup
+	for g := 0; g < clients; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			entries := make([]Entry, window)
+			keys := make([]uint64, window)
+			dsts := make([][]byte, window)
+			for r := 0; r < rounds; r++ {
+				for i := range entries {
+					keys[i] = uint64(g)<<32 | uint64(r)<<8 | uint64(i)
+					entries[i] = Entry{Key: keys[i], Data: compress.GeneratePage(rng, 2)}
+					dsts[i] = make([]byte, 4096)
+				}
+				ctx, cancel := context.WithCancel(context.Background())
+				if r%2 == 1 {
+					time.AfterFunc(time.Duration(rng.Intn(300))*time.Microsecond, cancel)
+				}
+				err := client.PutAll(ctx, 1, entries)
+				cancel()
+				if err != nil {
+					if r%2 == 0 {
+						t.Errorf("client %d round %d: PutAll: %v", g, r, err)
+					}
+					continue
+				}
+				if err := client.GetAllInto(context.Background(), 1, keys, dsts); err != nil {
+					t.Errorf("client %d round %d: GetAllInto: %v", g, r, err)
+					continue
+				}
+				for i, e := range entries {
+					if !bytes.Equal(dsts[i], e.Data) {
+						t.Errorf("client %d round %d: entry %d read back wrong", g, r, i)
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // BenchmarkClientGetInto measures steady-state single-entry scatter reads

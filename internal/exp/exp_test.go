@@ -55,9 +55,9 @@ func TestFig3Shape(t *testing.T) {
 			t.Errorf("%s: 4-granularity %.2f worse than 2-granularity %.2f",
 				row.Workload, row.FourGran, row.TwoGran)
 		}
-		if row.FourGran < row.Zswap {
-			t.Errorf("%s: FastSwap %.2f worse than Zswap %.2f",
-				row.Workload, row.FourGran, row.Zswap)
+		if row.TwoGran < row.Zswap {
+			t.Errorf("%s: 2-granularity %.2f worse than Zswap %.2f",
+				row.Workload, row.TwoGran, row.Zswap)
 		}
 		if row.Zswap > 2.01 {
 			t.Errorf("%s: zswap ratio %.2f exceeds zbud cap of 2", row.Workload, row.Zswap)

@@ -26,8 +26,9 @@ type Fig3Result struct {
 	Rows []Fig3Row
 }
 
-// Fig3 compresses profile-shaped synthetic pages with the real deflate codec
-// under both granularities and the zbud model.
+// Fig3 compresses profile-shaped synthetic pages with the real codec (the LZ
+// block codec of internal/compress) under both granularities and the zbud
+// model.
 func Fig3(scale Scale) (*Fig3Result, error) {
 	c4, err := compress.NewCodec(compress.Four)
 	if err != nil {
@@ -56,7 +57,7 @@ func Fig3(scale Scale) (*Fig3Result, error) {
 			raw += compress.PageSize
 			s4 += int64(p4.StoredSize)
 			s2 += int64(p2.StoredSize)
-			// Zswap stores the same deflate payload in zbud slots.
+			// Zswap stores the same compressed payload in zbud slots.
 			sz += int64(compress.ZbudStoredSize(len(p4.Data)))
 		}
 		res.Rows = append(res.Rows, Fig3Row{

@@ -22,6 +22,13 @@ const (
 )
 
 // Compression codec costs (LZO-class, §IV.H's four-granularity FastSwap).
+// These are what the simulator charges per page; they are in the goldens and
+// do not follow the library's codec. For scale, internal/compress's LZ block
+// codec measures ~2 µs to compress and ~0.1 µs to decompress a ratio-2.0
+// synthetic page on the 2-CPU bench host (BenchmarkCodecPage*), and
+// ~17 µs / ~3.5 µs on cold pages of real text (DESIGN.md §13) — the same
+// order, where stdlib deflate, which the library ran before, was ~50 / ~15 µs
+// and ~75 / ~35 µs.
 const (
 	DefaultCompressCPU   = 2 * time.Microsecond
 	DefaultDecompressCPU = 1 * time.Microsecond

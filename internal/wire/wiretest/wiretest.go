@@ -48,11 +48,12 @@ func WriteGolden(path string, msgs []Message) error {
 }
 
 // AllocBytes reports the heap bytes one run of f allocates. It takes the
-// least of three runs, so an allocation some other goroutine happened to make
-// during one of them is not charged to f.
+// least of up to three runs (a run that reads zero ends it), so an allocation
+// some other goroutine happened to make during one of them is not charged to
+// f.
 func AllocBytes(f func()) uint64 {
 	least := allocBytesOnce(f)
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 2 && least > 0; i++ {
 		least = min(least, allocBytesOnce(f))
 	}
 	return least

@@ -55,7 +55,7 @@ type Profile struct {
 	// 12–20 GB inputs per virtual server).
 	WorkingSetGB float64
 	InputGB      float64
-	// Compressibility is the mean deflate ratio of the application's pages
+	// Compressibility is the mean compression ratio of the application's pages
 	// (drives Figure 3); Spread is the per-page standard deviation.
 	Compressibility float64
 	Spread          float64
