@@ -30,9 +30,10 @@ type blockRef struct {
 
 // coalesceSpans sorts refs by offset and groups blocks into maximal runs
 // where each block starts exactly at the previous block's end
-// (off == prev.off + prev.class) — the layout a fresh batch allocation
-// produces — capping each span's wire size at transport.MaxFrameSize. Each
-// span becomes one one-sided read instead of len(span) reads.
+// (off == prev.off + prev.class) — the layout the donor's run allocation
+// gives the entries of one size class of a put — capping each span's wire
+// size at transport.MaxFrameSize. Each span becomes one one-sided read
+// instead of len(span) reads.
 func coalesceSpans(refs []blockRef) [][]blockRef {
 	sort.Slice(refs, func(i, j int) bool { return refs[i].off < refs[j].off })
 	var spans [][]blockRef
@@ -57,6 +58,13 @@ func coalesceSpans(refs []blockRef) [][]blockRef {
 // gather list, and the blocks the window displaces are freed by the same
 // message (§IV.H window-based batching). A window too large for one frame is
 // sent as frame-sized sub-batches.
+//
+// The donor parks the entries of each size class as one contiguous run of its
+// region, in the order given, so GetAll/GetAllInto of the same keys is one
+// one-sided read per class. It pieces a run together from smaller ones — one
+// more read each — only when its pool is too full to hold the run whole, when
+// a class's entries outnumber the blocks of one slab, or when the window went
+// out as several sub-batches.
 //
 // The batch is atomic: on any failure every block parked for it is released
 // and no handle changes, so previously parked versions of the keys remain
@@ -182,8 +190,10 @@ func (c *Client) handlesOf(ctx context.Context, node transport.NodeID, keys []ui
 // GetAll reads back a batch of entries parked on node. Handles whose blocks
 // sit contiguously in the remote region are coalesced into single
 // one-sided span reads (the PBS-style batched read-ahead of §IV.H), so a
-// window parked by PutAll typically comes back in one transfer. Every key
-// must have been parked through this client.
+// window parked by one PutAll comes back in one transfer per size class in it
+// — see PutAll for when the donor could not park it so; keys gathered from
+// several puts cost a read per run of neighbours. Every key must have been
+// parked through this client.
 func (c *Client) GetAll(ctx context.Context, node transport.NodeID, keys []uint64) (map[uint64][]byte, error) {
 	if len(keys) == 0 {
 		return map[uint64][]byte{}, nil
@@ -231,7 +241,8 @@ func (c *Client) GetAll(ctx context.Context, node transport.NodeID, keys []uint6
 // GetAllInto is GetAll with caller-owned result buffers: dsts[i] receives
 // the entry parked under keys[i] and must hold at least its decoded length;
 // on return dsts[i] is resliced to exactly that length. Reads are
-// span-coalesced like GetAll. A span holding a single uncompressed entry
+// span-coalesced like GetAll: one transfer per size class of a window parked
+// by one PutAll. A span holding a single uncompressed entry
 // scatters from the fabric straight into the caller's buffer; multi-entry
 // spans stage one pooled buffer per span (the span read is one contiguous
 // transfer — splitting it across destination buffers requires one copy), and

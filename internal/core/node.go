@@ -874,13 +874,19 @@ func (n *Node) handleCall(ctx context.Context, from transport.NodeID, payload []
 
 // handlePut parks one payload per request entry in the receive pool for a
 // remote owner (RDMS) in one control-plane round trip — a single Put and a
-// §IV.H window batch are the same message: allocate a block, copy the entry's
-// payload bytes in, and once every entry has landed free the old blocks the
-// request names. The request is all-or-nothing: if any entry cannot be
-// parked, every block already taken for it is freed, nothing old is released
-// and the whole request fails, so the owner never has to track a partial
-// window. Offsets go straight into the reply buffer, which doubles as the
-// rollback list.
+// §IV.H window batch are the same message: allocate a block per entry, copy
+// the entry's payload bytes in, and once every entry has landed free the old
+// blocks the request names.
+//
+// The window's blocks are taken with one slab.Pool.AllocRun per size class
+// present, so the entries of a class land as one contiguous run of the region
+// in request order — the layout that lets the owner read the window back with
+// one one-sided read per class — unless the pool is so full that the run has
+// to be pieced together from fragments. The request is all-or-nothing: every
+// refusal is decided before anything is allocated, and if a class cannot be
+// served the runs already taken for the others are freed, nothing old is
+// released and the whole request fails, so the owner never has to track a
+// partial window.
 func (n *Node) handlePut(from transport.NodeID, req putReq) []byte {
 	if n.Draining() {
 		// A draining node must not hand out blocks: freed space staying
@@ -906,16 +912,10 @@ func (n *Node) handlePut(from transport.NodeID, req putReq) []byte {
 	// whoever asks.
 	refuseSiblings := owner != from || req.Shard.tagged()
 	count := req.count()
-	reply := newPutResp(count)
-	// Every entry stripes to the first entry's shard so a fresh window stays
-	// contiguous in the region — the layout span coalescing on the client
-	// read path relies on. For one entry that is its own key: concurrent puts
-	// for distinct keys take distinct locks within one size class.
-	hint := req.entry(0).Key
-	var err error
-	done, at := 0, 0
-	for ; done < count; done++ {
-		e := req.entry(done)
+	var fewClasses [4]classCount
+	classes := fewClasses[:0]
+	for i := 0; i < count; i++ {
+		e := req.entry(i)
 		if refuseSiblings {
 			siblings := n.lookupKey(owner, e.Key).blocks
 			for _, b := range old {
@@ -924,45 +924,70 @@ func (n *Node) handlePut(from transport.NodeID, req putReq) []byte {
 				}
 			}
 			if siblings > 0 {
-				err = slab.ErrNoSpace
-				break
+				return noSpaceResp()
 			}
 		}
-		var h slab.Handle
-		if h, err = n.recv.AllocHint(int(e.Class), hint); err != nil {
-			break
+		classes = countClass(classes, int(e.Class))
+	}
+	// Every class stripes by the first entry's key. For one entry that is its
+	// own key: concurrent puts for distinct keys take distinct locks within
+	// one size class.
+	hint := req.entry(0).Key
+	var fewRuns [4]slab.Run
+	runs := fewRuns[:0]
+	for _, c := range classes {
+		var err error
+		if runs, err = n.recv.AllocRun(c.class, c.n, hint, runs); err != nil {
+			for _, r := range runs {
+				_ = n.recv.FreeRun(r)
+			}
+			if errors.Is(err, slab.ErrNoSpace) {
+				return noSpaceResp()
+			}
+			return errorResp(err)
 		}
-		var off int64
-		if off, err = n.recv.GlobalOffset(h); err != nil {
-			_ = n.recv.Free(h)
-			break
+	}
+	reply := newPutResp(count)
+	at := 0
+	for i := 0; i < count; i++ {
+		e := req.entry(i)
+		r := 0
+		for runs[r].N == 0 || runs[r].First.Class != int(e.Class) {
+			r++
 		}
+		h, off := runs[r].Pop()
 		// The block is ours alone until the reply names its offset, so the
 		// copy needs no lock — it is the one-sided write, issued locally.
 		at += copy(n.recvBuf[off:], req.payload[at:at+int(e.Len)])
 		n.addOwner(h, ownerRef{owner: owner, key: e.Key}, req.Shard)
-		reply.setOffset(done, off)
-	}
-	if err != nil {
-		for i := 0; i < done; i++ {
-			if b, ok := n.blockOf(owner, req.entry(i).Key, reply.offset(i)); ok {
-				_ = n.free(b)
-			}
-		}
-		if errors.Is(err, slab.ErrNoSpace) {
-			return noSpaceResp()
-		}
-		return errorResp(err)
+		reply.setOffset(i, off)
 	}
 	n.counters.remoteAllocs.Add(int64(count))
 	n.met.remoteAllocs.Add(int64(count))
 	// The new generation is installed; a displaced block that fails to free
 	// is the eviction path's to reclaim, not a reason to fail the put.
+	f := freeBatch{n: n}
 	for _, b := range old {
-		_ = n.free(b)
+		f.add(b)
 	}
+	f.flush()
 	n.met.recvFreeBytes.Set(n.recv.FreeBytes())
 	return reply
+}
+
+// classCount is how many entries of a put ask for one size class.
+type classCount struct{ class, n int }
+
+// countClass counts one more entry of class. A window holds a handful of
+// classes, so the list is scanned.
+func countClass(counts []classCount, class int) []classCount {
+	for i := range counts {
+		if counts[i].class == class {
+			counts[i].n++
+			return counts
+		}
+	}
+	return append(counts, classCount{class: class, n: 1})
 }
 
 // ownerAt returns the live block at a global offset of the receive region
@@ -1000,13 +1025,35 @@ func (n *Node) named(owner transport.NodeID, rel releaseReq, into []hostedBlock)
 	return into
 }
 
-// free frees a block together with its owner record, unless it changed hands
-// since it was looked up.
-func (n *Node) free(b hostedBlock) error {
-	if _, ok := n.takeOwner(b.h, &b.ref); !ok {
-		return nil
+// freeBatch frees blocks together with their owner records, handing the pool
+// their handles in batches: slab.Pool.FreeAll takes each shard lock once per
+// batch, not once per block. The array keeps a request's handles off the
+// heap; one naming more blocks than it holds flushes more than once.
+type freeBatch struct {
+	n   *Node
+	hs  [64]slab.Handle
+	len int
+	err error // the first error a flush met
+}
+
+// add queues a block, unless it changed hands since it was looked up.
+func (f *freeBatch) add(b hostedBlock) {
+	if _, ok := f.n.takeOwner(b.h, &b.ref); !ok {
+		return
 	}
-	return n.recv.Free(b.h)
+	f.hs[f.len] = b.h
+	if f.len++; f.len == len(f.hs) {
+		f.flush()
+	}
+}
+
+// flush frees what is queued; the caller calls it once more after its last
+// add.
+func (f *freeBatch) flush() {
+	if err := f.n.recv.FreeAll(f.hs[:f.len]); err != nil && f.err == nil {
+		f.err = err
+	}
+	f.len = 0
 }
 
 // handleRelease releases receive-pool blocks (RDMS). Releasing a block that
@@ -1016,18 +1063,17 @@ func (n *Node) free(b hostedBlock) error {
 // have been freed, so a partial failure can never strand the remaining
 // blocks.
 func (n *Node) handleRelease(from transport.NodeID, req releaseReq) []byte {
-	var firstErr error
+	f := freeBatch{n: n}
 	for i, count := 0, req.count(); i < count; i++ {
 		key, off := req.entry(i)
 		if b, ok := n.blockOf(from, key, off); ok {
-			if err := n.free(b); err != nil && firstErr == nil {
-				firstErr = err
-			}
+			f.add(b)
 		}
 	}
+	f.flush()
 	n.met.recvFreeBytes.Set(n.recv.FreeBytes())
-	if firstErr != nil {
-		return errorResp(firstErr)
+	if f.err != nil {
+		return errorResp(f.err)
 	}
 	return okResp()
 }

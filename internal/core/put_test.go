@@ -32,6 +32,13 @@ type putRig struct {
 
 func newPutRig(t *testing.T, fabric string, n int, durability string, wrap func(transport.Endpoint) transport.Endpoint) *putRig {
 	t.Helper()
+	return newShapedPutRig(t, fabric, n, durability, wrap, func(*Config) {})
+}
+
+// newShapedPutRig is newPutRig with every node's smallConfig passed through
+// shape first.
+func newShapedPutRig(t *testing.T, fabric string, n int, durability string, wrap func(transport.Endpoint) transport.Endpoint, shape func(*Config)) *putRig {
+	t.Helper()
 	dir, err := cluster.NewDirectory(cluster.Config{GroupSize: n, HeartbeatTimeout: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -76,6 +83,7 @@ func newPutRig(t *testing.T, fabric string, n int, durability string, wrap func(
 	}
 	for i, ep := range eps {
 		cfg := smallConfig(ep.ID())
+		shape(&cfg)
 		if i == 0 {
 			cfg.Durability = durability
 			cfg.Balancer = placement.NewRoundRobin()
@@ -114,6 +122,7 @@ type countingVerbs struct {
 	mu       sync.Mutex
 	calls    int
 	writes   int
+	reads    int // one-sided reads; not part of perNode, which orders a put's verbs
 	perNode  map[transport.NodeID]int
 	inflight int
 	peak     int
@@ -123,7 +132,7 @@ type countingVerbs struct {
 
 func (c *countingVerbs) reset(gate int) {
 	c.mu.Lock()
-	c.calls, c.writes, c.peak, c.gate = 0, 0, 0, gate
+	c.calls, c.writes, c.reads, c.peak, c.gate = 0, 0, 0, 0, gate
 	c.perNode = map[transport.NodeID]int{}
 	c.met = make(chan struct{})
 	c.mu.Unlock()
@@ -182,6 +191,15 @@ func (c *countingVerbs) WriteRegion(ctx context.Context, to transport.NodeID, re
 	c.perNode[to]++
 	c.mu.Unlock()
 	return c.Endpoint.WriteRegion(ctx, to, region, offset, data)
+}
+
+// ReadRegion is every one-sided read: the embedded interface hides the
+// fabric's scatter read, so transport.ReadRegionInto lands here too.
+func (c *countingVerbs) ReadRegion(ctx context.Context, to transport.NodeID, region transport.RegionID, offset int64, n int) ([]byte, error) {
+	c.mu.Lock()
+	c.reads++
+	c.mu.Unlock()
+	return c.Endpoint.ReadRegion(ctx, to, region, offset, n)
 }
 
 func (c *countingVerbs) WriteRegionV(ctx context.Context, to transport.NodeID, region transport.RegionID, offset int64, bufs [][]byte) error {

@@ -73,7 +73,7 @@ func (p *Pool) HandleAt(globalOff int64) (Handle, error) {
 	}
 	off := int(globalOff) - base
 	off -= off % s.class
-	if !s.live[off] {
+	if i := off / s.class; i >= s.blocks || s.isFree(i) {
 		return Handle{}, fmt.Errorf("%w: offset %d not allocated", ErrBadHandle, globalOff)
 	}
 	return Handle{SlabID: s.id, Offset: off, Class: s.class}, nil

@@ -80,7 +80,7 @@ func TestShardedPoolConcurrentInvariants(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(w) + 1))
 			var held []Handle
 			for i := 0; i < rounds; i++ {
-				switch rng.Intn(4) {
+				switch rng.Intn(6) {
 				case 0, 1: // alloc
 					class := classes[rng.Intn(len(classes))]
 					h, err := p.AllocHint(class, rng.Uint64())
@@ -92,7 +92,32 @@ func TestShardedPoolConcurrentInvariants(t *testing.T) {
 						continue
 					}
 					held = append(held, h)
-				case 2: // free
+				case 2: // alloc a run, sometimes longer than a slab
+					class := classes[rng.Intn(len(classes))]
+					n := 1 + rng.Intn(6)
+					var few [2]Run
+					runs, err := p.AllocRun(class, n, rng.Uint64(), few[:0])
+					if err != nil {
+						if !errors.Is(err, ErrNoSpace) {
+							t.Errorf("worker %d: alloc run: %v", w, err)
+							return
+						}
+						continue
+					}
+					hs := blocks(runs)
+					if len(hs) != n {
+						t.Errorf("worker %d: run of %d came back as %d blocks", w, n, len(hs))
+						return
+					}
+					held = append(held, hs...)
+				case 3: // free a batch; ErrBadHandle as for a single free
+					n := min(len(held), 1+rng.Intn(8))
+					if err := p.FreeAll(held[len(held)-n:]); err != nil && !errors.Is(err, ErrBadHandle) {
+						t.Errorf("worker %d: free all: %v", w, err)
+						return
+					}
+					held = held[:len(held)-n]
+				case 4: // free
 					if len(held) == 0 {
 						continue
 					}
@@ -105,7 +130,7 @@ func TestShardedPoolConcurrentInvariants(t *testing.T) {
 						t.Errorf("worker %d: free: %v", w, err)
 						return
 					}
-				case 3: // evict: victims may belong to any worker
+				case 5: // evict: victims may belong to any worker
 					victims, err := p.EvictLRU()
 					if err != nil {
 						if !errors.Is(err, ErrEmpty) {
@@ -143,6 +168,9 @@ func TestShardedPoolConcurrentInvariants(t *testing.T) {
 	st := p.Stats()
 	if st.LiveBlocks != 0 || st.LiveBytes != 0 {
 		t.Fatalf("leaked blocks after teardown: %+v", st)
+	}
+	if free := p.FreeBytes(); free != st.MaxBytes {
+		t.Fatalf("FreeBytes = %d in an empty pool of %d: the live-byte count drifted", free, st.MaxBytes)
 	}
 	if st.RegisteredBytes < 0 || st.RegisteredBytes > st.MaxBytes {
 		t.Fatalf("final budget out of range: %+v", st)
@@ -197,23 +225,37 @@ func TestHandleAtFreedOffsetErrors(t *testing.T) {
 // TestShardedCapacityMatchesSingleLock proves capacity equivalence: striping
 // never makes the pool fail an allocation the single-lock layout would have
 // served. Both layouts must fit exactly maxBytes/class blocks of one class no
-// matter how hints scatter the allocations.
+// matter how hints scatter the allocations — taken one block at a time, or as
+// runs whose last ones have to be pieced together from other shards' blocks.
 func TestShardedCapacityMatchesSingleLock(t *testing.T) {
 	const slabSize, class, maxBytes = 4096, 1024, 32 << 10
 	for _, shards := range []int{1, 8} {
-		p, err := NewPool("cap", maxBytes, WithSlabSize(slabSize), WithShards(shards))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := maxBytes / class
-		rng := rand.New(rand.NewSource(42))
-		for i := 0; i < want; i++ {
-			if _, err := p.AllocHint(class, rng.Uint64()); err != nil {
-				t.Fatalf("shards=%d: alloc %d/%d failed: %v", shards, i+1, want, err)
+		for _, runLen := range []int{1, 3} {
+			p, err := NewPool("cap", maxBytes, WithSlabSize(slabSize), WithShards(shards))
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if _, err := p.AllocHint(class, rng.Uint64()); !errors.Is(err, ErrNoSpace) {
-			t.Fatalf("shards=%d: overfull alloc err = %v, want ErrNoSpace", shards, err)
+			want := maxBytes / class
+			rng := rand.New(rand.NewSource(42))
+			for i := 0; i < want; i += runLen {
+				n := min(runLen, want-i)
+				runs, err := p.AllocRun(class, n, rng.Uint64(), nil)
+				if err != nil {
+					t.Fatalf("shards=%d: run of %d at %d/%d failed: %v", shards, n, i, want, err)
+				}
+				if got := len(blocks(runs)); got != n {
+					t.Fatalf("shards=%d: run of %d came back as %d blocks", shards, n, got)
+				}
+			}
+			if _, err := p.AllocHint(class, rng.Uint64()); !errors.Is(err, ErrNoSpace) {
+				t.Fatalf("shards=%d: overfull alloc err = %v, want ErrNoSpace", shards, err)
+			}
+			if _, err := p.AllocRun(class, runLen, rng.Uint64(), nil); !errors.Is(err, ErrNoSpace) {
+				t.Fatalf("shards=%d: overfull run err = %v, want ErrNoSpace", shards, err)
+			}
+			if st := p.Stats(); st.LiveBlocks != want || p.FreeBytes() != 0 {
+				t.Fatalf("shards=%d: %d blocks live and %d bytes free in a full pool of %d", shards, st.LiveBlocks, p.FreeBytes(), want)
+			}
 		}
 	}
 }

@@ -10,6 +10,15 @@
 // the still-live blocks so the caller can relocate them (to another node or
 // to disk) before the region disappears.
 //
+// Which blocks of a slab are free is one bitmap and a count, and allocation is
+// address-ordered: the lowest free block — for AllocRun the lowest run of n
+// free blocks — of the lowest-id slab that has one. What is handed out is
+// therefore a function of which blocks are free, never of the order they were
+// freed in: a window of blocks taken by one AllocRun is one contiguous run,
+// and once it is freed, in any order and interleaved with any other request,
+// the next window gets a contiguous run again. Only a pool too full and too
+// fragmented to hold such a run anywhere in the home shard hands out fragments.
+//
 // A pool is internally sharded (WithShards): each shard owns a disjoint set
 // of slabs under its own mutex, so operations on blocks in different shards
 // never contend. The shard for an allocation is striped by hashing the size
@@ -23,7 +32,8 @@ package slab
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -53,14 +63,95 @@ type Handle struct {
 	Class  int // block size in bytes
 }
 
+// Run is N consecutive blocks of one slab, lowest first: block i is
+// Handle{First.SlabID, First.Offset + i*First.Class, First.Class}. In a pool
+// over a backing buffer Region is First's byte offset in that buffer — what
+// GlobalOffset would report — so block i sits at Region + i*First.Class.
+type Run struct {
+	First  Handle
+	N      int
+	Region int64
+}
+
+// Pop removes the run's lowest block and returns its handle and region
+// offset.
+func (r *Run) Pop() (Handle, int64) {
+	h, off := r.First, r.Region
+	r.First.Offset += h.Class
+	r.Region += int64(h.Class)
+	r.N--
+	return h, off
+}
+
 type slabRegion struct {
-	id       int
-	class    int
-	base     int // offset of this slab within a backing buffer, if any
-	buf      []byte
-	freeOffs []int
-	live     map[int]bool // offset -> allocated
-	lastUse  int64
+	id     int
+	class  int
+	base   int // offset of this slab within a backing buffer, if any
+	buf    []byte
+	blocks int
+	// free has bit i set while block i (at offset i*class) is free; bits from
+	// blocks up stay clear. nfree counts the set bits.
+	free    []uint64
+	nfree   int
+	lastUse int64
+}
+
+func (s *slabRegion) isFree(i int) bool { return s.free[i/64]&(1<<(i%64)) != 0 }
+
+// mark records blocks [at, at+n) as free or taken.
+func (s *slabRegion) mark(at, n int, free bool) {
+	for n > 0 {
+		b := at % 64
+		k := min(n, 64-b)
+		mask := ^uint64(0) >> (64 - k) << b
+		if free {
+			s.free[at/64] |= mask
+		} else {
+			s.free[at/64] &^= mask
+		}
+		at, n = at+k, n-k
+	}
+}
+
+// nextFree returns the first free block at or after pos, or s.blocks.
+func (s *slabRegion) nextFree(pos int) int {
+	for pos < s.blocks {
+		if rest := s.free[pos/64] >> (pos % 64); rest != 0 {
+			return pos + bits.TrailingZeros64(rest)
+		}
+		pos = (pos/64 + 1) * 64
+	}
+	return s.blocks
+}
+
+// freeLen counts the free blocks from pos up to the first taken one, or to
+// most.
+func (s *slabRegion) freeLen(pos, most int) int {
+	n := 0
+	for n < most && pos+n < s.blocks {
+		b := (pos + n) % 64
+		ones := bits.TrailingZeros64(^(s.free[(pos+n)/64] >> b))
+		n += ones
+		if ones < 64-b {
+			break
+		}
+	}
+	return min(n, most)
+}
+
+// findRun returns the lowest run of n free blocks, or -1.
+func (s *slabRegion) findRun(n int) int {
+	if n > s.nfree {
+		return -1
+	}
+	for pos := s.nextFree(0); pos < s.blocks; {
+		k := s.freeLen(pos, n)
+		if k == n {
+			return pos
+		}
+		pos = s.nextFree(pos + k)
+	}
+	return -1
 }
 
 // shard is one lock domain of the pool. Slab IDs encode their shard
@@ -71,8 +162,14 @@ type shard struct {
 	mu          sync.Mutex
 	nextLocalID int
 	slabs       map[int]*slabRegion
-	// partial[class] lists slabs of that class with at least one free block.
-	partial map[int]map[int]*slabRegion
+	// partial[class] lists slabs of that class with at least one free block,
+	// in ascending id order.
+	partial map[int][]*slabRegion
+}
+
+// partialAt returns where s sits, or would sit, in its class's partial list.
+func (sh *shard) partialAt(s *slabRegion) (int, bool) {
+	return slices.BinarySearchFunc(sh.partial[s.class], s.id, func(x *slabRegion, id int) int { return x.id - id })
 }
 
 // Pool is a concurrency-safe, sharded slab allocator with a fixed byte
@@ -89,6 +186,10 @@ type Pool struct {
 	// negative, without any pool-wide lock.
 	maxBytes        atomic.Int64
 	registeredBytes atomic.Int64
+
+	// liveBytes is the bytes of allocated blocks (class-rounded), updated where
+	// blocks are taken and returned, so FreeBytes never walks the shards.
+	liveBytes atomic.Int64
 
 	// tick is the pool-wide logical clock ordering slabs for LRU eviction.
 	tick atomic.Int64
@@ -151,7 +252,7 @@ func NewPool(name string, maxBytes int64, opts ...Option) (*Pool, error) {
 		p.shards[i] = &shard{
 			idx:     i,
 			slabs:   map[int]*slabRegion{},
-			partial: map[int]map[int]*slabRegion{},
+			partial: map[int][]*slabRegion{},
 		}
 	}
 	p.maxBytes.Store(maxBytes)
@@ -195,44 +296,99 @@ func (p *Pool) Alloc(class int) (Handle, error) {
 // AllocHint is Alloc with a striping hint: allocations with different hints
 // (typically the entry key) spread across shards even within one size class,
 // so concurrent allocators contend only when they hash to the same shard.
-// Capacity is pool-wide: if the home shard has no free block and the budget
-// is spent, every other shard is tried before reporting ErrNoSpace.
+// It is AllocRun of one block.
 func (p *Pool) AllocHint(class int, hint uint64) (Handle, error) {
+	var one [1]Run
+	runs, err := p.AllocRun(class, 1, hint, one[:0])
+	if err != nil {
+		return Handle{}, err
+	}
+	return runs[0].First, nil
+}
+
+// AllocRun claims n blocks of one size class and appends them to into as
+// runs — pass a slice of a small array on the caller's stack and the common
+// case, one run, costs no heap allocation.
+//
+// Under one acquisition of the home shard's lock (the shard class and hint
+// stripe to) it takes the lowest run of n free blocks in the lowest-id slab
+// that has one, else registers a fresh slab when the budget allows; n larger
+// than a slab is taken as whole-slab runs plus a remainder. Only when the home
+// shard holds no such run and the budget is spent does the request degrade to
+// fragments: the lowest free blocks wherever they are, the home shard's first,
+// then the other shards' in index order — so, as ever, the pool fails only
+// when the blocks are not there: no shard holds enough free blocks of the
+// class and the budget cannot register another slab.
+//
+// The call is all-or-nothing: on ErrNoSpace every block it took is free again
+// and into comes back as it was passed (a slab it registered for an earlier
+// whole-slab run stays registered, empty). Which blocks it returns depends
+// only on the sequence of requests the pool has served, never on timing.
+func (p *Pool) AllocRun(class, n int, hint uint64, into []Run) ([]Run, error) {
 	if class <= 0 || class > p.slabSize {
-		return Handle{}, fmt.Errorf("slab: class %d out of range (0, %d]", class, p.slabSize)
+		return into, fmt.Errorf("slab: class %d out of range (0, %d]", class, p.slabSize)
+	}
+	if n <= 0 {
+		return into, fmt.Errorf("slab: run of %d blocks must be positive", n)
 	}
 	tick := p.tick.Add(1)
 	home := p.shardFor(class, hint)
-	if h, ok := p.allocIn(p.shards[home], class, tick, true); ok {
-		return h, nil
-	}
-	// The home shard had no free block and could not register a new slab.
-	// Fall back to any shard with a partial slab of this class so the pool
-	// never fails while a compatible free block exists anywhere.
-	for i := range p.shards {
-		if i == home {
-			continue
-		}
-		if h, ok := p.allocIn(p.shards[i], class, tick, false); ok {
-			return h, nil
+	mark := len(into)
+	into, n = p.takeIn(p.shards[home], class, n, tick, true, into)
+	for i := 0; n > 0 && i < len(p.shards); i++ {
+		if i != home {
+			into, n = p.takeIn(p.shards[i], class, n, tick, false, into)
 		}
 	}
-	return Handle{}, fmt.Errorf("%w: %s at %d bytes", ErrNoSpace, p.name, p.maxBytes.Load())
+	if n > 0 {
+		for _, r := range into[mark:] {
+			_ = p.FreeRun(r)
+		}
+		return into[:mark], fmt.Errorf("%w: %s at %d bytes", ErrNoSpace, p.name, p.maxBytes.Load())
+	}
+	return into, nil
 }
 
-// allocIn tries to take a block of class from sh, registering a fresh slab
-// (if mayRegister and the budget allows) when no partial slab exists.
-func (p *Pool) allocIn(sh *shard, class int, tick int64, mayRegister bool) (Handle, bool) {
+// takeIn takes up to n blocks of class from sh under one acquisition of its
+// lock, appends them to into as runs and returns how many are still wanted.
+// The home shard serves whole runs first, from a fresh slab if it must; what
+// it cannot serve so, and everything asked of another shard, comes as the
+// lowest free blocks the shard has.
+func (p *Pool) takeIn(sh *shard, class, n int, tick int64, home bool, into []Run) ([]Run, int) {
+	perSlab := p.slabSize / class
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if set := sh.partial[class]; len(set) > 0 {
-		return p.takeBlock(sh, minIDSlab(set), tick), true
+	for home && n > 0 {
+		k := min(n, perSlab)
+		s, at := sh.findRun(class, k)
+		if s == nil {
+			if !p.reserveSlabBudget() {
+				break
+			}
+			s = p.registerSlab(sh, class)
+		}
+		into = append(into, p.take(sh, s, at, k, tick))
+		n -= k
 	}
-	if !mayRegister || !p.reserveSlabBudget() {
-		return Handle{}, false
+	for n > 0 && len(sh.partial[class]) > 0 {
+		s := sh.partial[class][0]
+		at := s.nextFree(0)
+		k := s.freeLen(at, n)
+		into = append(into, p.take(sh, s, at, k, tick))
+		n -= k
 	}
-	s := p.registerSlab(sh, class)
-	return p.takeBlock(sh, s, tick), true
+	return into, n
+}
+
+// findRun returns the lowest-id slab of class holding a run of n free blocks,
+// and the lowest such run in it. Caller holds sh.mu.
+func (sh *shard) findRun(class, n int) (*slabRegion, int) {
+	for _, s := range sh.partial[class] {
+		if at := s.findRun(n); at >= 0 {
+			return s, at
+		}
+	}
+	return nil, 0
 }
 
 // reserveSlabBudget claims slabSize bytes of the pool budget, or reports
@@ -251,28 +407,20 @@ func (p *Pool) reserveSlabBudget() bool {
 	}
 }
 
-// minIDSlab picks the lowest-ID slab for deterministic allocation order.
-func minIDSlab(set map[int]*slabRegion) *slabRegion {
-	best := -1
-	for id := range set {
-		if best == -1 || id < best {
-			best = id
-		}
-	}
-	return set[best]
-}
-
-// registerSlab creates a slab in sh. Caller holds sh.mu and has already
-// reserved the budget.
+// registerSlab creates a slab in sh, every block free. Caller holds sh.mu and
+// has already reserved the budget.
 func (p *Pool) registerSlab(sh *shard, class int) *slabRegion {
 	id := sh.nextLocalID*len(p.shards) + sh.idx
 	sh.nextLocalID++
 	blocks := p.slabSize / class
 	s := &slabRegion{
-		id:    id,
-		class: class,
-		live:  make(map[int]bool, blocks),
+		id:     id,
+		class:  class,
+		blocks: blocks,
+		free:   make([]uint64, (blocks+63)/64),
+		nfree:  blocks,
 	}
+	s.mark(0, blocks, true)
 	if p.backing != nil {
 		p.baseMu.Lock()
 		if len(p.freeBases) > 0 {
@@ -288,28 +436,29 @@ func (p *Pool) registerSlab(sh *shard, class int) *slabRegion {
 	} else {
 		s.buf = make([]byte, p.slabSize)
 	}
-	for i := blocks - 1; i >= 0; i-- {
-		s.freeOffs = append(s.freeOffs, i*class)
-	}
 	sh.slabs[id] = s
-	if sh.partial[class] == nil {
-		sh.partial[class] = map[int]*slabRegion{}
-	}
-	sh.partial[class][id] = s
+	// A shard's ids only grow, so the new slab sorts last.
+	sh.partial[class] = append(sh.partial[class], s)
 	p.registrations.Add(1)
 	return s
 }
 
-// takeBlock pops a free block from s. Caller holds the shard lock.
-func (p *Pool) takeBlock(sh *shard, s *slabRegion, tick int64) Handle {
-	off := s.freeOffs[len(s.freeOffs)-1]
-	s.freeOffs = s.freeOffs[:len(s.freeOffs)-1]
-	s.live[off] = true
+// take claims blocks [at, at+n) of s, which the caller found free, as one
+// run. It is the one place blocks leave the free bitmap. Caller holds sh.mu.
+func (p *Pool) take(sh *shard, s *slabRegion, at, n int, tick int64) Run {
+	s.mark(at, n, false)
+	s.nfree -= n
 	s.lastUse = tick
-	if len(s.freeOffs) == 0 {
-		delete(sh.partial[s.class], s.id)
+	if s.nfree == 0 {
+		i, _ := sh.partialAt(s)
+		sh.partial[s.class] = slices.Delete(sh.partial[s.class], i, i+1)
 	}
-	return Handle{SlabID: s.id, Offset: off, Class: s.class}
+	p.liveBytes.Add(int64(n) * int64(s.class))
+	r := Run{First: Handle{SlabID: s.id, Offset: at * s.class, Class: s.class}, N: n}
+	if p.backing != nil {
+		r.Region = int64(s.base) + int64(r.First.Offset)
+	}
+	return r
 }
 
 // Free releases a block back to its slab.
@@ -320,16 +469,71 @@ func (p *Pool) Free(h Handle) error {
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	return p.freeIn(sh, h)
+}
+
+// FreeRun releases every block of a run AllocRun returned, under one
+// acquisition of its shard's lock.
+func (p *Pool) FreeRun(r Run) error {
+	sh, err := p.shardOf(r.First)
+	if err != nil {
+		return err
+	}
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	for r.N > 0 {
+		h, _ := r.Pop()
+		if e := p.freeIn(sh, h); e != nil && err == nil {
+			err = e
+		}
+	}
+	return err
+}
+
+// FreeAll releases every block in hs, taking each shard's lock once however
+// many of its blocks are named and in whatever order. Every handle is tried;
+// the first error is returned.
+func (p *Pool) FreeAll(hs []Handle) error {
+	// A negative slab id lands on some shard, whose validate refuses it.
+	shardIdx := func(h Handle) int { return int(uint(h.SlabID) % uint(len(p.shards))) }
+	var named [maxShards / 64]uint64
+	for _, h := range hs {
+		si := shardIdx(h)
+		named[si/64] |= 1 << (si % 64)
+	}
+	var first error
+	for si, sh := range p.shards {
+		if named[si/64]&(1<<(si%64)) == 0 {
+			continue
+		}
+		sh.mu.Lock()
+		for _, h := range hs {
+			if shardIdx(h) != si {
+				continue
+			}
+			if err := p.freeIn(sh, h); err != nil && first == nil {
+				first = err
+			}
+		}
+		sh.mu.Unlock()
+	}
+	return first
+}
+
+// freeIn returns h's block to the free bitmap. It is the one place blocks
+// come back short of their whole slab being dropped. Caller holds sh.mu.
+func (p *Pool) freeIn(sh *shard, h Handle) error {
 	s, err := sh.validate(h)
 	if err != nil {
 		return err
 	}
-	delete(s.live, h.Offset)
-	s.freeOffs = append(s.freeOffs, h.Offset)
-	if sh.partial[s.class] == nil {
-		sh.partial[s.class] = map[int]*slabRegion{}
+	s.mark(h.Offset/s.class, 1, true)
+	s.nfree++
+	if s.nfree == 1 {
+		i, _ := sh.partialAt(s)
+		sh.partial[s.class] = slices.Insert(sh.partial[s.class], i, s)
 	}
-	sh.partial[s.class][s.id] = s
+	p.liveBytes.Add(-int64(s.class))
 	return nil
 }
 
@@ -342,7 +546,7 @@ func (sh *shard) validate(h Handle) (*slabRegion, error) {
 	if h.Class != s.class || h.Offset < 0 || h.Offset+h.Class > len(s.buf) || h.Offset%s.class != 0 {
 		return nil, fmt.Errorf("%w: handle %+v does not match slab layout", ErrBadHandle, h)
 	}
-	if !s.live[h.Offset] {
+	if s.isFree(h.Offset / s.class) {
 		return nil, fmt.Errorf("%w: block at %d not allocated", ErrBadHandle, h.Offset)
 	}
 	return s, nil
@@ -431,20 +635,18 @@ func (p *Pool) EvictLRU() ([]Handle, error) {
 	}
 }
 
-// dropSlab deregisters s from sh. Caller holds sh.mu.
+// dropSlab deregisters s from sh and returns its live blocks, lowest first.
+// Caller holds sh.mu.
 func (p *Pool) dropSlab(sh *shard, s *slabRegion) []Handle {
-	offs := make([]int, 0, len(s.live))
-	for off := range s.live {
-		offs = append(offs, off)
-	}
-	sort.Ints(offs)
-	handles := make([]Handle, 0, len(offs))
-	for _, off := range offs {
-		handles = append(handles, Handle{SlabID: s.id, Offset: off, Class: s.class})
+	handles := make([]Handle, 0, s.blocks-s.nfree)
+	for i := 0; i < s.blocks; i++ {
+		if !s.isFree(i) {
+			handles = append(handles, Handle{SlabID: s.id, Offset: i * s.class, Class: s.class})
+		}
 	}
 	delete(sh.slabs, s.id)
-	if set := sh.partial[s.class]; set != nil {
-		delete(set, s.id)
+	if i, ok := sh.partialAt(s); ok {
+		sh.partial[s.class] = slices.Delete(sh.partial[s.class], i, i+1)
 	}
 	if p.backing != nil {
 		p.baseMu.Lock()
@@ -452,6 +654,7 @@ func (p *Pool) dropSlab(sh *shard, s *slabRegion) []Handle {
 		delete(p.baseSlab, s.base)
 		p.baseMu.Unlock()
 	}
+	p.liveBytes.Add(-int64(len(handles)) * int64(s.class))
 	p.registeredBytes.Add(-int64(p.slabSize))
 	p.deregistrations.Add(1)
 	return handles
@@ -471,13 +674,13 @@ func (p *Pool) ShrinkEmpty(wantBytes int64) int64 {
 		for id := range sh.slabs {
 			ids = append(ids, id)
 		}
-		sort.Ints(ids)
+		slices.Sort(ids)
 		for _, id := range ids {
 			if released >= wantBytes {
 				break
 			}
 			s := sh.slabs[id]
-			if len(s.live) == 0 {
+			if s.nfree == s.blocks {
 				p.dropSlab(sh, s)
 				released += int64(p.slabSize)
 			}
@@ -558,8 +761,9 @@ func (p *Pool) Stats() Stats {
 		sh.mu.Lock()
 		st.Slabs += len(sh.slabs)
 		for _, s := range sh.slabs {
-			st.LiveBlocks += len(s.live)
-			st.LiveBytes += int64(len(s.live)) * int64(s.class)
+			live := s.blocks - s.nfree
+			st.LiveBlocks += live
+			st.LiveBytes += int64(live) * int64(s.class)
 		}
 		sh.mu.Unlock()
 	}
@@ -567,9 +771,10 @@ func (p *Pool) Stats() Stats {
 }
 
 // FreeBytes reports budget headroom plus free blocks inside registered slabs
-// (algebraically, MaxBytes - LiveBytes — independent of how blocks are
-// distributed across slabs or shards).
+// — MaxBytes - LiveBytes, however the blocks are spread over slabs and shards
+// — as two atomic loads: no shard lock is taken, so it is cheap enough to
+// refresh a gauge from on every request. Under concurrent mutation the two
+// loads are not one instant; a quiescent pool gets Stats's exact figure.
 func (p *Pool) FreeBytes() int64 {
-	st := p.Stats()
-	return (st.MaxBytes - st.RegisteredBytes) + (st.RegisteredBytes - st.LiveBytes)
+	return p.maxBytes.Load() - p.liveBytes.Load()
 }

@@ -24,6 +24,13 @@
 #   pre-built errors, so one allocation per page is a regression. Their ns/op
 #   is printed with the rest, not gated (~2 us and ~0.1 us on the 2-CPU host).
 #
+#   BenchmarkAllocFree / BenchmarkAllocRun64 (the slab allocator: one 2 KiB
+#   block, and a 64-block window run on a pool laid out like a donor's — 8
+#   shards, 1 MiB slabs — taken and freed) are held to nothing as well: the
+#   free bitmap is allocated with its slab, and a run comes back in the
+#   caller's storage, so a donor's put allocates nothing for its blocks.
+#   ns/op printed, not gated (~100 ns and ~1 us on the 2-CPU host).
+#
 # Both tcpnet benchmarks dial every connection lane and fill the frame pool before
 # their timer starts (warmLanes in internal/tcpnet/bench_test.go). They used
 # not to, and -benchtime 2000x then charged ~360 KB of one-time set-up — two
@@ -38,7 +45,8 @@
 set -eu
 
 out=$(go test -run '^$' -bench 'BenchmarkTCPNetParallelRead$|BenchmarkTCPNetCallV64K$' -benchmem -benchtime 2000x ./internal/tcpnet/ &&
-    go test -run '^$' -bench 'BenchmarkCodecPage(Compress|Decompress)$' -benchmem -benchtime 2000x ./internal/compress/)
+    go test -run '^$' -bench 'BenchmarkCodecPage(Compress|Decompress)$' -benchmem -benchtime 2000x ./internal/compress/ &&
+    go test -run '^$' -bench 'BenchmarkAllocFree$|BenchmarkAllocRun64$' -benchmem -benchtime 2000x ./internal/slab/)
 echo "$out"
 
 status=0
@@ -67,6 +75,8 @@ check BenchmarkTCPNetParallelRead 4224 2
 check BenchmarkTCPNetCallV64K 1024 6
 check BenchmarkCodecPageCompress 0 0
 check BenchmarkCodecPageDecompress 0 0
+check BenchmarkAllocFree 0 0
+check BenchmarkAllocRun64 0 0
 if [ "$status" -eq 0 ]; then
     echo "alloc_budget: OK"
 fi
