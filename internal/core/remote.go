@@ -95,18 +95,37 @@ func (s *remoteStore) put(ctx context.Context, node replication.NodeID, id repli
 	return nil
 }
 
-// Get implements replication.Store: one-sided read at the recorded offset.
-func (s *remoteStore) Get(ctx context.Context, node replication.NodeID, id replication.EntryID) ([]byte, error) {
-	to := transport.NodeID(node)
+// handle looks up where id's payload lives inside node's receive region.
+func (s *remoteStore) handle(node replication.NodeID, id replication.EntryID) (remoteHandle, error) {
 	s.mu.Lock()
-	h, ok := s.handles[remoteKey{node: to, key: uint64(id)}]
+	h, ok := s.handles[remoteKey{node: transport.NodeID(node), key: uint64(id)}]
 	s.mu.Unlock()
 	if !ok {
-		return nil, fmt.Errorf("core: no handle for entry %d on node %d", id, to)
+		return h, fmt.Errorf("core: no handle for entry %d on node %d", id, node)
+	}
+	return h, nil
+}
+
+// read is the store's one read: a one-sided read of len(dst) bytes at off
+// within the payload behind h, straight into dst.
+func (s *remoteStore) read(ctx context.Context, node replication.NodeID, h remoteHandle, off int, dst []byte) error {
+	to := transport.NodeID(node)
+	if err := transport.ReadRegionInto(ctx, s.node.ep, to, RecvRegionID, h.offset+int64(off), dst); err != nil {
+		return fmt.Errorf("core: one-sided read from node %d: %w", to, err)
+	}
+	return nil
+}
+
+// Get implements replication.Store: GetInto a fresh buffer of exactly the
+// payload's length, which the caller owns.
+func (s *remoteStore) Get(ctx context.Context, node replication.NodeID, id replication.EntryID) ([]byte, error) {
+	h, err := s.handle(node, id)
+	if err != nil {
+		return nil, err
 	}
 	data := make([]byte, h.dataLen)
-	if err := transport.ReadRegionInto(ctx, s.node.ep, to, RecvRegionID, h.offset, data); err != nil {
-		return nil, fmt.Errorf("core: one-sided read from node %d: %w", to, err)
+	if err := s.read(ctx, node, h, 0, data); err != nil {
+		return nil, err
 	}
 	return data, nil
 }
@@ -138,45 +157,37 @@ var (
 	_ ec.ShardStore            = (*remoteStore)(nil)
 )
 
-// GetAt implements replication.RangeStore: a one-sided read of n bytes at
-// offset off within the payload stored on one node. Failover across the
-// replica or shard set is the policy's job.
-func (s *remoteStore) GetAt(ctx context.Context, node replication.NodeID, id replication.EntryID, off, n int) ([]byte, error) {
-	to := transport.NodeID(node)
-	s.mu.Lock()
-	h, ok := s.handles[remoteKey{node: to, key: uint64(id)}]
-	s.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("core: no handle for entry %d on node %d", id, to)
+// GetAtInto implements replication.RangeStore: a one-sided read of the
+// len(dst) bytes at offset off within the payload stored on one node.
+// Failover across the replica or shard set is the policy's job.
+func (s *remoteStore) GetAtInto(ctx context.Context, node replication.NodeID, id replication.EntryID, off int, dst []byte) error {
+	h, err := s.handle(node, id)
+	if err != nil {
+		return err
 	}
-	if off < 0 || n < 0 || off+n > h.dataLen {
-		return nil, fmt.Errorf("core: range [%d,%d) exceeds payload %d", off, off+n, h.dataLen)
+	if off < 0 || off+len(dst) > h.dataLen {
+		return fmt.Errorf("core: range [%d,%d) exceeds payload %d", off, off+len(dst), h.dataLen)
 	}
-	data := make([]byte, n)
-	if err := transport.ReadRegionInto(ctx, s.node.ep, to, RecvRegionID, h.offset+int64(off), data); err != nil {
-		return nil, fmt.Errorf("core: one-sided read from node %d: %w", to, err)
-	}
-	return data, nil
+	return s.read(ctx, node, h, off, dst)
 }
 
 // GetInto implements replication.ScatterStore: a one-sided read of the whole
-// payload directly into dst — the striped read path lands each shard in its
-// slice of the result buffer with no copy in between.
-func (s *remoteStore) GetInto(ctx context.Context, node replication.NodeID, id replication.EntryID, dst []byte) error {
-	to := transport.NodeID(node)
-	s.mu.Lock()
-	h, ok := s.handles[remoteKey{node: to, key: uint64(id)}]
-	s.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("core: no handle for entry %d on node %d", id, to)
+// payload directly into the front of dst — a replicated read lands in the
+// caller's buffer, a striped one lands each shard in its slice of it, with
+// no copy in between. It returns the payload's length; a dst too short for it
+// is refused before the fabric is touched.
+func (s *remoteStore) GetInto(ctx context.Context, node replication.NodeID, id replication.EntryID, dst []byte) (int, error) {
+	h, err := s.handle(node, id)
+	if err != nil {
+		return 0, err
 	}
-	if len(dst) != h.dataLen {
-		return fmt.Errorf("core: dst is %d bytes, entry %d stores %d", len(dst), id, h.dataLen)
+	if len(dst) < h.dataLen {
+		return 0, fmt.Errorf("core: dst holds %d bytes, entry %d stores %d", len(dst), id, h.dataLen)
 	}
-	if err := transport.ReadRegionInto(ctx, s.node.ep, to, RecvRegionID, h.offset, dst); err != nil {
-		return fmt.Errorf("core: one-sided read from node %d: %w", to, err)
+	if err := s.read(ctx, node, h, 0, dst[:h.dataLen]); err != nil {
+		return 0, err
 	}
-	return nil
+	return h.dataLen, nil
 }
 
 // rehome repoints the handle for key from old to new after a decommission

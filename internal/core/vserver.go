@@ -232,13 +232,44 @@ func (vs *VirtualServer) Put(ctx context.Context, id pagetable.EntryID, data []b
 }
 
 // Get fetches an entry from wherever it lives, returning the stored payload
-// and its location. Remote reads go one-sided to the primary and fail over
-// through the replicas.
+// and its location: GetInto a fresh buffer of the entry's stored size, which
+// the caller owns outright. Callers that read and discard, or can reuse a
+// buffer, should call GetInto.
 func (vs *VirtualServer) Get(ctx context.Context, id pagetable.EntryID) ([]byte, pagetable.Location, error) {
 	loc, err := vs.table.Get(id)
 	if err != nil {
 		return nil, loc, err
 	}
+	data := make([]byte, loc.StoredSize)
+	n, err := vs.getInto(ctx, id, loc, data)
+	if err != nil {
+		return nil, loc, err
+	}
+	return data[:n], loc, nil
+}
+
+// GetInto fetches an entry into the front of dst and returns the stored
+// payload's length and the entry's location. dst must hold loc.StoredSize
+// bytes — a shorter one is refused before anything is read — and is lent for
+// the call only: nothing writes it once GetInto has returned, cancelled or
+// not. Remote reads go one-sided to the primary and fail over through the
+// replicas (or reconstruct from parity under a coding policy), landing in dst
+// with no allocation and no copy in between.
+func (vs *VirtualServer) GetInto(ctx context.Context, id pagetable.EntryID, dst []byte) (int, pagetable.Location, error) {
+	loc, err := vs.table.Get(id)
+	if err != nil {
+		return 0, loc, err
+	}
+	if len(dst) < loc.StoredSize {
+		return 0, loc, fmt.Errorf("core: dst holds %d bytes, entry %d stores %d", len(dst), id, loc.StoredSize)
+	}
+	n, err := vs.getInto(ctx, id, loc, dst)
+	return n, loc, err
+}
+
+// getInto is the one whole-entry read: the entry at loc lands in dst, which
+// holds loc.StoredSize bytes.
+func (vs *VirtualServer) getInto(ctx context.Context, id pagetable.EntryID, loc pagetable.Location, dst []byte) (int, error) {
 	ctx, sp := trace.Start(ctx, "core.get")
 	sp.Annotate("entry", uint64(id))
 	sp.Annotate("tier", loc.Tier)
@@ -246,20 +277,19 @@ func (vs *VirtualServer) Get(ctx context.Context, id pagetable.EntryID) ([]byte,
 	switch loc.Tier {
 	case pagetable.TierSharedMemory:
 		h := slab.Handle{SlabID: loc.Ref.SlabID, Offset: loc.Ref.Offset, Class: loc.StoredSize}
-		data, err := vs.node.shared.Read(h, loc.StoredSize)
-		if err != nil {
+		if err := vs.node.shared.ReadAtInto(h, 0, dst[:loc.StoredSize]); err != nil {
 			sp.Annotate("err", err)
-			return nil, loc, err
+			return 0, err
 		}
 		vs.node.counters.sharedGets.Add(1)
 		vs.node.met.sharedGets.Inc()
-		return data, loc, nil
+		return loc.StoredSize, nil
 	case pagetable.TierRemote:
 		start := trace.Now(ctx)
-		data, _, err := vs.node.policy.Read(ctx, locationNodes(loc), replication.EntryID(vs.key(id)))
+		n, _, err := vs.node.policy.Read(ctx, locationNodes(loc), replication.EntryID(vs.key(id)), dst)
 		if err != nil {
 			sp.Annotate("err", err)
-			return nil, loc, err
+			return 0, err
 		}
 		vs.node.counters.remoteGets.Add(1)
 		vs.node.met.remoteGets.Inc()
@@ -268,42 +298,63 @@ func (vs *VirtualServer) Get(ctx context.Context, id pagetable.EntryID) ([]byte,
 		if vs.node.slos.Observe("get", elapsed) {
 			sp.Annotate("slow", "get")
 		}
-		return data, loc, nil
+		return n, nil
 	default:
-		return nil, loc, fmt.Errorf("core: entry %d is on tier %v, not managed here", id, loc.Tier)
+		return 0, fmt.Errorf("core: entry %d is on tier %v, not managed here", id, loc.Tier)
 	}
 }
 
-// GetAt fetches n bytes starting at off within a stored entry, without
-// moving the rest — the window-based batch layout relies on this to fault a
-// single page out of a parked batch (one message, one slot). Remote reads go
-// one-sided at the recorded region offset plus off.
+// GetAt fetches n bytes starting at off within a stored entry into a fresh
+// buffer: GetAtInto a buffer of its own.
 func (vs *VirtualServer) GetAt(ctx context.Context, id pagetable.EntryID, off, n int) ([]byte, error) {
 	loc, err := vs.table.Get(id)
 	if err != nil {
 		return nil, err
 	}
-	if off < 0 || n < 0 || off+n > loc.StoredSize {
+	if n < 0 || n > loc.StoredSize {
 		return nil, fmt.Errorf("core: range [%d,%d) exceeds stored size %d", off, off+n, loc.StoredSize)
+	}
+	data := make([]byte, n)
+	if err := vs.getAtInto(ctx, id, loc, off, data); err != nil {
+		return nil, err
+	}
+	return data, nil
+}
+
+// GetAtInto fills dst with the len(dst) bytes starting at off within a stored
+// entry, without moving the rest — the window-based batch layout relies on
+// this to fault a single page out of a parked batch (one message, one slot).
+// Remote reads go one-sided at the recorded region offset plus off. dst is
+// lent for the call only, as in GetInto.
+func (vs *VirtualServer) GetAtInto(ctx context.Context, id pagetable.EntryID, off int, dst []byte) error {
+	loc, err := vs.table.Get(id)
+	if err != nil {
+		return err
+	}
+	return vs.getAtInto(ctx, id, loc, off, dst)
+}
+
+// getAtInto is the one ranged read.
+func (vs *VirtualServer) getAtInto(ctx context.Context, id pagetable.EntryID, loc pagetable.Location, off int, dst []byte) error {
+	if off < 0 || off+len(dst) > loc.StoredSize {
+		return fmt.Errorf("core: range [%d,%d) exceeds stored size %d", off, off+len(dst), loc.StoredSize)
 	}
 	switch loc.Tier {
 	case pagetable.TierSharedMemory:
 		h := slab.Handle{SlabID: loc.Ref.SlabID, Offset: loc.Ref.Offset, Class: loc.StoredSize}
-		data, err := vs.node.shared.ReadAt(h, off, n)
-		if err != nil {
-			return nil, err
+		if err := vs.node.shared.ReadAtInto(h, off, dst); err != nil {
+			return err
 		}
 		vs.node.counters.sharedGets.Add(1)
-		return data, nil
+		return nil
 	case pagetable.TierRemote:
-		data, err := vs.node.policy.ReadAt(ctx, locationNodes(loc), replication.EntryID(vs.key(id)), off, n)
-		if err != nil {
-			return nil, err
+		if err := vs.node.policy.ReadAt(ctx, locationNodes(loc), replication.EntryID(vs.key(id)), off, dst); err != nil {
+			return err
 		}
 		vs.node.counters.remoteGets.Add(1)
-		return data, nil
+		return nil
 	default:
-		return nil, fmt.Errorf("core: entry %d is on tier %v, not managed here", id, loc.Tier)
+		return fmt.Errorf("core: entry %d is on tier %v, not managed here", id, loc.Tier)
 	}
 }
 

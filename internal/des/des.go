@@ -12,6 +12,14 @@
 // single run token: exactly one process (or the scheduler) executes at any
 // moment, which means process bodies may touch shared simulation state
 // without locks.
+//
+// Two rules keep that hand-off skippable when it would change nothing (see
+// Proc.Sleep). A closure event that dispatches a process — the ones GoAfter,
+// Gate.Signal, Gate.WaitTimeout and Resource.Release schedule — does so as
+// its last act, so when the process yields, control falls straight back into
+// the scheduler loop with no closure code left to run. And every wake takes
+// its sequence number from Env.seq whether or not an event is pushed for it,
+// so ties at one instant break the same way on either route.
 package des
 
 import (
@@ -25,10 +33,10 @@ import (
 // processes are still blocked on a Gate, Resource, or Store.
 var ErrDeadlock = errors.New("des: deadlock: blocked processes remain")
 
-// event is one scheduled occurrence. Most events carry a closure in fn;
-// wake events (the Sleep fast path) instead carry the process to dispatch in
-// proc, so the busiest event in the kernel — a process sleeping — costs no
-// allocation: the event rides by value in the heap's backing array.
+// event is one scheduled occurrence. Most events carry a closure in fn; wake
+// events (a process sleeping) instead carry the process to dispatch in proc,
+// so a queued sleep costs no allocation: the event rides by value in the
+// heap's backing array.
 type event struct {
 	at   time.Duration
 	seq  uint64
@@ -87,9 +95,12 @@ func (h *eventHeap) pop() event {
 // Env is a simulation environment. The zero value is not usable; construct
 // with NewEnv.
 type Env struct {
-	now     time.Duration
-	seq     uint64
-	events  eventHeap
+	now    time.Duration
+	seq    uint64
+	events eventHeap
+	// horizon is the bound of the RunUntil in progress (negative: none),
+	// published for Sleep's self-wake shortcut.
+	horizon time.Duration
 	yield   chan struct{}
 	live    int
 	blocked map[*Proc]string
@@ -194,12 +205,31 @@ func (e *Env) dispatch(p *Proc) {
 }
 
 // Sleep suspends the process for d of simulated time.
+//
+// When the process's own wake is the event the scheduler would pop next, the
+// process keeps running instead of bouncing through it: nothing queued fires
+// at or before the wake (strictly later only — a queued event at the same
+// instant holds the lower sequence number and must run first), the wake lies
+// inside the current RunUntil horizon, and no failure is latched. Sleep then
+// does what the scheduler was about to do with the event — take the next
+// sequence number, move the clock to the wake — and returns, without pushing
+// an event or switching goroutines. Every other sleep queues its wake and
+// yields. The two are indistinguishable to the simulation because a closure
+// that dispatches a process does so last (package comment): between this
+// process yielding and the scheduler popping its wake, nothing else runs.
 func (p *Proc) Sleep(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
 	e := p.env
-	e.scheduleWake(e.now+d, p)
+	at := e.now + d
+	if (len(e.events) == 0 || e.events[0].at > at) &&
+		(e.horizon < 0 || at <= e.horizon) && e.failure == nil {
+		e.seq++
+		e.now = at
+		return
+	}
+	e.scheduleWake(at, p)
 	p.pause()
 }
 
@@ -212,14 +242,17 @@ func (p *Proc) Yield() { p.Sleep(0) }
 // blocked processes remain, or the panic error if a process panicked.
 func (e *Env) Run() error { return e.RunUntil(-1) }
 
-// RunUntil drives the simulation until the event queue drains or the clock
-// would pass horizon (exclusive). A negative horizon means no limit. Events
-// scheduled beyond the horizon remain queued.
+// RunUntil drives the simulation until the event queue drains or the next
+// event lies beyond horizon; events at the horizon itself still run, later
+// ones remain queued and the clock stops at the horizon. A negative horizon
+// means no limit. The clock never moves backwards: a horizon below the
+// current time runs nothing and leaves Now where it was.
 func (e *Env) RunUntil(horizon time.Duration) error {
 	if e.running {
 		return errors.New("des: Run called reentrantly")
 	}
 	e.running = true
+	e.horizon = horizon
 	defer func() { e.running = false }()
 	for len(e.events) > 0 {
 		if e.failure != nil {
@@ -227,7 +260,9 @@ func (e *Env) RunUntil(horizon time.Duration) error {
 		}
 		next := e.events[0]
 		if horizon >= 0 && next.at > horizon {
-			e.now = horizon
+			if horizon > e.now {
+				e.now = horizon
+			}
 			return nil
 		}
 		e.events.pop()

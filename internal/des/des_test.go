@@ -2,6 +2,7 @@ package des
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 )
@@ -372,15 +373,162 @@ func TestSignalToFinishedWaiterIsSafe(t *testing.T) {
 	}
 }
 
-// BenchmarkProcessSwitch measures the scheduler's coroutine handoff cost —
-// the simulator's fundamental overhead per charged latency.
-func BenchmarkProcessSwitch(b *testing.B) {
+// TestRunUntilNeverRewindsTheClock: a horizon below the current time runs
+// nothing and leaves the clock alone (it used to be set back to the horizon).
+func TestRunUntilNeverRewindsTheClock(t *testing.T) {
 	env := NewEnv()
-	env.Go("bench", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Sleep(time.Nanosecond)
+	fired := false
+	env.After(20*time.Millisecond, func() { fired = true })
+	if err := env.RunUntil(10 * time.Millisecond); err != nil {
+		t.Fatalf("RunUntil(10ms): %v", err)
+	}
+	if err := env.RunUntil(5 * time.Millisecond); err != nil {
+		t.Fatalf("RunUntil(5ms): %v", err)
+	}
+	if env.Now() != 10*time.Millisecond || fired {
+		t.Fatalf("after RunUntil(10ms), RunUntil(5ms): Now = %v (want 10ms), fired = %v", env.Now(), fired)
+	}
+	if err := env.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if env.Now() != 20*time.Millisecond || !fired {
+		t.Fatalf("after Run: Now = %v (want 20ms), fired = %v", env.Now(), fired)
+	}
+}
+
+// The four tests below pin the guards of Sleep's self-wake shortcut, one each.
+
+// A queued event at the very instant of the wake was scheduled first, holds
+// the lower sequence number and must run before the sleeper continues.
+func TestSleepYieldsToEventAtSameInstant(t *testing.T) {
+	env := NewEnv()
+	var order []string
+	env.Go("sleeper", func(p *Proc) {
+		env.After(time.Millisecond, func() { order = append(order, "closure") })
+		p.Sleep(time.Millisecond)
+		order = append(order, "sleeper")
+		// With the closure gone the next wake is the sleeper's own.
+		p.Sleep(time.Millisecond)
+		order = append(order, "sleeper again")
+	})
+	if err := env.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	want := []string{"closure", "sleeper", "sleeper again"}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+}
+
+// A wake beyond the horizon parks the process: RunUntil returns with the
+// clock on the horizon and the process resumes under the next run.
+func TestSleepBeyondHorizonParks(t *testing.T) {
+	env := NewEnv()
+	var woke time.Duration
+	env.Go("sleeper", func(p *Proc) {
+		p.Sleep(2 * time.Millisecond) // inside the horizon, nothing else queued
+		p.Sleep(10 * time.Millisecond)
+		woke = p.Now()
+	})
+	if err := env.RunUntil(5 * time.Millisecond); err != nil {
+		t.Fatalf("RunUntil: %v", err)
+	}
+	if env.Now() != 5*time.Millisecond || woke != 0 {
+		t.Fatalf("at the horizon: Now = %v (want 5ms), woke = %v (want not yet)", env.Now(), woke)
+	}
+	if len(env.events) != 1 {
+		t.Fatalf("%d events queued at the horizon, want the one parked wake", len(env.events))
+	}
+	if err := env.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if woke != 12*time.Millisecond {
+		t.Fatalf("woke at %v, want 12ms", woke)
+	}
+}
+
+// Once a failure is latched no process moves the clock or runs on: the
+// sleeper yields and the scheduler returns the failure.
+func TestSleepAfterLatchedFailureDoesNotAdvance(t *testing.T) {
+	env := NewEnv()
+	latched := errors.New("latched")
+	ranOn := false
+	env.Go("sleeper", func(p *Proc) {
+		p.Sleep(time.Millisecond)
+		env.failure = latched
+		p.Sleep(time.Millisecond)
+		ranOn = true
+	})
+	if err := env.Run(); !errors.Is(err, latched) {
+		t.Fatalf("Run: %v, want the latched failure", err)
+	}
+	if env.Now() != time.Millisecond || ranOn {
+		t.Fatalf("Now = %v (want 1ms), process ran on = %v", env.Now(), ranOn)
+	}
+}
+
+// A lone process that sleeps n times pushes no event, and leaves the sequence
+// counter exactly where n queued wakes would have left it, so whatever is
+// scheduled afterwards breaks its ties as before.
+func TestSleepAloneLeavesHeapEmptyAndSeqAdvanced(t *testing.T) {
+	const n = 100
+	env := NewEnv()
+	var maxQueued int
+	var seqBefore uint64
+	env.Go("sleeper", func(p *Proc) {
+		seqBefore = env.seq
+		for i := 0; i < n; i++ {
+			p.Sleep(time.Microsecond)
+			if len(env.events) > maxQueued {
+				maxQueued = len(env.events)
+			}
 		}
 	})
+	if err := env.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if maxQueued != 0 {
+		t.Fatalf("a lone sleeper saw %d events queued, want 0", maxQueued)
+	}
+	if got := env.seq - seqBefore; got != n {
+		t.Fatalf("seq advanced by %d over %d sleeps, want %d", got, n, n)
+	}
+	if env.Now() != n*time.Microsecond {
+		t.Fatalf("Now = %v, want %v", env.Now(), n*time.Microsecond)
+	}
+}
+
+// BenchmarkProcessSwitch measures the scheduler's coroutine hand-off — what a
+// charged latency costs whenever another process is due first. Two processes
+// alternate, so every sleep finds the other's wake queued ahead of its own and
+// goes through the scheduler: one op is one hand-off.
+func BenchmarkProcessSwitch(b *testing.B) {
+	benchSleepers(b, 2)
+}
+
+// BenchmarkSleepAlone measures a sleep whose own wake is the next event — a
+// lone process charging latencies, the case nearly every sleep of the swap
+// experiments is: the process keeps running and no goroutine switches.
+func BenchmarkSleepAlone(b *testing.B) {
+	benchSleepers(b, 1)
+}
+
+// benchSleepers splits b.N one-nanosecond sleeps over procs processes. The
+// processes are started, and parked on their first sleep by a zero horizon,
+// before the timer: a goroutine's stack is set-up, not a cost per sleep.
+func benchSleepers(b *testing.B, procs int) {
+	env := NewEnv()
+	for i := 0; i < procs; i++ {
+		env.Go(fmt.Sprintf("bench%d", i), func(p *Proc) {
+			for i := 0; i < b.N/procs; i++ {
+				p.Sleep(time.Nanosecond)
+			}
+		})
+	}
+	if err := env.RunUntil(0); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	if err := env.Run(); err != nil {
 		b.Fatal(err)

@@ -189,7 +189,11 @@ func (p *CodingPolicy) putShard(ctx context.Context, node replication.NodeID, id
 
 func (p *CodingPolicy) getShard(ctx context.Context, node replication.NodeID, id replication.EntryID, dst []byte) error {
 	if sc, ok := p.store.(replication.ScatterStore); ok {
-		return sc.GetInto(ctx, node, id, dst)
+		n, err := sc.GetInto(ctx, node, id, dst)
+		if err == nil && n != len(dst) {
+			err = fmt.Errorf("ec: shard is %d bytes, want %d", n, len(dst))
+		}
+		return err
 	}
 	data, err := p.store.Get(ctx, node, id)
 	if err != nil {
@@ -291,24 +295,25 @@ func (p *CodingPolicy) hedgeDelay(nodes []replication.NodeID) time.Duration {
 }
 
 // Read implements replication.Policy: fetch the k data shards scatter-style
-// into the result buffer, hedging to parity + reconstruction when a donor is
+// into the front of dst, hedging to parity + reconstruction when a donor is
 // dead or slow.
-func (p *CodingPolicy) Read(ctx context.Context, nodes []replication.NodeID, id replication.EntryID) ([]byte, replication.NodeID, error) {
+func (p *CodingPolicy) Read(ctx context.Context, nodes []replication.NodeID, id replication.EntryID, dst []byte) (int, replication.NodeID, error) {
 	total := p.code.k + p.code.m
 	if len(nodes) != total {
-		return nil, 0, fmt.Errorf("ec: got %d nodes, stripe width is %d", len(nodes), total)
+		return 0, 0, fmt.Errorf("ec: got %d nodes, stripe width is %d", len(nodes), total)
 	}
 	raw, ok := p.rawLen(id)
 	if !ok {
-		return nil, 0, fmt.Errorf("%w: entry %d: no stripe record", replication.ErrNoReplica, id)
+		return 0, 0, fmt.Errorf("%w: entry %d: no stripe record", replication.ErrNoReplica, id)
+	}
+	if len(dst) < raw {
+		return 0, 0, fmt.Errorf("ec: dst holds %d bytes, entry %d stores %d", len(dst), id, raw)
 	}
 	ctx, sp := trace.Start(ctx, "ec.read")
 	sp.Annotate("entry", uint64(id))
 	p.met.reads.Inc()
 	start := trace.Now(ctx)
-	dst := make([]byte, raw)
-	degraded := false
-	err := p.code.ReadInto(ctx, dst, func(ctx context.Context, idx int, buf []byte) error {
+	err := p.code.ReadInto(ctx, dst[:raw], func(ctx context.Context, idx int, buf []byte) error {
 		return p.getShard(ctx, nodes[idx], id, buf)
 	}, ReadOpts{
 		Serial: p.serialIn(ctx),
@@ -318,7 +323,6 @@ func (p *CodingPolicy) Read(ctx context.Context, nodes []replication.NodeID, id 
 			sp.Annotate("hedged", 1)
 		},
 		OnDegraded: func() {
-			degraded = true
 			p.met.degraded.Inc()
 			sp.Annotate("degraded", 1)
 		},
@@ -326,57 +330,51 @@ func (p *CodingPolicy) Read(ctx context.Context, nodes []replication.NodeID, id 
 	if err != nil {
 		err = fmt.Errorf("%w: entry %d: %w", replication.ErrNoReplica, id, err)
 		sp.EndErr(err)
-		return nil, 0, err
+		return 0, 0, err
 	}
-	_ = degraded
 	p.met.readLatency.Observe(trace.Now(ctx) - start)
 	sp.End()
-	return dst, nodes[0], nil
+	return raw, nodes[0], nil
 }
 
 // ReadAt implements replication.Policy: map the byte range onto the data
-// shards holding it and read just those sub-ranges one-sided; any failure
-// falls back to a full (possibly degraded) read.
-func (p *CodingPolicy) ReadAt(ctx context.Context, nodes []replication.NodeID, id replication.EntryID, off, n int) ([]byte, error) {
+// shards holding it and read just those sub-ranges one-sided, each into its
+// piece of dst; any failure falls back to a full (possibly degraded) read.
+func (p *CodingPolicy) ReadAt(ctx context.Context, nodes []replication.NodeID, id replication.EntryID, off int, dst []byte) error {
 	raw, ok := p.rawLen(id)
 	if !ok {
-		return nil, fmt.Errorf("%w: entry %d: no stripe record", replication.ErrNoReplica, id)
+		return fmt.Errorf("%w: entry %d: no stripe record", replication.ErrNoReplica, id)
 	}
-	if off < 0 || n < 0 || off+n > raw {
-		return nil, fmt.Errorf("ec: range [%d,%d) exceeds payload %d", off, off+n, raw)
+	n := len(dst)
+	if off < 0 || off+n > raw {
+		return fmt.Errorf("ec: range [%d,%d) exceeds payload %d", off, off+n, raw)
 	}
 	if n == 0 {
-		return []byte{}, nil
+		return nil
 	}
 	s := p.code.ShardLen(raw)
 	if rs, ok := p.store.(replication.RangeStore); ok && len(nodes) == p.code.k+p.code.m {
-		out := make([]byte, 0, n)
 		pos := off
 		for pos < off+n {
-			j := pos / s
 			shardOff := pos % s
-			run := s - shardOff
-			if rest := off + n - pos; run > rest {
-				run = rest
-			}
-			part, err := rs.GetAt(ctx, nodes[j], id, shardOff, run)
-			if err != nil {
-				out = nil
+			run := min(s-shardOff, off+n-pos)
+			if rs.GetAtInto(ctx, nodes[pos/s], id, shardOff, dst[pos-off:pos-off+run]) != nil {
 				break
 			}
-			out = append(out, part...)
 			pos += run
 		}
-		if out != nil {
-			return out, nil
+		if pos == off+n {
+			return nil
 		}
 	}
-	// Degraded range read: assemble the whole stripe, then slice.
-	data, _, err := p.Read(ctx, nodes, id)
-	if err != nil {
-		return nil, err
+	// Degraded range read: assemble the whole stripe in scratch, then slice.
+	whole := bufpool.Get(raw)
+	defer bufpool.Put(whole)
+	if _, _, err := p.Read(ctx, nodes, id, whole); err != nil {
+		return err
 	}
-	return data[off : off+n], nil
+	copy(dst, whole[off:])
+	return nil
 }
 
 // Delete implements replication.Policy: release every shard; the first

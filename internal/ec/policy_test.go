@@ -102,6 +102,14 @@ func pickFrom(pool ...replication.NodeID) replication.PickFunc {
 	}
 }
 
+// readAll reads id through p into a buffer larger than any payload these
+// tests write, and returns the payload.
+func readAll(ctx context.Context, p *CodingPolicy, nodes []replication.NodeID, id replication.EntryID) ([]byte, replication.NodeID, error) {
+	buf := make([]byte, 1<<16)
+	n, served, err := p.Read(ctx, nodes, id, buf)
+	return buf[:n], served, err
+}
+
 func TestPolicyWriteReadDelete(t *testing.T) {
 	store := newFakeStore()
 	p, err := NewPolicy(4, 2, store, WithSerialFanout())
@@ -131,16 +139,20 @@ func TestPolicyWriteReadDelete(t *testing.T) {
 			t.Fatalf("node %d coords = %v, want {%d 4 2}", n, co, i)
 		}
 	}
-	got, primary, err := p.Read(ctx, nodes, 7)
+	got, primary, err := readAll(ctx, p, nodes, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if primary != 1 || !bytes.Equal(got, data) {
 		t.Fatalf("read back differs (primary %d)", primary)
 	}
+	if _, _, err := p.Read(ctx, nodes, 7, make([]byte, len(data)-1)); err == nil {
+		t.Fatal("Read into a buffer one byte short of the payload succeeded")
+	}
 	// Sub-range reads, including ranges crossing shard boundaries.
 	for _, r := range [][2]int{{0, 10}, {700, 200}, {749, 2}, {0, 3000}, {2999, 1}, {100, 0}} {
-		part, err := p.ReadAt(ctx, nodes, 7, r[0], r[1])
+		part := make([]byte, r[1])
+		err := p.ReadAt(ctx, nodes, 7, r[0], part)
 		if err != nil {
 			t.Fatalf("ReadAt(%d,%d): %v", r[0], r[1], err)
 		}
@@ -148,7 +160,7 @@ func TestPolicyWriteReadDelete(t *testing.T) {
 			t.Fatalf("ReadAt(%d,%d) differs", r[0], r[1])
 		}
 	}
-	if _, err := p.ReadAt(ctx, nodes, 7, 2999, 2); err == nil {
+	if err := p.ReadAt(ctx, nodes, 7, 2999, make([]byte, 2)); err == nil {
 		t.Fatal("out-of-range ReadAt succeeded")
 	}
 	if err := p.Delete(ctx, nodes, 7); err != nil {
@@ -157,7 +169,7 @@ func TestPolicyWriteReadDelete(t *testing.T) {
 	if len(store.data) != 0 {
 		t.Fatalf("%d shards survive delete", len(store.data))
 	}
-	if _, _, err := p.Read(ctx, nodes, 7); !errors.Is(err, replication.ErrNoReplica) {
+	if _, _, err := readAll(ctx, p, nodes, 7); !errors.Is(err, replication.ErrNoReplica) {
 		t.Fatalf("read after delete: %v, want ErrNoReplica", err)
 	}
 }
@@ -187,7 +199,7 @@ func TestPolicyDegradedRead(t *testing.T) {
 	}
 	store.dead[2] = true
 	store.dead[4] = true // two dead donors: exactly m losses
-	got, _, err := p.Read(ctx, nodes, 1)
+	got, _, err := readAll(ctx, p, nodes, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +207,7 @@ func TestPolicyDegradedRead(t *testing.T) {
 		t.Fatal("degraded read differs")
 	}
 	store.dead[1] = true // third loss: unrecoverable
-	if _, _, err := p.Read(ctx, nodes, 1); !errors.Is(err, replication.ErrNoReplica) {
+	if _, _, err := readAll(ctx, p, nodes, 1); !errors.Is(err, replication.ErrNoReplica) {
 		t.Fatalf("read past tolerance: %v, want ErrNoReplica", err)
 	}
 }
@@ -232,7 +244,7 @@ func TestPolicyRestore(t *testing.T) {
 			t.Fatalf("node %d hosts shard %d, want %d", n, co[0], i)
 		}
 	}
-	got, _, err := p.Read(ctx, newSet, 5)
+	got, _, err := readAll(ctx, p, newSet, 5)
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("read after restore: %v", err)
 	}
@@ -267,7 +279,7 @@ func TestPolicyRestorePartial(t *testing.T) {
 	if err != nil || len(still2) != 0 {
 		t.Fatalf("second pass: still %v err %v", still2, err)
 	}
-	got, _, err := p.Read(ctx, newSet2, 6)
+	got, _, err := readAll(ctx, p, newSet2, 6)
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("read after staged restore: %v", err)
 	}

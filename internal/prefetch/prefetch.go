@@ -47,6 +47,7 @@ type Detector struct {
 	last   int   // previous page accessed
 	seen   bool  // last is valid
 	depth  *Depth
+	preds  []int // Predict's result, reused from call to call
 	stats  Stats
 }
 
@@ -82,7 +83,8 @@ func (d *Detector) Record(page int) {
 // emerges, returns up to Depth() predicted pages page+Δ, page+2Δ, …, all
 // within the address space. A zero delta majority (repeated same-page
 // accesses) is no trend. Predictions are not deduplicated against resident
-// state — that is the caller's business.
+// state — that is the caller's business. The result is the detector's own
+// storage, valid until the next Predict.
 func (d *Detector) Predict(page int) []int {
 	delta, ok := d.majority()
 	if !ok || delta == 0 {
@@ -91,7 +93,7 @@ func (d *Detector) Predict(page int) []int {
 	}
 	d.stats.Predictions++
 	depth := d.depth.Get()
-	out := make([]int, 0, depth)
+	out := d.preds[:0]
 	next := page
 	for i := 0; i < depth; i++ {
 		next += delta
@@ -100,6 +102,7 @@ func (d *Detector) Predict(page int) []int {
 		}
 		out = append(out, next)
 	}
+	d.preds = out
 	d.stats.Issued += int64(len(out))
 	return out
 }

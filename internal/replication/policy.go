@@ -2,6 +2,7 @@ package replication
 
 import (
 	"context"
+	"errors"
 	"fmt"
 )
 
@@ -30,12 +31,17 @@ type Policy interface {
 	ShardClass(entryClass int) int
 	// Write spreads data for id across nodes atomically (all or nothing).
 	Write(ctx context.Context, nodes []NodeID, id EntryID, data []byte) error
-	// Read assembles the entry, tolerating up to Width-MinAlive donor
-	// failures, and reports the node that served it (the primary for
-	// striped reads).
-	Read(ctx context.Context, nodes []NodeID, id EntryID) ([]byte, NodeID, error)
-	// ReadAt fetches n bytes at offset off within the stored payload.
-	ReadAt(ctx context.Context, nodes []NodeID, id EntryID, off, n int) ([]byte, error)
+	// Read assembles the entry into the front of dst, tolerating up to
+	// Width-MinAlive donor failures, and reports the payload's length and
+	// the node that served it (the primary for striped reads). dst must
+	// hold the whole payload — one too short is refused before any donor is
+	// read — and is lent for the call only: nothing writes it once Read has
+	// returned. The policy allocates no result; a caller that wants a fresh
+	// buffer makes one (core.VirtualServer.Get).
+	Read(ctx context.Context, nodes []NodeID, id EntryID, dst []byte) (n int, served NodeID, err error)
+	// ReadAt fills dst with the len(dst) bytes at offset off within the
+	// stored payload, under the same lending rule.
+	ReadAt(ctx context.Context, nodes []NodeID, id EntryID, off int, dst []byte) error
 	// Delete releases the entry on every donor.
 	Delete(ctx context.Context, nodes []NodeID, id EntryID) error
 	// Restore re-establishes durability after the donors in lost died or
@@ -46,18 +52,19 @@ type Policy interface {
 	Restore(ctx context.Context, nodes []NodeID, id EntryID, lost []NodeID, pick PickFunc) (newSet, stillLost []NodeID, err error)
 }
 
-// RangeStore is an optional Store extension: read a sub-range of an entry's
-// stored payload on one node. The core remote store implements it with a
-// one-sided read at the recorded offset.
+// RangeStore is an optional Store extension: read the len(dst) bytes at off
+// within an entry's stored payload on one node into dst. The core remote
+// store implements it with a one-sided read at the recorded offset.
 type RangeStore interface {
-	GetAt(ctx context.Context, node NodeID, id EntryID, off, n int) ([]byte, error)
+	GetAtInto(ctx context.Context, node NodeID, id EntryID, off int, dst []byte) error
 }
 
 // ScatterStore is an optional Store extension: read an entry's payload
-// directly into dst (len(dst) must equal the stored length), eliminating the
-// per-shard allocation on striped reads.
+// directly into the front of dst and report its length, so neither a
+// replicated read nor a stripe's shards cost an allocation. dst must hold
+// the stored length; a shorter one is refused without touching the fabric.
 type ScatterStore interface {
-	GetInto(ctx context.Context, node NodeID, id EntryID, dst []byte) error
+	GetInto(ctx context.Context, node NodeID, id EntryID, dst []byte) (int, error)
 }
 
 var _ Policy = (*Replicator)(nil)
@@ -75,30 +82,51 @@ func (r *Replicator) MinAlive() int { return 1 }
 func (r *Replicator) ShardClass(entryClass int) int { return entryClass }
 
 // ReadAt implements Policy: a sub-range read with primary-then-replica
-// failover when the store supports range reads, else a full read sliced.
-func (r *Replicator) ReadAt(ctx context.Context, nodes []NodeID, id EntryID, off, n int) ([]byte, error) {
+// failover, ranged when the store supports range reads, else a full read
+// sliced.
+func (r *Replicator) ReadAt(ctx context.Context, nodes []NodeID, id EntryID, off int, dst []byte) error {
+	var lastErr error
+	for _, node := range nodes {
+		if lastErr = r.getAtInto(ctx, node, id, off, dst); lastErr == nil {
+			return nil
+		}
+	}
+	if lastErr == nil {
+		lastErr = errors.New("empty replica set")
+	}
+	return fmt.Errorf("%w: entry %d: %w", ErrNoReplica, id, lastErr)
+}
+
+// getAtInto reads one node's copy of the range into dst.
+func (r *Replicator) getAtInto(ctx context.Context, node NodeID, id EntryID, off int, dst []byte) error {
 	if rs, ok := r.store.(RangeStore); ok {
-		var lastErr error
-		for _, node := range nodes {
-			data, err := rs.GetAt(ctx, node, id, off, n)
-			if err == nil {
-				return data, nil
-			}
-			lastErr = err
-		}
-		if lastErr == nil {
-			lastErr = fmt.Errorf("empty replica set")
-		}
-		return nil, fmt.Errorf("%w: entry %d: %w", ErrNoReplica, id, lastErr)
+		return rs.GetAtInto(ctx, node, id, off, dst)
 	}
-	data, _, err := r.Read(ctx, nodes, id)
+	data, err := r.store.Get(ctx, node, id)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if off < 0 || n < 0 || off+n > len(data) {
-		return nil, fmt.Errorf("replication: range [%d,%d) exceeds payload %d", off, off+n, len(data))
+	if off < 0 || off+len(dst) > len(data) {
+		return fmt.Errorf("replication: range [%d,%d) exceeds payload %d", off, off+len(dst), len(data))
 	}
-	return data[off : off+n], nil
+	copy(dst, data[off:])
+	return nil
+}
+
+// getInto reads one node's copy of the entry into the front of dst and
+// returns its length.
+func (r *Replicator) getInto(ctx context.Context, node NodeID, id EntryID, dst []byte) (int, error) {
+	if sc, ok := r.store.(ScatterStore); ok {
+		return sc.GetInto(ctx, node, id, dst)
+	}
+	data, err := r.store.Get(ctx, node, id)
+	if err != nil {
+		return 0, err
+	}
+	if len(dst) < len(data) {
+		return 0, fmt.Errorf("replication: dst holds %d bytes, entry %d stores %d", len(dst), id, len(data))
+	}
+	return copy(dst, data), nil
 }
 
 // Restore implements Policy: each lost replica is re-created from a

@@ -228,16 +228,29 @@ func (r *Replicator) Write(ctx context.Context, nodes []NodeID, id EntryID, data
 	return err
 }
 
-// Read fetches id, trying the primary first and failing over to replicas in
-// order. It returns the data together with the node that served it.
-func (r *Replicator) Read(ctx context.Context, nodes []NodeID, id EntryID) ([]byte, NodeID, error) {
+// Read implements Policy: id's payload lands in the front of dst from the
+// primary, failing over to the replicas in order. It returns the payload's
+// length together with the node that served it.
+func (r *Replicator) Read(ctx context.Context, nodes []NodeID, id EntryID, dst []byte) (int, NodeID, error) {
+	var n int
+	served, err := r.readFrom(ctx, nodes, id, func(ctx context.Context, node NodeID) (err error) {
+		n, err = r.getInto(ctx, node, id, dst)
+		return err
+	})
+	return n, served, err
+}
+
+// readFrom is the replicated read: fetch runs against the primary first and
+// then each replica in order until one serves, and the node that did is
+// returned. Read fetches into the caller's buffer, Repair into a fresh one.
+func (r *Replicator) readFrom(ctx context.Context, nodes []NodeID, id EntryID, fetch func(context.Context, NodeID) error) (NodeID, error) {
 	ctx, sp := trace.Start(ctx, "repl.read")
 	sp.Annotate("entry", uint64(id))
 	r.met.reads.Inc()
 	start := trace.Now(ctx)
 	var lastErr error
 	for i, n := range nodes {
-		data, err := r.store.Get(ctx, n, id)
+		err := fetch(ctx, n)
 		if err == nil {
 			if i > 0 {
 				r.met.readFailover.Inc()
@@ -245,7 +258,7 @@ func (r *Replicator) Read(ctx context.Context, nodes []NodeID, id EntryID) ([]by
 			}
 			r.met.readLatency.Observe(trace.Now(ctx) - start)
 			sp.End()
-			return data, n, nil
+			return n, nil
 		}
 		lastErr = err
 	}
@@ -256,7 +269,7 @@ func (r *Replicator) Read(ctx context.Context, nodes []NodeID, id EntryID) ([]by
 	// underlying cause (the daemon retries ErrUnreachable ticks, for one).
 	err := fmt.Errorf("%w: entry %d: %w", ErrNoReplica, id, lastErr)
 	sp.EndErr(err)
-	return nil, 0, err
+	return 0, err
 }
 
 // Delete removes id from every node, returning the error of the
@@ -298,7 +311,11 @@ func (r *Replicator) Repair(ctx context.Context, nodes []NodeID, id EntryID, los
 			return nodes, fmt.Errorf("replication: replacement %d already holds entry %d", replacement, id)
 		}
 	}
-	data, _, err := r.Read(ctx, survivors, id)
+	var data []byte
+	_, err := r.readFrom(ctx, survivors, id, func(ctx context.Context, node NodeID) (err error) {
+		data, err = r.store.Get(ctx, node, id)
+		return err
+	})
 	if err != nil {
 		return nodes, fmt.Errorf("replication: repair of entry %d: %w", id, err)
 	}

@@ -126,6 +126,14 @@ func TestWriteAbortsAtomically(t *testing.T) {
 	}
 }
 
+// readAll reads id through p into a buffer larger than any payload these
+// tests write, and returns the payload.
+func readAll(ctx context.Context, p Policy, nodes []NodeID, id EntryID) ([]byte, NodeID, error) {
+	buf := make([]byte, 1<<12)
+	n, served, err := p.Read(ctx, nodes, id, buf)
+	return buf[:n], served, err
+}
+
 func TestReadFailsOverToReplicas(t *testing.T) {
 	ctx := context.Background()
 	st := newFakeStore()
@@ -136,7 +144,7 @@ func TestReadFailsOverToReplicas(t *testing.T) {
 	}
 	st.failGet[1] = true
 	st.failGet[2] = true
-	data, servedBy, err := r.Read(ctx, nodes, 9)
+	data, servedBy, err := readAll(ctx, r, nodes, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +165,7 @@ func TestReadAllReplicasDown(t *testing.T) {
 	for _, n := range nodes {
 		st.failGet[n] = true
 	}
-	_, _, err := r.Read(ctx, nodes, 9)
+	_, _, err := readAll(ctx, r, nodes, 9)
 	if !errors.Is(err, ErrNoReplica) {
 		t.Fatalf("err = %v, want ErrNoReplica", err)
 	}
@@ -166,7 +174,7 @@ func TestReadAllReplicasDown(t *testing.T) {
 func TestReadEmptyReplicaSet(t *testing.T) {
 	ctx := context.Background()
 	r, _ := New(newFakeStore())
-	if _, _, err := r.Read(ctx, nil, 1); !errors.Is(err, ErrNoReplica) {
+	if _, _, err := readAll(ctx, r, nil, 1); !errors.Is(err, ErrNoReplica) {
 		t.Fatalf("err = %v, want ErrNoReplica", err)
 	}
 }
@@ -212,7 +220,7 @@ func TestRepairRestoresFactor(t *testing.T) {
 		}
 	}
 	// Data still readable from new set.
-	data, _, err := r.Read(ctx, newSet, 11)
+	data, _, err := readAll(ctx, r, newSet, 11)
 	if err != nil || !bytes.Equal(data, []byte("page11")) {
 		t.Fatalf("read after repair: %q, %v", data, err)
 	}
@@ -431,7 +439,7 @@ func TestConcurrentWrites(t *testing.T) {
 				t.Errorf("Write(%d): %v", id, err)
 				return
 			}
-			data, _, err := r.Read(ctx, []NodeID{1, 2, 3}, id)
+			data, _, err := readAll(ctx, r, []NodeID{1, 2, 3}, id)
 			if err != nil || data[0] != byte(i) {
 				t.Errorf("Read(%d) = %v, %v", id, data, err)
 			}

@@ -578,26 +578,40 @@ func (p *Pool) Read(h Handle, n int) ([]byte, error) {
 	return p.ReadAt(h, 0, n)
 }
 
-// ReadAt copies n bytes starting at off within the block into a fresh slice.
+// ReadAt copies n bytes starting at off within the block into a fresh slice:
+// ReadAtInto a buffer of its own.
 func (p *Pool) ReadAt(h Handle, off, n int) ([]byte, error) {
-	if off < 0 || n < 0 || off+n > h.Class {
-		return nil, fmt.Errorf("slab: read [%d,%d) exceeds class %d", off, off+n, h.Class)
+	if n < 0 || n > h.Class {
+		return nil, fmt.Errorf("slab: read of %d bytes exceeds class %d", n, h.Class)
+	}
+	out := make([]byte, n)
+	if err := p.ReadAtInto(h, off, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// ReadAtInto fills dst with the len(dst) bytes starting at off within the
+// block. It is the pool's one read; dst is the caller's and is not retained.
+func (p *Pool) ReadAtInto(h Handle, off int, dst []byte) error {
+	n := len(dst)
+	if off < 0 || off+n > h.Class {
+		return fmt.Errorf("slab: read [%d,%d) exceeds class %d", off, off+n, h.Class)
 	}
 	sh, err := p.shardOf(h)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	tick := p.tick.Add(1)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	s, err := sh.validate(h)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	s.lastUse = tick
-	out := make([]byte, n)
-	copy(out, s.buf[h.Offset+off:h.Offset+off+n])
-	return out, nil
+	copy(dst, s.buf[h.Offset+off:h.Offset+off+n])
+	return nil
 }
 
 // EvictLRU deregisters the least-recently-used slab across all shards and

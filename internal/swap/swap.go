@@ -281,7 +281,9 @@ type batchInfo struct {
 	touches int   // demand fetches since the last promotion
 }
 
-// Manager is one virtual server's swapping system.
+// Manager is one virtual server's swapping system. One simulation process at
+// a time drives Touch, EvictAll and Flush (the faulting vCPU); ProactiveSwapIn
+// may run beside it from a process of its own.
 type Manager struct {
 	cfg   Config
 	deps  Deps
@@ -299,8 +301,11 @@ type Manager struct {
 	diskNext int64
 	counter  int64
 	zeros    []byte // stand-in payload for every park: sizes move, contents do not
+	scratch  []byte // where every pool read lands: the bytes are charged, never looked at
 
 	det          *prefetch.Detector // Leap stride detector (nil unless enabled)
+	leapRefs     []slotRef          // leapPrefetch's working set, kept between faults
+	leapSlots    []int              // one group of it, as readSlots takes them
 	prefetchMark map[int]bool       // resident pages brought in by prefetch, unhit
 	contHits     int                // prefetch hits since the last stream continuation
 	sweepTick    int                // faults since the last demotion sweep
@@ -734,8 +739,7 @@ func (m *Manager) leapPrefetch(ctx context.Context, p *des.Proc, page int) {
 	if len(preds) == 0 {
 		return
 	}
-	var order []uint64
-	groups := map[uint64][]int{}
+	refs := m.leapRefs[:0]
 	for _, pg := range preds {
 		if _, ok := m.resident[pg]; ok {
 			continue
@@ -751,14 +755,26 @@ func (m *Manager) leapPrefetch(ctx context.Context, p *des.Proc, page int) {
 		if !ok || !b.live[ref.slot] {
 			continue
 		}
-		if _, seen := groups[ref.batch]; !seen {
-			order = append(order, ref.batch)
-		}
-		groups[ref.batch] = append(groups[ref.batch], ref.slot)
+		refs = append(refs, ref)
 	}
-	for _, id := range order {
+	m.leapRefs = refs
+	// Each batch's slots ride one request, batches in first-predicted order;
+	// a ref that has ridden is marked by a negative slot. A prediction is at
+	// most a few dozen pages, so the rescan per batch costs less than a map.
+	for i := range refs {
+		if refs[i].slot < 0 {
+			continue
+		}
+		id := refs[i].batch
+		slots := m.leapSlots[:0]
+		for j := i; j < len(refs); j++ {
+			if refs[j].batch == id && refs[j].slot >= 0 {
+				slots = append(slots, refs[j].slot)
+				refs[j].slot = -1
+			}
+		}
+		m.leapSlots = slots
 		b := m.batches[id]
-		slots := groups[id]
 		pctx, sp := trace.Start(ctx, "swap.prefetch")
 		sp.Annotate("trigger", page)
 		sp.Annotate("pages", len(slots))

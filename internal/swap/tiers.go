@@ -190,15 +190,21 @@ func (m *Manager) readSlots(ctx context.Context, p *des.Proc, b *batchInfo, slot
 }
 
 // poolRead fetches slots of b's entry from the shared or remote pool: one
-// slot as a ranged read, more as the whole entry.
+// slot as a ranged read, more as the whole entry. The bytes land in one
+// manager-owned buffer, park's zeros seen from the other side: the engine
+// charges the transfer and never looks at what it moved.
 func (m *Manager) poolRead(ctx context.Context, b *batchInfo, slots []int) error {
 	id := pagetable.EntryID(b.id)
+	class := roundClass(b.total) // the entry's stored size, as park declared it
+	if len(m.scratch) < class {
+		m.scratch = make([]byte, class)
+	}
 	var err error
 	if len(slots) == 1 {
 		s := slots[0]
-		_, err = m.deps.VS.GetAt(ctx, id, b.slotOff[s], b.slotSize[s])
+		err = m.deps.VS.GetAtInto(ctx, id, b.slotOff[s], m.scratch[:b.slotSize[s]])
 	} else {
-		_, _, err = m.deps.VS.Get(ctx, id)
+		_, _, err = m.deps.VS.GetInto(ctx, id, m.scratch[:class])
 	}
 	if err != nil {
 		return fmt.Errorf("swap: %s read of %d slots: %w", tierNames[b.where], len(slots), err)

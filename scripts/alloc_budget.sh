@@ -31,6 +31,25 @@
 #   caller's storage, so a donor's put allocates nothing for its blocks.
 #   ns/op printed, not gated (~100 ns and ~1 us on the 2-CPU host).
 #
+#   BenchmarkProcessSwitch / BenchmarkSleepAlone (the simulation kernel: a
+#   sleep that hands the run token to another process, and one whose own wake
+#   is the next event, so the process keeps running) are held to nothing: a
+#   queued wake rides by value in the event heap and the self-wake pushes no
+#   event at all. ns/op printed, not gated (~600 ns and ~3 ns on the 2-CPU
+#   host — two goroutine switches against none). These two rows run 200000
+#   iterations, not 2000: a goroutine blocking on a channel draws a sudog
+#   from a per-P cache the runtime refills by allocating, a few dozen times
+#   in a run whatever its length (2 B/op at 2000x on some runs, 0 on others);
+#   anything the kernel allocated per sleep would still read 16 B/op or more.
+#
+#   BenchmarkSwapTouch (one page access of the Tiered swap manager on the
+#   simulated testbed under the phase-changing trace, bench/'s swap-sim
+#   configuration) sits at ~70-100 B/op, 2 allocs/op: LRU elements and batch
+#   records. Its budget is "no payload-sized allocation per read": the engine
+#   reads parked batches into its own scratch buffer. When every read made and
+#   zeroed a result it threw away this row read ~11100 B/op. ns/op printed,
+#   not gated (~1.2 us on the 2-CPU host).
+#
 # Both tcpnet benchmarks dial every connection lane and fill the frame pool before
 # their timer starts (warmLanes in internal/tcpnet/bench_test.go). They used
 # not to, and -benchtime 2000x then charged ~360 KB of one-time set-up — two
@@ -46,7 +65,9 @@ set -eu
 
 out=$(go test -run '^$' -bench 'BenchmarkTCPNetParallelRead$|BenchmarkTCPNetCallV64K$' -benchmem -benchtime 2000x ./internal/tcpnet/ &&
     go test -run '^$' -bench 'BenchmarkCodecPage(Compress|Decompress)$' -benchmem -benchtime 2000x ./internal/compress/ &&
-    go test -run '^$' -bench 'BenchmarkAllocFree$|BenchmarkAllocRun64$' -benchmem -benchtime 2000x ./internal/slab/)
+    go test -run '^$' -bench 'BenchmarkAllocFree$|BenchmarkAllocRun64$' -benchmem -benchtime 2000x ./internal/slab/ &&
+    go test -run '^$' -bench 'BenchmarkProcessSwitch$|BenchmarkSleepAlone$' -benchmem -benchtime 200000x ./internal/des/ &&
+    go test -run '^$' -bench 'BenchmarkSwapTouch$' -benchmem -benchtime 2000x ./internal/swap/)
 echo "$out"
 
 status=0
@@ -77,6 +98,9 @@ check BenchmarkCodecPageCompress 0 0
 check BenchmarkCodecPageDecompress 0 0
 check BenchmarkAllocFree 0 0
 check BenchmarkAllocRun64 0 0
+check BenchmarkProcessSwitch 0 0
+check BenchmarkSleepAlone 0 0
+check BenchmarkSwapTouch 256 3
 if [ "$status" -eq 0 ]; then
     echo "alloc_budget: OK"
 fi
