@@ -78,7 +78,7 @@ func (c *Client) PutAll(ctx context.Context, node transport.NodeID, entries []En
 		return fmt.Errorf("core: batch of %d entries exceeds %d", len(entries), maxBatchEntries)
 	}
 	ctx, sp := trace.Start(ctx, "client.put_all")
-	sp.Annotate("entries", len(entries))
+	sp.AnnotateInt("entries", len(entries))
 	defer sp.End()
 
 	reqs := make([]putEntry, len(entries))
@@ -199,14 +199,14 @@ func (c *Client) GetAll(ctx context.Context, node transport.NodeID, keys []uint6
 		return map[uint64][]byte{}, nil
 	}
 	ctx, sp := trace.Start(ctx, "client.get_all")
-	sp.Annotate("entries", len(keys))
+	sp.AnnotateInt("entries", len(keys))
 	defer sp.End()
 	handles, refs, err := c.handlesOf(ctx, node, keys)
 	if err != nil {
 		return nil, err
 	}
 	spans := coalesceSpans(refs)
-	sp.Annotate("spans", len(spans))
+	sp.AnnotateInt("spans", len(spans))
 	out := make(map[uint64][]byte, len(keys))
 	for _, span := range spans {
 		first := span[0].off
@@ -256,7 +256,7 @@ func (c *Client) GetAllInto(ctx context.Context, node transport.NodeID, keys []u
 		return nil
 	}
 	ctx, sp := trace.Start(ctx, "client.get_all")
-	sp.Annotate("entries", len(keys))
+	sp.AnnotateInt("entries", len(keys))
 	defer sp.End()
 	handles, refs, err := c.handlesOf(ctx, node, keys)
 	if err != nil {
@@ -268,7 +268,7 @@ func (c *Client) GetAllInto(ctx context.Context, node transport.NodeID, keys []u
 		}
 	}
 	spans := coalesceSpans(refs)
-	sp.Annotate("spans", len(spans))
+	sp.AnnotateInt("spans", len(spans))
 	for _, span := range spans {
 		if len(span) == 1 && handles[span[0].idx].flags&flagCompressed == 0 {
 			i := span[0].idx

@@ -776,7 +776,7 @@ func (n *Node) handleCall(ctx context.Context, from transport.NodeID, payload []
 		return errorResp(errShortMessage), nil
 	}
 	_, sp := trace.Start(ctx, "core.handle")
-	sp.Annotate("op", int(payload[0]))
+	sp.AnnotateInt("op", int(payload[0]))
 	defer sp.End()
 	body := payload[1:]
 	switch payload[0] {

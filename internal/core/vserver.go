@@ -84,7 +84,7 @@ func (vs *VirtualServer) PutShared(id pagetable.EntryID, data []byte, class, raw
 		_ = vs.node.shared.Free(h)
 		return err
 	}
-	if old, err := vs.table.Get(id); err == nil {
+	if old, ok := vs.table.Lookup(id); ok {
 		_ = vs.releaseLocation(context.Background(), id, old)
 	}
 	vs.table.Put(id, pagetable.Location{
@@ -118,14 +118,14 @@ func (vs *VirtualServer) PutRemote(ctx context.Context, id pagetable.EntryID, da
 		return fmt.Errorf("core: payload %d exceeds class %d", len(data), class)
 	}
 	ctx, sp := trace.Start(ctx, "core.put_remote")
-	sp.Annotate("entry", uint64(id))
-	sp.Annotate("class", class)
+	sp.AnnotateInt("entry", int(id))
+	sp.AnnotateInt("class", class)
 	defer sp.End()
 	start := trace.Now(ctx)
 	// A reader must never assemble an entry from two generations: the old
 	// location leaves the map before the first put lands.
-	old, oldErr := vs.table.Get(id)
-	overwrite := oldErr == nil && old.Tier == pagetable.TierRemote
+	old, mapped := vs.table.Lookup(id)
+	overwrite := mapped && old.Tier == pagetable.TierRemote
 	if overwrite {
 		vs.table.Delete(id)
 	}
@@ -187,7 +187,7 @@ func (vs *VirtualServer) PutRemote(ctx context.Context, id pagetable.EntryID, da
 		}
 		return fail(err)
 	}
-	if oldErr == nil && !overwrite {
+	if mapped && !overwrite {
 		// A predecessor in the shared pool goes only once the remote copies
 		// have landed.
 		_ = vs.releaseLocation(ctx, id, old)
@@ -271,7 +271,7 @@ func (vs *VirtualServer) GetInto(ctx context.Context, id pagetable.EntryID, dst 
 // holds loc.StoredSize bytes.
 func (vs *VirtualServer) getInto(ctx context.Context, id pagetable.EntryID, loc pagetable.Location, dst []byte) (int, error) {
 	ctx, sp := trace.Start(ctx, "core.get")
-	sp.Annotate("entry", uint64(id))
+	sp.AnnotateInt("entry", int(id))
 	sp.Annotate("tier", loc.Tier)
 	defer sp.End()
 	switch loc.Tier {

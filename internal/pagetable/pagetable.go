@@ -122,16 +122,23 @@ func (t *Table) Put(id EntryID, loc Location) {
 	s.mu.Unlock()
 }
 
-// Get returns the location of id.
+// Get returns the location of id, or an error wrapping ErrNotFound.
 func (t *Table) Get(id EntryID) (Location, error) {
-	s := t.shardFor(id)
-	s.mu.RLock()
-	loc, ok := s.m[id]
-	s.mu.RUnlock()
+	loc, ok := t.Lookup(id)
 	if !ok {
 		return Location{}, fmt.Errorf("%w: entry %d", ErrNotFound, id)
 	}
 	return loc, nil
+}
+
+// Lookup is Get for a caller that only asks whether id is mapped: a miss
+// builds no error.
+func (t *Table) Lookup(id EntryID) (Location, bool) {
+	s := t.shardFor(id)
+	s.mu.RLock()
+	loc, ok := s.m[id]
+	s.mu.RUnlock()
+	return loc, ok
 }
 
 // Delete removes id, reporting whether it was present.

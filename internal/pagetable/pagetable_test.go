@@ -18,11 +18,20 @@ func TestPutGetDelete(t *testing.T) {
 	if got.Tier != TierRemote || got.Primary != 3 || len(got.Replicas) != 2 {
 		t.Fatalf("Get = %+v", got)
 	}
+	if got, ok := tab.Lookup(7); !ok || got.Primary != 3 {
+		t.Fatalf("Lookup = %+v, %v", got, ok)
+	}
 	if !tab.Delete(7) {
 		t.Fatal("Delete reported absent")
 	}
 	if _, err := tab.Get(7); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v, want ErrNotFound", err)
+	}
+	if got, ok := tab.Lookup(7); ok {
+		t.Fatalf("Lookup of a deleted entry = %+v", got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { tab.Lookup(7) }); allocs != 0 {
+		t.Fatalf("a Lookup miss allocates %.1f objects, want 0", allocs)
 	}
 	if tab.Delete(7) {
 		t.Fatal("second Delete reported present")

@@ -197,7 +197,7 @@ func TestTieringDemotesColdBatches(t *testing.T) {
 	}
 	// Cross-check against ground truth: live slots across all batches.
 	var live int64
-	for _, b := range m.batches {
+	for _, b := range liveBatches(m) {
 		live += int64(b.liveCount)
 	}
 	if sum != live {

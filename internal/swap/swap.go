@@ -21,10 +21,10 @@
 package swap
 
 import (
-	"container/list"
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"godm/internal/compress"
@@ -54,6 +54,10 @@ const (
 
 // ErrNoBacking is returned when a fault cannot be served from any tier.
 var ErrNoBacking = errors.New("swap: page lost on every tier")
+
+// ErrBadPage is returned by Touch for a page number the table cannot index:
+// negative, or beyond what its 32-bit links name.
+var ErrBadPage = errors.New("swap: page number out of range")
 
 // Config selects a swapping system.
 type Config struct {
@@ -261,24 +265,51 @@ type Deps struct {
 	Metrics *Metrics
 }
 
+// noPage ends the LRU list and stands for "not staged".
+const noPage = -1
+
+// pageRec is everything the engine knows about one page; Manager.pages holds
+// one per page number. Touch grows the table before it does anything else and
+// nothing else grows it, so a *pageRec is good until the next Touch can run:
+// none is held across a call that sleeps, because ProactiveSwapIn runs beside
+// the faulting process.
+type pageRec struct {
+	prev, next int32 // LRU neighbours while resident, noPage at the ends
+	staged     int32 // index in Manager.window, noPage when not staged
+	resident   bool
+	dirty      bool    // resident and modified since swap-in
+	marked     bool    // resident, brought in by prefetch, not yet hit
+	parked     bool    // ref names a parked copy (kept for clean residents)
+	ref        slotRef // valid while parked
+}
+
+// slotRef names a parked copy by the batch itself. A released batch has no
+// live slot left, so the slot's live bit is the whole validity check.
 type slotRef struct {
-	batch uint64
-	slot  int
+	b    *batchInfo
+	slot int
+}
+
+func (r slotRef) live() bool { return r.b.slots[r.slot].live }
+
+// slot is one page's place in a batch's stored payload.
+type slot struct {
+	page, off, size int // off within the stored payload, size the stored (class) size
+	live            bool
 }
 
 type batchInfo struct {
 	id        uint64
 	where     tier
 	diskOff   int64
-	slotPage  []int
-	slotOff   []int // offset of each slot within the stored payload
-	slotSize  []int // stored (class) size of each slot
-	live      []bool
+	slots     []slot
 	liveCount int
 	total     int // stored payload bytes
 
 	lastUse int64 // fault-clock time of creation or last demand fetch
 	touches int   // demand fetches since the last promotion
+
+	older, newer *batchInfo // neighbours in Manager.live
 }
 
 // Manager is one virtual server's swapping system. One simulation process at
@@ -290,26 +321,25 @@ type Manager struct {
 	met   *Metrics
 	model *compress.Model
 
-	lru      *list.List            // front = most recent
-	resident map[int]*list.Element // page -> lru element
-	pending  map[int]int           // staged pages -> index in window
-	window   []int                 // staged victim pages, in eviction order
-	dirty    map[int]bool          // resident pages modified since swap-in
-	swapped  map[int]slotRef       // parked copies (kept for clean residents)
-	batches  map[uint64]*batchInfo
+	pages      []pageRec // indexed by page number
+	head, tail int32     // resident-set LRU through pages: head = most recent
+	lruLen     int       // resident pages
+	window     []int     // staged victim pages, in eviction order
+	// live is the sentinel of a ring through the batches with a live slot, in
+	// creation (= id) order: live.newer is the oldest, live.older the newest.
+	live     batchInfo
 	nextID   uint64
 	diskNext int64
 	counter  int64
 	zeros    []byte // stand-in payload for every park: sizes move, contents do not
 	scratch  []byte // where every pool read lands: the bytes are charged, never looked at
 
-	det          *prefetch.Detector // Leap stride detector (nil unless enabled)
-	leapRefs     []slotRef          // leapPrefetch's working set, kept between faults
-	leapSlots    []int              // one group of it, as readSlots takes them
-	prefetchMark map[int]bool       // resident pages brought in by prefetch, unhit
-	contHits     int                // prefetch hits since the last stream continuation
-	sweepTick    int                // faults since the last demotion sweep
-	tierPop      [tierCount]int64   // live parked pages per tier
+	det       *prefetch.Detector // Leap stride detector (nil unless enabled)
+	leapRefs  []slotRef          // leapPrefetch's working set, kept between faults
+	leapSlots []int              // one group of it, as readSlots takes them
+	contHits  int                // prefetch hits since the last stream continuation
+	sweepTick int                // faults since the last demotion sweep
+	tierPop   [tierCount]int64   // live parked pages per tier
 
 	stats Stats
 }
@@ -338,17 +368,15 @@ func NewManager(cfg Config, deps Deps) (*Manager, error) {
 		met = NewMetrics(metrics.NewRegistry("swap"))
 	}
 	m := &Manager{
-		cfg:          cfg,
-		deps:         deps,
-		met:          met,
-		lru:          list.New(),
-		resident:     map[int]*list.Element{},
-		pending:      map[int]int{},
-		dirty:        map[int]bool{},
-		swapped:      map[int]slotRef{},
-		batches:      map[uint64]*batchInfo{},
-		prefetchMark: map[int]bool{},
+		cfg:    cfg,
+		deps:   deps,
+		met:    met,
+		head:   noPage,
+		tail:   noPage,
+		window: make([]int, 0, cfg.Window),
 	}
+	m.live.older, m.live.newer = &m.live, &m.live
+	m.grow(cfg.AddressSpace)
 	if cfg.Compression || cfg.Tiering {
 		// Tiering needs the size-class model even when swap-outs are stored
 		// raw: the deflated rung bins recompressed payloads by class.
@@ -380,7 +408,7 @@ func (m *Manager) Name() string { return m.cfg.Name }
 func (m *Manager) Stats() Stats { return m.stats }
 
 // ResidentLen reports the current resident-set size (tests).
-func (m *Manager) ResidentLen() int { return m.lru.Len() + len(m.pending) }
+func (m *Manager) ResidentLen() int { return m.lruLen + len(m.window) }
 
 // PrefetchDepth reports the adaptive prefetch depth, zero when Leap is off.
 func (m *Manager) PrefetchDepth() int {
@@ -407,27 +435,34 @@ func (m *Manager) Touch(ctx context.Context, page int, compute time.Duration, wr
 	if !ok {
 		panic("swap: context does not carry a des.Proc")
 	}
+	if page < 0 || page > math.MaxInt32 {
+		return fmt.Errorf("%w: %d", ErrBadPage, page)
+	}
+	if page >= len(m.pages) {
+		m.grow(page + 1)
+	}
 	m.stats.Accesses++
 	m.met.accesses.Inc()
 	if m.det != nil {
 		m.det.Record(page)
 	}
-	if el, ok := m.resident[page]; ok {
-		m.lru.MoveToFront(el)
+	r := &m.pages[page]
+	if r.resident {
+		m.lruMoveToFront(page)
 		m.stats.Hits++
 		m.met.hits.Inc()
 		if write {
-			m.dirty[page] = true
+			r.dirty = true
 		}
 		m.notePrefetchHit(ctx, p, page)
 		p.Sleep(compute + m.deps.DRAM.AccessTime(PageSize))
 		return nil
 	}
-	if idx, ok := m.pending[page]; ok {
+	if r.staged != noPage {
 		// Staged in the send-buffer window: pull it back, no I/O.
-		m.unstage(page, idx)
-		m.resident[page] = m.lru.PushFront(page)
-		m.dirty[page] = true // staged pages were dirty
+		m.unstage(page)
+		m.lruPushFront(page)
+		r.dirty = true // staged pages were dirty
 		m.trim(ctx, p)
 		m.stats.Hits++
 		m.met.hits.Inc()
@@ -437,19 +472,19 @@ func (m *Manager) Touch(ctx context.Context, page int, compute time.Duration, wr
 	m.stats.Faults++
 	m.met.faults.Inc()
 	ctx, sp := trace.Start(ctx, "swap.fault")
-	sp.Annotate("page", page)
+	sp.AnnotateInt("page", page)
 	start := p.Now()
-	if ref, ok := m.swapped[page]; ok {
-		if err := m.swapIn(ctx, p, page, ref); err != nil {
+	if r.parked {
+		if err := m.swapIn(ctx, p, page, r.ref); err != nil {
 			sp.EndErr(err)
 			return err
 		}
 	} else {
 		m.stats.ColdFills++ // first touch: zero-fill
-		m.dirty[page] = true
+		r.dirty = true
 	}
 	if write {
-		m.dirty[page] = true
+		m.pages[page].dirty = true // not r: swapIn slept
 	}
 	if m.det != nil {
 		m.leapPrefetch(ctx, p, page)
@@ -458,9 +493,54 @@ func (m *Manager) Touch(ctx context.Context, page int, compute time.Duration, wr
 	m.maybeSweep(ctx, p)
 	p.Sleep(compute + m.deps.DRAM.AccessTime(PageSize))
 	m.met.faultLatency.Observe(p.Now() - start)
-	m.met.residentPages.Set(int64(m.lru.Len()))
+	m.met.residentPages.Set(int64(m.lruLen))
 	sp.End()
 	return nil
+}
+
+// grow extends the table to n records or twice its size, whichever is more.
+func (m *Manager) grow(n int) {
+	grown := make([]pageRec, max(n, 2*len(m.pages)))
+	for i := copy(grown, m.pages); i < len(grown); i++ {
+		grown[i].staged = noPage
+	}
+	m.pages = grown
+}
+
+// lruPushFront links a page that is not resident in as the most recent.
+func (m *Manager) lruPushFront(page int) {
+	r := &m.pages[page]
+	r.resident, r.prev, r.next = true, noPage, m.head
+	if m.head != noPage {
+		m.pages[m.head].prev = int32(page)
+	} else {
+		m.tail = int32(page)
+	}
+	m.head = int32(page)
+	m.lruLen++
+}
+
+// lruRemove unlinks a resident page.
+func (m *Manager) lruRemove(page int) {
+	r := &m.pages[page]
+	if r.prev != noPage {
+		m.pages[r.prev].next = r.next
+	} else {
+		m.head = r.next
+	}
+	if r.next != noPage {
+		m.pages[r.next].prev = r.prev
+	} else {
+		m.tail = r.prev
+	}
+	r.resident = false
+	m.lruLen--
+}
+
+// lruMoveToFront makes a resident page the most recent.
+func (m *Manager) lruMoveToFront(page int) {
+	m.lruRemove(page)
+	m.lruPushFront(page)
 }
 
 // notePrefetchHit credits a hit on a prefetched page to the accuracy stats
@@ -468,10 +548,10 @@ func (m *Manager) Touch(ctx context.Context, page int, compute time.Duration, wr
 // detector to continue the stream, so a steady stride keeps the pipeline
 // primed without having to fault again at the end of each prediction.
 func (m *Manager) notePrefetchHit(ctx context.Context, p *des.Proc, page int) {
-	if !m.prefetchMark[page] {
+	if !m.pages[page].marked {
 		return
 	}
-	delete(m.prefetchMark, page)
+	m.pages[page].marked = false
 	m.stats.PrefetchHits++
 	m.met.prefetchHits.Inc()
 	if m.det == nil {
@@ -489,10 +569,10 @@ func (m *Manager) notePrefetchHit(ctx context.Context, p *des.Proc, page int) {
 // noteWaste charges an unused prefetched page evicted from the resident set
 // against the accuracy stats and halves the adaptive depth.
 func (m *Manager) noteWaste(victim int) {
-	if !m.prefetchMark[victim] {
+	if !m.pages[victim].marked {
 		return
 	}
-	delete(m.prefetchMark, victim)
+	m.pages[victim].marked = false
 	m.stats.PrefetchWaste++
 	m.met.prefetchWasted.Inc()
 	if m.det != nil {
@@ -502,24 +582,23 @@ func (m *Manager) noteWaste(victim int) {
 }
 
 // unstage removes a page from the window.
-func (m *Manager) unstage(page, idx int) {
+func (m *Manager) unstage(page int) {
+	idx := int(m.pages[page].staged)
 	m.window = append(m.window[:idx], m.window[idx+1:]...)
-	delete(m.pending, page)
-	for pg, i := range m.pending {
-		if i > idx {
-			m.pending[pg] = i - 1
-		}
+	m.pages[page].staged = noPage
+	for i := idx; i < len(m.window); i++ {
+		m.pages[m.window[i]].staged = int32(i)
 	}
 }
 
 // insertResident adds page to the LRU (or refreshes it, when a concurrent
 // proactive pump already restored it) and trims the resident set.
 func (m *Manager) insertResident(ctx context.Context, p *des.Proc, page int) {
-	if el, ok := m.resident[page]; ok {
-		m.lru.MoveToFront(el)
+	if m.pages[page].resident {
+		m.lruMoveToFront(page)
 		return
 	}
-	m.resident[page] = m.lru.PushFront(page)
+	m.lruPushFront(page)
 	m.trim(ctx, p)
 }
 
@@ -527,7 +606,7 @@ func (m *Manager) insertResident(ctx context.Context, p *des.Proc, page int) {
 // prefetched victims as waste. Staged pages occupy the send buffer, not the
 // resident set, so they do not count against capacity here.
 func (m *Manager) trim(ctx context.Context, p *des.Proc) {
-	for m.lru.Len() > m.cfg.ResidentPages {
+	for m.lruLen > m.cfg.ResidentPages {
 		m.noteWaste(m.evictBack())
 	}
 	if len(m.window) >= m.cfg.Window {
@@ -540,16 +619,14 @@ func (m *Manager) trim(ctx context.Context, p *des.Proc) {
 // clean one still has a valid parked copy and is dropped for free (the
 // swap-cache effect).
 func (m *Manager) evictBack() int {
-	back := m.lru.Back()
-	victim := back.Value.(int)
-	m.lru.Remove(back)
-	delete(m.resident, victim)
-	if _, parked := m.swapped[victim]; parked && !m.dirty[victim] {
+	victim := int(m.tail)
+	m.lruRemove(victim)
+	r := &m.pages[victim]
+	if r.parked && !r.dirty {
 		m.stats.CleanDrops++
 		return victim
 	}
-	delete(m.dirty, victim)
-	m.pending[victim] = len(m.window)
+	r.dirty, r.staged = false, int32(len(m.window))
 	m.window = append(m.window, victim)
 	m.stats.SwapOuts++
 	m.met.swapOuts.Inc()
@@ -564,16 +641,16 @@ func (m *Manager) EvictAll(ctx context.Context) {
 	if !ok {
 		panic("swap: context does not carry a des.Proc")
 	}
-	for m.lru.Len() > 0 {
+	for m.lruLen > 0 {
 		// A forced cold restart is not the prefetcher's fault: clear marks
 		// without charging waste.
-		delete(m.prefetchMark, m.evictBack())
+		m.pages[m.evictBack()].marked = false
 		if len(m.window) >= m.cfg.Window {
 			m.flushWindow(ctx, p)
 		}
 	}
 	m.flushWindow(ctx, p)
-	m.met.residentPages.Set(int64(m.lru.Len()))
+	m.met.residentPages.Set(int64(m.lruLen))
 }
 
 // Flush forces the staging window out (end of run, or single-page systems).
@@ -588,18 +665,17 @@ func (m *Manager) Flush(ctx context.Context) {
 // layout makes pages the slots of b, all live, packed back to back at their
 // stored sizes.
 func (m *Manager) layout(b *batchInfo, pages []int, compressed bool) {
-	n := len(pages)
-	b.slotPage, b.slotOff, b.slotSize, b.live = pages, make([]int, n), make([]int, n), make([]bool, n)
+	b.slots = make([]slot, len(pages))
 	off := 0
 	for i, pg := range pages {
 		size := PageSize
 		if compressed {
 			size = m.model.StoredSize(m.cfg.PageRatio(pg))
 		}
-		b.slotOff[i], b.slotSize[i], b.live[i] = off, size, true
+		b.slots[i] = slot{page: pg, off: off, size: size, live: true}
 		off += size
 	}
-	b.liveCount, b.total = n, off
+	b.liveCount, b.total = len(pages), off
 }
 
 // flushWindow writes the staged pages as one batch entry to the first tier
@@ -608,21 +684,21 @@ func (m *Manager) flushWindow(ctx context.Context, p *des.Proc) {
 	if len(m.window) == 0 {
 		return
 	}
-	pages := m.window
-	m.window = nil
-	for pg := range m.pending {
-		delete(m.pending, pg)
-	}
-
 	b := &batchInfo{id: m.nextID, lastUse: m.stats.Faults}
 	m.nextID++
-	m.layout(b, pages, m.cfg.Compression)
+	m.layout(b, m.window, m.cfg.Compression)
+	// The batch copied the page numbers: the window starts over in place.
+	for _, pg := range m.window {
+		m.pages[pg].staged = noPage
+	}
+	m.window = m.window[:0]
+	pages := len(b.slots)
 	ctx, sp := trace.Start(ctx, "swap.out")
-	sp.Annotate("pages", len(pages))
-	sp.Annotate("bytes", b.total)
+	sp.AnnotateInt("pages", pages)
+	sp.AnnotateInt("bytes", b.total)
 	outStart := p.Now()
 	if m.cfg.Compression {
-		p.Sleep(time.Duration(len(pages)) * m.cfg.CompressCPU)
+		p.Sleep(time.Duration(pages) * m.cfg.CompressCPU)
 	}
 
 	for _, t := range m.tierOrder() {
@@ -630,20 +706,22 @@ func (m *Manager) flushWindow(ctx context.Context, p *des.Proc) {
 			break
 		}
 	}
-	m.noteTier(b.where, len(pages))
-	sp.Annotate("tier", int(b.where))
+	m.noteTier(b.where, pages)
+	sp.AnnotateInt("tier", int(b.where))
 	m.met.swapOutLatency.Observe(p.Now() - outStart)
 	sp.End()
 
 	// Drop any stale older copies of these pages and point them at the new
-	// batch.
-	for i, pg := range pages {
-		if old, ok := m.swapped[pg]; ok {
-			m.releaseSlot(ctx, old)
+	// batch, which joins the live ring as its newest.
+	for i := range b.slots {
+		pg := b.slots[i].page
+		if m.pages[pg].parked {
+			m.releaseSlot(ctx, m.pages[pg].ref)
 		}
-		m.swapped[pg] = slotRef{batch: b.id, slot: i}
+		m.pages[pg].parked, m.pages[pg].ref = true, slotRef{b: b, slot: i}
 	}
-	m.batches[b.id] = b
+	b.older, b.newer = m.live.older, &m.live
+	b.older.newer, m.live.older = b, b
 }
 
 // swapIn faults page in from its parked batch, prefetching up to Readahead
@@ -652,10 +730,10 @@ func (m *Manager) flushWindow(ctx context.Context, p *des.Proc) {
 // leapPrefetch instead.
 func (m *Manager) swapIn(ctx context.Context, p *des.Proc, page int, ref slotRef) (err error) {
 	ctx, sp := trace.Start(ctx, "swap.in")
-	sp.Annotate("page", page)
+	sp.AnnotateInt("page", page)
 	defer func() { sp.EndErr(err) }()
-	b, ok := m.batches[ref.batch]
-	if !ok || !b.live[ref.slot] {
+	b := ref.b
+	if !ref.live() {
 		return fmt.Errorf("%w: page %d", ErrNoBacking, page)
 	}
 	// Pick the slots this request brings in: the faulted one plus, under
@@ -665,20 +743,13 @@ func (m *Manager) swapIn(ctx context.Context, p *des.Proc, page int, ref slotRef
 		// Classic readahead: only slots after the faulted one (batches are
 		// laid out in eviction order, so later slots are the pages a scan
 		// will touch next); pages already in memory are skipped.
-		for s := ref.slot + 1; s < len(b.live) && len(slots) < m.cfg.Readahead; s++ {
-			if !b.live[s] {
-				continue
-			}
+		for s := ref.slot + 1; s < len(b.slots) && len(slots) < m.cfg.Readahead; s++ {
 			// Skip pages already in memory: their live slots are just the
 			// swap cache backing a clean resident copy.
-			pg := b.slotPage[s]
-			if _, resident := m.resident[pg]; resident {
-				continue
+			r := &m.pages[b.slots[s].page]
+			if b.slots[s].live && !r.resident && r.staged == noPage {
+				slots = append(slots, s)
 			}
-			if _, staged := m.pending[pg]; staged {
-				continue
-			}
-			slots = append(slots, s)
 		}
 	}
 	if err := m.readSlots(ctx, p, b, slots); err != nil {
@@ -686,17 +757,17 @@ func (m *Manager) swapIn(ctx context.Context, p *des.Proc, page int, ref slotRef
 	}
 	m.stats.SwapIns++
 	m.met.swapIns.Inc()
-	sp.Annotate("tier", int(b.where))
-	sp.Annotate("slots", len(slots))
-	sp.Annotate("prefetched", len(slots)-1)
+	sp.AnnotateInt("tier", int(b.where))
+	sp.AnnotateInt("slots", len(slots))
+	sp.AnnotateInt("prefetched", len(slots)-1)
 
 	// The pages come in as clean copies: their slots stay live in the batch
 	// (swap cache), so a later clean eviction is free. The read-ahead must
 	// not recursively evict: trim happens in insertResident for the faulted
 	// page.
-	delete(m.dirty, page)
+	m.pages[page].dirty = false
 	for _, s := range slots[1:] {
-		m.admitPrefetched(b.slotPage[s])
+		m.admitPrefetched(b.slots[s].page)
 	}
 	// Hotness: a demand fetch refreshes the batch, and enough of them in a
 	// row climb it one rung back up the ladder.
@@ -717,12 +788,12 @@ func (m *Manager) swapIn(ctx context.Context, p *des.Proc, page int, ref slotRef
 // page is already resident: another process restored it while this one
 // slept in the transfer.
 func (m *Manager) admitPrefetched(pg int) bool {
-	if _, already := m.resident[pg]; already {
+	r := &m.pages[pg]
+	if r.resident {
 		return false
 	}
-	delete(m.dirty, pg)
-	m.resident[pg] = m.lru.PushFront(pg)
-	m.prefetchMark[pg] = true
+	r.dirty, r.marked = false, true
+	m.lruPushFront(pg)
 	m.stats.Prefetched++
 	m.met.prefetched.Inc()
 	return true
@@ -741,21 +812,10 @@ func (m *Manager) leapPrefetch(ctx context.Context, p *des.Proc, page int) {
 	}
 	refs := m.leapRefs[:0]
 	for _, pg := range preds {
-		if _, ok := m.resident[pg]; ok {
-			continue
+		// In memory already, or never swapped out (cold): nothing to fetch.
+		if r := &m.pages[pg]; !r.resident && r.staged == noPage && r.parked && r.ref.live() {
+			refs = append(refs, r.ref)
 		}
-		if _, ok := m.pending[pg]; ok {
-			continue
-		}
-		ref, ok := m.swapped[pg]
-		if !ok {
-			continue // never swapped out (or cold): nothing to fetch
-		}
-		b, ok := m.batches[ref.batch]
-		if !ok || !b.live[ref.slot] {
-			continue
-		}
-		refs = append(refs, ref)
 	}
 	m.leapRefs = refs
 	// Each batch's slots ride one request, batches in first-predicted order;
@@ -765,26 +825,25 @@ func (m *Manager) leapPrefetch(ctx context.Context, p *des.Proc, page int) {
 		if refs[i].slot < 0 {
 			continue
 		}
-		id := refs[i].batch
+		b := refs[i].b
 		slots := m.leapSlots[:0]
 		for j := i; j < len(refs); j++ {
-			if refs[j].batch == id && refs[j].slot >= 0 {
+			if refs[j].b == b && refs[j].slot >= 0 {
 				slots = append(slots, refs[j].slot)
 				refs[j].slot = -1
 			}
 		}
 		m.leapSlots = slots
-		b := m.batches[id]
 		pctx, sp := trace.Start(ctx, "swap.prefetch")
-		sp.Annotate("trigger", page)
-		sp.Annotate("pages", len(slots))
-		sp.Annotate("tier", int(b.where))
+		sp.AnnotateInt("trigger", page)
+		sp.AnnotateInt("pages", len(slots))
+		sp.AnnotateInt("tier", int(b.where))
 		if err := m.readSlots(pctx, p, b, slots); err != nil {
 			sp.EndErr(err)
 			continue
 		}
 		for _, s := range slots {
-			m.admitPrefetched(b.slotPage[s])
+			m.admitPrefetched(b.slots[s].page)
 		}
 		sp.End()
 	}
@@ -808,7 +867,7 @@ func (m *Manager) ProactiveSwapIn(ctx context.Context, maxPages int) int {
 	}
 	restored := 0
 	for restored < maxPages {
-		room := m.cfg.ResidentPages - m.lru.Len()
+		room := m.cfg.ResidentPages - m.lruLen
 		if room <= 0 {
 			break
 		}
@@ -822,13 +881,13 @@ func (m *Manager) ProactiveSwapIn(ctx context.Context, maxPages int) int {
 		limit := min(room, maxPages-restored, b.liveCount)
 		slots := make([]int, 0, limit)
 		pages := make([]int, 0, limit)
-		for s, live := range b.live {
+		for s, sl := range b.slots {
 			if len(slots) == limit {
 				break
 			}
-			if _, already := m.resident[b.slotPage[s]]; live && !already {
+			if sl.live && !m.pages[sl.page].resident {
 				slots = append(slots, s)
-				pages = append(pages, b.slotPage[s])
+				pages = append(pages, sl.page)
 			}
 		}
 		if len(slots) == 0 {
@@ -838,7 +897,7 @@ func (m *Manager) ProactiveSwapIn(ctx context.Context, maxPages int) int {
 			return restored
 		}
 		for _, pg := range pages {
-			if m.lru.Len() >= m.cfg.ResidentPages {
+			if m.lruLen >= m.cfg.ResidentPages {
 				break
 			}
 			if m.admitPrefetched(pg) {
@@ -852,37 +911,23 @@ func (m *Manager) ProactiveSwapIn(ctx context.Context, maxPages int) int {
 // newestLiveBatch returns the most recently created batch that still has a
 // live slot whose page is not resident.
 func (m *Manager) newestLiveBatch() *batchInfo {
-	var best *batchInfo
-	for _, b := range m.batches {
-		if b.liveCount == 0 {
-			continue
-		}
-		hasWork := false
-		for s := range b.live {
-			if b.live[s] {
-				if _, already := m.resident[b.slotPage[s]]; !already {
-					hasWork = true
-					break
-				}
+	for b := m.live.older; b != &m.live; b = b.older {
+		for _, sl := range b.slots {
+			if sl.live && !m.pages[sl.page].resident {
+				return b
 			}
 		}
-		if !hasWork {
-			continue
-		}
-		if best == nil || b.id > best.id {
-			best = b
-		}
 	}
-	return best
+	return nil
 }
 
 // releaseSlot retires one slot of a batch (page rewritten elsewhere).
 func (m *Manager) releaseSlot(ctx context.Context, ref slotRef) {
-	b, ok := m.batches[ref.batch]
-	if !ok || !b.live[ref.slot] {
+	b := ref.b
+	if !ref.live() {
 		return
 	}
-	b.live[ref.slot] = false
+	b.slots[ref.slot].live = false
 	b.liveCount--
 	m.noteTier(b.where, -1)
 	if b.liveCount == 0 {
@@ -890,8 +935,9 @@ func (m *Manager) releaseSlot(ctx context.Context, ref slotRef) {
 	}
 }
 
+// releaseBatch unlinks a batch whose last slot died and frees its entry.
 func (m *Manager) releaseBatch(ctx context.Context, b *batchInfo) {
-	delete(m.batches, b.id)
+	b.older.newer, b.newer.older = b.newer, b.older
 	switch b.where {
 	case tierShared, tierRemote, tierRemoteZ:
 		_ = m.deps.VS.Delete(ctx, pagetable.EntryID(b.id))

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -17,7 +16,8 @@ import (
 //   - every access returns without error,
 //   - page accounting is conserved (resident + staged + swapped covers every
 //     page ever touched, with no page in two places),
-//   - hits + faults == accesses.
+//   - hits + faults == accesses,
+//   - the page table, its LRU and the batch list are consistent (checkRecord).
 func TestEngineMatchesModelProperty(t *testing.T) {
 	type systemCase struct {
 		name string
@@ -83,24 +83,13 @@ func TestEngineMatchesModelProperty(t *testing.T) {
 				// Every touched page is findable somewhere (resident,
 				// staged, or swapped); none is double-resident.
 				for pg := range touched {
-					inResident := false
-					if _, ok := m.resident[pg]; ok {
-						inResident = true
-					}
-					_, inPending := m.pending[pg]
-					_, inSwapped := m.swapped[pg]
-					if !inResident && !inPending && !inSwapped {
+					if rec := m.pages[pg]; !rec.resident && rec.staged == noPage && !rec.parked {
 						t.Logf("page %d lost", pg)
 						return false
 					}
-					if inResident && inPending {
-						t.Logf("page %d in two places", pg)
-						return false
-					}
 				}
-				// LRU list and resident map agree.
-				if m.lru.Len() != len(m.resident) {
-					t.Logf("lru %d != resident %d", m.lru.Len(), len(m.resident))
+				if err := checkRecord(m); err != nil {
+					t.Log(err)
 					return false
 				}
 				return true
@@ -115,8 +104,9 @@ func TestEngineMatchesModelProperty(t *testing.T) {
 // TestLadderProperty drives a long seeded mix of scans, jumps, hot-set
 // re-reads and writes through the Tiered preset and checks the ladder's
 // bookkeeping right after every sweep: the per-tier occupancy, ParkedPages
-// and the live slots recounted from the batches agree, and nothing sits on
-// disk while the pools have room (the rig's hold the whole address space
+// and the live slots recounted from the batches agree (checkRecord, with the
+// rest of the record's invariants), and nothing sits on disk while the pools
+// have room (the rig's hold the whole address space
 // many times over). Afterwards every parked page must fault back in, and a
 // second run of the same seed must be identical.
 func TestLadderProperty(t *testing.T) {
@@ -134,26 +124,16 @@ func TestLadderProperty(t *testing.T) {
 		}
 		check := func(at int) bool {
 			occ := m.TierOccupancy()
-			var sum, live int64
+			var sum int64
 			for _, n := range occ {
 				sum += n
 			}
-			for _, b := range m.batches {
-				var n int
-				for _, ok := range b.live {
-					if ok {
-						n++
-					}
-				}
-				if n != b.liveCount {
-					t.Errorf("access %d: batch %d counts %d live slots, holds %d", at, b.id, b.liveCount, n)
-					return false
-				}
-				live += int64(n)
+			if err := checkRecord(m); err != nil {
+				t.Errorf("access %d: %v", at, err)
+				return false
 			}
-			if sum != m.ParkedPages() || sum != live {
-				t.Errorf("access %d: occupancy sums to %d, ParkedPages %d, live slots %d (%v)",
-					at, sum, m.ParkedPages(), live, occ)
+			if sum != m.ParkedPages() {
+				t.Errorf("access %d: occupancy sums to %d, ParkedPages %d (%v)", at, sum, m.ParkedPages(), occ)
 				return false
 			}
 			if occ["disk"] != 0 || occ["ssd"] != 0 {
@@ -192,12 +172,7 @@ func TestLadderProperty(t *testing.T) {
 			}
 			out = outcome{stats: m.Stats(), occ: m.TierOccupancy(), done: p.Now()}
 			// Every parked page faults back in from whatever rung holds it.
-			parked := make([]int, 0, len(m.swapped))
-			for pg := range m.swapped {
-				parked = append(parked, pg)
-			}
-			sort.Ints(parked)
-			for _, pg := range parked {
+			for _, pg := range parkedPages(m) {
 				if err := m.Touch(ctx, pg, 0, false); err != nil {
 					t.Errorf("parked page %d did not fault back: %v", pg, err)
 					return
@@ -241,8 +216,8 @@ func TestProactiveSwapInRestoresNewestFirst(t *testing.T) {
 			}
 		}
 		m.EvictAll(ctx)
-		if m.lru.Len() != 0 {
-			t.Errorf("resident = %d after EvictAll", m.lru.Len())
+		if m.lruLen != 0 {
+			t.Errorf("resident = %d after EvictAll", m.lruLen)
 			return
 		}
 		restored := m.ProactiveSwapIn(ctx, 16)
@@ -253,7 +228,7 @@ func TestProactiveSwapInRestoresNewestFirst(t *testing.T) {
 		// The newest batch holds the most recently evicted (MRU) pages:
 		// 48..63. All 16 restored pages must come from that range.
 		for pg := 48; pg < 64; pg++ {
-			if _, ok := m.resident[pg]; !ok {
+			if !m.pages[pg].resident {
 				t.Errorf("hot page %d not restored", pg)
 			}
 		}

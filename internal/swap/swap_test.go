@@ -430,11 +430,11 @@ func TestRewriteReleasesOldSlot(t *testing.T) {
 	// Thrash 4 pages through a 2-page resident set repeatedly; batches must
 	// be garbage collected as their slots die.
 	r.drive(t, m, 4, 20)
-	if got := len(m.batches); got > 4 {
+	if got := len(liveBatches(m)); got > 4 {
 		t.Fatalf("%d live batches, want old batches released", got)
 	}
 	// All pages accounted: resident + pending + swapped = 4.
-	total := m.ResidentLen() + len(m.swapped)
+	total := m.ResidentLen() + len(parkedPages(m))
 	if total != 4 {
 		t.Fatalf("page accounting = %d, want 4", total)
 	}

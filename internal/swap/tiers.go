@@ -3,7 +3,6 @@ package swap
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"godm/internal/des"
@@ -83,7 +82,7 @@ func (m *Manager) park(ctx context.Context, p *des.Proc, b *batchInfo, t tier) b
 		m.zeros = make([]byte, roundClass(b.total))
 	}
 	id, payload, class := pagetable.EntryID(b.id), m.zeros[:b.total], roundClass(b.total)
-	pages := int64(len(b.slotPage))
+	pages := int64(len(b.slots))
 	raw := int(pages) * PageSize
 	switch t {
 	case tierShared:
@@ -157,7 +156,7 @@ func (m *Manager) tierOrder() []tier {
 func (m *Manager) readSlots(ctx context.Context, p *des.Proc, b *batchInfo, slots []int) error {
 	var bytes int
 	for _, s := range slots {
-		bytes += b.slotSize[s]
+		bytes += b.slots[s].size
 	}
 	n := int64(len(slots))
 	switch b.where {
@@ -177,7 +176,7 @@ func (m *Manager) readSlots(ctx context.Context, p *des.Proc, b *batchInfo, slot
 		m.deps.SSD.Transfer(p, int64(bytes))
 		m.stats.SSDIns += n
 	case tierDisk:
-		m.deps.Disk.Transfer(p, b.diskOff+int64(b.slotOff[slots[0]]), int64(bytes))
+		m.deps.Disk.Transfer(p, b.diskOff+int64(b.slots[slots[0]].off), int64(bytes))
 		m.stats.DiskIns += n
 	default:
 		return fmt.Errorf("%w: batch %d in unknown tier", ErrNoBacking, b.id)
@@ -201,8 +200,8 @@ func (m *Manager) poolRead(ctx context.Context, b *batchInfo, slots []int) error
 	}
 	var err error
 	if len(slots) == 1 {
-		s := slots[0]
-		err = m.deps.VS.GetAtInto(ctx, id, b.slotOff[s], m.scratch[:b.slotSize[s]])
+		s := b.slots[slots[0]]
+		err = m.deps.VS.GetAtInto(ctx, id, s.off, m.scratch[:s.size])
 	} else {
 		_, _, err = m.deps.VS.GetInto(ctx, id, m.scratch[:class])
 	}
@@ -214,9 +213,9 @@ func (m *Manager) poolRead(ctx context.Context, b *batchInfo, slots []int) error
 
 // maybeSweep runs the demotion sweep every demoteEvery faults: batches idle
 // longer than demoteAfter move one rung down the ladder, oldest batch ids
-// first, at most demotePerSweep per sweep. The fault counter is the idle
-// clock — wall time would break DES determinism, and fault pressure is what
-// makes local space precious.
+// first (the live ring's order), at most demotePerSweep per sweep. The fault
+// counter is the idle clock — wall time would break DES determinism, and
+// fault pressure is what makes local space precious.
 func (m *Manager) maybeSweep(ctx context.Context, p *des.Proc) {
 	if !m.cfg.Tiering {
 		return
@@ -226,18 +225,12 @@ func (m *Manager) maybeSweep(ctx context.Context, p *des.Proc) {
 		return
 	}
 	m.sweepTick = 0
-	var cold []uint64
-	for id, b := range m.batches {
-		if b.liveCount > 0 && m.rungBelow(b) != 0 && m.stats.Faults-b.lastUse >= demoteAfter {
-			cold = append(cold, id)
+	moved := 0
+	for b := m.live.newer; b != &m.live && moved < demotePerSweep; b = b.newer {
+		if m.rungBelow(b) != 0 && m.stats.Faults-b.lastUse >= demoteAfter {
+			m.demote(ctx, p, b)
+			moved++
 		}
-	}
-	sort.Slice(cold, func(i, j int) bool { return cold[i] < cold[j] })
-	if len(cold) > demotePerSweep {
-		cold = cold[:demotePerSweep]
-	}
-	for _, id := range cold {
-		m.demote(ctx, p, m.batches[id])
 	}
 }
 
@@ -255,8 +248,8 @@ func (m *Manager) rungBelow(b *batchInfo) tier {
 // demote moves a cold batch one rung down the ladder.
 func (m *Manager) demote(ctx context.Context, p *des.Proc, b *batchInfo) {
 	ctx, sp := trace.Start(ctx, "swap.demote")
-	sp.Annotate("batch", int(b.id))
-	sp.Annotate("from", int(b.where))
+	sp.AnnotateInt("batch", int(b.id))
+	sp.AnnotateInt("from", int(b.where))
 	pages := b.liveCount
 	if m.relocate(ctx, p, b, m.rungBelow(b)) {
 		m.stats.Demotions += int64(pages)
@@ -265,7 +258,7 @@ func (m *Manager) demote(ctx context.Context, p *des.Proc, b *batchInfo) {
 		// rung per demoteAfter of further cold time instead of free-falling.
 		b.lastUse = m.stats.Faults
 	}
-	sp.Annotate("to", int(b.where))
+	sp.AnnotateInt("to", int(b.where))
 	sp.End()
 }
 
@@ -276,14 +269,14 @@ func (m *Manager) promote(ctx context.Context, p *des.Proc, b *batchInfo) {
 		return
 	}
 	ctx, sp := trace.Start(ctx, "swap.promote")
-	sp.Annotate("batch", int(b.id))
-	sp.Annotate("from", int(b.where))
+	sp.AnnotateInt("batch", int(b.id))
+	sp.AnnotateInt("from", int(b.where))
 	pages := b.liveCount
 	if m.relocate(ctx, p, b, to) && b.where == to {
 		m.stats.Promotions += int64(pages)
 		m.met.promotions.Add(int64(pages))
 	}
-	sp.Annotate("to", int(b.where))
+	sp.AnnotateInt("to", int(b.where))
 	sp.End()
 }
 
@@ -298,10 +291,10 @@ func (m *Manager) relocate(ctx context.Context, p *des.Proc, b *batchInfo, to ti
 	from := b.where
 	slots := make([]int, 0, b.liveCount)
 	pages := make([]int, 0, b.liveCount)
-	for s, ok := range b.live {
-		if ok {
+	for s, sl := range b.slots {
+		if sl.live {
 			slots = append(slots, s)
-			pages = append(pages, b.slotPage[s])
+			pages = append(pages, sl.page)
 		}
 	}
 	if err := m.readSlots(ctx, p, b, slots); err != nil {
@@ -319,7 +312,7 @@ func (m *Manager) relocate(ctx context.Context, p *des.Proc, b *batchInfo, to ti
 	m.noteTier(from, -len(pages))
 	m.noteTier(b.where, len(pages))
 	for i, pg := range pages {
-		m.swapped[pg] = slotRef{batch: b.id, slot: i}
+		m.pages[pg].ref = slotRef{b: b, slot: i}
 	}
 	return true
 }

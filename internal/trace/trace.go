@@ -14,6 +14,7 @@ package trace
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -247,6 +248,16 @@ func (s *Span) Annotate(key string, value any) {
 		return
 	}
 	s.attrs = append(s.attrs, fmt.Sprintf("%s=%v", key, value))
+}
+
+// AnnotateInt is Annotate for an integer, rendered the same. An interface
+// argument is boxed by the caller, nil span or not — an allocation for any
+// value of 256 and up — so the untraced hot paths annotate through here.
+func (s *Span) AnnotateInt(key string, v int) {
+	if s == nil {
+		return
+	}
+	s.attrs = append(s.attrs, key+"="+strconv.Itoa(v))
 }
 
 // End finishes the span and records it in the tracer's ring.

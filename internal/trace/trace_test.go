@@ -28,6 +28,7 @@ func TestNilSpanIsNoOp(t *testing.T) {
 	}
 	// All of these must not panic.
 	sp.Annotate("k", 1)
+	sp.AnnotateInt("k", 1)
 	sp.End()
 	sp.EndErr(errors.New("x"))
 	if sp.TraceID() != 0 {
@@ -36,6 +37,12 @@ func TestNilSpanIsNoOp(t *testing.T) {
 	var tr *Tracer
 	if _, sp := tr.Start(ctx, "x"); sp != nil {
 		t.Fatalf("nil tracer returned a live span")
+	}
+	// An untraced hot path pays nothing for an integer attribute, however
+	// large: Annotate's interface argument would box this one.
+	big := 1 << 20
+	if allocs := testing.AllocsPerRun(100, func() { sp.AnnotateInt("entry", big); big++ }); allocs != 0 {
+		t.Fatalf("AnnotateInt on a nil span allocates %.1f objects, want 0", allocs)
 	}
 }
 
@@ -111,13 +118,14 @@ func TestAnnotationsAndErrors(t *testing.T) {
 	ctx := WithTracer(context.Background(), tr)
 	_, sp := Start(ctx, "op")
 	sp.Annotate("entry", 42)
+	sp.AnnotateInt("class", -4096)
 	sp.EndErr(errors.New("boom"))
 	spans := tr.Spans(sp.TraceID())
 	if len(spans) != 1 {
 		t.Fatalf("got %d spans", len(spans))
 	}
 	attrs := strings.Join(spans[0].Attrs, " ")
-	if !strings.Contains(attrs, "entry=42") || !strings.Contains(attrs, "err=boom") {
+	if !strings.Contains(attrs, "entry=42") || !strings.Contains(attrs, "class=-4096") || !strings.Contains(attrs, "err=boom") {
 		t.Fatalf("attrs = %q", attrs)
 	}
 }
