@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"godm/internal/bufpool"
+	"godm/internal/replication"
 	"godm/internal/trace"
 	"godm/internal/transport"
 )
@@ -128,7 +129,7 @@ func (c *Client) PutAll(ctx context.Context, node transport.NodeID, entries []En
 		if hi == len(entries) {
 			old = riding
 		}
-		offsets, err := put(ctx, c.ep, node, 0, shardInfo{}, reqs[lo:hi], payloads[lo:hi], old)
+		offsets, err := put(ctx, c.ep, node, 0, replication.Shard{}, reqs[lo:hi], payloads[lo:hi], old)
 		if err != nil {
 			// Best-effort, on a detached context (the failure may be the
 			// caller's context dying); eviction is the backstop.
@@ -136,7 +137,7 @@ func (c *Client) PutAll(ctx context.Context, node transport.NodeID, entries []En
 			for i := range parked {
 				parked[i] = block{node: node, key: reqs[i].Key, offset: handles[i].offset}
 			}
-			fctx, cancel := detached(ctx)
+			fctx, cancel := replication.Detached(ctx)
 			_ = release(fctx, c.ep, parked...)
 			cancel()
 			c.doubt(node, err, old)
@@ -159,106 +160,67 @@ func (c *Client) PutAll(ctx context.Context, node transport.NodeID, entries []En
 	return nil
 }
 
-// handlesOf returns the handles behind keys on node, with their block refs
-// for span coalescing; doubted handles are settled first.
-func (c *Client) handlesOf(ctx context.Context, node transport.NodeID, keys []uint64) ([]clientHandle, []blockRef, error) {
+// handlesOf returns the handles behind keys on node.
+func (c *Client) handlesOf(node transport.NodeID, keys []uint64) ([]clientHandle, error) {
 	handles := make([]clientHandle, len(keys))
-	refs := make([]blockRef, len(keys))
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	for i, k := range keys {
 		h, ok := c.handles[clientKey{node: node, key: k}]
 		if !ok {
-			c.mu.Unlock()
-			return nil, nil, fmt.Errorf("core: no handle for key %d on node %d", k, node)
+			return nil, fmt.Errorf("core: no handle for key %d on node %d", k, node)
 		}
 		handles[i] = h
 	}
-	c.mu.Unlock()
-	for i, h := range handles {
-		if h.doubted {
-			var err error
-			if h, err = c.settle(ctx, clientKey{node: node, key: keys[i]}, h); err != nil {
-				return nil, nil, err
-			}
-			handles[i] = h
-		}
-		refs[i] = blockRef{idx: i, off: h.offset, class: h.class, payloadLen: h.storedLen}
-	}
-	return handles, refs, nil
+	return handles, nil
 }
 
-// GetAll reads back a batch of entries parked on node. Handles whose blocks
-// sit contiguously in the remote region are coalesced into single
-// one-sided span reads (the PBS-style batched read-ahead of §IV.H), so a
-// window parked by one PutAll comes back in one transfer per size class in it
-// — see PutAll for when the donor could not park it so; keys gathered from
-// several puts cost a read per run of neighbours. Every key must have been
-// parked through this client.
+// GetAll reads back a batch of entries parked on node: GetAllInto fresh
+// buffers, which the caller owns (they are views of one allocation). Every
+// key must have been parked through this client.
 func (c *Client) GetAll(ctx context.Context, node transport.NodeID, keys []uint64) (map[uint64][]byte, error) {
-	if len(keys) == 0 {
-		return map[uint64][]byte{}, nil
-	}
-	ctx, sp := trace.Start(ctx, "client.get_all")
-	sp.AnnotateInt("entries", len(keys))
-	defer sp.End()
-	handles, refs, err := c.handlesOf(ctx, node, keys)
+	handles, err := c.handlesOf(node, keys)
 	if err != nil {
 		return nil, err
 	}
-	spans := coalesceSpans(refs)
-	sp.AnnotateInt("spans", len(spans))
+	total := 0
+	for _, h := range handles {
+		total += h.rawLen
+	}
+	backing := make([]byte, total)
+	dsts := make([][]byte, len(keys))
+	for i, h := range handles {
+		dsts[i], backing = backing[:h.rawLen:h.rawLen], backing[h.rawLen:]
+	}
+	if err := c.getAllInto(ctx, node, keys, handles, dsts); err != nil {
+		return nil, err
+	}
 	out := make(map[uint64][]byte, len(keys))
-	for _, span := range spans {
-		first := span[0].off
-		last := span[len(span)-1]
-		// One fresh buffer per span, scattered into straight off the fabric.
-		// Uncompressed results alias subranges of it (the caller owns the map,
-		// so handing out views of a buffer nothing else retains is safe and
-		// saves a per-entry copy); only compressed entries decode into their
-		// own allocation. The buffer is therefore NOT pooled — entries pin it.
-		buf := make([]byte, int(last.off+int64(last.payloadLen)-first))
-		if err := transport.ReadRegionInto(ctx, c.ep, node, RecvRegionID, first, buf); err != nil {
-			return nil, fmt.Errorf("core: batch read from node %d: %w", node, err)
-		}
-		for _, r := range span {
-			rel := r.off - first
-			h := handles[r.idx]
-			view := buf[rel : rel+int64(r.payloadLen)]
-			if h.flags&flagCompressed == 0 {
-				out[keys[r.idx]] = view[:h.rawLen]
-				continue
-			}
-			decoded := make([]byte, h.rawLen)
-			if err := decodeEntryInto(decoded, view, h); err != nil {
-				return nil, err
-			}
-			out[keys[r.idx]] = decoded
-		}
+	for i, k := range keys {
+		out[k] = dsts[i]
 	}
 	return out, nil
 }
 
-// GetAllInto is GetAll with caller-owned result buffers: dsts[i] receives
-// the entry parked under keys[i] and must hold at least its decoded length;
-// on return dsts[i] is resliced to exactly that length. Reads are
-// span-coalesced like GetAll: one transfer per size class of a window parked
-// by one PutAll. A span holding a single uncompressed entry
-// scatters from the fabric straight into the caller's buffer; multi-entry
-// spans stage one pooled buffer per span (the span read is one contiguous
-// transfer — splitting it across destination buffers requires one copy), and
-// compressed entries decode into dsts[i] from pooled staging. Steady state
-// allocates only the span bookkeeping, never payload-sized buffers.
+// GetAllInto reads back a batch of entries parked on node into caller-owned
+// buffers: dsts[i] receives the entry parked under keys[i] and must hold at
+// least its decoded length; on return dsts[i] is resliced to exactly that
+// length. Handles whose blocks sit contiguously in the remote region are
+// coalesced into single one-sided span reads (the PBS-style batched
+// read-ahead of §IV.H), so a window parked by one PutAll comes back in one
+// transfer per size class in it — see PutAll for when the donor could not
+// park it so; keys gathered from several puts cost a read per run of
+// neighbours. A span holding a single uncompressed entry scatters from the
+// fabric straight into the caller's buffer; multi-entry spans stage one
+// pooled buffer per span (the span read is one contiguous transfer —
+// splitting it across destination buffers requires one copy), and compressed
+// entries decode into dsts[i] from pooled staging. Steady state allocates
+// only the span bookkeeping, never payload-sized buffers.
 func (c *Client) GetAllInto(ctx context.Context, node transport.NodeID, keys []uint64, dsts [][]byte) error {
 	if len(keys) != len(dsts) {
 		return fmt.Errorf("core: %d keys but %d destination buffers", len(keys), len(dsts))
 	}
-	if len(keys) == 0 {
-		return nil
-	}
-	ctx, sp := trace.Start(ctx, "client.get_all")
-	sp.AnnotateInt("entries", len(keys))
-	defer sp.End()
-	handles, refs, err := c.handlesOf(ctx, node, keys)
+	handles, err := c.handlesOf(node, keys)
 	if err != nil {
 		return err
 	}
@@ -266,6 +228,34 @@ func (c *Client) GetAllInto(ctx context.Context, node transport.NodeID, keys []u
 		if len(dsts[i]) < h.rawLen {
 			return fmt.Errorf("core: dst for key %d holds %d bytes, entry is %d", keys[i], len(dsts[i]), h.rawLen)
 		}
+	}
+	return c.getAllInto(ctx, node, keys, handles, dsts)
+}
+
+// getAllInto is the one batch read: the entry behind handles[i] lands in
+// dsts[i], which holds its decoded length. Only blocks still where they were
+// put are span-coalesced. A handle that followed a drain to another home
+// names an offset in that node's region, and a doubted one may name a block
+// that is no longer the key's: those go one at a time through GetInto, which
+// settles, reads from the recorded home and chases further redirects.
+func (c *Client) getAllInto(ctx context.Context, node transport.NodeID, keys []uint64, handles []clientHandle, dsts [][]byte) error {
+	if len(keys) == 0 {
+		return nil
+	}
+	ctx, sp := trace.Start(ctx, "client.get_all")
+	sp.AnnotateInt("entries", len(keys))
+	defer sp.End()
+	refs := make([]blockRef, 0, len(keys))
+	for i, h := range handles {
+		if h.doubted || h.home != 0 {
+			n, err := c.GetInto(ctx, node, keys[i], dsts[i])
+			if err != nil {
+				return err
+			}
+			dsts[i] = dsts[i][:n]
+			continue
+		}
+		refs = append(refs, blockRef{idx: i, off: h.offset, class: h.class, payloadLen: h.storedLen})
 	}
 	spans := coalesceSpans(refs)
 	sp.AnnotateInt("spans", len(spans))

@@ -14,12 +14,11 @@ import (
 	"godm/internal/transport"
 )
 
-// benchFabric wires one client endpoint plus donor nodes over loopback TCP —
-// the real-fabric rig the data-plane numbers in BENCH_dataplane.json come
-// from.
+// benchFabric wires one client endpoint plus donor nodes over loopback TCP.
 type benchFabric struct {
 	client *Client
 	ep     *tcpnet.Endpoint
+	verbs  transport.Endpoint // ep, behind the delay middleware when rtt > 0
 	donors []transport.NodeID
 }
 
@@ -47,7 +46,7 @@ func newBenchFabricRTT(b testing.TB, donors int, rtt time.Duration, opts ...Clie
 			From: faulty.AnyNode, To: faulty.AnyNode, Pct: 100, Delay: rtt})
 		clientVerbs = inj.Wrap(clientEP)
 	}
-	bf := &benchFabric{ep: clientEP}
+	bf := &benchFabric{ep: clientEP, verbs: clientVerbs}
 	for i := 1; i <= donors; i++ {
 		id := transport.NodeID(i)
 		ep, err := tcpnet.Listen(id, "127.0.0.1:0")
@@ -72,25 +71,18 @@ func newBenchFabricRTT(b testing.TB, donors int, rtt time.Duration, opts ...Clie
 	return bf
 }
 
-// clientStore adapts Client to replication.Store so the fan-out benchmarks
-// measure the same control+data planes the node manager uses.
-type clientStore struct{ c *Client }
-
-func (s clientStore) Put(ctx context.Context, node replication.NodeID, id replication.EntryID, data []byte) error {
-	return s.c.Put(ctx, transport.NodeID(node), uint64(id), data)
-}
-
-func (s clientStore) Get(ctx context.Context, node replication.NodeID, id replication.EntryID) ([]byte, error) {
-	return s.c.Get(ctx, transport.NodeID(node), uint64(id))
-}
-
-func (s clientStore) Delete(ctx context.Context, node replication.NodeID, id replication.EntryID) error {
-	return s.c.Delete(ctx, transport.NodeID(node), uint64(id))
-}
-
-func benchReplicatedWrite(b *testing.B, rtt time.Duration, opts ...replication.Option) {
+// benchReplicatedWrite drives the rf3 policy over the production store: an
+// owner node on the client endpoint writes one entry to the three donors.
+func benchReplicatedWrite(b *testing.B, rtt time.Duration) {
 	bf := newBenchFabricRTT(b, 3, rtt)
-	repl, err := replication.New(clientStore{bf.client}, opts...)
+	dir, err := cluster.NewDirectory(cluster.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	owner, err := NewNode(Config{
+		ID: bf.ep.ID(), SharedPoolBytes: 1 << 20, SendPoolBytes: 1 << 20,
+		RecvPoolBytes: 1 << 20, SlabSize: 1 << 20, ReplicationFactor: 3,
+	}, bf.verbs, dir)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -100,22 +92,22 @@ func benchReplicatedWrite(b *testing.B, rtt time.Duration, opts ...replication.O
 	}
 	ctx := context.Background()
 	data := bytes.Repeat([]byte{0x5A}, 4096)
-	// Warm round reserves the blocks; timed rounds overwrite in place, so
-	// every iteration is exactly one 3-way data-plane fan-out.
-	if err := repl.Write(ctx, nodes, 1, data); err != nil {
+	// Warm round parks the blocks; every timed round displaces them, the
+	// release riding the put, so an iteration is exactly one 3-way fan-out.
+	if err := owner.policy.Write(ctx, nodes, 1, len(data), data); err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(len(data)) * int64(len(nodes)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := repl.Write(ctx, nodes, 1, data); err != nil {
+		if err := owner.policy.Write(ctx, nodes, 1, len(data), data); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// benchRTT is the emulated per-op fabric round trip for the *RTT variants —
-// the latency the parallel fan-out exists to overlap. 1ms is the floor the
+// benchRTT is the emulated per-op fabric round trip for the RTT variant —
+// the latency the fan-out exists to overlap. 1ms is the floor the
 // runtime's sleep granularity enforces on this class of host anyway (sub-ms
 // nominal delays round up to it), so the nominal figure matches what is
 // actually emulated. The raw (no-RTT) variants measure pure loopback, where
@@ -123,21 +115,8 @@ func benchReplicatedWrite(b *testing.B, rtt time.Duration, opts ...replication.O
 // fabric.
 const benchRTT = time.Millisecond
 
-func BenchmarkReplicatedWriteSerial(b *testing.B) {
-	benchReplicatedWrite(b, 0, replication.WithSerialFanout())
-}
-
-func BenchmarkReplicatedWriteParallel(b *testing.B) {
-	benchReplicatedWrite(b, 0)
-}
-
-func BenchmarkReplicatedWriteSerialRTT(b *testing.B) {
-	benchReplicatedWrite(b, benchRTT, replication.WithSerialFanout())
-}
-
-func BenchmarkReplicatedWriteParallelRTT(b *testing.B) {
-	benchReplicatedWrite(b, benchRTT)
-}
+func BenchmarkReplicatedWrite(b *testing.B)    { benchReplicatedWrite(b, 0) }
+func BenchmarkReplicatedWriteRTT(b *testing.B) { benchReplicatedWrite(b, benchRTT) }
 
 // benchEntries builds count fresh entries of size bytes for iteration i.
 // Incompressible by default so compression benchmarks opt in explicitly.

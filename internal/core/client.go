@@ -5,12 +5,12 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"godm/internal/bufpool"
 	"godm/internal/cluster"
 	"godm/internal/compress"
 	"godm/internal/metrics"
+	"godm/internal/replication"
 	"godm/internal/transport"
 )
 
@@ -163,15 +163,6 @@ func decodeEntryInto(dst, data []byte, h clientHandle) error {
 	return nil
 }
 
-// cleanupTimeout bounds best-effort frees that must not ride the caller's
-// (possibly dying) context. The simulated fabric ignores deadlines, so the
-// wall-clock timer is inert under DES.
-const cleanupTimeout = 2 * time.Second
-
-func detached(ctx context.Context) (context.Context, context.CancelFunc) {
-	return context.WithTimeout(context.WithoutCancel(ctx), cleanupTimeout)
-}
-
 // Stats returns the free receive-pool bytes node advertises.
 func (c *Client) Stats(ctx context.Context, node transport.NodeID) (int64, error) {
 	resp, err := c.ep.Call(ctx, node, []byte{opStats})
@@ -251,7 +242,7 @@ func (c *Client) Put(ctx context.Context, node transport.NodeID, key uint64, dat
 		} else {
 			away = hadOld
 		}
-		offset, err := putBlock(ctx, c.ep, node, 0, shardInfo{}, key, class, payload, displaced...)
+		offset, err := putBlock(ctx, c.ep, node, 0, replication.Shard{}, key, class, payload, displaced...)
 		if err != nil {
 			c.doubt(node, err, displaced)
 			return err

@@ -10,6 +10,7 @@ import (
 
 	"godm/internal/cluster"
 	"godm/internal/metrics"
+	"godm/internal/replication"
 	"godm/internal/wire"
 	"godm/internal/wire/wiretest"
 )
@@ -77,7 +78,7 @@ func goldenCases() []goldenCase {
 	reply.setOffset(1, 1<<40)
 	// A two-shard window that displaces one old block: every section present.
 	shardPut := putParts{
-		Shard:    shardInfo{idx: 1, k: 4, m: 2},
+		Shard:    replication.Shard{Idx: 1, K: 4, M: 2},
 		Entries:  []putEntry{{Key: 1<<63 | 9, Class: 512, Len: 2}, {Key: 10, Class: 1024, Len: 0}},
 		Releases: []block{{key: 1<<63 | 9, offset: 1 << 40}},
 		Payload:  []byte{0xAB, 0xCD},
@@ -226,7 +227,7 @@ func anyOf[T any](v T, err error) (any, error) { return v, err }
 // putParts is a put request's view copied out of its payload.
 type putParts struct {
 	Owner    int32
-	Shard    shardInfo
+	Shard    replication.Shard
 	Entries  []putEntry
 	Releases []block
 	Payload  []byte

@@ -52,6 +52,19 @@ func newTestClusterGrouped(t testing.TB, n, groupSize int, shape func(id transpo
 	return tc
 }
 
+// handleCount reports how many remote blocks the owner side tracks.
+func (s *remoteStore) handleCount() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.handles)
+}
+
+// getAt reads the n bytes at off within entry id into a fresh buffer.
+func getAt(ctx context.Context, vs *VirtualServer, id pagetable.EntryID, off, n int) ([]byte, error) {
+	data := make([]byte, n)
+	return data, vs.GetAtInto(ctx, id, off, data)
+}
+
 // run executes body as one simulation process.
 func (tc *testCluster) run(t testing.TB, body func(ctx context.Context, p *des.Proc)) {
 	t.Helper()
@@ -227,22 +240,15 @@ func TestPutRemoteAllNodesFullFallsThrough(t *testing.T) {
 		}
 	})
 	// The aborted write left nothing behind on the owner: only entry 1's
-	// copies are tracked, and no write is in flight.
-	if handles, classes := remoteMapSizes(tc.nodes[0]); handles != 3 || classes != 0 {
-		t.Errorf("owner tracks %d handles and %d class records after the abort, want 3 and 0", handles, classes)
+	// copies are tracked.
+	if handles := tc.nodes[0].remote.handleCount(); handles != 3 {
+		t.Errorf("owner tracks %d handles after the abort, want 3", handles)
 	}
 }
 
-func remoteMapSizes(n *Node) (handles, classes int) {
-	n.remote.mu.Lock()
-	defer n.remote.mu.Unlock()
-	return len(n.remote.handles), len(n.remote.classes)
-}
-
-// TestRemoteMapsDrainToEmpty: the owner-side maps are bounded by the live
-// entries and the writes in flight, not by every key ever written — the swap
-// layer's batch ids only ever grow, so a record that outlives its entry is a
-// leak.
+// TestRemoteMapsDrainToEmpty: the owner-side map is bounded by the live
+// entries, not by every key ever written — the swap layer's batch ids only
+// ever grow, so a record that outlives its entry is a leak.
 func TestRemoteMapsDrainToEmpty(t *testing.T) {
 	tc := newTestCluster(t, 4, smallConfig)
 	vs, _ := tc.nodes[0].AddServer("vm0", 4096)
@@ -259,8 +265,8 @@ func TestRemoteMapsDrainToEmpty(t *testing.T) {
 			}
 		}
 	})
-	if handles, classes := remoteMapSizes(tc.nodes[0]); handles != 0 || classes != 0 {
-		t.Errorf("owner still tracks %d handles and %d class records after deleting everything", handles, classes)
+	if handles := tc.nodes[0].remote.handleCount(); handles != 0 {
+		t.Errorf("owner still tracks %d handles after deleting everything", handles)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"godm/internal/cluster"
 	"godm/internal/des"
@@ -28,12 +27,11 @@ import (
 // from a target's deltas alike: the caller hands each EventNodeDown to
 // RepairLost however the node came to learn of it.
 //
-// Per-round traffic is O(group size). Over a real fabric the exchanges fan
-// out concurrently, so a dead target costs the round one context timeout and
-// starves no other target of its beat; under the discrete-event simulation
-// they stay serial (a simulated process issues its fabric operations from its
-// own goroutine), as in replication.fanout. Responses are folded in target
-// order on both, after the last exchange returns. Unreachable targets are
+// Per-round traffic is O(group size). The exchanges fan out through des.Each:
+// concurrently over a real fabric, so a dead target costs the round one
+// context timeout and starves no other target of its beat, serially under the
+// discrete-event simulation. Responses are folded in target order on both,
+// after the last exchange returns. Unreachable targets are
 // skipped; the failure detector turns their silence into a down verdict.
 func (n *Node) HeartbeatRound(ctx context.Context) []cluster.Event {
 	self := cluster.NodeID(n.cfg.ID)
@@ -58,7 +56,8 @@ func (n *Node) HeartbeatRound(ctx context.Context) []cluster.Event {
 	}
 	n.syncMu.Unlock()
 	syncs := make([]*cluster.SyncResponse, len(targets))
-	exchange := func(i int) {
+	// Errors are dropped: the failure detector judges a target by its silence.
+	_ = des.Each(ctx, len(targets), func(i int) error {
 		target := targets[i]
 		to := transport.NodeID(target)
 		hb := encodeHeartbeatReq(heartbeatReq{
@@ -66,31 +65,18 @@ func (n *Node) HeartbeatRound(ctx context.Context) []cluster.Event {
 			Digests:   n.digestsFor(target, selfDigest),
 		})
 		if _, err := n.ep.Call(ctx, to, hb); err != nil {
-			return
+			return err
 		}
 		resp, err := n.ep.Call(ctx, to, encodeMapSyncReq(cluster.SyncRequest{Origin: target, Epoch: after[i]}))
 		if err != nil {
-			return
+			return err
 		}
-		if sr, err := decodeBody(resp, cluster.DecodeSyncResponse); err == nil {
+		sr, err := decodeBody(resp, cluster.DecodeSyncResponse)
+		if err == nil {
 			syncs[i] = &sr
 		}
-	}
-	if _, simulated := des.FromContext(ctx); simulated || len(targets) == 1 {
-		for i := range targets {
-			exchange(i)
-		}
-	} else {
-		var wg sync.WaitGroup
-		for i := range targets {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				exchange(i)
-			}(i)
-		}
-		wg.Wait()
-	}
+		return err
+	})
 
 	var events []cluster.Event
 	n.syncMu.Lock()

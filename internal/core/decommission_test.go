@@ -138,6 +138,67 @@ func TestDeleteAllFollowsRedirectHome(t *testing.T) {
 	})
 }
 
+// TestGetAllFollowsRedirectHome: once a read has followed a decommission
+// redirect the handle names an offset in the successor's region. A batch read
+// must go there, as Get does: reading the drained host at that offset returns
+// whatever sits there — zeros, or a stranger's bytes — with a nil error. Key
+// 10 rides along unchased: its handle still names the drained host, which
+// keeps migrated bytes intact, so it stays on the span path.
+func TestGetAllFollowsRedirectHome(t *testing.T) {
+	tc := newTestCluster(t, 4, smallConfig)
+	client := NewClient(tc.nodes[0].ep)
+	data := bytes.Repeat([]byte{0x5A}, 2048)
+	other := bytes.Repeat([]byte{0xC3}, 2048)
+	tc.run(t, func(ctx context.Context, p *des.Proc) {
+		// Fill the front of every successor's region, so the migrated block
+		// lands at an offset other than the one it left.
+		for _, peer := range []transport.NodeID{1, 3, 4} {
+			for k := uint64(100); k < 103; k++ {
+				if err := client.Put(ctx, peer, k, bytes.Repeat([]byte{byte(k)}, 2048)); err != nil {
+					t.Errorf("Put filler on node %d: %v", peer, err)
+					return
+				}
+			}
+		}
+		if err := client.PutAll(ctx, 2, []Entry{{Key: 9, Data: data}, {Key: 10, Data: other}}); err != nil {
+			t.Errorf("PutAll: %v", err)
+			return
+		}
+		if _, err := client.Decommission(ctx, 2); err != nil {
+			t.Errorf("Decommission: %v", err)
+			return
+		}
+		if err := client.SyncMap(ctx, 1); err != nil {
+			t.Errorf("SyncMap after drain: %v", err)
+			return
+		}
+		if got, err := client.Get(ctx, 2, 9); err != nil || !bytes.Equal(got, data) {
+			t.Errorf("Get after drain = %d bytes, %v", len(got), err)
+			return
+		}
+		if r := client.Redirects(); r != 1 {
+			t.Errorf("redirects = %d, want 1 (the handle must record the new home)", r)
+		}
+		keys := []uint64{9, 10}
+		dsts := [][]byte{make([]byte, 2048), make([]byte, 2048)}
+		if err := client.GetAllInto(ctx, 2, keys, dsts); err != nil {
+			t.Errorf("GetAllInto: %v", err)
+			return
+		}
+		if !bytes.Equal(dsts[0], data) || !bytes.Equal(dsts[1], other) {
+			t.Errorf("GetAllInto returned %x.. and %x.., want %x.. and %x..", dsts[0][:4], dsts[1][:4], data[:4], other[:4])
+		}
+		got, err := client.GetAll(ctx, 2, keys)
+		if err != nil {
+			t.Errorf("GetAll: %v", err)
+			return
+		}
+		if !bytes.Equal(got[9], data) || !bytes.Equal(got[10], other) {
+			t.Errorf("GetAll returned %x.. and %x.., want %x.. and %x..", got[9][:4], got[10][:4], data[:4], other[:4])
+		}
+	})
+}
+
 // TestPutAllReleasesDisplacedBlockAtItsHome: the block a PutAll overwrite
 // displaces is released where it lives. The handle is rewritten by hand to
 // the state a followed redirect leaves (put to node 2, now homed on node 4),

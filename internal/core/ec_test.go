@@ -137,13 +137,13 @@ func TestECStripedPutGetDelete(t *testing.T) {
 		// Sub-range reads, including ranges that straddle shard boundaries
 		// (shard length 1024).
 		for _, r := range [][2]int{{0, 16}, {1000, 100}, {1023, 2}, {3072, 1024}, {4095, 1}} {
-			part, err := vs.GetAt(ctx, 1, r[0], r[1])
+			part, err := getAt(ctx, vs, 1, r[0], r[1])
 			if err != nil {
-				t.Errorf("GetAt(%d,%d): %v", r[0], r[1], err)
+				t.Errorf("GetAtInto(%d,%d): %v", r[0], r[1], err)
 				continue
 			}
 			if !bytes.Equal(part, data[r[0]:r[0]+r[1]]) {
-				t.Errorf("GetAt(%d,%d) differs", r[0], r[1])
+				t.Errorf("GetAtInto(%d,%d) differs", r[0], r[1])
 			}
 		}
 		if err := vs.Delete(ctx, 1); err != nil {

@@ -7,6 +7,7 @@ import (
 
 	"godm/internal/cluster"
 	"godm/internal/metrics"
+	"godm/internal/replication"
 	"godm/internal/transport"
 	"godm/internal/wire"
 )
@@ -202,7 +203,7 @@ type putEntry struct {
 // shards of a stripe on one donor would halve its erasure tolerance.
 type putReq struct {
 	Owner    int32
-	Shard    shardInfo
+	Shard    replication.Shard
 	entries  []byte
 	releases releaseReq
 	payload  []byte
@@ -221,11 +222,11 @@ func (r putReq) entry(i int) putEntry {
 
 // encodePutReq encodes everything but the payload bytes, which ride behind it
 // as further slices of a gather call.
-func encodePutReq(owner int32, shard shardInfo, entries []putEntry, old []block) []byte {
+func encodePutReq(owner int32, shard replication.Shard, entries []putEntry, old []block) []byte {
 	buf := make([]byte, putHeaderBytes, putHeaderBytes+putEntryBytes*len(entries)+releaseEntryBytes*len(old))
 	buf[0] = opPut
 	binary.BigEndian.PutUint32(buf[1:5], uint32(owner))
-	buf[5], buf[6], buf[7] = shard.idx, shard.k, shard.m
+	buf[5], buf[6], buf[7] = shard.Idx, shard.K, shard.M
 	binary.BigEndian.PutUint32(buf[8:12], uint32(len(entries)))
 	binary.BigEndian.PutUint32(buf[12:16], uint32(len(old)))
 	for _, e := range entries {
@@ -253,7 +254,7 @@ func decodePutReq(b []byte) (putReq, error) {
 	}
 	r := putReq{
 		Owner:    int32(binary.BigEndian.Uint32(b[1:5])),
-		Shard:    shardInfo{idx: b[5], k: b[6], m: b[7]},
+		Shard:    replication.Shard{Idx: b[5], K: b[6], M: b[7]},
 		entries:  body[:n*putEntryBytes],
 		releases: releaseReq(body[n*putEntryBytes:][:rel*releaseEntryBytes]),
 		payload:  body[n*putEntryBytes+rel*releaseEntryBytes:],

@@ -11,6 +11,7 @@ import (
 
 	"godm/internal/des"
 	"godm/internal/pagetable"
+	"godm/internal/replication"
 	"godm/internal/transport"
 	"godm/internal/wire/wiretest"
 )
@@ -27,8 +28,8 @@ var reservationCases = []struct {
 	{"single", putParts{Entries: []putEntry{{Key: 42, Class: 4096, Len: 5}}, Payload: []byte("hello")}, []int64{8192}},
 	{"single high bits", putParts{Owner: -2, Entries: []putEntry{{Key: 1<<63 | 42, Class: 1<<31 - 1, Len: 1}}, Payload: []byte{0xFF}}, []int64{-1}},
 	{"on behalf", putParts{Owner: 7, Entries: []putEntry{{Key: 9, Class: 512, Len: 2}}, Payload: []byte{1, 2}}, []int64{0}},
-	{"shard", putParts{Shard: shardInfo{idx: 5, k: 4, m: 2}, Entries: []putEntry{{Key: 0xF00DFACE99887766, Class: 16384, Len: 3}}, Payload: []byte{7, 8, 9}}, []int64{1 << 40}},
-	{"shard overwrite on behalf", putParts{Owner: 3, Shard: shardInfo{idx: 0xFF, k: 0xFE, m: 0xFD},
+	{"shard", putParts{Shard: replication.Shard{Idx: 5, K: 4, M: 2}, Entries: []putEntry{{Key: 0xF00DFACE99887766, Class: 16384, Len: 3}}, Payload: []byte{7, 8, 9}}, []int64{1 << 40}},
+	{"shard overwrite on behalf", putParts{Owner: 3, Shard: replication.Shard{Idx: 0xFF, K: 0xFE, M: 0xFD},
 		Entries: []putEntry{{Key: 1, Class: 512, Len: 1}}, Releases: []block{{key: 1, offset: 1 << 40}}, Payload: []byte{0}}, []int64{4096}},
 	{"window", putParts{Entries: []putEntry{{Key: 1, Class: 512, Len: 2}, {Key: 1<<63 | 42, Class: 4096, Len: 0}, {Key: 7, Class: 2048, Len: 3}},
 		Releases: []block{{key: 7, offset: 512}, {key: 1, offset: -1}}, Payload: []byte{1, 2, 3, 4, 5}}, []int64{0, 4096, 1 << 40}},
@@ -91,8 +92,8 @@ func TestReservationSizesPinned(t *testing.T) {
 		msg  []byte
 		want int
 	}{
-		{"put header, plain or shard", encodePutReq(0, shardInfo{idx: 1, k: 4, m: 2}, one, nil), 32},
-		{"put header displacing one block", encodePutReq(0, shardInfo{}, one, old), 48},
+		{"put header, plain or shard", encodePutReq(0, replication.Shard{Idx: 1, K: 4, M: 2}, one, nil), 32},
+		{"put header displacing one block", encodePutReq(0, replication.Shard{}, one, old), 48},
 		{"release", encodeReleaseReq(old), 17},
 		{"put reply", newPutResp(1), 9},
 		{"release reply", okResp(), 1},
@@ -208,7 +209,7 @@ func FuzzReservationCodec(f *testing.F) {
 	}
 	f.Add(noSpaceResp())
 	f.Add(errorResp(errors.New("boom")))
-	f.Add(encodePutReq(0, shardInfo{}, []putEntry{{Key: 1, Class: 512, Len: 512}}, nil)) // lengths overrun the frame
+	f.Add(encodePutReq(0, replication.Shard{}, []putEntry{{Key: 1, Class: 512, Len: 512}}, nil)) // lengths overrun the frame
 	f.Fuzz(func(t *testing.T, in []byte) {
 		var (
 			req putReq
@@ -318,17 +319,17 @@ func TestGetAtBoundsChecks(t *testing.T) {
 			t.Errorf("PutShared: %v", err)
 			return
 		}
-		if _, err := vs.GetAt(ctx, 1, 4000, 200); err == nil {
+		if _, err := getAt(ctx, vs, 1, 4000, 200); err == nil {
 			t.Error("expected error for out-of-range read")
 		}
-		if _, err := vs.GetAt(ctx, 1, -1, 10); err == nil {
+		if _, err := getAt(ctx, vs, 1, -1, 10); err == nil {
 			t.Error("expected error for negative offset")
 		}
-		got, err := vs.GetAt(ctx, 1, 100, 50)
+		got, err := getAt(ctx, vs, 1, 100, 50)
 		if err != nil || len(got) != 50 || got[0] != 7 {
 			t.Errorf("GetAt = %v, %v", got, err)
 		}
-		if _, err := vs.GetAt(ctx, 99, 0, 1); !errors.Is(err, pagetable.ErrNotFound) {
+		if _, err := getAt(ctx, vs, 99, 0, 1); !errors.Is(err, pagetable.ErrNotFound) {
 			t.Errorf("missing entry err = %v", err)
 		}
 	})
@@ -345,7 +346,7 @@ func TestGetAtRemoteFailsOver(t *testing.T) {
 		}
 		loc, _ := vs.Location(1)
 		tc.fabric.Partition(1, transport.NodeID(loc.Primary))
-		got, err := vs.GetAt(ctx, 1, 8, 16)
+		got, err := getAt(ctx, vs, 1, 8, 16)
 		if err != nil {
 			t.Errorf("GetAt after partition: %v", err)
 			return

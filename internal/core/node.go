@@ -18,6 +18,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -138,14 +139,6 @@ type ownerRef struct {
 	key   uint64
 }
 
-// shardInfo records which shard of an RS(k, m) stripe a hosted block carries.
-// Every real stripe has k >= 1, so the zero value means "not a shard".
-type shardInfo struct {
-	idx, k, m uint8
-}
-
-func (s shardInfo) tagged() bool { return s.k != 0 }
-
 // ownerShardCount is the number of lock stripes over the receive pool's
 // owner bookkeeping. Independent control-plane ops on distinct blocks hash
 // to distinct stripes and never contend.
@@ -165,7 +158,7 @@ type ownerShard struct {
 // record dies with the stripe's last block under the key.
 type hostedKey struct {
 	blocks int
-	shard  shardInfo
+	shard  replication.Shard
 }
 
 // ownerShardIdx stripes a handle to its owner shard.
@@ -207,8 +200,7 @@ type Node struct {
 	send     *slab.Pool // cluster-wide DM send buffer pool
 	recv     *slab.Pool // cluster-wide DM receive buffer pool (registered)
 	recvBuf  []byte
-	repl     *replication.Replicator
-	policy   replication.Policy // the active durability policy (repl or ec)
+	policy   replication.Policy // the active durability policy (rf<N> or rs<K>.<M>)
 	remote   *remoteStore
 	balancer placement.Balancer
 
@@ -259,13 +251,13 @@ type Node struct {
 
 // addOwner records who parked h in the receive pool, and as which shard of
 // the owner's stripe (zero: not a shard).
-func (n *Node) addOwner(h slab.Handle, ref ownerRef, shard shardInfo) {
+func (n *Node) addOwner(h slab.Handle, ref ownerRef, shard replication.Shard) {
 	sh := &n.owners[ownerShardIdx(h)]
 	sh.mu.Lock()
 	sh.refs[h] = ref
 	e := sh.byKey[ref]
 	e.blocks++
-	if shard.tagged() {
+	if shard.Tagged() {
 		e.shard = shard
 	}
 	sh.byKey[ref] = e
@@ -301,7 +293,7 @@ func (n *Node) lookupKey(owner transport.NodeID, key uint64) (out hostedKey) {
 		e := sh.byKey[ref]
 		sh.mu.Unlock()
 		out.blocks += e.blocks
-		if e.shard.tagged() {
+		if e.shard.Tagged() {
 			out.shard = e.shard
 		}
 	}
@@ -320,14 +312,14 @@ func (n *Node) HostsRemoteKey(owner transport.NodeID, key uint64) bool {
 // its own donor at the position the stripe map records.
 func (n *Node) ShardInfo(owner transport.NodeID, key uint64) (idx, k, m int, ok bool) {
 	si := n.lookupKey(owner, key).shard
-	return int(si.idx), int(si.k), int(si.m), si.tagged()
+	return int(si.Idx), int(si.K), int(si.M), si.Tagged()
 }
 
 // hostedBlock is one block parked in the receive pool, for the drain walk.
 type hostedBlock struct {
 	h     slab.Handle
 	ref   ownerRef
-	shard shardInfo
+	shard replication.Shard
 }
 
 // hostedBlocks snapshots every block parked in the receive pool.
@@ -457,7 +449,7 @@ func NewNode(cfg Config, ep transport.Endpoint, dir *cluster.Directory) (*Node, 
 	}
 	n.slos = metrics.NewSLOSet(n.reg, obj)
 	n.obsStore = metrics.NewClusterStore(int64(cfg.ID))
-	n.remote = &remoteStore{node: n, handles: map[remoteKey]remoteHandle{}, classes: map[uint64]int{}}
+	n.remote = &remoteStore{node: n, handles: map[remoteKey]remoteHandle{}}
 	spec, err := parseDurability(cfg.Durability, cfg.ReplicationFactor)
 	if err != nil {
 		return nil, err
@@ -472,7 +464,6 @@ func NewNode(cfg Config, ep transport.Endpoint, dir *cluster.Directory) (*Node, 
 	if err != nil {
 		return nil, err
 	}
-	n.repl = repl
 	n.policy = repl
 	if spec.coding {
 		n.ecReg = metrics.NewRegistry(fmt.Sprintf("ec/node-%d", cfg.ID))
@@ -866,7 +857,7 @@ func (n *Node) handleCall(ctx context.Context, from transport.NodeID, payload []
 			owner = transport.NodeID(req.Owner)
 		}
 		si := n.lookupKey(owner, req.Key).shard
-		return encode(stOK, shardStatResp{Hosted: si.tagged(), Idx: si.idx, K: si.k, M: si.m}, (*shardStatResp).fields), nil
+		return encode(stOK, shardStatResp{Hosted: si.Tagged(), Idx: si.Idx, K: si.K, M: si.M}, (*shardStatResp).fields), nil
 	default:
 		return errorResp(fmt.Errorf("core: unknown op %d", payload[0])), nil
 	}
@@ -910,7 +901,7 @@ func (n *Node) handlePut(from transport.NodeID, req putReq) []byte {
 	// An on-behalf (migration) or shard put for a key we host beyond what the
 	// request displaces means a sibling replica or shard lives here: refuse,
 	// whoever asks.
-	refuseSiblings := owner != from || req.Shard.tagged()
+	refuseSiblings := owner != from || req.Shard.Tagged()
 	count := req.count()
 	var fewClasses [4]classCount
 	classes := fewClasses[:0]
@@ -1195,37 +1186,24 @@ func (n *Node) Maintain(ctx context.Context) (repaired int, firstErr error) {
 			byKey[p.key] = i
 			jobs = append(jobs, repairJob{key: p.key})
 		}
-		dup := false
-		for _, l := range jobs[i].lost {
-			if l == p.lost {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+		if !slices.Contains(jobs[i].lost, p.lost) {
 			jobs[i].lost = append(jobs[i].lost, p.lost)
 		}
 	}
 	errs := make([]error, len(jobs))
 	stills := make([][]transport.NodeID, len(jobs))
-	if _, simulated := des.FromContext(ctx); simulated || len(jobs) <= 1 {
-		for i, j := range jobs {
-			stills[i], errs[i] = n.repairEntry(ctx, j)
+	// Workers draw jobs from a shared cursor. Under the simulation des.Each
+	// runs them in turn, so the first drains the queue in order.
+	var next atomic.Int64
+	des.Each(ctx, min(len(jobs), maxParallelRepairs), func(int) error {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(jobs) {
+				return nil
+			}
+			stills[i], errs[i] = n.repairEntry(ctx, jobs[i])
 		}
-	} else {
-		sem := make(chan struct{}, maxParallelRepairs)
-		var wg sync.WaitGroup
-		for i, j := range jobs {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int, j repairJob) {
-				defer wg.Done()
-				stills[i], errs[i] = n.repairEntry(ctx, j)
-				<-sem
-			}(i, j)
-		}
-		wg.Wait()
-	}
+	})
 	var requeue []pendingRepair
 	for i, err := range errs {
 		if err != nil {
@@ -1277,9 +1255,7 @@ func (n *Node) repairEntry(ctx context.Context, job repairJob) ([]transport.Node
 		return n.pickRemotes(count, ex)
 	}
 	// Replacement copies reserve the class the entry was written with.
-	n.remote.setClass(job.key, n.policy.ShardClass(loc.StoredSize))
-	defer n.remote.clearClass(job.key)
-	newSet, still, err := n.policy.Restore(ctx, nodes, replication.EntryID(job.key), lost, pick)
+	newSet, still, err := n.policy.Restore(ctx, nodes, replication.EntryID(job.key), loc.StoredSize, lost, pick)
 	if err != nil {
 		return nil, fmt.Errorf("core: restore entry %d: %w", id, err)
 	}

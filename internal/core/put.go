@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"godm/internal/replication"
 	"godm/internal/transport"
 )
 
@@ -38,7 +39,7 @@ func release(ctx context.Context, ep transport.Verbs, blocks ...block) error {
 // nothing to roll back; a put whose reply is lost strands its blocks until
 // the donor's eviction path reclaims them. The payloads ride the call as a
 // gather list: nothing is concatenated behind the header on this side.
-func put(ctx context.Context, ep transport.Verbs, node, owner transport.NodeID, shard shardInfo, entries []putEntry, payloads [][]byte, old []block) (putResp, error) {
+func put(ctx context.Context, ep transport.Verbs, node, owner transport.NodeID, shard replication.Shard, entries []putEntry, payloads [][]byte, old []block) (putResp, error) {
 	vec := make([][]byte, 1, 1+len(payloads))
 	vec[0] = encodePutReq(int32(owner), shard, entries, old)
 	resp, err := transport.CallV(ctx, ep, node, append(vec, payloads...))
@@ -51,7 +52,7 @@ func put(ctx context.Context, ep transport.Verbs, node, owner transport.NodeID, 
 // putBlock is put for one payload: park data under key in a class-sized block
 // on node, displacing old (at most one block, on that node), and return the
 // new block's offset.
-func putBlock(ctx context.Context, ep transport.Verbs, node, owner transport.NodeID, shard shardInfo, key uint64, class int, data []byte, old ...block) (int64, error) {
+func putBlock(ctx context.Context, ep transport.Verbs, node, owner transport.NodeID, shard replication.Shard, key uint64, class int, data []byte, old ...block) (int64, error) {
 	entry := [1]putEntry{{Key: key, Class: int32(class), Len: int32(len(data))}}
 	payload := [1][]byte{data}
 	offsets, err := put(ctx, ep, node, owner, shard, entry[:], payload[:], old)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 
-	"godm/internal/ec"
 	"godm/internal/replication"
 	"godm/internal/transport"
 )
@@ -23,12 +22,6 @@ type remoteStore struct {
 	// handles is the client half of the disaggregated memory map: where each
 	// of our keys lives inside each remote node's receive region.
 	handles map[remoteKey]remoteHandle
-	// classes holds the size class to reserve for a key on any donor while a
-	// replicated write or a repair of it is in flight: the caller sets it
-	// before the policy fans out and clears it when the policy returns, so
-	// the map is bounded by the operations in progress, not by the keys ever
-	// written.
-	classes map[uint64]int
 }
 
 type remoteKey struct {
@@ -38,47 +31,19 @@ type remoteKey struct {
 
 type remoteHandle struct {
 	offset  int64
-	class   int
 	dataLen int
-}
-
-// setClass records the allocation class for key before a Write or Restore
-// fans out; clearClass forgets it once the policy has returned.
-func (s *remoteStore) setClass(key uint64, class int) {
-	s.mu.Lock()
-	s.classes[key] = class
-	s.mu.Unlock()
-}
-
-func (s *remoteStore) clearClass(key uint64) {
-	s.mu.Lock()
-	delete(s.classes, key)
-	s.mu.Unlock()
 }
 
 var _ replication.Store = (*remoteStore)(nil)
 
-// Put implements replication.Store.
-func (s *remoteStore) Put(ctx context.Context, node replication.NodeID, id replication.EntryID, data []byte) error {
-	return s.put(ctx, node, id, shardInfo{}, data)
-}
-
-// PutShard implements ec.ShardStore: Put with the stripe coordinates riding
-// along, so the donor can refuse a sibling shard and answer opShardStat.
-func (s *remoteStore) PutShard(ctx context.Context, node replication.NodeID, id replication.EntryID, idx, k, m int, data []byte) error {
-	return s.put(ctx, node, id, shardInfo{idx: uint8(idx), k: uint8(k), m: uint8(m)}, data)
-}
-
-// put parks data on node in one round trip; a handle already held for
-// (node, key) names the block this generation displaces, whose release rides
-// the same put. On failure that handle stays, for the caller's rollback.
-func (s *remoteStore) put(ctx context.Context, node replication.NodeID, id replication.EntryID, shard shardInfo, data []byte) error {
+// Put implements replication.Store: data is parked on node in one round trip,
+// the stripe coordinates (if any) riding along so the donor can refuse a
+// sibling shard and answer opShardStat. A handle already held for (node, id)
+// names the block this generation displaces, whose release rides the same
+// put. On failure that handle stays, for the caller's rollback.
+func (s *remoteStore) Put(ctx context.Context, node replication.NodeID, id replication.EntryID, class int, shard replication.Shard, data []byte) error {
 	rk := remoteKey{node: transport.NodeID(node), key: uint64(id)}
 	s.mu.Lock()
-	class, ok := s.classes[rk.key]
-	if !ok {
-		class = len(data)
-	}
 	prev, displaced := s.handles[rk]
 	s.mu.Unlock()
 	var old []block
@@ -90,7 +55,7 @@ func (s *remoteStore) put(ctx context.Context, node replication.NodeID, id repli
 		return err
 	}
 	s.mu.Lock()
-	s.handles[rk] = remoteHandle{offset: offset, class: class, dataLen: len(data)}
+	s.handles[rk] = remoteHandle{offset: offset, dataLen: len(data)}
 	s.mu.Unlock()
 	return nil
 }
@@ -106,28 +71,30 @@ func (s *remoteStore) handle(node replication.NodeID, id replication.EntryID) (r
 	return h, nil
 }
 
-// read is the store's one read: a one-sided read of len(dst) bytes at off
-// within the payload behind h, straight into dst.
-func (s *remoteStore) read(ctx context.Context, node replication.NodeID, h remoteHandle, off int, dst []byte) error {
+// Len implements replication.Store from the handle alone.
+func (s *remoteStore) Len(node replication.NodeID, id replication.EntryID) (int, error) {
+	h, err := s.handle(node, id)
+	return h.dataLen, err
+}
+
+// ReadAt implements replication.Store: a one-sided read of the len(dst) bytes
+// at off within the payload, straight into dst — a replicated read lands in
+// the caller's buffer, a striped one lands each shard in its slice of it, with
+// no copy in between. Failover across the replica or shard set is the
+// policy's job.
+func (s *remoteStore) ReadAt(ctx context.Context, node replication.NodeID, id replication.EntryID, off int, dst []byte) error {
+	h, err := s.handle(node, id)
+	if err != nil {
+		return err
+	}
+	if off < 0 || off+len(dst) > h.dataLen {
+		return fmt.Errorf("core: range [%d,%d) exceeds payload %d", off, off+len(dst), h.dataLen)
+	}
 	to := transport.NodeID(node)
 	if err := transport.ReadRegionInto(ctx, s.node.ep, to, RecvRegionID, h.offset+int64(off), dst); err != nil {
 		return fmt.Errorf("core: one-sided read from node %d: %w", to, err)
 	}
 	return nil
-}
-
-// Get implements replication.Store: GetInto a fresh buffer of exactly the
-// payload's length, which the caller owns.
-func (s *remoteStore) Get(ctx context.Context, node replication.NodeID, id replication.EntryID) ([]byte, error) {
-	h, err := s.handle(node, id)
-	if err != nil {
-		return nil, err
-	}
-	data := make([]byte, h.dataLen)
-	if err := s.read(ctx, node, h, 0, data); err != nil {
-		return nil, err
-	}
-	return data, nil
 }
 
 // Delete implements replication.Store: release the remote reservation.
@@ -149,45 +116,6 @@ func (s *remoteStore) Delete(ctx context.Context, node replication.NodeID, id re
 	// Released, or the remote is unreachable and its eviction path reclaims
 	// the block.
 	return nil
-}
-
-var (
-	_ replication.RangeStore   = (*remoteStore)(nil)
-	_ replication.ScatterStore = (*remoteStore)(nil)
-	_ ec.ShardStore            = (*remoteStore)(nil)
-)
-
-// GetAtInto implements replication.RangeStore: a one-sided read of the
-// len(dst) bytes at offset off within the payload stored on one node.
-// Failover across the replica or shard set is the policy's job.
-func (s *remoteStore) GetAtInto(ctx context.Context, node replication.NodeID, id replication.EntryID, off int, dst []byte) error {
-	h, err := s.handle(node, id)
-	if err != nil {
-		return err
-	}
-	if off < 0 || off+len(dst) > h.dataLen {
-		return fmt.Errorf("core: range [%d,%d) exceeds payload %d", off, off+len(dst), h.dataLen)
-	}
-	return s.read(ctx, node, h, off, dst)
-}
-
-// GetInto implements replication.ScatterStore: a one-sided read of the whole
-// payload directly into the front of dst — a replicated read lands in the
-// caller's buffer, a striped one lands each shard in its slice of it, with
-// no copy in between. It returns the payload's length; a dst too short for it
-// is refused before the fabric is touched.
-func (s *remoteStore) GetInto(ctx context.Context, node replication.NodeID, id replication.EntryID, dst []byte) (int, error) {
-	h, err := s.handle(node, id)
-	if err != nil {
-		return 0, err
-	}
-	if len(dst) < h.dataLen {
-		return 0, fmt.Errorf("core: dst holds %d bytes, entry %d stores %d", len(dst), id, h.dataLen)
-	}
-	if err := s.read(ctx, node, h, 0, dst[:h.dataLen]); err != nil {
-		return 0, err
-	}
-	return h.dataLen, nil
 }
 
 // rehome repoints the handle for key from old to new after a decommission
@@ -212,11 +140,4 @@ func (s *remoteStore) drop(node transport.NodeID, key uint64) {
 	s.mu.Lock()
 	delete(s.handles, remoteKey{node: node, key: key})
 	s.mu.Unlock()
-}
-
-// handleCount reports how many remote blocks this node tracks (tests).
-func (s *remoteStore) handleCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.handles)
 }

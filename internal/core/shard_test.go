@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"godm/internal/cluster"
+	"godm/internal/replication"
 	"godm/internal/tcpnet"
 	"godm/internal/transport"
 )
@@ -29,7 +30,7 @@ func TestEvictSelfOwnedQueuesRepairOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n.addOwner(h, ref, shardInfo{})
+		n.addOwner(h, ref, replication.Shard{})
 	}
 	if !n.HostsRemoteKey(n.cfg.ID, key) {
 		t.Fatal("HostsRemoteKey = false before eviction")
@@ -68,7 +69,7 @@ func TestReleaseFreesEveryEntry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n.addOwner(h, ownerRef{owner: owner, key: uint64(i)}, shardInfo{})
+		n.addOwner(h, ownerRef{owner: owner, key: uint64(i)}, replication.Shard{})
 		off, err := n.recv.GlobalOffset(h)
 		if err != nil {
 			t.Fatal(err)

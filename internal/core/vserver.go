@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"godm/internal/des"
@@ -107,7 +106,7 @@ func (vs *VirtualServer) PutShared(id pagetable.EntryID, data []byte, class, raw
 //
 // Overwriting an entry that already lives in remote memory is still one round
 // trip: on a donor that stays in the set the old block's release rides the
-// put that replaces it (remoteStore.put), and donors that drop out of the set
+// put that replaces it (remoteStore.Put), and donors that drop out of the set
 // are released while the policy's write fans out. The entry is absent from the
 // map for the duration, and a failed overwrite leaves it absent with nothing
 // of either generation behind — the policy rolls back the copies that
@@ -133,7 +132,7 @@ func (vs *VirtualServer) PutRemote(ctx context.Context, id pagetable.EntryID, da
 		if overwrite {
 			// Donors the new generation never reached still host the old one;
 			// detached, because the failure may be the caller's context dying.
-			rbCtx, cancel := detached(ctx)
+			rbCtx, cancel := replication.Detached(ctx)
 			_ = vs.releaseLocation(rbCtx, id, old)
 			cancel()
 		}
@@ -147,14 +146,7 @@ func (vs *VirtualServer) PutRemote(ctx context.Context, id pagetable.EntryID, da
 		return fail(err)
 	}
 	key := replication.EntryID(vs.key(id))
-	// Each donor allocates the per-shard class: the full class under
-	// replication, ceil(class/k) under RS(k, m) — coding's capacity win.
-	vs.node.remote.setClass(uint64(key), vs.node.policy.ShardClass(class))
-	defer vs.node.remote.clearClass(uint64(key))
-	// Old donors outside the new set are released through the store, not the
-	// policy (whose Delete would forget the stripe being written): beside the
-	// write over a real fabric, after it and in order under the simulation.
-	var stale []replication.NodeID
+	var stale []replication.NodeID // old donors outside the new set
 	if overwrite {
 		for _, o := range locationNodes(old) {
 			if !slices.Contains(nodes, o) {
@@ -162,25 +154,7 @@ func (vs *VirtualServer) PutRemote(ctx context.Context, id pagetable.EntryID, da
 			}
 		}
 	}
-	drop := func(o replication.NodeID) { _ = vs.node.remote.Delete(ctx, o, key) }
-	_, simulated := des.FromContext(ctx)
-	var wg sync.WaitGroup
-	if !simulated {
-		for _, o := range stale {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				drop(o)
-			}()
-		}
-	}
-	err = vs.node.policy.Write(ctx, nodes, key, data)
-	if simulated {
-		for _, o := range stale {
-			drop(o)
-		}
-	}
-	wg.Wait()
+	err = vs.write(ctx, nodes, stale, key, class, data)
 	if err != nil {
 		if errors.Is(err, replication.ErrAborted) {
 			err = fmt.Errorf("%w: %v", ErrRemoteFull, err)
@@ -213,6 +187,22 @@ func (vs *VirtualServer) PutRemote(ctx context.Context, id pagetable.EntryID, da
 	}
 	vs.putCount.Add(1)
 	return nil
+}
+
+// write is the policy's write of a new generation (each donor reserves the
+// policy's ShardClass of class) with the release of the old one's stale donors
+// — through the store, not the policy, whose Delete would forget the stripe
+// being written — beside it over a real fabric, after it in order under DES.
+func (vs *VirtualServer) write(ctx context.Context, nodes, stale []replication.NodeID, key replication.EntryID, class int, data []byte) error {
+	if len(stale) == 0 {
+		return vs.node.policy.Write(ctx, nodes, key, class, data)
+	}
+	return des.Each(ctx, 1+len(stale), func(i int) error {
+		if i == 0 {
+			return vs.node.policy.Write(ctx, nodes, key, class, data)
+		}
+		return vs.node.remote.Delete(ctx, stale[i-1], key) // best-effort: eviction is the backstop
+	})[0]
 }
 
 // Put stores an entry in the fastest tier with room: shared memory first,
@@ -304,23 +294,6 @@ func (vs *VirtualServer) getInto(ctx context.Context, id pagetable.EntryID, loc 
 	}
 }
 
-// GetAt fetches n bytes starting at off within a stored entry into a fresh
-// buffer: GetAtInto a buffer of its own.
-func (vs *VirtualServer) GetAt(ctx context.Context, id pagetable.EntryID, off, n int) ([]byte, error) {
-	loc, err := vs.table.Get(id)
-	if err != nil {
-		return nil, err
-	}
-	if n < 0 || n > loc.StoredSize {
-		return nil, fmt.Errorf("core: range [%d,%d) exceeds stored size %d", off, off+n, loc.StoredSize)
-	}
-	data := make([]byte, n)
-	if err := vs.getAtInto(ctx, id, loc, off, data); err != nil {
-		return nil, err
-	}
-	return data, nil
-}
-
 // GetAtInto fills dst with the len(dst) bytes starting at off within a stored
 // entry, without moving the rest — the window-based batch layout relies on
 // this to fault a single page out of a parked batch (one message, one slot).
@@ -401,15 +374,17 @@ func (vs *VirtualServer) ReadFrom(ctx context.Context, id pagetable.EntryID, nod
 	if loc.Tier != pagetable.TierRemote {
 		return nil, fmt.Errorf("core: entry %d is on tier %v, not remote", id, loc.Tier)
 	}
-	member := false
-	for _, n := range locationNodes(loc) {
-		if transport.NodeID(n) == node {
-			member = true
-			break
-		}
-	}
-	if !member {
+	if !slices.Contains(locationNodes(loc), replication.NodeID(node)) {
 		return nil, fmt.Errorf("core: node %d is not in the replica set of entry %d", node, id)
 	}
-	return vs.node.remote.Get(ctx, replication.NodeID(node), replication.EntryID(vs.key(id)))
+	key := replication.EntryID(vs.key(id))
+	n, err := vs.node.remote.Len(replication.NodeID(node), key)
+	if err != nil {
+		return nil, err
+	}
+	data := make([]byte, n)
+	if err := vs.node.remote.ReadAt(ctx, replication.NodeID(node), key, 0, data); err != nil {
+		return nil, err
+	}
+	return data, nil
 }

@@ -14,30 +14,11 @@ import (
 	"godm/internal/trace"
 )
 
-// ShardStore is an optional Store extension: put one shard of a stripe with
-// its stripe coordinates, so the hosting donor can record shard metadata
-// (index, k, m) and refuse a second shard of the same stripe — the
-// distinct-donor placement rule enforced host-side.
-type ShardStore interface {
-	PutShard(ctx context.Context, node replication.NodeID, id replication.EntryID, idx, k, m int, data []byte) error
-}
-
 // HedgeFunc returns the hedge delay for reads touching a donor: how long a
 // shard fetch may run before parity is fetched in its stead. The node
 // manager derives it from the digest plane's per-donor get-p99; zero means
 // no figure is known for that donor.
 type HedgeFunc func(node replication.NodeID) time.Duration
-
-// rollbackTimeout bounds the detached rollback of an aborted striped write,
-// mirroring the replication protocol's.
-const rollbackTimeout = 2 * time.Second
-
-// stripeInfo is the owner-side record of one stripe — the raw payload length
-// every shard length and read plan derives from. It lives beside the remote
-// store's handles and shares their lifetime (lost with the owner).
-type stripeInfo struct {
-	rawLen int
-}
 
 // codingMetrics instruments the striped data path.
 type codingMetrics struct {
@@ -73,14 +54,16 @@ func newCodingMetrics(reg *metrics.Registry) codingMetrics {
 // hedge delay; Restore rebuilds lost shards from any k survivors instead of
 // re-copying full blocks.
 type CodingPolicy struct {
-	code   *Code
-	store  replication.Store
-	serial bool
-	hedge  HedgeFunc
-	met    codingMetrics
+	code  *Code
+	store replication.Store
+	hedge HedgeFunc
+	met   codingMetrics
 
+	// stripes is the owner-side record of each stripe: the raw payload length
+	// every shard length and read plan derives from. It lives beside the
+	// remote store's handles and shares their lifetime (lost with the owner).
 	mu      sync.Mutex
-	stripes map[replication.EntryID]stripeInfo
+	stripes map[replication.EntryID]int
 }
 
 // PolicyOption configures a CodingPolicy.
@@ -100,12 +83,6 @@ func WithPolicyMetrics(reg *metrics.Registry) PolicyOption {
 	}
 }
 
-// WithSerialFanout forces serial shard fan-out and serial reads, mirroring
-// replication.WithSerialFanout (the DES always gets this behavior).
-func WithSerialFanout() PolicyOption {
-	return func(p *CodingPolicy) { p.serial = true }
-}
-
 // NewPolicy returns an RS(k, m) coding policy over store.
 func NewPolicy(k, m int, store replication.Store, opts ...PolicyOption) (*CodingPolicy, error) {
 	if store == nil {
@@ -119,7 +96,7 @@ func NewPolicy(k, m int, store replication.Store, opts ...PolicyOption) (*Coding
 		code:    code,
 		store:   store,
 		met:     newCodingMetrics(metrics.NewRegistry("ec")),
-		stripes: map[replication.EntryID]stripeInfo{},
+		stripes: map[replication.EntryID]int{},
 	}
 	for _, o := range opts {
 		o(p)
@@ -129,17 +106,11 @@ func NewPolicy(k, m int, store replication.Store, opts ...PolicyOption) (*Coding
 
 var _ replication.Policy = (*CodingPolicy)(nil)
 
-// Code exposes the underlying codec (benchmarks and tests).
-func (p *CodingPolicy) Code() *Code { return p.code }
-
 // Name implements replication.Policy.
 func (p *CodingPolicy) Name() string { return fmt.Sprintf("rs%d.%d", p.code.k, p.code.m) }
 
 // Width implements replication.Policy.
 func (p *CodingPolicy) Width() int { return p.code.k + p.code.m }
-
-// MinAlive implements replication.Policy: k shards reconstruct the stripe.
-func (p *CodingPolicy) MinAlive() int { return p.code.k }
 
 // ShardClass implements replication.Policy: each donor holds 1/k of the
 // entry, rounded up.
@@ -147,76 +118,37 @@ func (p *CodingPolicy) ShardClass(entryClass int) int {
 	return p.code.ShardLen(entryClass)
 }
 
-// serialIn reports whether ctx demands the deterministic serial plan.
-func (p *CodingPolicy) serialIn(ctx context.Context) bool {
-	if p.serial {
-		return true
-	}
-	_, simulated := des.FromContext(ctx)
-	return simulated
+// putShard parks shard idx of id's stripe on node, tagged with its stripe
+// coordinates, in a block of the per-shard class.
+func (p *CodingPolicy) putShard(ctx context.Context, node replication.NodeID, id replication.EntryID, class, idx int, data []byte) error {
+	tag := replication.Shard{Idx: uint8(idx), K: uint8(p.code.k), M: uint8(p.code.m)}
+	return p.store.Put(ctx, node, id, p.ShardClass(class), tag, data)
 }
 
-// fanout runs op for every shard position. Like the replication fan-out,
-// every position is always attempted (no short-circuit) so the per-stream op
-// sequence the seeded chaos replay sees stays independent of which donor
-// fails first; over a real fabric positions run concurrently.
-func (p *CodingPolicy) fanout(ctx context.Context, n int, op func(ctx context.Context, i int) error) []error {
-	errs := make([]error, n)
-	if p.serialIn(ctx) || n == 1 {
-		for i := 0; i < n; i++ {
-			errs[i] = op(ctx, i)
-		}
-		return errs
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = op(ctx, i)
-		}(i)
-	}
-	wg.Wait()
-	return errs
-}
-
-func (p *CodingPolicy) putShard(ctx context.Context, node replication.NodeID, id replication.EntryID, idx int, data []byte) error {
-	if ss, ok := p.store.(ShardStore); ok {
-		return ss.PutShard(ctx, node, id, idx, p.code.k, p.code.m, data)
-	}
-	return p.store.Put(ctx, node, id, data)
-}
-
+// getShard reads node's shard of id into dst, which is exactly a shard long.
 func (p *CodingPolicy) getShard(ctx context.Context, node replication.NodeID, id replication.EntryID, dst []byte) error {
-	if sc, ok := p.store.(replication.ScatterStore); ok {
-		n, err := sc.GetInto(ctx, node, id, dst)
-		if err == nil && n != len(dst) {
-			err = fmt.Errorf("ec: shard is %d bytes, want %d", n, len(dst))
-		}
-		return err
-	}
-	data, err := p.store.Get(ctx, node, id)
+	n, err := p.store.Len(node, id)
 	if err != nil {
 		return err
 	}
-	if len(data) != len(dst) {
-		return fmt.Errorf("ec: shard is %d bytes, want %d", len(data), len(dst))
+	if n != len(dst) {
+		return fmt.Errorf("ec: shard is %d bytes, want %d", n, len(dst))
 	}
-	copy(dst, data)
-	return nil
+	return p.store.ReadAt(ctx, node, id, 0, dst)
 }
 
 func (p *CodingPolicy) rawLen(id replication.EntryID) (int, bool) {
 	p.mu.Lock()
-	info, ok := p.stripes[id]
+	raw, ok := p.stripes[id]
 	p.mu.Unlock()
-	return info.rawLen, ok
+	return raw, ok
 }
 
 // Write implements replication.Policy: encode into k+m shards and fan them
-// out to the k+m nodes (nodes[i] hosts shard i) as an atomic transaction —
-// any failure rolls back the shards already placed.
-func (p *CodingPolicy) Write(ctx context.Context, nodes []replication.NodeID, id replication.EntryID, data []byte) error {
+// out to the k+m nodes (nodes[i] hosts shard i, in a block of the per-shard
+// class) as an atomic transaction — any failure rolls back the shards already
+// placed.
+func (p *CodingPolicy) Write(ctx context.Context, nodes []replication.NodeID, id replication.EntryID, class int, data []byte) error {
 	total := p.code.k + p.code.m
 	if len(nodes) != total {
 		return fmt.Errorf("ec: got %d nodes, stripe width is %d", len(nodes), total)
@@ -244,27 +176,20 @@ func (p *CodingPolicy) Write(ctx context.Context, nodes []replication.NodeID, id
 		sp.EndErr(err)
 		return err
 	}
-	errs := p.fanout(ctx, total, func(ctx context.Context, i int) error {
-		return p.putShard(ctx, nodes[i], id, i, shards[i])
+	errs := des.Each(ctx, total, func(i int) error {
+		return p.putShard(ctx, nodes[i], id, class, i, shards[i])
 	})
-	failed := -1
-	for i, err := range errs {
-		if err != nil {
-			failed = i
-			break
-		}
-	}
-	if failed < 0 {
+	bad := replication.FirstError(errs)
+	if bad < 0 {
 		p.mu.Lock()
-		p.stripes[id] = stripeInfo{rawLen: len(data)}
+		p.stripes[id] = len(data)
 		p.mu.Unlock()
 		p.met.writeLatency.Observe(trace.Now(ctx) - start)
 		sp.End()
 		return nil
 	}
-	// Roll back the shards that did land, detached from the caller's context
-	// (the abort may be that context dying), bounded by a fresh deadline.
-	rbCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), rollbackTimeout)
+	// Roll back the shards that did land.
+	rbCtx, cancel := replication.Detached(ctx)
 	defer cancel()
 	for i, err := range errs {
 		if err == nil {
@@ -272,7 +197,7 @@ func (p *CodingPolicy) Write(ctx context.Context, nodes []replication.NodeID, id
 		}
 	}
 	p.met.writeAborts.Inc()
-	err := fmt.Errorf("%w: shard %d on node %d: %v", replication.ErrAborted, failed, nodes[failed], errs[failed])
+	err := fmt.Errorf("%w: shard %d on node %d: %v", replication.ErrAborted, bad, nodes[bad], errs[bad])
 	sp.EndErr(err)
 	return err
 }
@@ -316,8 +241,7 @@ func (p *CodingPolicy) Read(ctx context.Context, nodes []replication.NodeID, id 
 	err := p.code.ReadInto(ctx, dst[:raw], func(ctx context.Context, idx int, buf []byte) error {
 		return p.getShard(ctx, nodes[idx], id, buf)
 	}, ReadOpts{
-		Serial: p.serialIn(ctx),
-		Hedge:  p.hedgeDelay(nodes),
+		Hedge: p.hedgeDelay(nodes),
 		OnHedge: func() {
 			p.met.hedges.Inc()
 			sp.Annotate("hedged", 1)
@@ -353,12 +277,12 @@ func (p *CodingPolicy) ReadAt(ctx context.Context, nodes []replication.NodeID, i
 		return nil
 	}
 	s := p.code.ShardLen(raw)
-	if rs, ok := p.store.(replication.RangeStore); ok && len(nodes) == p.code.k+p.code.m {
+	if len(nodes) == p.code.k+p.code.m {
 		pos := off
 		for pos < off+n {
 			shardOff := pos % s
 			run := min(s-shardOff, off+n-pos)
-			if rs.GetAtInto(ctx, nodes[pos/s], id, shardOff, dst[pos-off:pos-off+run]) != nil {
+			if p.store.ReadAt(ctx, nodes[pos/s], id, shardOff, dst[pos-off:pos-off+run]) != nil {
 				break
 			}
 			pos += run
@@ -380,16 +304,14 @@ func (p *CodingPolicy) ReadAt(ctx context.Context, nodes []replication.NodeID, i
 // Delete implements replication.Policy: release every shard; the first
 // failure is reported after all positions were attempted.
 func (p *CodingPolicy) Delete(ctx context.Context, nodes []replication.NodeID, id replication.EntryID) error {
-	errs := p.fanout(ctx, len(nodes), func(ctx context.Context, i int) error {
+	errs := des.Each(ctx, len(nodes), func(i int) error {
 		return p.store.Delete(ctx, nodes[i], id)
 	})
 	p.mu.Lock()
 	delete(p.stripes, id)
 	p.mu.Unlock()
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("ec: delete shard %d on node %d: %w", i, nodes[i], err)
-		}
+	if i := replication.FirstError(errs); i >= 0 {
+		return fmt.Errorf("ec: delete shard %d on node %d: %w", i, nodes[i], errs[i])
 	}
 	return nil
 }
@@ -399,7 +321,7 @@ func (p *CodingPolicy) Delete(ctx context.Context, nodes []replication.NodeID, i
 // pick. Positions whose placement fails come back in stillLost so the
 // maintenance queue retries just those — partial shard repairs no longer
 // collapse into a binary repaired/failed verdict.
-func (p *CodingPolicy) Restore(ctx context.Context, nodes []replication.NodeID, id replication.EntryID, lost []replication.NodeID, pick replication.PickFunc) ([]replication.NodeID, []replication.NodeID, error) {
+func (p *CodingPolicy) Restore(ctx context.Context, nodes []replication.NodeID, id replication.EntryID, class int, lost []replication.NodeID, pick replication.PickFunc) ([]replication.NodeID, []replication.NodeID, error) {
 	total := p.code.k + p.code.m
 	if len(nodes) != total {
 		return nodes, nil, fmt.Errorf("ec: got %d nodes, stripe width is %d", len(nodes), total)
@@ -480,7 +402,7 @@ func (p *CodingPolicy) Restore(ctx context.Context, nodes []replication.NodeID, 
 			still = append(still, nodes[pos])
 			continue
 		}
-		if err := p.putShard(ctx, replacements[i], id, pos, shards[pos]); err != nil {
+		if err := p.putShard(ctx, replacements[i], id, class, pos, shards[pos]); err != nil {
 			if lastErr = err; pickErr == nil {
 				pickErr = err
 			}

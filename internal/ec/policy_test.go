@@ -6,79 +6,14 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"godm/internal/replication"
+	"godm/internal/replication/storetest"
 )
 
-// fakeStore is an in-memory replication.Store + ShardStore with per-node
-// fault injection, standing in for the remote one-sided data path.
-type fakeStore struct {
-	mu      sync.Mutex
-	data    map[string][]byte
-	coords  map[string][3]int // idx, k, m per (node, id)
-	dead    map[replication.NodeID]bool
-	putErr  map[replication.NodeID]error
-	puts    int
-	deletes int
-}
-
-func newFakeStore() *fakeStore {
-	return &fakeStore{
-		data:   map[string][]byte{},
-		coords: map[string][3]int{},
-		dead:   map[replication.NodeID]bool{},
-		putErr: map[replication.NodeID]error{},
-	}
-}
-
-func fk(node replication.NodeID, id replication.EntryID) string {
-	return fmt.Sprintf("%d/%d", node, id)
-}
-
-func (s *fakeStore) Put(ctx context.Context, node replication.NodeID, id replication.EntryID, data []byte) error {
-	return s.PutShard(ctx, node, id, -1, 0, 0, data)
-}
-
-func (s *fakeStore) PutShard(ctx context.Context, node replication.NodeID, id replication.EntryID, idx, k, m int, data []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.puts++
-	if err := s.putErr[node]; err != nil {
-		return err
-	}
-	if s.dead[node] {
-		return fmt.Errorf("node %d unreachable", node)
-	}
-	s.data[fk(node, id)] = append([]byte(nil), data...)
-	s.coords[fk(node, id)] = [3]int{idx, k, m}
-	return nil
-}
-
-func (s *fakeStore) Get(ctx context.Context, node replication.NodeID, id replication.EntryID) ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.dead[node] {
-		return nil, fmt.Errorf("node %d unreachable", node)
-	}
-	d, ok := s.data[fk(node, id)]
-	if !ok {
-		return nil, fmt.Errorf("no entry %d on node %d", id, node)
-	}
-	return append([]byte(nil), d...), nil
-}
-
-func (s *fakeStore) Delete(ctx context.Context, node replication.NodeID, id replication.EntryID) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.deletes++
-	delete(s.data, fk(node, id))
-	delete(s.coords, fk(node, id))
-	return nil
-}
-
-var _ ShardStore = (*fakeStore)(nil)
+// class is the entry size class every test stripe is written with.
+const class = 8192
 
 func pickFrom(pool ...replication.NodeID) replication.PickFunc {
 	return func(count int, exclude []replication.NodeID) ([]replication.NodeID, error) {
@@ -111,13 +46,14 @@ func readAll(ctx context.Context, p *CodingPolicy, nodes []replication.NodeID, i
 }
 
 func TestPolicyWriteReadDelete(t *testing.T) {
-	store := newFakeStore()
-	p, err := NewPolicy(4, 2, store, WithSerialFanout())
+	ctx := context.Background()
+	store := storetest.NewFake()
+	p, err := NewPolicy(4, 2, store)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Name() != "rs4.2" || p.Width() != 6 || p.MinAlive() != 4 {
-		t.Fatalf("policy identity: %s width %d minAlive %d", p.Name(), p.Width(), p.MinAlive())
+	if p.Name() != "rs4.2" || p.Width() != 6 {
+		t.Fatalf("policy identity: %s width %d", p.Name(), p.Width())
 	}
 	if got := p.ShardClass(4096); got != 1024 {
 		t.Fatalf("ShardClass(4096) = %d, want 1024", got)
@@ -125,18 +61,17 @@ func TestPolicyWriteReadDelete(t *testing.T) {
 	nodes := []replication.NodeID{1, 2, 3, 4, 5, 6}
 	data := make([]byte, 3000)
 	rand.New(rand.NewSource(1)).Read(data)
-	ctx := context.Background()
-	if err := p.Write(ctx, nodes, 7, data); err != nil {
+	if err := p.Write(ctx, nodes, 7, class, data); err != nil {
 		t.Fatal(err)
 	}
-	// Every donor holds its shard at its position.
+	// Every donor holds its shard at its position, in a per-shard block.
 	for i, n := range nodes {
-		co, ok := store.coords[fk(n, 7)]
+		e, ok := store.Entry(n, 7)
 		if !ok {
 			t.Fatalf("node %d holds no shard", n)
 		}
-		if co != [3]int{i, 4, 2} {
-			t.Fatalf("node %d coords = %v, want {%d 4 2}", n, co, i)
+		if want := (replication.Shard{Idx: uint8(i), K: 4, M: 2}); e.Shard != want || e.Class != class/4 {
+			t.Fatalf("node %d holds shard %+v in a class-%d block, want %+v in class %d", n, e.Shard, e.Class, want, class/4)
 		}
 	}
 	got, primary, err := readAll(ctx, p, nodes, 7)
@@ -166,8 +101,8 @@ func TestPolicyWriteReadDelete(t *testing.T) {
 	if err := p.Delete(ctx, nodes, 7); err != nil {
 		t.Fatal(err)
 	}
-	if len(store.data) != 0 {
-		t.Fatalf("%d shards survive delete", len(store.data))
+	if n := store.Entries(); n != 0 {
+		t.Fatalf("%d shards survive delete", n)
 	}
 	if _, _, err := readAll(ctx, p, nodes, 7); !errors.Is(err, replication.ErrNoReplica) {
 		t.Fatalf("read after delete: %v, want ErrNoReplica", err)
@@ -175,30 +110,30 @@ func TestPolicyWriteReadDelete(t *testing.T) {
 }
 
 func TestPolicyWriteAbortRollsBack(t *testing.T) {
-	store := newFakeStore()
-	p, _ := NewPolicy(2, 1, store, WithSerialFanout())
-	store.putErr[3] = errors.New("no space")
-	err := p.Write(context.Background(), []replication.NodeID{1, 2, 3}, 9, []byte("hello world"))
+	store := storetest.NewFake()
+	p, _ := NewPolicy(2, 1, store)
+	store.PutErr[3] = errors.New("no space")
+	err := p.Write(context.Background(), []replication.NodeID{1, 2, 3}, 9, class, []byte("hello world"))
 	if !errors.Is(err, replication.ErrAborted) {
 		t.Fatalf("err = %v, want ErrAborted", err)
 	}
-	if len(store.data) != 0 {
-		t.Fatalf("%d shards stranded after aborted write", len(store.data))
+	if n := store.Entries(); n != 0 {
+		t.Fatalf("%d shards stranded after aborted write", n)
 	}
 }
 
 func TestPolicyDegradedRead(t *testing.T) {
-	store := newFakeStore()
-	p, _ := NewPolicy(4, 2, store, WithSerialFanout())
+	ctx := context.Background()
+	store := storetest.NewFake()
+	p, _ := NewPolicy(4, 2, store)
 	nodes := []replication.NodeID{1, 2, 3, 4, 5, 6}
 	data := make([]byte, 5000)
 	rand.New(rand.NewSource(2)).Read(data)
-	ctx := context.Background()
-	if err := p.Write(ctx, nodes, 1, data); err != nil {
+	if err := p.Write(ctx, nodes, 1, class, data); err != nil {
 		t.Fatal(err)
 	}
-	store.dead[2] = true
-	store.dead[4] = true // two dead donors: exactly m losses
+	store.Dead[2] = true
+	store.Dead[4] = true // two dead donors: exactly m losses
 	got, _, err := readAll(ctx, p, nodes, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -206,25 +141,25 @@ func TestPolicyDegradedRead(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatal("degraded read differs")
 	}
-	store.dead[1] = true // third loss: unrecoverable
+	store.Dead[1] = true // third loss: unrecoverable
 	if _, _, err := readAll(ctx, p, nodes, 1); !errors.Is(err, replication.ErrNoReplica) {
 		t.Fatalf("read past tolerance: %v, want ErrNoReplica", err)
 	}
 }
 
 func TestPolicyRestore(t *testing.T) {
-	store := newFakeStore()
-	p, _ := NewPolicy(4, 2, store, WithSerialFanout())
+	store := storetest.NewFake()
+	p, _ := NewPolicy(4, 2, store)
 	nodes := []replication.NodeID{1, 2, 3, 4, 5, 6}
 	data := make([]byte, 2048)
 	rand.New(rand.NewSource(3)).Read(data)
 	ctx := context.Background()
-	if err := p.Write(ctx, nodes, 5, data); err != nil {
+	if err := p.Write(ctx, nodes, 5, class, data); err != nil {
 		t.Fatal(err)
 	}
 	// Donors 2 and 5 die (one data, one parity shard).
-	store.dead[2], store.dead[5] = true, true
-	newSet, still, err := p.Restore(ctx, nodes, 5, []replication.NodeID{2, 5}, pickFrom(7, 8))
+	store.Dead[2], store.Dead[5] = true, true
+	newSet, still, err := p.Restore(ctx, nodes, 5, class, []replication.NodeID{2, 5}, pickFrom(7, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,9 +174,8 @@ func TestPolicyRestore(t *testing.T) {
 	}
 	// Replacements hold byte-identical shards at the original positions.
 	for i, n := range newSet {
-		co := store.coords[fk(n, 5)]
-		if co[0] != i {
-			t.Fatalf("node %d hosts shard %d, want %d", n, co[0], i)
+		if e, _ := store.Entry(n, 5); int(e.Shard.Idx) != i || e.Class != class/4 {
+			t.Fatalf("node %d hosts shard %d in a class-%d block, want shard %d in class %d", n, e.Shard.Idx, e.Class, i, class/4)
 		}
 	}
 	got, _, err := readAll(ctx, p, newSet, 5)
@@ -254,17 +188,17 @@ func TestPolicyRestore(t *testing.T) {
 // shards, Restore must place what it can and report the remainder as
 // stillLost — the requeue accounting the maintenance loop depends on.
 func TestPolicyRestorePartial(t *testing.T) {
-	store := newFakeStore()
-	p, _ := NewPolicy(4, 2, store, WithSerialFanout())
+	store := storetest.NewFake()
+	p, _ := NewPolicy(4, 2, store)
 	nodes := []replication.NodeID{1, 2, 3, 4, 5, 6}
 	data := make([]byte, 2048)
 	rand.New(rand.NewSource(4)).Read(data)
 	ctx := context.Background()
-	if err := p.Write(ctx, nodes, 6, data); err != nil {
+	if err := p.Write(ctx, nodes, 6, class, data); err != nil {
 		t.Fatal(err)
 	}
-	store.dead[1], store.dead[6] = true, true
-	newSet, still, err := p.Restore(ctx, nodes, 6, []replication.NodeID{1, 6}, pickFrom(9))
+	store.Dead[1], store.Dead[6] = true, true
+	newSet, still, err := p.Restore(ctx, nodes, 6, class, []replication.NodeID{1, 6}, pickFrom(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +209,7 @@ func TestPolicyRestorePartial(t *testing.T) {
 		t.Fatalf("newSet = %v: restored position should be 9, unrestored keeps 6", newSet)
 	}
 	// A later pass with capacity finishes the job.
-	newSet2, still2, err := p.Restore(ctx, newSet, 6, []replication.NodeID{6}, pickFrom(10))
+	newSet2, still2, err := p.Restore(ctx, newSet, 6, class, []replication.NodeID{6}, pickFrom(10))
 	if err != nil || len(still2) != 0 {
 		t.Fatalf("second pass: still %v err %v", still2, err)
 	}
@@ -289,13 +223,13 @@ func TestPolicyRestorePartial(t *testing.T) {
 // the stripe map (an earlier pass already replaced it) is a clean no-op, not
 // an error loop.
 func TestPolicyRestoreStaleLost(t *testing.T) {
-	store := newFakeStore()
-	p, _ := NewPolicy(2, 1, store, WithSerialFanout())
+	store := storetest.NewFake()
+	p, _ := NewPolicy(2, 1, store)
 	nodes := []replication.NodeID{1, 2, 3}
-	if err := p.Write(context.Background(), nodes, 8, []byte("some payload")); err != nil {
+	if err := p.Write(context.Background(), nodes, 8, class, []byte("some payload")); err != nil {
 		t.Fatal(err)
 	}
-	newSet, still, err := p.Restore(context.Background(), nodes, 8, []replication.NodeID{42}, pickFrom(9))
+	newSet, still, err := p.Restore(context.Background(), nodes, 8, class, []replication.NodeID{42}, pickFrom(9))
 	if err != nil || len(still) != 0 {
 		t.Fatalf("stale restore: still %v err %v", still, err)
 	}
@@ -309,18 +243,18 @@ func TestPolicyRestoreStaleLost(t *testing.T) {
 // TestPolicyRestoreTooFewSurvivors: below k survivors the restore fails
 // without progress and without fabricating shards.
 func TestPolicyRestoreTooFewSurvivors(t *testing.T) {
-	store := newFakeStore()
-	p, _ := NewPolicy(4, 2, store, WithSerialFanout())
+	store := storetest.NewFake()
+	p, _ := NewPolicy(4, 2, store)
 	nodes := []replication.NodeID{1, 2, 3, 4, 5, 6}
 	data := make([]byte, 1024)
 	rand.New(rand.NewSource(5)).Read(data)
-	if err := p.Write(context.Background(), nodes, 2, data); err != nil {
+	if err := p.Write(context.Background(), nodes, 2, class, data); err != nil {
 		t.Fatal(err)
 	}
 	for _, n := range []replication.NodeID{1, 2, 3} {
-		store.dead[n] = true
+		store.Dead[n] = true
 	}
-	_, _, err := p.Restore(context.Background(), nodes, 2, []replication.NodeID{1, 2, 3}, pickFrom(7, 8, 9))
+	_, _, err := p.Restore(context.Background(), nodes, 2, class, []replication.NodeID{1, 2, 3}, pickFrom(7, 8, 9))
 	if !errors.Is(err, ErrShortShards) {
 		t.Fatalf("err = %v, want ErrShortShards", err)
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"godm/internal/bufpool"
+	"godm/internal/des"
 )
 
 // FetchFunc reads shard idx of a stripe fully into dst. It must not retain
@@ -15,12 +16,6 @@ type FetchFunc func(ctx context.Context, idx int, dst []byte) error
 
 // ReadOpts shapes one ReadInto call.
 type ReadOpts struct {
-	// Serial forces the deterministic plan: data shards are fetched one at a
-	// time in index order and parity only on error. The discrete-event
-	// simulation requires it — a simulated process must issue fabric ops
-	// serially from its own goroutine — and the chaos replay tests rely on
-	// the resulting fixed op sequence.
-	Serial bool
 	// Hedge arms the tail-latency timer: if the k data fetches have not all
 	// completed after this long, parity fetches launch and the read completes
 	// from the fastest k shards. Zero disables the timer (parity still
@@ -39,11 +34,16 @@ type ReadOpts struct {
 // when donors fail or dawdle. On return dst is complete and no fetch touches
 // it again; internal scratch buffers may be released asynchronously once
 // their in-flight fetches drain.
+//
+// When ctx carries a simulated process the plan is the deterministic one: data
+// shards are fetched one at a time in index order and parity only on error. A
+// simulated process must issue its fabric ops serially from its own goroutine,
+// and the chaos replay tests rely on the resulting fixed op sequence.
 func (c *Code) ReadInto(ctx context.Context, dst []byte, fetch FetchFunc, opts ReadOpts) error {
 	if len(dst) == 0 {
 		return fmt.Errorf("ec: empty read destination")
 	}
-	if opts.Serial {
+	if des.Simulated(ctx) {
 		return c.readSerial(ctx, dst, fetch, opts)
 	}
 	return c.readConcurrent(ctx, dst, fetch, opts)

@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"godm/internal/des"
 )
 
 // stripeFetcher serves ReadInto from an in-memory stripe, with per-shard
@@ -51,26 +53,42 @@ func testPayload(n int, seed int64) []byte {
 	return data
 }
 
+// bothPlans runs body under each plan a context selects: the concurrent one
+// (a plain context) and the serial one, the way production gets it — as a
+// simulated process, which is not the test's goroutine: body reports with
+// t.Error and returns.
+func bothPlans(t *testing.T, body func(t *testing.T, ctx context.Context)) {
+	t.Run("concurrent", func(t *testing.T) { body(t, context.Background()) })
+	t.Run("simulated", func(t *testing.T) {
+		env := des.NewEnv()
+		env.Go("test", func(p *des.Proc) { body(t, des.NewContext(context.Background(), p)) })
+		if err := env.Run(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
 func TestReadIntoHealthy(t *testing.T) {
-	for _, serial := range []bool{true, false} {
+	bothPlans(t, func(t *testing.T, ctx context.Context) {
 		for _, n := range []int{1, 5, 4096, 4097} {
 			c, _ := New(4, 2)
 			data := testPayload(n, int64(n))
 			f := newStripeFetcher(t, c, data)
 			dst := make([]byte, n)
-			err := c.ReadInto(context.Background(), dst, f.fetch, ReadOpts{Serial: serial})
-			if err != nil {
-				t.Fatalf("serial=%v n=%d: %v", serial, n, err)
+			if err := c.ReadInto(ctx, dst, f.fetch, ReadOpts{}); err != nil {
+				t.Errorf("n=%d: %v", n, err)
+				return
 			}
 			if !bytes.Equal(dst, data) {
-				t.Fatalf("serial=%v n=%d: payload differs", serial, n)
+				t.Errorf("n=%d: payload differs", n)
+				return
 			}
 		}
-	}
+	})
 }
 
 func TestReadIntoDegraded(t *testing.T) {
-	for _, serial := range []bool{true, false} {
+	bothPlans(t, func(t *testing.T, ctx context.Context) {
 		// Fail up to m donors in every combination of data/parity positions.
 		for _, pattern := range erasurePatterns(6, 2) {
 			c, _ := New(4, 2)
@@ -81,8 +99,7 @@ func TestReadIntoDegraded(t *testing.T) {
 			}
 			degraded := false
 			dst := make([]byte, len(data))
-			err := c.ReadInto(context.Background(), dst, f.fetch, ReadOpts{
-				Serial:     serial,
+			err := c.ReadInto(ctx, dst, f.fetch, ReadOpts{
 				OnDegraded: func() { degraded = true },
 			})
 			failedData := 0
@@ -92,30 +109,33 @@ func TestReadIntoDegraded(t *testing.T) {
 				}
 			}
 			if err != nil {
-				t.Fatalf("serial=%v fail=%v: %v", serial, pattern, err)
+				t.Errorf("fail=%v: %v", pattern, err)
+				return
 			}
 			if !bytes.Equal(dst, data) {
-				t.Fatalf("serial=%v fail=%v: payload differs", serial, pattern)
+				t.Errorf("fail=%v: payload differs", pattern)
+				return
 			}
 			if failedData > 0 && !degraded {
-				t.Fatalf("serial=%v fail=%v: data-shard loss did not report degraded", serial, pattern)
+				t.Errorf("fail=%v: data-shard loss did not report degraded", pattern)
+				return
 			}
 		}
-	}
+	})
 }
 
 func TestReadIntoTooManyFailures(t *testing.T) {
-	for _, serial := range []bool{true, false} {
+	bothPlans(t, func(t *testing.T, ctx context.Context) {
 		c, _ := New(4, 2)
 		data := testPayload(1024, 5)
 		f := newStripeFetcher(t, c, data)
 		f.fail[0], f.fail[2], f.fail[4] = true, true, true // 3 losses > m=2
 		dst := make([]byte, len(data))
-		err := c.ReadInto(context.Background(), dst, f.fetch, ReadOpts{Serial: serial})
+		err := c.ReadInto(ctx, dst, f.fetch, ReadOpts{})
 		if !errors.Is(err, ErrShortShards) {
-			t.Fatalf("serial=%v: err = %v, want ErrShortShards", serial, err)
+			t.Errorf("err = %v, want ErrShortShards", err)
 		}
-	}
+	})
 }
 
 // TestReadIntoHedge: one data donor stalls far past the hedge timer; the

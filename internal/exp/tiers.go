@@ -66,8 +66,7 @@ func Tiers() (*TiersResult, error) {
 			return err
 		}
 		if err := measure("remote memory (RDMA)", func() error {
-			_, err := vs.GetAt(ctx, 2, 0, 4096)
-			return err
+			return vs.GetAtInto(ctx, 2, 0, make([]byte, 4096))
 		}); err != nil {
 			return err
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // PickFunc supplies replacement donors during Restore: count distinct nodes,
@@ -22,17 +23,16 @@ type Policy interface {
 	Name() string
 	// Width is the number of distinct donors each entry occupies.
 	Width() int
-	// MinAlive is how many of those donors must survive for the entry to be
-	// readable: 1 for replication, k for an RS(k, m) stripe.
-	MinAlive() int
 	// ShardClass maps an entry's size class to the per-donor allocation
 	// class: the class itself for replication, ceil(class/k) for coding —
 	// the source of coding's capacity-per-durable-byte win.
 	ShardClass(entryClass int) int
-	// Write spreads data for id across nodes atomically (all or nothing).
-	Write(ctx context.Context, nodes []NodeID, id EntryID, data []byte) error
-	// Read assembles the entry into the front of dst, tolerating up to
-	// Width-MinAlive donor failures, and reports the payload's length and
+	// Write spreads data for id — an entry of size class class, of which each
+	// donor reserves ShardClass(class) — across nodes atomically (all or
+	// nothing).
+	Write(ctx context.Context, nodes []NodeID, id EntryID, class int, data []byte) error
+	// Read assembles the entry into the front of dst, tolerating the donor
+	// failures the policy is built for, and reports the payload's length and
 	// the node that served it (the primary for striped reads). dst must
 	// hold the whole payload — one too short is refused before any donor is
 	// read — and is lent for the call only: nothing writes it once Read has
@@ -45,26 +45,12 @@ type Policy interface {
 	// Delete releases the entry on every donor.
 	Delete(ctx context.Context, nodes []NodeID, id EntryID) error
 	// Restore re-establishes durability after the donors in lost died or
-	// evicted the entry, drawing replacements from pick. It returns the
+	// evicted the entry, drawing replacements from pick; class is the entry's
+	// size class, as in Write. It returns the
 	// updated donor set and the lost donors whose share could NOT be
 	// restored this pass (the caller requeues those). A non-nil error means
 	// no progress was made at all.
-	Restore(ctx context.Context, nodes []NodeID, id EntryID, lost []NodeID, pick PickFunc) (newSet, stillLost []NodeID, err error)
-}
-
-// RangeStore is an optional Store extension: read the len(dst) bytes at off
-// within an entry's stored payload on one node into dst. The core remote
-// store implements it with a one-sided read at the recorded offset.
-type RangeStore interface {
-	GetAtInto(ctx context.Context, node NodeID, id EntryID, off int, dst []byte) error
-}
-
-// ScatterStore is an optional Store extension: read an entry's payload
-// directly into the front of dst and report its length, so neither a
-// replicated read nor a stripe's shards cost an allocation. dst must hold
-// the stored length; a shorter one is refused without touching the fabric.
-type ScatterStore interface {
-	GetInto(ctx context.Context, node NodeID, id EntryID, dst []byte) (int, error)
+	Restore(ctx context.Context, nodes []NodeID, id EntryID, class int, lost []NodeID, pick PickFunc) (newSet, stillLost []NodeID, err error)
 }
 
 var _ Policy = (*Replicator)(nil)
@@ -75,19 +61,15 @@ func (r *Replicator) Name() string { return fmt.Sprintf("rf%d", r.factor) }
 // Width implements Policy.
 func (r *Replicator) Width() int { return r.factor }
 
-// MinAlive implements Policy: any single surviving copy serves reads.
-func (r *Replicator) MinAlive() int { return 1 }
-
 // ShardClass implements Policy: every copy is full-size.
 func (r *Replicator) ShardClass(entryClass int) int { return entryClass }
 
 // ReadAt implements Policy: a sub-range read with primary-then-replica
-// failover, ranged when the store supports range reads, else a full read
-// sliced.
+// failover.
 func (r *Replicator) ReadAt(ctx context.Context, nodes []NodeID, id EntryID, off int, dst []byte) error {
 	var lastErr error
 	for _, node := range nodes {
-		if lastErr = r.getAtInto(ctx, node, id, off, dst); lastErr == nil {
+		if lastErr = r.store.ReadAt(ctx, node, id, off, dst); lastErr == nil {
 			return nil
 		}
 	}
@@ -97,61 +79,22 @@ func (r *Replicator) ReadAt(ctx context.Context, nodes []NodeID, id EntryID, off
 	return fmt.Errorf("%w: entry %d: %w", ErrNoReplica, id, lastErr)
 }
 
-// getAtInto reads one node's copy of the range into dst.
-func (r *Replicator) getAtInto(ctx context.Context, node NodeID, id EntryID, off int, dst []byte) error {
-	if rs, ok := r.store.(RangeStore); ok {
-		return rs.GetAtInto(ctx, node, id, off, dst)
-	}
-	data, err := r.store.Get(ctx, node, id)
-	if err != nil {
-		return err
-	}
-	if off < 0 || off+len(dst) > len(data) {
-		return fmt.Errorf("replication: range [%d,%d) exceeds payload %d", off, off+len(dst), len(data))
-	}
-	copy(dst, data[off:])
-	return nil
-}
-
-// getInto reads one node's copy of the entry into the front of dst and
-// returns its length.
-func (r *Replicator) getInto(ctx context.Context, node NodeID, id EntryID, dst []byte) (int, error) {
-	if sc, ok := r.store.(ScatterStore); ok {
-		return sc.GetInto(ctx, node, id, dst)
-	}
-	data, err := r.store.Get(ctx, node, id)
-	if err != nil {
-		return 0, err
-	}
-	if len(dst) < len(data) {
-		return 0, fmt.Errorf("replication: dst holds %d bytes, entry %d stores %d", len(dst), id, len(data))
-	}
-	return copy(dst, data), nil
-}
-
 // Restore implements Policy: each lost replica is re-created from a
 // surviving copy on a freshly-picked replacement. Lost members no longer in
 // the set (an earlier pass already handled them) are skipped, and members
 // whose repair fails this pass come back in stillLost for requeueing — the
 // partial-repair accounting the binary repaired/failed model lost.
-func (r *Replicator) Restore(ctx context.Context, nodes []NodeID, id EntryID, lost []NodeID, pick PickFunc) ([]NodeID, []NodeID, error) {
+func (r *Replicator) Restore(ctx context.Context, nodes []NodeID, id EntryID, class int, lost []NodeID, pick PickFunc) ([]NodeID, []NodeID, error) {
 	current := append([]NodeID(nil), nodes...)
 	var still []NodeID
 	var firstErr error
 	progress := false
 	for _, l := range lost {
-		member := false
-		for _, n := range current {
-			if n == l {
-				member = true
-				break
-			}
-		}
-		if !member {
+		if !slices.Contains(current, l) {
 			progress = true // someone already repaired it: the queue entry is stale
 			continue
 		}
-		replacement, err := pick(1, current)
+		newSet, err := r.repair(ctx, current, id, class, l, pick)
 		if err != nil {
 			still = append(still, l)
 			if firstErr == nil {
@@ -159,16 +102,7 @@ func (r *Replicator) Restore(ctx context.Context, nodes []NodeID, id EntryID, lo
 			}
 			continue
 		}
-		newSet, err := r.Repair(ctx, current, id, l, replacement[0])
-		if err != nil {
-			still = append(still, l)
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		current = newSet
-		progress = true
+		current, progress = newSet, true
 	}
 	if !progress && len(still) > 0 {
 		return nodes, nil, firstErr

@@ -3,13 +3,12 @@
 // adopts HDFS-style triple-replica modularity), every remote operation is
 // atomic ("all or nothing"), and reads fail over from the primary through the
 // replicas. When a replica is lost — connection failure, node crash, or
-// preemptive slab eviction — Repair re-establishes the replication factor on
-// a replacement node.
+// preemptive slab eviction — Restore re-creates it on a replacement node.
 //
-// Over a real fabric, Write and Delete fan their per-replica operations out
-// concurrently (every replica is always attempted; an aborted write rolls
-// back on a context detached from the caller's); under the discrete-event
-// simulation, or with WithSerialFanout, they stay serial.
+// Write and Delete fan their per-replica operations out through des.Each —
+// concurrently over a real fabric, serially under the discrete-event
+// simulation, every replica always attempted — and an aborted write rolls
+// back on a context detached from the caller's.
 //
 // The package is transport-agnostic: it drives any Store implementation,
 // which in this repository is backed by the simulated RDMA fabric, the TCP
@@ -20,9 +19,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
+	"slices"
 	"time"
 
+	"godm/internal/bufpool"
 	"godm/internal/des"
 	"godm/internal/metrics"
 	"godm/internal/trace"
@@ -42,13 +42,33 @@ var (
 	ErrAborted = errors.New("replication: write aborted")
 )
 
-// Store is the per-node storage the replicator drives. Implementations must
-// be safe for concurrent use.
+// Shard tags a put as shard Idx of an RS(K, M) stripe, so the hosting donor
+// can record the coordinates and refuse a second shard of the same stripe —
+// the distinct-donor placement rule enforced host-side. Every real stripe has
+// K >= 1, so the zero value means "not a shard".
+type Shard struct {
+	Idx, K, M uint8
+}
+
+// Tagged reports whether s names a stripe position.
+func (s Shard) Tagged() bool { return s.K != 0 }
+
+// Store is the per-node storage both durability policies drive: one fixed
+// contract, with nothing optional to negotiate. Implementations must be safe
+// for concurrent use.
 type Store interface {
-	// Put writes data for id on node.
-	Put(ctx context.Context, node NodeID, id EntryID, data []byte) error
-	// Get reads data for id from node.
-	Get(ctx context.Context, node NodeID, id EntryID) ([]byte, error)
+	// Put parks data for id on node in a block of size class, tagged with its
+	// stripe position when shard is non-zero. A put over an entry already
+	// there replaces it.
+	Put(ctx context.Context, node NodeID, id EntryID, class int, shard Shard, data []byte) error
+	// Len reports the length of the payload stored for id on node, from the
+	// owner's own records: it never touches the fabric, so a caller can refuse
+	// a buffer that is too short before any donor is read.
+	Len(node NodeID, id EntryID) (int, error)
+	// ReadAt fills dst with the len(dst) bytes at off within the payload
+	// stored for id on node; a range outside the payload is refused before
+	// anything is read. dst is lent for the call only.
+	ReadAt(ctx context.Context, node NodeID, id EntryID, off int, dst []byte) error
 	// Delete removes id from node. Deleting an absent entry is not an error.
 	Delete(ctx context.Context, node NodeID, id EntryID) error
 }
@@ -60,14 +80,24 @@ const DefaultFactor = 3
 type Replicator struct {
 	store  Store
 	factor int
-	serial bool
 	met    replMetrics
 }
 
-// rollbackTimeout bounds the detached rollback of an aborted write. It is a
-// wall-clock deadline: the simulated fabric never consults deadlines, so
-// under DES the timer is inert and rollback completes in simulated time.
-const rollbackTimeout = 2 * time.Second
+// cleanupTimeout bounds a Detached cleanup. It is a wall-clock deadline: the
+// simulated fabric never consults deadlines, so under DES the timer is inert
+// and the cleanup completes in simulated time.
+const cleanupTimeout = 2 * time.Second
+
+// Detached returns the context best-effort cleanup runs on — the rollback of
+// an aborted write, the release of blocks a failed batch parked. It must not
+// ride the caller's context: the failure is often *caused* by that context
+// expiring, and cleaning up on a dead context would strand what it should be
+// erasing. Cancellation is dropped, values stay (the DES process and the
+// trace ride along), and a fresh deadline bounds the work; what still fails
+// is left to eviction and repair.
+func Detached(ctx context.Context) (context.Context, context.CancelFunc) {
+	return context.WithTimeout(context.WithoutCancel(ctx), cleanupTimeout)
+}
 
 // replMetrics is the protocol's instrumentation. Latency observations use
 // trace.Now, so simulated runs stay deterministic.
@@ -117,14 +147,6 @@ func WithMetrics(reg *metrics.Registry) Option {
 	}
 }
 
-// WithSerialFanout forces Write and Delete to contact replicas one node at a
-// time, the pre-fan-out behavior. It exists as the baseline for the
-// data-plane benchmarks and as an escape hatch for transports that cannot
-// take concurrent operations.
-func WithSerialFanout() Option {
-	return func(r *Replicator) { r.serial = true }
-}
-
 // New returns a replicator over store.
 func New(store Store, opts ...Option) (*Replicator, error) {
 	r := &Replicator{store: store, factor: DefaultFactor}
@@ -141,48 +163,11 @@ func New(store Store, opts ...Option) (*Replicator, error) {
 	return r, nil
 }
 
-// Factor returns the configured replication factor.
-func (r *Replicator) Factor() int { return r.factor }
-
-// fanout runs op against every node and returns one error slot per node.
-// Over a real fabric the operations run concurrently — the multiplexed
-// transport pipelines them over pooled connections, so a replicated write
-// costs one round trip instead of factor round trips. Under the
-// discrete-event simulation (or WithSerialFanout) the loop stays serial: a
-// simulated process is cooperative and must issue its fabric operations from
-// its own goroutine.
-//
-// Every node is always attempted — there is no short-circuit on first
-// failure. Besides gathering the full success set for rollback, this keeps
-// the per-stream operation sequence seen by the fault injector independent
-// of which replica happens to fail first, which the seeded chaos replay
-// tests depend on.
-func (r *Replicator) fanout(ctx context.Context, nodes []NodeID, op func(context.Context, NodeID) error) []error {
-	errs := make([]error, len(nodes))
-	_, simulated := des.FromContext(ctx)
-	if r.serial || simulated || len(nodes) == 1 {
-		for i, n := range nodes {
-			errs[i] = op(ctx, n)
-		}
-		return errs
-	}
-	var wg sync.WaitGroup
-	for i, n := range nodes {
-		wg.Add(1)
-		go func(i int, n NodeID) {
-			defer wg.Done()
-			errs[i] = op(ctx, n)
-		}(i, n)
-	}
-	wg.Wait()
-	return errs
-}
-
-// Write stores data for id on the given nodes (nodes[0] is the primary) as an
-// atomic transaction: if any node fails, the copies already written are
-// rolled back and ErrAborted is returned. len(nodes) must equal the factor.
-// The per-replica puts fan out concurrently over a real fabric (see fanout).
-func (r *Replicator) Write(ctx context.Context, nodes []NodeID, id EntryID, data []byte) error {
+// Write implements Policy: data lands on every node (nodes[0] is the primary),
+// each copy in a class-sized block, as an atomic transaction — if any node
+// fails, the copies already written are rolled back and ErrAborted is
+// returned. len(nodes) must equal the factor.
+func (r *Replicator) Write(ctx context.Context, nodes []NodeID, id EntryID, class int, data []byte) error {
 	if len(nodes) != r.factor {
 		return fmt.Errorf("replication: got %d nodes, factor is %d", len(nodes), r.factor)
 	}
@@ -191,28 +176,18 @@ func (r *Replicator) Write(ctx context.Context, nodes []NodeID, id EntryID, data
 	sp.Annotate("nodes", len(nodes))
 	r.met.writes.Inc()
 	start := trace.Now(ctx)
-	errs := r.fanout(ctx, nodes, func(ctx context.Context, n NodeID) error {
-		return r.store.Put(ctx, n, id, data)
+	errs := des.Each(ctx, len(nodes), func(i int) error {
+		return r.store.Put(ctx, nodes[i], id, class, Shard{}, data)
 	})
-	failed := -1
-	for i, err := range errs {
-		if err != nil {
-			failed = i
-			break
-		}
-	}
-	if failed < 0 {
+	bad := FirstError(errs)
+	if bad < 0 {
 		r.met.writeLatency.Observe(trace.Now(ctx) - start)
 		sp.End()
 		return nil
 	}
-	// Best-effort rollback of every copy that did land. It must not ride the
-	// caller's context: an abort is often *caused* by that context expiring,
-	// and rolling back on a dead context would strand the copies it should be
-	// erasing. Detach from cancellation (keeping values — the DES process and
-	// trace ride along) and bound the cleanup with a fresh deadline. A node
-	// that still fails rollback is cleaned up by eviction/repair.
-	rbCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), rollbackTimeout)
+	// Best-effort rollback of every copy that did land; a node that still
+	// fails it is cleaned up by eviction/repair.
+	rbCtx, cancel := Detached(ctx)
 	defer cancel()
 	for i, err := range errs {
 		if err == nil {
@@ -223,9 +198,14 @@ func (r *Replicator) Write(ctx context.Context, nodes []NodeID, id EntryID, data
 		}
 	}
 	r.met.writeAborts.Inc()
-	err := fmt.Errorf("%w: put on node %d: %v", ErrAborted, nodes[failed], errs[failed])
+	err := fmt.Errorf("%w: put on node %d: %v", ErrAborted, nodes[bad], errs[bad])
 	sp.EndErr(err)
 	return err
+}
+
+// FirstError returns the lowest position of a fan-out that failed, or -1.
+func FirstError(errs []error) int {
+	return slices.IndexFunc(errs, func(err error) bool { return err != nil })
 }
 
 // Read implements Policy: id's payload lands in the front of dst from the
@@ -234,15 +214,20 @@ func (r *Replicator) Write(ctx context.Context, nodes []NodeID, id EntryID, data
 func (r *Replicator) Read(ctx context.Context, nodes []NodeID, id EntryID, dst []byte) (int, NodeID, error) {
 	var n int
 	served, err := r.readFrom(ctx, nodes, id, func(ctx context.Context, node NodeID) (err error) {
-		n, err = r.getInto(ctx, node, id, dst)
-		return err
+		if n, err = r.store.Len(node, id); err != nil {
+			return err
+		}
+		if len(dst) < n {
+			return fmt.Errorf("replication: dst holds %d bytes, entry %d stores %d", len(dst), id, n)
+		}
+		return r.store.ReadAt(ctx, node, id, 0, dst[:n])
 	})
 	return n, served, err
 }
 
 // readFrom is the replicated read: fetch runs against the primary first and
 // then each replica in order until one serves, and the node that did is
-// returned. Read fetches into the caller's buffer, Repair into a fresh one.
+// returned. Read fetches into the caller's buffer, repair into a pooled one.
 func (r *Replicator) readFrom(ctx context.Context, nodes []NodeID, id EntryID, fetch func(context.Context, NodeID) error) (NodeID, error) {
 	ctx, sp := trace.Start(ctx, "repl.read")
 	sp.Annotate("entry", uint64(id))
@@ -273,54 +258,49 @@ func (r *Replicator) readFrom(ctx context.Context, nodes []NodeID, id EntryID, f
 }
 
 // Delete removes id from every node, returning the error of the
-// lowest-indexed node that failed after attempting all. Like Write, the
-// per-node frees fan out concurrently over a real fabric.
+// lowest-indexed node that failed after attempting all.
 func (r *Replicator) Delete(ctx context.Context, nodes []NodeID, id EntryID) error {
 	r.met.deletes.Inc()
-	errs := r.fanout(ctx, nodes, func(ctx context.Context, n NodeID) error {
-		return r.store.Delete(ctx, n, id)
+	errs := des.Each(ctx, len(nodes), func(i int) error {
+		return r.store.Delete(ctx, nodes[i], id)
 	})
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("replication: delete on node %d: %w", nodes[i], err)
-		}
+	if i := FirstError(errs); i >= 0 {
+		return fmt.Errorf("replication: delete on node %d: %w", nodes[i], errs[i])
 	}
 	return nil
 }
 
-// Repair restores the replication factor after node lost is no longer usable
-// for entry id: it reads a surviving copy from the remaining nodes and writes
-// it to replacement. It returns the updated replica set.
-func (r *Replicator) Repair(ctx context.Context, nodes []NodeID, id EntryID, lost, replacement NodeID) ([]NodeID, error) {
+// repair is one step of Restore: member lost of nodes is no longer usable
+// for entry id, so a surviving copy is read from the remaining nodes into a
+// pooled buffer and written, in a class-sized block, to a replacement drawn
+// from pick. It returns the updated replica set.
+func (r *Replicator) repair(ctx context.Context, nodes []NodeID, id EntryID, class int, lost NodeID, pick PickFunc) ([]NodeID, error) {
+	replacement, err := pick(1, nodes)
+	if err != nil {
+		return nil, err
+	}
 	ctx, sp := trace.Start(ctx, "repl.repair")
 	sp.Annotate("entry", uint64(id))
 	sp.Annotate("lost", int(lost))
 	defer sp.End()
 	r.met.repairs.Inc()
-	survivors := make([]NodeID, 0, len(nodes))
-	for _, n := range nodes {
-		if n != lost {
-			survivors = append(survivors, n)
-		}
-	}
-	if len(survivors) == len(nodes) {
-		return nodes, fmt.Errorf("replication: node %d not in replica set %v", lost, nodes)
-	}
-	for _, n := range survivors {
-		if n == replacement {
-			return nodes, fmt.Errorf("replication: replacement %d already holds entry %d", replacement, id)
-		}
-	}
+	survivors := slices.DeleteFunc(slices.Clone(nodes), func(n NodeID) bool { return n == lost })
 	var data []byte
-	_, err := r.readFrom(ctx, survivors, id, func(ctx context.Context, node NodeID) (err error) {
-		data, err = r.store.Get(ctx, node, id)
-		return err
+	defer func() { bufpool.Put(data) }()
+	_, err = r.readFrom(ctx, survivors, id, func(ctx context.Context, node NodeID) error {
+		n, err := r.store.Len(node, id)
+		if err != nil {
+			return err
+		}
+		bufpool.Put(data) // a survivor that failed mid-read
+		data = bufpool.Get(n)
+		return r.store.ReadAt(ctx, node, id, 0, data)
 	})
 	if err != nil {
-		return nodes, fmt.Errorf("replication: repair of entry %d: %w", id, err)
+		return nil, fmt.Errorf("replication: repair of entry %d: %w", id, err)
 	}
-	if err := r.store.Put(ctx, replacement, id, data); err != nil {
-		return nodes, fmt.Errorf("replication: repair put on node %d: %w", replacement, err)
+	if err := r.store.Put(ctx, replacement[0], id, class, Shard{}, data); err != nil {
+		return nil, fmt.Errorf("replication: repair put on node %d: %w", replacement[0], err)
 	}
-	return append(survivors, replacement), nil
+	return append(survivors, replacement[0]), nil
 }
