@@ -99,7 +99,7 @@ func RequireWriteAtomicity(ctx context.Context, t testing.TB, inj *faulty.Inject
 	if !bytes.Equal(got, payload) {
 		tb.Errorf("entry %d: Get returned wrong bytes after committed write", id)
 	}
-	holders := append([]pagetable.NodeID{loc.Primary}, loc.Replicas...)
+	holders := loc.Holders()
 	for _, h := range holders {
 		data, err := vs.ReadFrom(ctx, id, transport.NodeID(h))
 		if err != nil {
@@ -122,7 +122,7 @@ func RequireReplicationFactor(t testing.TB, vs *core.VirtualServer, id pagetable
 		tb.Errorf("entry %d: no location: %v", id, err)
 		return
 	}
-	holders := append([]pagetable.NodeID{loc.Primary}, loc.Replicas...)
+	holders := loc.Holders()
 	seen := map[pagetable.NodeID]bool{}
 	for _, h := range holders {
 		if h == pagetable.NodeID(lost) {
@@ -158,7 +158,7 @@ func RequireStripeDurable(t testing.TB, nodes []*core.Node, vs *core.VirtualServ
 	for _, l := range lost {
 		down[l] = true
 	}
-	holders := append([]pagetable.NodeID{loc.Primary}, loc.Replicas...)
+	holders := loc.Holders()
 	if len(holders) != k+m {
 		tb.Errorf("entry %d: stripe set %v has %d donors, want k+m=%d", id, holders, len(holders), k+m)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"godm/internal/cluster"
@@ -280,15 +281,14 @@ func (n *Node) applyMoved(from transport.NodeID, req movedReq) {
 	if err != nil {
 		return
 	}
-	if loc.Primary == pagetable.NodeID(from) {
-		loc.Primary = pagetable.NodeID(req.NewNode)
-	}
-	for i, r := range loc.Replicas {
-		if r == pagetable.NodeID(from) {
-			loc.Replicas[i] = pagetable.NodeID(req.NewNode)
+	// A copy: readers may hold the recorded list.
+	holders := slices.Clone(loc.Holders())
+	for i, h := range holders {
+		if h == pagetable.NodeID(from) {
+			holders[i] = pagetable.NodeID(req.NewNode)
 		}
 	}
-	vs.table.Put(id, loc)
+	vs.table.Put(id, loc.WithHolders(holders))
 }
 
 // handleLocate answers a block-location probe: stOK when the block for key

@@ -92,7 +92,7 @@ func TestECStripedPutGetDelete(t *testing.T) {
 			return
 		}
 		loc, _ := vs.Location(1)
-		set := locationNodes(loc)
+		set := loc.Holders()
 		if len(set) != 6 {
 			t.Errorf("stripe set %v, want 6 donors", set)
 			return
@@ -179,7 +179,7 @@ func TestECDegradedReadAndRepair(t *testing.T) {
 			return
 		}
 		loc, _ := vs.Location(2)
-		set := locationNodes(loc)
+		set := loc.Holders()
 		lost := transport.NodeID(set[0]) // position 0: a data shard
 		tc.dir.Leave(cluster.NodeID(lost))
 		if queued := owner.RepairLost(lost); queued != 1 {
@@ -199,7 +199,7 @@ func TestECDegradedReadAndRepair(t *testing.T) {
 			return
 		}
 		after, _ := vs.Location(2)
-		newSet := locationNodes(after)
+		newSet := after.Holders()
 		replacement := transport.NodeID(newSet[0])
 		if replacement == lost {
 			t.Errorf("lost donor %d still at stripe position 0", lost)
@@ -332,7 +332,7 @@ func TestMaintainPartialShardRepairRequeues(t *testing.T) {
 			return
 		}
 		loc, _ := vs.Location(1)
-		set := locationNodes(loc) // 4 donors of the rs2.2 stripe
+		set := loc.Holders() // 4 donors of the rs2.2 stripe
 		inSet := map[transport.NodeID]bool{}
 		for _, m := range set {
 			inSet[transport.NodeID(m)] = true
@@ -383,7 +383,7 @@ func TestMaintainPartialShardRepairRequeues(t *testing.T) {
 		// The pass made real progress: one lost position now points at the
 		// reachable spare, and the stripe stays readable (degraded).
 		mid, _ := vs.Location(1)
-		midSet := locationNodes(mid)
+		midSet := mid.Holders()
 		healedSpare := 0
 		for _, m := range midSet {
 			if transport.NodeID(m) == spares[0] {
@@ -413,7 +413,7 @@ func TestMaintainPartialShardRepairRequeues(t *testing.T) {
 			t.Errorf("%d repairs still queued after full restore", left)
 		}
 		final, _ := vs.Location(1)
-		for _, m := range locationNodes(final) {
+		for _, m := range final.Holders() {
 			if transport.NodeID(m) == lost1 || transport.NodeID(m) == lost2 {
 				t.Errorf("dead donor %d still in final stripe set", m)
 			}

@@ -1241,7 +1241,7 @@ func (n *Node) repairEntry(ctx context.Context, job repairJob) ([]transport.Node
 	if err != nil || loc.Tier != pagetable.TierRemote {
 		return nil, nil // entry gone or moved since the eviction: nothing to do
 	}
-	nodes := locationNodes(loc)
+	nodes := loc.Holders()
 	lost := make([]replication.NodeID, len(job.lost))
 	for i, l := range job.lost {
 		lost[i] = replication.NodeID(l)
@@ -1259,12 +1259,7 @@ func (n *Node) repairEntry(ctx context.Context, job repairJob) ([]transport.Node
 	if err != nil {
 		return nil, fmt.Errorf("core: restore entry %d: %w", id, err)
 	}
-	loc.Primary = pagetable.NodeID(newSet[0])
-	loc.Replicas = loc.Replicas[:0]
-	for _, m := range newSet[1:] {
-		loc.Replicas = append(loc.Replicas, pagetable.NodeID(m))
-	}
-	vs.table.Put(id, loc)
+	vs.table.Put(id, loc.WithHolders(newSet))
 	out := make([]transport.NodeID, len(still))
 	for i, s := range still {
 		out[i] = transport.NodeID(s)
@@ -1304,13 +1299,4 @@ func (n *Node) BalloonToServer(name string, wantBytes int64) (int64, error) {
 		cb(moved)
 	}
 	return moved, nil
-}
-
-func locationNodes(loc pagetable.Location) []replication.NodeID {
-	nodes := make([]replication.NodeID, 0, 1+len(loc.Replicas))
-	nodes = append(nodes, replication.NodeID(loc.Primary))
-	for _, r := range loc.Replicas {
-		nodes = append(nodes, replication.NodeID(r))
-	}
-	return nodes
 }

@@ -267,8 +267,8 @@ func TestPutVerbCounts(t *testing.T) {
 					}
 					now, _ := vs.Location(1)
 					left := 0
-					for _, o := range locationNodes(old) {
-						if !slices.Contains(locationNodes(now), o) {
+					for _, o := range old.Holders() {
+						if !slices.Contains(now.Holders(), o) {
 							left++
 						}
 					}

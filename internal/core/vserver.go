@@ -148,7 +148,7 @@ func (vs *VirtualServer) PutRemote(ctx context.Context, id pagetable.EntryID, da
 	key := replication.EntryID(vs.key(id))
 	var stale []replication.NodeID // old donors outside the new set
 	if overwrite {
-		for _, o := range locationNodes(old) {
+		for _, o := range old.Holders() {
 			if !slices.Contains(nodes, o) {
 				stale = append(stale, o)
 			}
@@ -166,16 +166,7 @@ func (vs *VirtualServer) PutRemote(ctx context.Context, id pagetable.EntryID, da
 		// have landed.
 		_ = vs.releaseLocation(ctx, id, old)
 	}
-	loc := pagetable.Location{
-		Tier:       pagetable.TierRemote,
-		Primary:    pagetable.NodeID(nodes[0]),
-		StoredSize: class,
-		RawSize:    rawSize,
-	}
-	for _, n := range nodes[1:] {
-		loc.Replicas = append(loc.Replicas, pagetable.NodeID(n))
-	}
-	vs.table.Put(id, loc)
+	vs.table.Put(id, pagetable.Location{Tier: pagetable.TierRemote, StoredSize: class, RawSize: rawSize}.WithHolders(nodes))
 	vs.node.counters.remotePuts.Add(1)
 	vs.node.met.remotePuts.Inc()
 	elapsed := trace.Now(ctx) - start
@@ -231,7 +222,7 @@ func (vs *VirtualServer) Get(ctx context.Context, id pagetable.EntryID) ([]byte,
 		return nil, loc, err
 	}
 	data := make([]byte, loc.StoredSize)
-	n, err := vs.getInto(ctx, id, loc, data)
+	n, err := vs.read(ctx, id, loc, 0, data, true)
 	if err != nil {
 		return nil, loc, err
 	}
@@ -253,32 +244,58 @@ func (vs *VirtualServer) GetInto(ctx context.Context, id pagetable.EntryID, dst 
 	if len(dst) < loc.StoredSize {
 		return 0, loc, fmt.Errorf("core: dst holds %d bytes, entry %d stores %d", len(dst), id, loc.StoredSize)
 	}
-	n, err := vs.getInto(ctx, id, loc, dst)
+	n, err := vs.read(ctx, id, loc, 0, dst, true)
 	return n, loc, err
 }
 
-// getInto is the one whole-entry read: the entry at loc lands in dst, which
-// holds loc.StoredSize bytes.
-func (vs *VirtualServer) getInto(ctx context.Context, id pagetable.EntryID, loc pagetable.Location, dst []byte) (int, error) {
+// GetAtInto fills dst with the len(dst) bytes starting at off within a stored
+// entry, without moving the rest — the window-based batch layout relies on
+// this to bring the slots a fault asked for out of a parked batch as one span
+// (one message, no padding). Remote reads go one-sided at the recorded region
+// offset plus off. dst is lent for the call only, as in GetInto.
+func (vs *VirtualServer) GetAtInto(ctx context.Context, id pagetable.EntryID, off int, dst []byte) error {
+	loc, err := vs.table.Get(id)
+	if err != nil {
+		return err
+	}
+	if off < 0 || off+len(dst) > loc.StoredSize {
+		return fmt.Errorf("core: range [%d,%d) exceeds stored size %d", off, off+len(dst), loc.StoredSize)
+	}
+	_, err = vs.read(ctx, id, loc, off, dst, false)
+	return err
+}
+
+// read is the one read, whole or ranged, under the same span, counters,
+// latency histogram and objective: with whole set the entry's payload lands in
+// the front of dst (which holds loc.StoredSize bytes) and its length is
+// returned, otherwise dst is filled from off. It allocates nothing.
+func (vs *VirtualServer) read(ctx context.Context, id pagetable.EntryID, loc pagetable.Location, off int, dst []byte, whole bool) (n int, err error) {
 	ctx, sp := trace.Start(ctx, "core.get")
 	sp.AnnotateInt("entry", int(id))
 	sp.Annotate("tier", loc.Tier)
-	defer sp.End()
+	defer func() { sp.EndErr(err) }()
 	switch loc.Tier {
 	case pagetable.TierSharedMemory:
+		if whole {
+			dst = dst[:loc.StoredSize]
+		}
 		h := slab.Handle{SlabID: loc.Ref.SlabID, Offset: loc.Ref.Offset, Class: loc.StoredSize}
-		if err := vs.node.shared.ReadAtInto(h, 0, dst[:loc.StoredSize]); err != nil {
-			sp.Annotate("err", err)
+		if err := vs.node.shared.ReadAtInto(h, off, dst); err != nil {
 			return 0, err
 		}
 		vs.node.counters.sharedGets.Add(1)
 		vs.node.met.sharedGets.Inc()
-		return loc.StoredSize, nil
+		return len(dst), nil
 	case pagetable.TierRemote:
 		start := trace.Now(ctx)
-		n, _, err := vs.node.policy.Read(ctx, locationNodes(loc), replication.EntryID(vs.key(id)), dst)
+		key := replication.EntryID(vs.key(id))
+		n = len(dst)
+		if whole {
+			n, _, err = vs.node.policy.Read(ctx, loc.Holders(), key, dst)
+		} else {
+			err = vs.node.policy.ReadAt(ctx, loc.Holders(), key, off, dst)
+		}
 		if err != nil {
-			sp.Annotate("err", err)
 			return 0, err
 		}
 		vs.node.counters.remoteGets.Add(1)
@@ -291,43 +308,6 @@ func (vs *VirtualServer) getInto(ctx context.Context, id pagetable.EntryID, loc 
 		return n, nil
 	default:
 		return 0, fmt.Errorf("core: entry %d is on tier %v, not managed here", id, loc.Tier)
-	}
-}
-
-// GetAtInto fills dst with the len(dst) bytes starting at off within a stored
-// entry, without moving the rest — the window-based batch layout relies on
-// this to fault a single page out of a parked batch (one message, one slot).
-// Remote reads go one-sided at the recorded region offset plus off. dst is
-// lent for the call only, as in GetInto.
-func (vs *VirtualServer) GetAtInto(ctx context.Context, id pagetable.EntryID, off int, dst []byte) error {
-	loc, err := vs.table.Get(id)
-	if err != nil {
-		return err
-	}
-	return vs.getAtInto(ctx, id, loc, off, dst)
-}
-
-// getAtInto is the one ranged read.
-func (vs *VirtualServer) getAtInto(ctx context.Context, id pagetable.EntryID, loc pagetable.Location, off int, dst []byte) error {
-	if off < 0 || off+len(dst) > loc.StoredSize {
-		return fmt.Errorf("core: range [%d,%d) exceeds stored size %d", off, off+len(dst), loc.StoredSize)
-	}
-	switch loc.Tier {
-	case pagetable.TierSharedMemory:
-		h := slab.Handle{SlabID: loc.Ref.SlabID, Offset: loc.Ref.Offset, Class: loc.StoredSize}
-		if err := vs.node.shared.ReadAtInto(h, off, dst); err != nil {
-			return err
-		}
-		vs.node.counters.sharedGets.Add(1)
-		return nil
-	case pagetable.TierRemote:
-		if err := vs.node.policy.ReadAt(ctx, locationNodes(loc), replication.EntryID(vs.key(id)), off, dst); err != nil {
-			return err
-		}
-		vs.node.counters.remoteGets.Add(1)
-		return nil
-	default:
-		return fmt.Errorf("core: entry %d is on tier %v, not managed here", id, loc.Tier)
 	}
 }
 
@@ -351,7 +331,7 @@ func (vs *VirtualServer) releaseLocation(ctx context.Context, id pagetable.Entry
 		h := slab.Handle{SlabID: loc.Ref.SlabID, Offset: loc.Ref.Offset, Class: loc.StoredSize}
 		return vs.node.shared.Free(h)
 	case pagetable.TierRemote:
-		return vs.node.policy.Delete(ctx, locationNodes(loc), replication.EntryID(vs.key(id)))
+		return vs.node.policy.Delete(ctx, loc.Holders(), replication.EntryID(vs.key(id)))
 	default:
 		return nil
 	}
@@ -374,7 +354,7 @@ func (vs *VirtualServer) ReadFrom(ctx context.Context, id pagetable.EntryID, nod
 	if loc.Tier != pagetable.TierRemote {
 		return nil, fmt.Errorf("core: entry %d is on tier %v, not remote", id, loc.Tier)
 	}
-	if !slices.Contains(locationNodes(loc), replication.NodeID(node)) {
+	if !slices.Contains(loc.Holders(), replication.NodeID(node)) {
 		return nil, fmt.Errorf("core: node %d is not in the replica set of entry %d", node, id)
 	}
 	key := replication.EntryID(vs.key(id))

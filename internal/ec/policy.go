@@ -235,7 +235,7 @@ func (p *CodingPolicy) Read(ctx context.Context, nodes []replication.NodeID, id 
 		return 0, 0, fmt.Errorf("ec: dst holds %d bytes, entry %d stores %d", len(dst), id, raw)
 	}
 	ctx, sp := trace.Start(ctx, "ec.read")
-	sp.Annotate("entry", uint64(id))
+	sp.AnnotateInt("entry", int(id))
 	p.met.reads.Inc()
 	start := trace.Now(ctx)
 	err := p.code.ReadInto(ctx, dst[:raw], func(ctx context.Context, idx int, buf []byte) error {

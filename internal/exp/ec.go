@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"time"
 
@@ -112,11 +113,8 @@ func ecMeasure(policy string, seed int64) (ECRow, error) {
 			if err != nil {
 				return err
 			}
-			for _, h := range append([]pagetable.NodeID{l.Primary}, l.Replicas...) {
-				if h == victim {
-					affected = append(affected, i)
-					break
-				}
+			if slices.Contains(l.Holders(), victim) {
+				affected = append(affected, i)
 			}
 		}
 		tb.Fabric.Partition(1, nodeID(victim))

@@ -71,6 +71,11 @@ type Location struct {
 	Primary NodeID
 	// Replicas are the additional nodes holding copies (TierRemote only).
 	Replicas []NodeID
+	// holders is Primary followed by Replicas in one slice, as WithHolders laid
+	// them out, so a read hands the durability policy its node list without
+	// building one. Primary and Replicas are for reading: whoever changes the
+	// set goes through WithHolders.
+	holders []NodeID
 	// Ref locates the block inside the tier's pool (shared memory, send
 	// buffer, or the primary's receive pool).
 	Ref SlabRef
@@ -83,6 +88,23 @@ type Location struct {
 	// BatchID groups entries swapped out in the same batching window; the
 	// proactive batch swap-in path prefetches by BatchID.
 	BatchID uint64
+}
+
+// WithHolders returns l held by nodes, the primary first. The location keeps
+// the slice.
+func (l Location) WithHolders(nodes []NodeID) Location {
+	l.holders, l.Primary, l.Replicas = nodes, nodes[0], nodes[1:]
+	return l
+}
+
+// Holders returns every node holding the entry, primary first: the slice
+// WithHolders recorded (not to be modified), or one built from Primary and
+// Replicas for a location spelled out by hand.
+func (l Location) Holders() []NodeID {
+	if l.holders != nil {
+		return l.holders
+	}
+	return append([]NodeID{l.Primary}, l.Replicas...)
 }
 
 // ErrNotFound is returned when an entry has no recorded location.

@@ -2,10 +2,35 @@ package pagetable
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
 )
+
+// TestHolders: a location says who holds the entry the same way whether the
+// set was recorded with WithHolders — whose slice comes back as it is, through
+// the table too — or spelled out field by field.
+func TestHolders(t *testing.T) {
+	set := []NodeID{3, 4, 5}
+	loc := Location{Tier: TierRemote}.WithHolders(set)
+	if loc.Primary != 3 || !slices.Equal(loc.Replicas, []NodeID{4, 5}) {
+		t.Errorf("WithHolders(%v) left primary %d, replicas %v", set, loc.Primary, loc.Replicas)
+	}
+	tab := New()
+	tab.Put(1, loc)
+	got, _ := tab.Get(1)
+	if h := got.Holders(); &h[0] != &set[0] || len(h) != 3 {
+		t.Errorf("Holders() = %v, want the recorded slice %v itself", h, set)
+	}
+	byHand := Location{Tier: TierRemote, Primary: 3, Replicas: []NodeID{4, 5}}
+	if h := byHand.Holders(); !slices.Equal(h, set) {
+		t.Errorf("Holders() of a hand-built location = %v, want %v", h, set)
+	}
+	if h := (Location{Tier: TierSharedMemory, Primary: 2}).Holders(); !slices.Equal(h, []NodeID{2}) {
+		t.Errorf("Holders() of a local location = %v, want [2]", h)
+	}
+}
 
 func TestPutGetDelete(t *testing.T) {
 	tab := New()

@@ -2,7 +2,6 @@ package replication
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 )
@@ -64,19 +63,13 @@ func (r *Replicator) Width() int { return r.factor }
 // ShardClass implements Policy: every copy is full-size.
 func (r *Replicator) ShardClass(entryClass int) int { return entryClass }
 
-// ReadAt implements Policy: a sub-range read with primary-then-replica
-// failover.
+// ReadAt implements Policy: Read's failover, counters and span over a
+// sub-range.
 func (r *Replicator) ReadAt(ctx context.Context, nodes []NodeID, id EntryID, off int, dst []byte) error {
-	var lastErr error
-	for _, node := range nodes {
-		if lastErr = r.store.ReadAt(ctx, node, id, off, dst); lastErr == nil {
-			return nil
-		}
-	}
-	if lastErr == nil {
-		lastErr = errors.New("empty replica set")
-	}
-	return fmt.Errorf("%w: entry %d: %w", ErrNoReplica, id, lastErr)
+	_, err := r.readFrom(ctx, nodes, id, func(ctx context.Context, node NodeID) error {
+		return r.store.ReadAt(ctx, node, id, off, dst)
+	})
+	return err
 }
 
 // Restore implements Policy: each lost replica is re-created from a

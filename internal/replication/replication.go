@@ -25,11 +25,13 @@ import (
 	"godm/internal/bufpool"
 	"godm/internal/des"
 	"godm/internal/metrics"
+	"godm/internal/pagetable"
 	"godm/internal/trace"
 )
 
-// NodeID names a remote node.
-type NodeID int
+// NodeID names a remote node. It is the memory map's node type, so the holder
+// list a pagetable.Location records is a policy's node list as it stands.
+type NodeID = pagetable.NodeID
 
 // EntryID names a replicated data entry.
 type EntryID uint64
@@ -227,10 +229,11 @@ func (r *Replicator) Read(ctx context.Context, nodes []NodeID, id EntryID, dst [
 
 // readFrom is the replicated read: fetch runs against the primary first and
 // then each replica in order until one serves, and the node that did is
-// returned. Read fetches into the caller's buffer, repair into a pooled one.
+// returned. Read and ReadAt fetch into the caller's buffer, repair into a
+// pooled one.
 func (r *Replicator) readFrom(ctx context.Context, nodes []NodeID, id EntryID, fetch func(context.Context, NodeID) error) (NodeID, error) {
 	ctx, sp := trace.Start(ctx, "repl.read")
-	sp.Annotate("entry", uint64(id))
+	sp.AnnotateInt("entry", int(id))
 	r.met.reads.Inc()
 	start := trace.Now(ctx)
 	var lastErr error
@@ -239,7 +242,7 @@ func (r *Replicator) readFrom(ctx context.Context, nodes []NodeID, id EntryID, f
 		if err == nil {
 			if i > 0 {
 				r.met.readFailover.Inc()
-				sp.Annotate("failovers", i)
+				sp.AnnotateInt("failovers", i)
 			}
 			r.met.readLatency.Observe(trace.Now(ctx) - start)
 			sp.End()

@@ -337,6 +337,9 @@ type Manager struct {
 	det       *prefetch.Detector // Leap stride detector (nil unless enabled)
 	leapRefs  []slotRef          // leapPrefetch's working set, kept between faults
 	leapSlots []int              // one group of it, as readSlots takes them
+	inSlots   []int              // swapIn's request, kept between faults the same way
+	moveSlots []int              // relocate's live slots and their pages: not inSlots,
+	movePages []int              // which is live when promote runs inside swapIn
 	contHits  int                // prefetch hits since the last stream continuation
 	sweepTick int                // faults since the last demotion sweep
 	tierPop   [tierCount]int64   // live parked pages per tier
@@ -738,7 +741,7 @@ func (m *Manager) swapIn(ctx context.Context, p *des.Proc, page int, ref slotRef
 	}
 	// Pick the slots this request brings in: the faulted one plus, under
 	// PBS/readahead, the following live slots of the batch.
-	slots := []int{ref.slot}
+	slots := append(m.inSlots[:0], ref.slot)
 	if m.cfg.Readahead > 1 && m.det == nil {
 		// Classic readahead: only slots after the faulted one (batches are
 		// laid out in eviction order, so later slots are the pages a scan
@@ -752,6 +755,7 @@ func (m *Manager) swapIn(ctx context.Context, p *des.Proc, page int, ref slotRef
 			}
 		}
 	}
+	m.inSlots = slots
 	if err := m.readSlots(ctx, p, b, slots); err != nil {
 		return err
 	}

@@ -23,6 +23,13 @@ type rig struct {
 
 func newRig(t *testing.T, sharedBytes, recvBytes int64) *rig {
 	t.Helper()
+	return newWrappedRig(t, sharedBytes, recvBytes, nil)
+}
+
+// newWrappedRig is newRig with the owner's endpoint (node 1, where the
+// virtual server lives) passed through wrap first.
+func newWrappedRig(t *testing.T, sharedBytes, recvBytes int64, wrap func(transport.Endpoint) transport.Endpoint) *rig {
+	t.Helper()
 	env := des.NewEnv()
 	fabric := simnet.New(env, simnet.DefaultParams())
 	dir, err := cluster.NewDirectory(cluster.Config{GroupSize: 8, HeartbeatTimeout: 3})
@@ -31,9 +38,13 @@ func newRig(t *testing.T, sharedBytes, recvBytes int64) *rig {
 	}
 	r := &rig{env: env}
 	for i := 1; i <= 4; i++ {
+		var ep transport.Endpoint
 		ep, err := fabric.Attach(transport.NodeID(i))
 		if err != nil {
 			t.Fatal(err)
+		}
+		if i == 1 && wrap != nil {
+			ep = wrap(ep)
 		}
 		node, err := core.NewNode(core.Config{
 			ID:                transport.NodeID(i),

@@ -151,8 +151,8 @@ func (m *Manager) tierOrder() []tier {
 // tier holds it: the device or fabric transfer plus, where the tier stores
 // pages compressed, the inflate CPU. It is the only per-tier read — demand
 // faults, PBS read-ahead, Leap prefetch, the proactive pump and ladder moves
-// all come through here. One slot is a ranged read, more ride one
-// whole-entry request; on disk slots[0] takes the seek and the rest stream.
+// all come through here. A pool read is one request for the span the slots
+// cover; on disk slots[0] takes the seek and the rest stream.
 func (m *Manager) readSlots(ctx context.Context, p *des.Proc, b *batchInfo, slots []int) error {
 	var bytes int
 	for _, s := range slots {
@@ -188,24 +188,22 @@ func (m *Manager) readSlots(ctx context.Context, p *des.Proc, b *batchInfo, slot
 	return nil
 }
 
-// poolRead fetches slots of b's entry from the shared or remote pool: one
-// slot as a ranged read, more as the whole entry. The bytes land in one
-// manager-owned buffer, park's zeros seen from the other side: the engine
-// charges the transfer and never looks at what it moved.
+// poolRead fetches slots of b's entry from the shared or remote pool as one
+// ranged read of the span they cover — from the first byte of the lowest to
+// the last byte of the highest, never the slots outside it or the class
+// padding behind them. The bytes land in one manager-owned buffer, park's
+// zeros seen from the other side: the engine charges the transfer and never
+// looks at what it moved.
 func (m *Manager) poolRead(ctx context.Context, b *batchInfo, slots []int) error {
-	id := pagetable.EntryID(b.id)
-	class := roundClass(b.total) // the entry's stored size, as park declared it
-	if len(m.scratch) < class {
-		m.scratch = make([]byte, class)
+	lo, hi := b.total, 0
+	for _, s := range slots {
+		sl := b.slots[s]
+		lo, hi = min(lo, sl.off), max(hi, sl.off+sl.size)
 	}
-	var err error
-	if len(slots) == 1 {
-		s := b.slots[slots[0]]
-		err = m.deps.VS.GetAtInto(ctx, id, s.off, m.scratch[:s.size])
-	} else {
-		_, _, err = m.deps.VS.GetInto(ctx, id, m.scratch[:class])
+	if len(m.scratch) < hi-lo {
+		m.scratch = make([]byte, roundClass(b.total)) // the entry's class: it holds any span of it
 	}
-	if err != nil {
+	if err := m.deps.VS.GetAtInto(ctx, pagetable.EntryID(b.id), lo, m.scratch[:hi-lo]); err != nil {
 		return fmt.Errorf("swap: %s read of %d slots: %w", tierNames[b.where], len(slots), err)
 	}
 	return nil
@@ -289,14 +287,15 @@ func (m *Manager) promote(ctx context.Context, p *des.Proc, b *batchInfo) {
 // source read failed and the batch was left untouched.
 func (m *Manager) relocate(ctx context.Context, p *des.Proc, b *batchInfo, to tier) bool {
 	from := b.where
-	slots := make([]int, 0, b.liveCount)
-	pages := make([]int, 0, b.liveCount)
+	// Scratch of its own: promote runs inside swapIn, whose slots are live.
+	slots, pages := m.moveSlots[:0], m.movePages[:0]
 	for s, sl := range b.slots {
 		if sl.live {
 			slots = append(slots, s)
 			pages = append(pages, sl.page)
 		}
 	}
+	m.moveSlots, m.movePages = slots, pages
 	if err := m.readSlots(ctx, p, b, slots); err != nil {
 		return false
 	}

@@ -41,21 +41,30 @@
 #   from a per-P cache the runtime refills by allocating, a few dozen times
 #   in a run whatever its length (2 B/op at 2000x on some runs, 0 on others);
 #   anything the kernel allocated per sleep would still read 16 B/op or more.
-#   The two slab rows and BenchmarkSwapTouch run 200000 iterations for the
-#   same reason: at 2000x a per-P cache refill read 2 B/op about one run in
+#   The two slab rows, BenchmarkSwapTouch and BenchmarkRemoteGetInto run
+#   200000 iterations for the same reason: at 2000x a per-P cache refill read 2 B/op about one run in
 #   four and failed a 0 B/op budget that nothing in the code had crossed.
 #
 #   BenchmarkSwapTouch (one page access of the Tiered swap manager on the
 #   simulated testbed under the phase-changing trace, bench/'s swap-sim
-#   configuration) sits at ~42 B/op over 200000 accesses (~26 over the first
-#   2000) and prints 0 allocs/op (about 0.5 before rounding): no allocation per admission or eviction — a page's state is a
-#   record in a table indexed by page number, the LRU threaded through it —
-#   and no payload-sized one per read, which lands in the engine's scratch.
-#   What is left is the batch record and its slots per window flush and the
-#   core put path under it. With list elements and map cells per admission
-#   this row read 68 B/op, 2 allocs/op; when every read made and zeroed a
-#   result it threw away, ~11100 B/op. ns/op printed, not gated (~0.8 us on
-#   the 2-CPU host).
+#   configuration) sits at 36–39 B/op over 200000 accesses and prints
+#   0 allocs/op (about 0.25 before rounding); its budget is twice that. No
+#   allocation per admission or eviction — a page's state is a record in a
+#   table indexed by page number, the LRU threaded through it — and none per
+#   read: the span lands in the engine's scratch, the slot lists are the
+#   manager's own, and the read beneath (the next row) allocates nothing. What
+#   is left is the batch record and its slots per window flush and the core
+#   put path under it. With a holder list built and an entry id boxed per read
+#   this row read ~42 B/op; with list elements and map cells per admission
+#   68 B/op, 2 allocs/op; when every read made and zeroed a result it threw
+#   away, ~11100 B/op. ns/op printed, not gated (~0.8 us on the 2-CPU host).
+#
+#   BenchmarkRemoteGetInto (VirtualServer.GetInto of a 4 KiB rf3 entry over
+#   simnet into the caller's buffer — the one read body under every swap-in,
+#   whole or ranged) is held to nothing: the location's holder list goes to
+#   the policy as recorded and no annotation boxes its value when no tracer
+#   is attached. It read 2 allocs/op before both were fixed. ns/op printed,
+#   not gated (0.4–0.7 us on the 2-CPU host).
 #
 # Both tcpnet benchmarks dial every connection lane and fill the frame pool before
 # their timer starts (warmLanes in internal/tcpnet/bench_test.go). They used
@@ -74,7 +83,8 @@ out=$(go test -run '^$' -bench 'BenchmarkTCPNetParallelRead$|BenchmarkTCPNetCall
     go test -run '^$' -bench 'BenchmarkCodecPage(Compress|Decompress)$' -benchmem -benchtime 2000x ./internal/compress/ &&
     go test -run '^$' -bench 'BenchmarkAllocFree$|BenchmarkAllocRun64$' -benchmem -benchtime 200000x ./internal/slab/ &&
     go test -run '^$' -bench 'BenchmarkProcessSwitch$|BenchmarkSleepAlone$' -benchmem -benchtime 200000x ./internal/des/ &&
-    go test -run '^$' -bench 'BenchmarkSwapTouch$' -benchmem -benchtime 200000x ./internal/swap/)
+    go test -run '^$' -bench 'BenchmarkSwapTouch$' -benchmem -benchtime 200000x ./internal/swap/ &&
+    go test -run '^$' -bench 'BenchmarkRemoteGetInto$' -benchmem -benchtime 200000x ./internal/core/)
 echo "$out"
 
 status=0
@@ -107,7 +117,8 @@ check BenchmarkAllocFree 0 0
 check BenchmarkAllocRun64 0 0
 check BenchmarkProcessSwitch 0 0
 check BenchmarkSleepAlone 0 0
-check BenchmarkSwapTouch 256 1
+check BenchmarkSwapTouch 76 1
+check BenchmarkRemoteGetInto 0 0
 if [ "$status" -eq 0 ]; then
     echo "alloc_budget: OK"
 fi
