@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -36,7 +37,7 @@ type blockRef struct {
 // size at transport.MaxFrameSize. Each span becomes one one-sided read
 // instead of len(span) reads.
 func coalesceSpans(refs []blockRef) [][]blockRef {
-	sort.Slice(refs, func(i, j int) bool { return refs[i].off < refs[j].off })
+	slices.SortFunc(refs, func(a, b blockRef) int { return cmp.Compare(a.off, b.off) })
 	var spans [][]blockRef
 	for i := 0; i < len(refs); {
 		j := i + 1
@@ -78,6 +79,19 @@ func (c *Client) PutAll(ctx context.Context, node transport.NodeID, entries []En
 	if len(entries) > maxBatchEntries {
 		return fmt.Errorf("core: batch of %d entries exceeds %d", len(entries), maxBatchEntries)
 	}
+	// Duplicates show up as neighbours in a sorted copy of the keys — a
+	// window's worth lives on the stack — so the usual batch costs no map.
+	var few [64]uint64
+	keys := few[:0]
+	for _, e := range entries {
+		keys = append(keys, e.Key)
+	}
+	slices.Sort(keys)
+	for i := 1; i < len(keys); i++ {
+		if keys[i] == keys[i-1] {
+			return fmt.Errorf("core: duplicate key %d in batch", keys[i])
+		}
+	}
 	ctx, sp := trace.Start(ctx, "client.put_all")
 	sp.AnnotateInt("entries", len(entries))
 	defer sp.End()
@@ -85,14 +99,9 @@ func (c *Client) PutAll(ctx context.Context, node transport.NodeID, entries []En
 	reqs := make([]putEntry, len(entries))
 	payloads := make([][]byte, len(entries))
 	handles := make([]clientHandle, len(entries))
-	seen := make(map[uint64]bool, len(entries))
 	stage := c.newStage(entries...)
 	defer bufpool.Put(stage)
 	for i, e := range entries {
-		if seen[e.Key] {
-			return fmt.Errorf("core: duplicate key %d in batch", e.Key)
-		}
-		seen[e.Key] = true
 		payload, class, flags := c.encodeEntry(&stage, e.Data)
 		payloads[i] = payload
 		reqs[i] = putEntry{Key: e.Key, Class: int32(class), Len: int32(len(payload))}

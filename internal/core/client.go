@@ -163,17 +163,21 @@ func decodeEntryInto(dst, data []byte, h clientHandle) error {
 	return nil
 }
 
+// ask is one control-plane question: msg goes to node and dec reads the body
+// of its answer. what names the question in a transport failure.
+func ask[T any](ctx context.Context, ep transport.Verbs, node transport.NodeID, what string, msg []byte, dec func([]byte) (T, []byte, error)) (T, error) {
+	resp, err := ep.Call(ctx, node, msg)
+	if err != nil {
+		var none T
+		return none, fmt.Errorf("core: %s node %d: %w", what, node, err)
+	}
+	return decodeBody(resp, dec)
+}
+
 // Stats returns the free receive-pool bytes node advertises.
 func (c *Client) Stats(ctx context.Context, node transport.NodeID) (int64, error) {
-	resp, err := c.ep.Call(ctx, node, []byte{opStats})
-	if err != nil {
-		return 0, fmt.Errorf("core: stats from node %d: %w", node, err)
-	}
-	st, err := decodeReply(resp, (*statsResp).fields)
-	if err != nil {
-		return 0, err
-	}
-	return st.FreeBytes, nil
+	st, err := ask(ctx, c.ep, node, "stats from", []byte{opStats}, fieldsOf((*statsResp).fields))
+	return st.FreeBytes, err
 }
 
 // Metrics fetches node's rendered metrics tree over the control plane — the
@@ -190,11 +194,7 @@ func (c *Client) Metrics(ctx context.Context, node transport.NodeID) (string, er
 // digest it has heard. Ask the tree root for the whole cluster; this is the
 // transport behind `dmctl top` and the digest-filtered `dmctl stats`.
 func (c *Client) ClusterView(ctx context.Context, node transport.NodeID) ([]metrics.NodeDigest, error) {
-	resp, err := c.ep.Call(ctx, node, []byte{opCluster})
-	if err != nil {
-		return nil, fmt.Errorf("core: cluster view from node %d: %w", node, err)
-	}
-	return decodeBody(resp, metrics.DecodeDigestSet)
+	return ask(ctx, c.ep, node, "cluster view from", []byte{opCluster}, metrics.DecodeDigestSet)
 }
 
 // ShardStat asks node which shard (if any) of owner's erasure-coded stripe
@@ -202,15 +202,9 @@ func (c *Client) ClusterView(ctx context.Context, node transport.NodeID) ([]metr
 // is the operator-facing passthrough behind `dmctl shard`: it lets repair
 // tooling map a stripe's placement donor by donor.
 func (c *Client) ShardStat(ctx context.Context, node, owner transport.NodeID, key uint64) (hosted bool, idx, k, m int, err error) {
-	resp, err := c.ep.Call(ctx, node, encode(opShardStat, shardStatReq{Key: key, Owner: int32(owner)}, (*shardStatReq).fields))
-	if err != nil {
-		return false, 0, 0, 0, fmt.Errorf("core: shard stat from node %d: %w", node, err)
-	}
-	st, err := decodeReply(resp, (*shardStatResp).fields)
-	if err != nil {
-		return false, 0, 0, 0, err
-	}
-	return st.Hosted, int(st.Idx), int(st.K), int(st.M), nil
+	msg := encode(opShardStat, shardStatReq{Key: key, Owner: int32(owner)}, (*shardStatReq).fields)
+	st, err := ask(ctx, c.ep, node, "shard stat from", msg, fieldsOf((*shardStatResp).fields))
+	return st.Hosted, int(st.Idx), int(st.K), int(st.M), err
 }
 
 // Put parks data under key in node's receive pool, in one round trip either

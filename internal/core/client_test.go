@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -258,6 +259,14 @@ func TestPutAllRejectsDuplicateKeys(t *testing.T) {
 		err := client.PutAll(ctx, 2, []Entry{{Key: 1, Data: []byte("a")}, {Key: 1, Data: []byte("b")}})
 		if err == nil {
 			t.Error("duplicate keys should fail")
+		}
+		// In a window of any size, and the error names the key.
+		many := []Entry{{Key: 300}, {Key: 900}, {Key: 300}}
+		for k := uint64(0); k < 100; k++ {
+			many = append(many, Entry{Key: k})
+		}
+		if err := client.PutAll(ctx, 2, many); err == nil || !strings.Contains(err.Error(), "duplicate key 300 ") {
+			t.Errorf("PutAll of a window repeating key 300: %v", err)
 		}
 	})
 }

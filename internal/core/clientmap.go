@@ -29,11 +29,7 @@ func (c *Client) Redirects() int64 { return c.redirects.Load() }
 // full snapshot when the client is cold, behind by too much, or switching
 // origins.
 func (c *Client) SyncMap(ctx context.Context, node transport.NodeID) error {
-	resp, err := c.ep.Call(ctx, node, encodeMapSyncReq(c.cm.Request()))
-	if err != nil {
-		return fmt.Errorf("core: map sync from node %d: %w", node, err)
-	}
-	sr, err := decodeBody(resp, cluster.DecodeSyncResponse)
+	sr, err := ask(ctx, c.ep, node, "map sync from", encodeMapSyncReq(c.cm.Request()), cluster.DecodeSyncResponse)
 	if err != nil {
 		return err
 	}
@@ -192,15 +188,8 @@ func (c *Client) rememberHome(ck clientKey, node transport.NodeID, offset int64)
 // reads, locates, and map syncs until its process exits, so stale clients
 // have a window to catch up.
 func (c *Client) Decommission(ctx context.Context, node transport.NodeID) (int, error) {
-	resp, err := c.ep.Call(ctx, node, []byte{opDecommission})
-	if err != nil {
-		return 0, fmt.Errorf("core: decommission node %d: %w", node, err)
-	}
-	dr, err := decodeReply(resp, (*decommissionResp).fields)
-	if err != nil {
-		return 0, err
-	}
-	return int(dr.Moved), nil
+	dr, err := ask(ctx, c.ep, node, "decommission", []byte{opDecommission}, fieldsOf((*decommissionResp).fields))
+	return int(dr.Moved), err
 }
 
 // Harvest asks node to claw back wantBytes of its donated receive pool for
@@ -209,13 +198,7 @@ func (c *Client) Decommission(ctx context.Context, node transport.NodeID) (int, 
 // is met. The node stays in the cluster with a smaller advertised pool. It
 // returns the bytes reclaimed and the number of blocks migrated.
 func (c *Client) Harvest(ctx context.Context, node transport.NodeID, wantBytes int64) (int64, int, error) {
-	resp, err := c.ep.Call(ctx, node, encode(opHarvest, harvestReq{WantBytes: wantBytes}, (*harvestReq).fields))
-	if err != nil {
-		return 0, 0, fmt.Errorf("core: harvest node %d: %w", node, err)
-	}
-	hr, err := decodeReply(resp, (*harvestResp).fields)
-	if err != nil {
-		return 0, 0, err
-	}
-	return hr.Reclaimed, int(hr.Moved), nil
+	msg := encode(opHarvest, harvestReq{WantBytes: wantBytes}, (*harvestReq).fields)
+	hr, err := ask(ctx, c.ep, node, "harvest", msg, fieldsOf((*harvestResp).fields))
+	return hr.Reclaimed, int(hr.Moved), err
 }

@@ -314,7 +314,7 @@ func requestFields[T any](fields func(*T, *wire.Walk)) func([]byte) (any, error)
 }
 
 func replyFields[T any](fields func(*T, *wire.Walk)) func([]byte) (any, error) {
-	return func(b []byte) (any, error) { return anyOf(decodeReply(b, fields)) }
+	return func(b []byte) (any, error) { return anyOf(decodeBody(b, fieldsOf(fields))) }
 }
 
 func encEvictedReq(r evictedReq) []byte     { return encode(opEvicted, r, (*evictedReq).fields) }

@@ -1,11 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"godm/internal/cluster"
 	"godm/internal/des"
@@ -68,11 +68,8 @@ func (n *Node) HeartbeatRound(ctx context.Context) []cluster.Event {
 		if _, err := n.ep.Call(ctx, to, hb); err != nil {
 			return err
 		}
-		resp, err := n.ep.Call(ctx, to, encodeMapSyncReq(cluster.SyncRequest{Origin: target, Epoch: after[i]}))
-		if err != nil {
-			return err
-		}
-		sr, err := decodeBody(resp, cluster.DecodeSyncResponse)
+		sync := encodeMapSyncReq(cluster.SyncRequest{Origin: target, Epoch: after[i]})
+		sr, err := ask(ctx, n.ep, to, "map sync from", sync, cluster.DecodeSyncResponse)
 		if err == nil {
 			syncs[i] = &sr
 		}
@@ -137,42 +134,13 @@ func (n *Node) Decommission(ctx context.Context) (int, error) {
 		return 0, nil
 	}
 	n.draining = true
-	if n.movedTo == nil {
-		n.movedTo = map[uint64]movedBlock{}
-	}
 	n.drainMu.Unlock()
 
+	// Migrate in (key, slab, block) order so simulated drains are
+	// deterministic: the walk is in (slab, block) order and the sort is stable.
 	blocks := n.hostedBlocks()
-	// Map iteration order is random; migrate in a fixed order so simulated
-	// drains are deterministic.
-	sort.Slice(blocks, func(i, j int) bool {
-		a, b := blocks[i], blocks[j]
-		if a.ref.key != b.ref.key {
-			return a.ref.key < b.ref.key
-		}
-		if a.h.SlabID != b.h.SlabID {
-			return a.h.SlabID < b.h.SlabID
-		}
-		return a.h.Offset < b.h.Offset
-	})
-
-	moved := 0
-	var firstErr error
-	for _, b := range blocks {
-		err := n.migrateBlock(ctx, b)
-		if err == nil {
-			moved++
-			continue
-		}
-		if firstErr == nil {
-			firstErr = err
-		}
-		// No new home: tell the owner the block is gone so its repair path
-		// re-replicates from the surviving copies.
-		n.notifyEvicted(ctx, b.ref)
-		n.takeOwner(b.h, nil)
-		_ = n.recv.Free(b.h)
-	}
+	slices.SortStableFunc(blocks, byKey)
+	moved, firstErr := n.moveOut(ctx, blocks)
 
 	// Announce the departure so peers drop us via a Left delta immediately.
 	self := cluster.NodeID(n.cfg.ID)
@@ -184,6 +152,29 @@ func (n *Node) Decommission(ctx context.Context) (int, error) {
 		_, _ = n.ep.Call(ctx, transport.NodeID(st.ID), leave)
 	}
 	n.dir.Leave(self)
+	return moved, firstErr
+}
+
+// byKey orders hosted blocks by their owner's key.
+func byKey(a, b hostedBlock) int { return cmp.Compare(a.ref.key, b.ref.key) }
+
+// moveOut migrates blocks away one by one and reports how many found a new
+// home and the first error. A block with none is freed all the same: its owner
+// is told it is gone, so its repair path re-replicates from the surviving
+// copies.
+func (n *Node) moveOut(ctx context.Context, blocks []hostedBlock) (moved int, firstErr error) {
+	for _, b := range blocks {
+		err := n.migrateBlock(ctx, b)
+		if err == nil {
+			moved++
+			continue
+		}
+		if firstErr == nil {
+			firstErr = err
+		}
+		n.notifyEvicted(ctx, b.ref)
+		_ = n.freeOwned([]hostedBlock{b})
+	}
 	return moved, firstErr
 }
 
@@ -208,12 +199,10 @@ func (n *Node) migrateBlock(ctx context.Context, b hostedBlock) error {
 			return perr
 		}
 		to := transport.NodeID(succs[0])
-		if err := n.migrateTo(ctx, b, to, data); err == nil {
+		if lastErr = n.migrateTo(ctx, b, to, data); lastErr == nil {
 			return nil
-		} else {
-			lastErr = err
-			exclude = append(exclude, to)
 		}
+		exclude = append(exclude, to)
 	}
 	if b.ref.owner != n.cfg.ID {
 		if err := n.migrateTo(ctx, b, b.ref.owner, data); err == nil {
@@ -238,11 +227,13 @@ func (n *Node) migrateTo(ctx context.Context, b hostedBlock, to transport.NodeID
 		return fmt.Errorf("core: drain copy to node %d: %w", to, err)
 	}
 	n.drainMu.Lock()
-	n.movedTo[b.ref.key] = movedBlock{to: to, offset: offset}
+	if n.movedTo[b.ref.owner] == nil {
+		n.movedTo[b.ref.owner] = map[uint64]movedBlock{}
+	}
+	n.movedTo[b.ref.owner][b.ref.key] = movedBlock{to: to, offset: offset}
 	n.drainMu.Unlock()
 	n.notifyMoved(ctx, b.ref, to, offset)
-	n.takeOwner(b.h, nil)
-	_ = n.recv.Free(b.h)
+	_ = n.freeOwned([]hostedBlock{b})
 	return nil
 }
 
@@ -291,17 +282,19 @@ func (n *Node) applyMoved(from transport.NodeID, req movedReq) {
 	vs.table.Put(id, loc.WithHolders(holders))
 }
 
-// handleLocate answers a block-location probe: stOK when the block for key
+// handleLocate answers a block-location probe: stOK when from's block for key
 // is still at the stated offset, stRedirect with the new home when the
-// block migrated in a drain, an error otherwise.
-func (n *Node) handleLocate(req locateReq) []byte {
+// block migrated in a drain, an error otherwise. Keys are numbered per owner,
+// so both answers are about from's key: another owner's block or tombstone
+// under the same number is not it.
+func (n *Node) handleLocate(from transport.NodeID, req locateReq) []byte {
 	n.drainMu.Lock()
-	mv, movedOK := n.movedTo[req.Key]
+	mv, movedOK := n.movedTo[from][req.Key]
 	n.drainMu.Unlock()
 	if movedOK {
 		return encode(stRedirect, redirect{Node: mv.to, Offset: mv.offset}, (*redirect).fields)
 	}
-	if _, ref, ok := n.ownerAt(req.Offset); !ok || ref.key != req.Key {
+	if _, ref, ok := n.ownerAt(req.Offset); !ok || ref != (ownerRef{owner: from, key: req.Key}) {
 		return errorResp(fmt.Errorf("core: offset %d does not hold key %d", req.Offset, req.Key))
 	}
 	return okResp()

@@ -411,3 +411,60 @@ func TestHeartbeatRoundConvergence(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestLocateAnswersItsAskerOnly: keys are numbered per owner, so a locate is
+// about the asker's key. Another owner's block that was issued the offset the
+// asker's released block had, and another owner's drain tombstone, both carry
+// the same key number and are not it: an stOK there would let Client.settle
+// clear a doubted handle that names a stranger's block.
+func TestLocateAnswersItsAskerOnly(t *testing.T) {
+	tc := newTestCluster(t, 3, func(id transport.NodeID) Config {
+		cfg := smallConfig(id)
+		cfg.PoolShards = 1 // one free list: a freed offset is the next one issued
+		return cfg
+	})
+	a, b := NewClient(tc.nodes[0].ep), NewClient(tc.nodes[1].ep)
+	const donor = transport.NodeID(3)
+	offsetOf := func(c *Client, key uint64) int64 {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.handles[clientKey{node: donor, key: key}].offset
+	}
+	tc.run(t, func(ctx context.Context, p *des.Proc) {
+		if err := a.Put(ctx, donor, 7, []byte("a's seven")); err != nil {
+			t.Errorf("a.Put: %v", err)
+			return
+		}
+		off := offsetOf(a, 7)
+		if err := a.Delete(ctx, donor, 7); err != nil {
+			t.Errorf("a.Delete: %v", err)
+			return
+		}
+		if err := b.Put(ctx, donor, 7, []byte("b's seven")); err != nil {
+			t.Errorf("b.Put: %v", err)
+			return
+		}
+		if got := offsetOf(b, 7); got != off {
+			t.Errorf("b's key 7 landed at %d, the test needs it to reuse a's offset %d", got, off)
+			return
+		}
+		if _, inPlace, err := a.locate(ctx, donor, 7, off); inPlace || !errors.Is(err, errRemote) {
+			t.Errorf("a's locate of its released key 7 = in place %v, %v; b's block lives there now", inPlace, err)
+		}
+		if _, inPlace, err := b.locate(ctx, donor, 7, off); !inPlace || err != nil {
+			t.Errorf("b's locate of its own key 7 = in place %v, %v", inPlace, err)
+		}
+		// Drain the donor: b's key 7 leaves a tombstone behind, a never parked
+		// a key 7 that moved.
+		if moved, err := b.Decommission(ctx, donor); err != nil || moved != 1 {
+			t.Errorf("Decommission = %d moved, %v; want 1", moved, err)
+			return
+		}
+		if rd, inPlace, err := b.locate(ctx, donor, 7, off); inPlace || err != nil || rd.Node == donor {
+			t.Errorf("b's locate after the drain = %+v, in place %v, %v; want a redirect", rd, inPlace, err)
+		}
+		if rd, inPlace, err := a.locate(ctx, donor, 7, off); !errors.Is(err, errRemote) {
+			t.Errorf("a's locate after the drain = %+v, in place %v, %v; b's tombstone is not a's", rd, inPlace, err)
+		}
+	})
+}

@@ -1,12 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"godm/internal/cluster"
-	"godm/internal/transport"
 )
 
 // Balloon harvesting (§IV.F): a donor node under local memory pressure claws
@@ -31,14 +31,6 @@ func (n *Node) Harvest(ctx context.Context, wantBytes int64) (int64, int, error)
 	if wantBytes <= 0 {
 		return 0, 0, fmt.Errorf("core: harvest wantBytes = %d must be positive", wantBytes)
 	}
-	// The migration path shares the decommission tombstone map; it must
-	// exist before the first migrateBlock records into it.
-	n.drainMu.Lock()
-	if n.movedTo == nil {
-		n.movedTo = map[uint64]movedBlock{}
-	}
-	n.drainMu.Unlock()
-
 	// Cheapest first: unbacked headroom costs nothing to surrender, and
 	// slabs with no live blocks release budget without a single network
 	// round trip.
@@ -53,50 +45,30 @@ func (n *Node) Harvest(ctx context.Context, wantBytes int64) (int64, int, error)
 		// time, so partially emptying two slabs is strictly worse than fully
 		// emptying one. Evict the cheapest slabs (fewest live blocks) first,
 		// with slab ID as the tiebreak so simulated harvests replay
-		// identically.
-		bySlab := map[int][]hostedBlock{}
-		for _, b := range n.hostedBlocks() {
-			bySlab[b.h.SlabID] = append(bySlab[b.h.SlabID], b)
-		}
-		slabs := make([]int, 0, len(bySlab))
-		for id := range bySlab {
-			slabs = append(slabs, id)
-		}
-		sort.Slice(slabs, func(i, j int) bool {
-			a, b := slabs[i], slabs[j]
-			if len(bySlab[a]) != len(bySlab[b]) {
-				return len(bySlab[a]) < len(bySlab[b])
+		// identically: the walk is in slab order and the sort is stable.
+		var slabs [][]hostedBlock
+		for blocks := n.hostedBlocks(); len(blocks) > 0; {
+			k := 1
+			for k < len(blocks) && blocks[k].h.SlabID == blocks[0].h.SlabID {
+				k++
 			}
-			return a < b
-		})
-		for _, id := range slabs {
+			slabs, blocks = append(slabs, blocks[:k]), blocks[k:]
+		}
+		slices.SortStableFunc(slabs, func(a, b []hostedBlock) int { return cmp.Compare(len(a), len(b)) })
+		for _, group := range slabs {
 			if reclaimed >= wantBytes {
 				break
 			}
-			group := bySlab[id]
-			sort.Slice(group, func(i, j int) bool {
-				a, b := group[i], group[j]
-				if a.ref.key != b.ref.key {
-					return a.ref.key < b.ref.key
-				}
-				return a.h.Offset < b.h.Offset
-			})
-			for _, b := range group {
-				err := n.migrateBlock(ctx, b)
-				if err == nil {
-					moved++
-					continue
-				}
-				if firstErr == nil {
-					firstErr = err
-				}
-				n.notifyEvicted(ctx, b.ref)
-				n.takeOwner(b.h, nil)
-				_ = n.recv.Free(b.h)
+			slices.SortStableFunc(group, byKey) // (key, block): the walk was in block order
+			m, err := n.moveOut(ctx, group)
+			moved += m
+			if firstErr == nil {
+				firstErr = err
 			}
 			reclaimed += n.recv.ShrinkEmpty(wantBytes - reclaimed)
 		}
 	}
+	n.pruneOwners()
 	n.counters.harvestedBytes.Add(reclaimed)
 	n.met.harvestedBytes.Add(reclaimed)
 	n.met.harvestMoved.Add(int64(moved))
@@ -106,18 +78,4 @@ func (n *Node) Harvest(ctx context.Context, wantBytes int64) (int64, int, error)
 	// new blocks at capacity this node no longer donates.
 	_ = n.dir.Heartbeat(cluster.NodeID(n.cfg.ID), free)
 	return reclaimed, moved, firstErr
-}
-
-// HarvestRemote asks another node to harvest wantBytes from its donated
-// pool; the donor side is Node.Harvest.
-func (n *Node) HarvestRemote(ctx context.Context, node transport.NodeID, wantBytes int64) (int64, int, error) {
-	resp, err := n.ep.Call(ctx, node, encode(opHarvest, harvestReq{WantBytes: wantBytes}, (*harvestReq).fields))
-	if err != nil {
-		return 0, 0, fmt.Errorf("core: harvest node %d: %w", node, err)
-	}
-	hr, err := decodeReply(resp, (*harvestResp).fields)
-	if err != nil {
-		return 0, 0, err
-	}
-	return hr.Reclaimed, int(hr.Moved), nil
 }

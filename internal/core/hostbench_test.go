@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"testing"
@@ -10,6 +11,7 @@ import (
 
 	"godm/internal/cluster"
 	"godm/internal/faulty"
+	"godm/internal/replication"
 	"godm/internal/tcpnet"
 	"godm/internal/transport"
 )
@@ -18,7 +20,7 @@ import (
 // own loopback TCP endpoint and its own emulated fabric RTT. It is the
 // host-path mirror of benchFabric: there the client side fans out to many
 // donors; here many clients converge on one host, so the donor's sharded
-// pools and striped owner index are what the numbers measure.
+// pools and owner index are what the numbers measure.
 type hostRig struct {
 	clients []*Client
 }
@@ -137,7 +139,7 @@ func BenchmarkHostParallelSingleLock(b *testing.B) {
 // BenchmarkHostParallelBatch measures the batched host path under the same
 // convergence: each round is an 8-entry PutAll + GetAll + DeleteAll window,
 // exercising batch alloc, span-coalesced writes, and the
-// one-lock-per-stripe batched free.
+// one-hold-of-the-index-lock batched free.
 func BenchmarkHostParallelBatch(b *testing.B) {
 	for _, clients := range []int{1, 4} {
 		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
@@ -181,5 +183,74 @@ func BenchmarkHostParallelBatch(b *testing.B) {
 			b.StopTimer()
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "rounds/s")
 		})
+	}
+}
+
+// BenchmarkHostWindow64 is the donor's side of one window with no transport
+// under it: handlePut of 64 entries of the 2 KiB class, then handleRelease of
+// the window parked 16 rounds earlier, on a donor shaped like bench/'s (64 MiB
+// receive pool, 1 MiB slabs). The payloads are 64 bytes, so what is timed is
+// the bookkeeping — allocation, owner records, release checks, free — not the
+// copy. scripts/alloc_budget.sh holds it to its two replies: the owner index
+// allocates nothing in steady state.
+func BenchmarkHostWindow64(b *testing.B) {
+	const window, resident, owner = 64, 16, transport.NodeID(9)
+	tc := newTestCluster(b, 1, func(id transport.NodeID) Config {
+		return Config{
+			ID: id, SharedPoolBytes: 1 << 20, SendPoolBytes: 1 << 20,
+			RecvPoolBytes: 64 << 20, SlabSize: 1 << 20, ReplicationFactor: 1,
+		}
+	})
+	n := tc.nodes[0]
+	entries := make([]putEntry, window)
+	payload := make([]byte, window*64)
+	for i := range entries {
+		entries[i] = putEntry{Class: 2048, Len: 64}
+	}
+	msg := append(encodePutReq(0, replication.Shard{}, entries, nil), payload...)
+	rels := make([][]byte, resident)
+	for i := range rels {
+		rels[i] = make([]byte, 1+window*releaseEntryBytes)
+		rels[i][0] = opFree
+	}
+	round := func(i int) {
+		base := uint64(i) * window
+		for j := 0; j < window; j++ {
+			binary.BigEndian.PutUint64(msg[putHeaderBytes+j*putEntryBytes:], base+uint64(j))
+		}
+		req, err := decodePutReq(msg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		offs, err := decodePutResp(n.handlePut(owner, req), window)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rel := rels[i%resident]
+		if i >= resident {
+			old, err := decodeReleaseReq(rel)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := checkOKResp(n.handleRelease(owner, old)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for j := 0; j < window; j++ {
+			binary.BigEndian.PutUint64(rel[1+j*releaseEntryBytes:], base+uint64(j))
+			binary.BigEndian.PutUint64(rel[1+j*releaseEntryBytes+8:], uint64(offs.offset(j)))
+		}
+	}
+	for i := 0; i < 4*resident; i++ {
+		round(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round(4*resident + i)
+	}
+	b.StopTimer()
+	if st := n.recv.Stats(); st.LiveBlocks != resident*window {
+		b.Fatalf("%d live blocks after the run, want the %d resident windows", st.LiveBlocks, resident)
 	}
 }

@@ -87,13 +87,13 @@ func shortErr(r *wire.Reader) error {
 	return nil
 }
 
-// decodeReply opens a reply's envelope and reads the fields of its body.
-func decodeReply[T any](b []byte, fields func(*T, *wire.Walk)) (T, error) {
-	return decodeBody(b, func(body []byte) (T, []byte, error) { return decode(body, fields) })
+// fieldsOf is decode of a record by its field walk, as a body decoder.
+func fieldsOf[T any](fields func(*T, *wire.Walk)) func([]byte) (T, []byte, error) {
+	return func(body []byte) (T, []byte, error) { return decode(body, fields) }
 }
 
-// decodeBody opens a reply's envelope and hands the body to dec: decode, or
-// the cluster or metrics decoder of what the reply carries.
+// decodeBody opens a reply's envelope and hands the body to dec: fieldsOf the
+// record the reply carries, or its cluster or metrics decoder.
 func decodeBody[T any](b []byte, dec func([]byte) (T, []byte, error)) (T, error) {
 	r, err := checkOKResp(b)
 	if err != nil {

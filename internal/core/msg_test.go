@@ -265,7 +265,7 @@ func TestHeartbeatAndStatsRoundTrip(t *testing.T) {
 	if err != nil || hb.FreeBytes != 12345 {
 		t.Fatalf("heartbeat round trip: %+v, %v", hb, err)
 	}
-	st, err := decodeReply(encode(stOK, statsResp{FreeBytes: 777}, (*statsResp).fields), (*statsResp).fields)
+	st, err := decodeBody(encode(stOK, statsResp{FreeBytes: 777}, (*statsResp).fields), fieldsOf((*statsResp).fields))
 	if err != nil || st.FreeBytes != 777 {
 		t.Fatalf("stats round trip: %+v, %v", st, err)
 	}

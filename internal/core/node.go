@@ -15,6 +15,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -133,42 +134,6 @@ func (c Config) validate() error {
 	return nil
 }
 
-// ownerRef records who parked a block in our receive pool.
-type ownerRef struct {
-	owner transport.NodeID
-	key   uint64
-}
-
-// ownerShardCount is the number of lock stripes over the receive pool's
-// owner bookkeeping. Independent control-plane ops on distinct blocks hash
-// to distinct stripes and never contend.
-const ownerShardCount = 16
-
-// ownerShard is one stripe of the recvOwners map. byKey is the reverse
-// (owner,key) index that makes HostsRemoteKey and ShardInfo O(shards) instead
-// of O(blocks).
-type ownerShard struct {
-	mu    sync.Mutex
-	refs  map[slab.Handle]ownerRef
-	byKey map[ownerRef]hostedKey
-}
-
-// hostedKey is one stripe's record of an (owner, key): how many of its blocks
-// hash to the stripe and, when they are a stripe shard, its coordinates. The
-// record dies with the stripe's last block under the key.
-type hostedKey struct {
-	blocks int
-	shard  replication.Shard
-}
-
-// ownerShardIdx stripes a handle to its owner shard.
-func ownerShardIdx(h slab.Handle) int {
-	x := uint64(uint32(h.SlabID))<<32 | uint64(uint32(h.Offset))
-	x *= 0x9E3779B97F4A7C15
-	x ^= x >> 32
-	return int(x % ownerShardCount)
-}
-
 // nodeCounters holds the node's activity counters as atomics, so hot paths
 // bump them without any lock.
 type nodeCounters struct {
@@ -187,10 +152,10 @@ type nodeCounters struct {
 //
 // Locking is decomposed so independent ops on distinct blocks proceed in
 // parallel end to end (see DESIGN.md §11): the slab pools shard internally,
-// owner bookkeeping is striped across ownerShardCount stripes, the
-// rarely-written virtual-server registry sits behind an RWMutex, the repair
-// queue behind its own mutex, and counters are atomics. No lock here is ever
-// held across a transport call.
+// owner bookkeeping is one index behind a leaf lock a request takes once for
+// all its entries, the rarely-written virtual-server registry sits behind an
+// RWMutex, the repair queue behind its own mutex, and counters are atomics.
+// No lock here is ever held across a transport call.
 type Node struct {
 	cfg Config
 	ep  transport.Endpoint
@@ -210,7 +175,7 @@ type Node struct {
 	vservers  map[string]*VirtualServer
 	vsByIndex []*VirtualServer
 
-	owners [ownerShardCount]ownerShard
+	owners *ownerIndex // who parked what in recv
 
 	repairMu       sync.Mutex
 	pendingRepairs []pendingRepair
@@ -238,102 +203,16 @@ type Node struct {
 
 	// drainMu guards the decommission state: once draining, the node refuses
 	// new allocations and answers opLocate for migrated blocks with a
-	// redirect tombstone from movedTo.
+	// redirect tombstone from movedTo, kept per owner: keys are numbered per
+	// owner.
 	drainMu  sync.Mutex
 	draining bool
-	movedTo  map[uint64]movedBlock
+	movedTo  map[transport.NodeID]map[uint64]movedBlock
 
 	// syncMu guards the per-peer map-sync cursors used by HeartbeatRound to
 	// ask each tree target only for deltas it has not yet seen.
 	syncMu   sync.Mutex
 	lastSync map[cluster.NodeID]cluster.Epoch
-}
-
-// addOwner records who parked h in the receive pool, and as which shard of
-// the owner's stripe (zero: not a shard).
-func (n *Node) addOwner(h slab.Handle, ref ownerRef, shard replication.Shard) {
-	sh := &n.owners[ownerShardIdx(h)]
-	sh.mu.Lock()
-	sh.refs[h] = ref
-	e := sh.byKey[ref]
-	e.blocks++
-	if shard.Tagged() {
-		e.shard = shard
-	}
-	sh.byKey[ref] = e
-	sh.mu.Unlock()
-}
-
-// takeOwner removes and returns the owner record for h, if any — when want
-// is non-nil, only if the record is *want.
-func (n *Node) takeOwner(h slab.Handle, want *ownerRef) (ownerRef, bool) {
-	sh := &n.owners[ownerShardIdx(h)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	ref, ok := sh.refs[h]
-	if !ok || (want != nil && ref != *want) {
-		return ownerRef{}, false
-	}
-	delete(sh.refs, h)
-	if e := sh.byKey[ref]; e.blocks > 1 {
-		e.blocks--
-		sh.byKey[ref] = e
-	} else {
-		delete(sh.byKey, ref)
-	}
-	return ref, true
-}
-
-// lookupKey folds every stripe's record of (owner, key).
-func (n *Node) lookupKey(owner transport.NodeID, key uint64) (out hostedKey) {
-	ref := ownerRef{owner: owner, key: key}
-	for i := range n.owners {
-		sh := &n.owners[i]
-		sh.mu.Lock()
-		e := sh.byKey[ref]
-		sh.mu.Unlock()
-		out.blocks += e.blocks
-		if e.shard.Tagged() {
-			out.shard = e.shard
-		}
-	}
-	return out
-}
-
-// HostsRemoteKey reports whether this node currently hosts a receive-pool
-// block that owner parked under key. The chaos invariant checkers use it to
-// prove that aborted writes and batches leave no stranded copies behind.
-func (n *Node) HostsRemoteKey(owner transport.NodeID, key uint64) bool {
-	return n.lookupKey(owner, key).blocks > 0
-}
-
-// ShardInfo reports which shard of owner's stripe under key this node hosts.
-// Chaos invariant checkers use it to prove each shard of a stripe landed on
-// its own donor at the position the stripe map records.
-func (n *Node) ShardInfo(owner transport.NodeID, key uint64) (idx, k, m int, ok bool) {
-	si := n.lookupKey(owner, key).shard
-	return int(si.Idx), int(si.K), int(si.M), si.Tagged()
-}
-
-// hostedBlock is one block parked in the receive pool, for the drain walk.
-type hostedBlock struct {
-	h     slab.Handle
-	ref   ownerRef
-	shard replication.Shard
-}
-
-// hostedBlocks snapshots every block parked in the receive pool.
-func (n *Node) hostedBlocks() []hostedBlock {
-	var blocks []hostedBlock
-	for i := range n.owners {
-		sh := &n.owners[i]
-		sh.mu.Lock()
-		for h, ref := range sh.refs {
-			blocks = append(blocks, hostedBlock{h: h, ref: ref, shard: sh.byKey[ref].shard})
-		}
-		sh.mu.Unlock()
-	}
-	return blocks
 }
 
 // coreMetrics pre-binds the request-path instruments so hot paths never take
@@ -433,13 +312,11 @@ func NewNode(cfg Config, ep transport.Endpoint, dir *cluster.Directory) (*Node, 
 		recvBuf:  recvBuf,
 		balancer: balancer,
 		vservers: map[string]*VirtualServer{},
+		owners:   newOwnerIndex(cfg.RecvPoolBytes, cfg.SlabSize),
+		movedTo:  map[transport.NodeID]map[uint64]movedBlock{},
 		lastSync: map[cluster.NodeID]cluster.Epoch{},
 		reg:      metrics.NewRegistry(fmt.Sprintf("core/node-%d", cfg.ID)),
 		replReg:  metrics.NewRegistry(fmt.Sprintf("replication/node-%d", cfg.ID)),
-	}
-	for i := range n.owners {
-		n.owners[i].refs = map[slab.Handle]ownerRef{}
-		n.owners[i].byKey = map[ownerRef]hostedKey{}
 	}
 	n.met = newCoreMetrics(n.reg)
 	n.met.recvFreeBytes.Set(recv.FreeBytes())
@@ -734,19 +611,9 @@ func (n *Node) pickRemotes(count int, exclude []transport.NodeID) ([]replication
 	if err != nil {
 		return nil, err
 	}
-	if len(exclude) > 0 {
-		skip := make(map[placement.NodeID]bool, len(exclude))
-		for _, e := range exclude {
-			skip[placement.NodeID(e)] = true
-		}
-		filtered := cands[:0]
-		for _, c := range cands {
-			if !skip[c.Node] {
-				filtered = append(filtered, c)
-			}
-		}
-		cands = filtered
-	}
+	cands = slices.DeleteFunc(cands, func(c placement.Candidate) bool {
+		return slices.Contains(exclude, transport.NodeID(c.Node))
+	})
 	picked, err := n.balancer.Pick(cands, count)
 	if err != nil {
 		if errors.Is(err, placement.ErrInsufficientCandidates) {
@@ -815,7 +682,7 @@ func (n *Node) handleCall(ctx context.Context, from transport.NodeID, payload []
 		if err != nil {
 			return errorResp(err), nil
 		}
-		return n.handleLocate(req), nil
+		return n.handleLocate(from, req), nil
 	case opMoved:
 		req, _, err := decode(body, (*movedReq).fields)
 		if err != nil {
@@ -852,11 +719,8 @@ func (n *Node) handleCall(ctx context.Context, from transport.NodeID, payload []
 		if err != nil {
 			return errorResp(err), nil
 		}
-		owner := from
-		if req.Owner != 0 {
-			owner = transport.NodeID(req.Owner)
-		}
-		si := n.lookupKey(owner, req.Key).shard
+		owner := cmp.Or(transport.NodeID(req.Owner), from)
+		_, si := n.lookupKey(owner, req.Key)
 		return encode(stOK, shardStatResp{Hosted: si.Tagged(), Idx: si.Idx, K: si.K, M: si.M}, (*shardStatResp).fields), nil
 	default:
 		return errorResp(fmt.Errorf("core: unknown op %d", payload[0])), nil
@@ -885,40 +749,23 @@ func (n *Node) handlePut(from transport.NodeID, req putReq) []byte {
 		// during the drain window.
 		return noSpaceResp()
 	}
-	owner := from
-	if req.Owner != 0 {
-		owner = transport.NodeID(req.Owner)
-	}
+	owner := cmp.Or(transport.NodeID(req.Owner), from)
 	// What the request displaces is settled before anything is allocated: an
 	// entry of a replayed or retried put names an offset that is free by now,
 	// and one of the blocks allocated below may land exactly there.
 	var few [4]hostedBlock
-	old := few[:0]
-	if c := req.releases.count(); c > len(few) {
-		old = make([]hostedBlock, 0, c)
-	}
-	old = n.named(owner, req.releases, old)
+	old := n.resolve(owner, req.releases, few[:0])
 	// An on-behalf (migration) or shard put for a key we host beyond what the
 	// request displaces means a sibling replica or shard lives here: refuse,
 	// whoever asks.
-	refuseSiblings := owner != from || req.Shard.Tagged()
+	if (owner != from || req.Shard.Tagged()) && n.hostsSibling(owner, req, old) {
+		return noSpaceResp()
+	}
 	count := req.count()
 	var fewClasses [4]classCount
 	classes := fewClasses[:0]
 	for i := 0; i < count; i++ {
-		e := req.entry(i)
-		if refuseSiblings {
-			siblings := n.lookupKey(owner, e.Key).blocks
-			for _, b := range old {
-				if b.ref.key == e.Key {
-					siblings--
-				}
-			}
-			if siblings > 0 {
-				return noSpaceResp()
-			}
-		}
-		classes = countClass(classes, int(e.Class))
+		classes = countClass(classes, int(req.entry(i).Class))
 	}
 	// Every class stripes by the first entry's key. For one entry that is its
 	// own key: concurrent puts for distinct keys take distinct locks within
@@ -938,32 +785,43 @@ func (n *Node) handlePut(from transport.NodeID, req putReq) []byte {
 			return errorResp(err)
 		}
 	}
+	// Bytes first, records after: a drain or harvest walks the index and must
+	// never find a block whose payload has not landed. The blocks are ours alone
+	// until the reply names their offsets: the copy needs no lock.
+	var fewParked [4]slab.Run
+	parked := append(fewParked[:0], runs...)
 	reply := newPutResp(count)
 	at := 0
 	for i := 0; i < count; i++ {
 		e := req.entry(i)
-		r := 0
-		for runs[r].N == 0 || runs[r].First.Class != int(e.Class) {
-			r++
-		}
-		h, off := runs[r].Pop()
-		// The block is ours alone until the reply names its offset, so the
-		// copy needs no lock — it is the one-sided write, issued locally.
+		_, off := popClass(runs, int(e.Class))
 		at += copy(n.recvBuf[off:], req.payload[at:at+int(e.Len)])
-		n.addOwner(h, ownerRef{owner: owner, key: e.Key}, req.Shard)
 		reply.setOffset(i, off)
 	}
+	n.owners.mu.Lock()
+	for i := 0; i < count; i++ {
+		e := req.entry(i)
+		h, _ := popClass(parked, int(e.Class))
+		n.owners.add(h, ownerRef{owner: owner, key: e.Key}, req.Shard)
+	}
+	n.owners.mu.Unlock()
 	n.counters.remoteAllocs.Add(int64(count))
 	n.met.remoteAllocs.Add(int64(count))
 	// The new generation is installed; a displaced block that fails to free
 	// is the eviction path's to reclaim, not a reason to fail the put.
-	f := freeBatch{n: n}
-	for _, b := range old {
-		f.add(b)
-	}
-	f.flush()
+	_ = n.freeOwned(old)
 	n.met.recvFreeBytes.Set(n.recv.FreeBytes())
 	return reply
+}
+
+// popClass takes the next block of class from runs, which hold one for every
+// entry of the put they were allocated for.
+func popClass(runs []slab.Run, class int) (slab.Handle, int64) {
+	r := 0
+	for runs[r].N == 0 || runs[r].First.Class != class {
+		r++
+	}
+	return runs[r].Pop()
 }
 
 // classCount is how many entries of a put ask for one size class.
@@ -981,70 +839,61 @@ func countClass(counts []classCount, class int) []classCount {
 	return append(counts, classCount{class: class, n: 1})
 }
 
-// ownerAt returns the live block at a global offset of the receive region
-// and its owner record, if there is one.
-func (n *Node) ownerAt(off int64) (slab.Handle, ownerRef, bool) {
-	h, err := n.recv.HandleAt(off)
-	if err != nil {
-		return h, ownerRef{}, false
-	}
-	sh := &n.owners[ownerShardIdx(h)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	ref, ok := sh.refs[h]
-	return h, ref, ok
-}
-
-// blockOf returns owner's block for key at a global offset, if that is what
-// lives there. A release says what the owner knew when it was sent; by the
-// time it arrives (late, or replayed by the fabric) the offset may be free or
-// re-issued to another key, and freeing whatever lives there now would
-// destroy a stranger's block. Such an entry names nothing.
-func (n *Node) blockOf(owner transport.NodeID, key uint64, off int64) (hostedBlock, bool) {
-	h, ref, ok := n.ownerAt(off)
-	return hostedBlock{h: h, ref: ref}, ok && ref == ownerRef{owner: owner, key: key}
-}
-
-// named appends to into the blocks a release list names.
-func (n *Node) named(owner transport.NodeID, rel releaseReq, into []hostedBlock) []hostedBlock {
+// resolve appends to into the live block at each offset a release list names,
+// with the owner record the entry says it has: freeOwned frees those that do
+// (ownerIndex.take says why an entry may name nothing).
+func (n *Node) resolve(owner transport.NodeID, rel releaseReq, into []hostedBlock) []hostedBlock {
 	for i, count := 0, rel.count(); i < count; i++ {
 		key, off := rel.entry(i)
-		if b, ok := n.blockOf(owner, key, off); ok {
-			into = append(into, b)
+		if h, err := n.recv.HandleAt(off); err == nil {
+			into = append(into, hostedBlock{h: h, ref: ownerRef{owner: owner, key: key}})
 		}
 	}
 	return into
 }
 
-// freeBatch frees blocks together with their owner records, handing the pool
-// their handles in batches: slab.Pool.FreeAll takes each shard lock once per
-// batch, not once per block. The array keeps a request's handles off the
-// heap; one naming more blocks than it holds flushes more than once.
-type freeBatch struct {
-	n   *Node
-	hs  [64]slab.Handle
-	len int
-	err error // the first error a flush met
+// hostsSibling reports whether owner has a block here, under a key of req,
+// beyond those of old that are that key's still.
+func (n *Node) hostsSibling(owner transport.NodeID, req putReq, old []hostedBlock) bool {
+	n.owners.mu.Lock()
+	defer n.owners.mu.Unlock()
+	for i, count := 0, req.count(); i < count; i++ {
+		ref := ownerRef{owner: owner, key: req.entry(i).Key}
+		hosted, _ := n.owners.lookup(ref)
+		for _, b := range old {
+			if got, ok := n.owners.at(b.h); ok && got == ref && b.ref == ref {
+				hosted--
+			}
+		}
+		if hosted > 0 {
+			return true
+		}
+	}
+	return false
 }
 
-// add queues a block, unless it changed hands since it was looked up.
-func (f *freeBatch) add(b hostedBlock) {
-	if _, ok := f.n.takeOwner(b.h, &b.ref); !ok {
-		return
+// freeOwned frees the blocks that are still the ref's they were resolved
+// with, together with their owner records, 64 at a time: one hold of the index
+// lock takes the records, slab.Pool.FreeAll takes each shard lock once per
+// batch, not per block. Every block is tried; the first error is returned.
+func (n *Node) freeOwned(blocks []hostedBlock) (first error) {
+	var hs [64]slab.Handle
+	for len(blocks) > 0 {
+		taken := 0
+		n.owners.mu.Lock()
+		for _, b := range blocks[:min(len(blocks), len(hs))] {
+			if _, ok := n.owners.take(b.h, &b.ref); ok {
+				hs[taken] = b.h
+				taken++
+			}
+		}
+		n.owners.mu.Unlock()
+		blocks = blocks[min(len(blocks), len(hs)):]
+		if err := n.recv.FreeAll(hs[:taken]); err != nil && first == nil {
+			first = err
+		}
 	}
-	f.hs[f.len] = b.h
-	if f.len++; f.len == len(f.hs) {
-		f.flush()
-	}
-}
-
-// flush frees what is queued; the caller calls it once more after its last
-// add.
-func (f *freeBatch) flush() {
-	if err := f.n.recv.FreeAll(f.hs[:f.len]); err != nil && f.err == nil {
-		f.err = err
-	}
-	f.len = 0
+	return first
 }
 
 // handleRelease releases receive-pool blocks (RDMS). Releasing a block that
@@ -1054,17 +903,11 @@ func (f *freeBatch) flush() {
 // have been freed, so a partial failure can never strand the remaining
 // blocks.
 func (n *Node) handleRelease(from transport.NodeID, req releaseReq) []byte {
-	f := freeBatch{n: n}
-	for i, count := 0, req.count(); i < count; i++ {
-		key, off := req.entry(i)
-		if b, ok := n.blockOf(from, key, off); ok {
-			f.add(b)
-		}
-	}
-	f.flush()
+	var few [64]hostedBlock
+	err := n.freeOwned(n.resolve(from, req, few[:0]))
 	n.met.recvFreeBytes.Set(n.recv.FreeBytes())
-	if f.err != nil {
-		return errorResp(f.err)
+	if err != nil {
+		return errorResp(err)
 	}
 	return okResp()
 }
@@ -1089,7 +932,7 @@ func (n *Node) EvictRecvSlabs(ctx context.Context, wantBytes int64) (int64, erro
 	// replicated windows and re-replication both land that way. Dedup across
 	// the whole call so each owner hears about a key once, and a node
 	// evicting its own parked blocks queues exactly one repair per key.
-	notified := map[ownerRef]bool{}
+	notified := map[transport.NodeID]map[uint64]bool{}
 	for reclaimed < wantBytes {
 		victims, err := n.recv.EvictLRU()
 		if err != nil {
@@ -1099,19 +942,21 @@ func (n *Node) EvictRecvSlabs(ctx context.Context, wantBytes int64) (int64, erro
 			return reclaimed, err
 		}
 		reclaimed += int64(n.cfg.SlabSize)
-		owners := make([]ownerRef, 0, len(victims))
+		var owners []ownerRef
+		n.owners.mu.Lock()
 		for _, h := range victims {
-			if ref, ok := n.takeOwner(h, nil); ok {
+			if ref, ok := n.owners.take(h, nil); ok && !notified[ref.owner][ref.key] {
+				if notified[ref.owner] == nil {
+					notified[ref.owner] = map[uint64]bool{}
+				}
+				notified[ref.owner][ref.key] = true
 				owners = append(owners, ref)
 			}
 		}
+		n.owners.mu.Unlock()
 		n.counters.evictedBlocks.Add(int64(len(victims)))
 		n.met.evictedBlocks.Add(int64(len(victims)))
 		for _, ref := range owners {
-			if notified[ref] {
-				continue
-			}
-			notified[ref] = true
 			// Best-effort notification; if the owner is unreachable its own
 			// read path will discover the loss and fail over to replicas.
 			n.notifyEvicted(ctx, ref)
@@ -1119,6 +964,7 @@ func (n *Node) EvictRecvSlabs(ctx context.Context, wantBytes int64) (int64, erro
 	}
 	// Shrink the registered budget so the memory actually returns to the OS.
 	n.recv.ShrinkEmpty(reclaimed)
+	n.pruneOwners()
 	return reclaimed, nil
 }
 

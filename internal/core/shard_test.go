@@ -12,7 +12,7 @@ import (
 	"godm/internal/transport"
 )
 
-// TestEvictSelfOwnedQueuesRepairOnce pins the regression the striped owner
+// TestEvictSelfOwnedQueuesRepairOnce pins the regression the owner
 // index must not reintroduce: a node under memory pressure evicting its own
 // parked blocks queues exactly one repair per key, even when several blocks
 // carry the same (owner,key) — within one slab or across slabs evicted on
@@ -182,7 +182,7 @@ func TestParallelClientsOneHost(t *testing.T) {
 
 // TestParallelBatchClientsOneHost is the batched flavor: concurrent PutAll /
 // GetAll / DeleteAll windows against one host exercise the batched owner
-// bookkeeping (one stripe lock per batch) and the sharded allocator's
+// bookkeeping (one hold of the index lock per batch) and the sharded allocator's
 // contiguous window placement.
 func TestParallelBatchClientsOneHost(t *testing.T) {
 	c := parallelRig(t, DefaultPoolShards)

@@ -157,8 +157,8 @@ func (p *CodingPolicy) Write(ctx context.Context, nodes []replication.NodeID, id
 		return errors.New("ec: empty payload")
 	}
 	ctx, sp := trace.Start(ctx, "ec.write")
-	sp.Annotate("entry", uint64(id))
-	sp.Annotate("shards", total)
+	sp.AnnotateInt("entry", int(id))
+	sp.AnnotateInt("shards", total)
 	p.met.writes.Inc()
 	start := trace.Now(ctx)
 	s := p.code.ShardLen(len(data))
@@ -345,8 +345,8 @@ func (p *CodingPolicy) Restore(ctx context.Context, nodes []replication.NodeID, 
 		return nodes, nil, nil
 	}
 	ctx, sp := trace.Start(ctx, "ec.restore")
-	sp.Annotate("entry", uint64(id))
-	sp.Annotate("missing", len(missingPos))
+	sp.AnnotateInt("entry", int(id))
+	sp.AnnotateInt("missing", len(missingPos))
 	defer sp.End()
 	p.met.restores.Inc()
 

@@ -7,10 +7,11 @@
 package placement
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 )
@@ -116,8 +117,14 @@ func (rr *RoundRobin) Pick(candidates []Candidate, n int) ([]NodeID, error) {
 	if err := validate(candidates, n); err != nil {
 		return nil, err
 	}
-	sorted := append([]Candidate(nil), candidates...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Node < sorted[j].Node })
+	// The directory lists members in ID order, so the usual input is sorted
+	// already and is read in place.
+	byNode := func(a, b Candidate) int { return cmp.Compare(a.Node, b.Node) }
+	sorted := candidates
+	if !slices.IsSortedFunc(sorted, byNode) {
+		sorted = slices.Clone(candidates)
+		slices.SortFunc(sorted, byNode)
+	}
 	rr.mu.Lock()
 	start := rr.next
 	rr.next += n
@@ -315,8 +322,9 @@ func (d *domainSpread) Pick(candidates []Candidate, n int) ([]NodeID, error) {
 	remaining := append([]Candidate(nil), candidates...)
 	usedDomain := map[int]bool{}
 	out := make([]NodeID, 0, n)
+	fresh := make([]Candidate, 0, len(remaining))
 	for len(out) < n {
-		fresh := make([]Candidate, 0, len(remaining))
+		fresh = fresh[:0]
 		for _, c := range remaining {
 			if c.Group == 0 || !usedDomain[c.Group] {
 				fresh = append(fresh, c)

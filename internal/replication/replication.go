@@ -174,8 +174,8 @@ func (r *Replicator) Write(ctx context.Context, nodes []NodeID, id EntryID, clas
 		return fmt.Errorf("replication: got %d nodes, factor is %d", len(nodes), r.factor)
 	}
 	ctx, sp := trace.Start(ctx, "repl.write")
-	sp.Annotate("entry", uint64(id))
-	sp.Annotate("nodes", len(nodes))
+	sp.AnnotateInt("entry", int(id))
+	sp.AnnotateInt("nodes", len(nodes))
 	r.met.writes.Inc()
 	start := trace.Now(ctx)
 	errs := des.Each(ctx, len(nodes), func(i int) error {
@@ -283,8 +283,8 @@ func (r *Replicator) repair(ctx context.Context, nodes []NodeID, id EntryID, cla
 		return nil, err
 	}
 	ctx, sp := trace.Start(ctx, "repl.repair")
-	sp.Annotate("entry", uint64(id))
-	sp.Annotate("lost", int(lost))
+	sp.AnnotateInt("entry", int(id))
+	sp.AnnotateInt("lost", int(lost))
 	defer sp.End()
 	r.met.repairs.Inc()
 	survivors := slices.DeleteFunc(slices.Clone(nodes), func(n NodeID) bool { return n == lost })

@@ -41,9 +41,11 @@
 #   from a per-P cache the runtime refills by allocating, a few dozen times
 #   in a run whatever its length (2 B/op at 2000x on some runs, 0 on others);
 #   anything the kernel allocated per sleep would still read 16 B/op or more.
-#   The two slab rows, BenchmarkSwapTouch and BenchmarkRemoteGetInto run
-#   200000 iterations for the same reason: at 2000x a per-P cache refill read 2 B/op about one run in
-#   four and failed a 0 B/op budget that nothing in the code had crossed.
+#   The two codec rows, the two slab rows, BenchmarkSwapTouch and the two core
+#   rows run 200000 iterations for the same reason (the codec rows since PR 24,
+#   when one run in ten read 2 B/op for BenchmarkCodecPageCompress): at 2000x
+#   a per-P cache refill read 2 B/op about one run in four and failed a 0 B/op
+#   budget that nothing in the code had crossed.
 #
 #   BenchmarkSwapTouch (one page access of the Tiered swap manager on the
 #   simulated testbed under the phase-changing trace, bench/'s swap-sim
@@ -66,6 +68,15 @@
 #   is attached. It read 2 allocs/op before both were fixed. ns/op printed,
 #   not gated (0.4–0.7 us on the 2-CPU host).
 #
+#   BenchmarkHostWindow64 (the donor's side of one window with no transport
+#   under it: handlePut of 64 entries of the 2 KiB class and handleRelease of
+#   an older window, on a donor shaped like bench/'s) is held to its two
+#   replies — the 513-byte offset list and the 1-byte ok: an owner record sits
+#   in a table made once per slab and is chained through a bucket array made
+#   once per node, so the index allocates nothing per window. ns/op printed,
+#   not gated (~8 us on the 2-CPU host; ~27 us when the records lived in 32
+#   hash maps behind 16 stripe locks).
+#
 # Both tcpnet benchmarks dial every connection lane and fill the frame pool before
 # their timer starts (warmLanes in internal/tcpnet/bench_test.go). They used
 # not to, and -benchtime 2000x then charged ~360 KB of one-time set-up — two
@@ -80,11 +91,11 @@
 set -eu
 
 out=$(go test -run '^$' -bench 'BenchmarkTCPNetParallelRead$|BenchmarkTCPNetCallV64K$' -benchmem -benchtime 2000x ./internal/tcpnet/ &&
-    go test -run '^$' -bench 'BenchmarkCodecPage(Compress|Decompress)$' -benchmem -benchtime 2000x ./internal/compress/ &&
+    go test -run '^$' -bench 'BenchmarkCodecPage(Compress|Decompress)$' -benchmem -benchtime 200000x ./internal/compress/ &&
     go test -run '^$' -bench 'BenchmarkAllocFree$|BenchmarkAllocRun64$' -benchmem -benchtime 200000x ./internal/slab/ &&
     go test -run '^$' -bench 'BenchmarkProcessSwitch$|BenchmarkSleepAlone$' -benchmem -benchtime 200000x ./internal/des/ &&
     go test -run '^$' -bench 'BenchmarkSwapTouch$' -benchmem -benchtime 200000x ./internal/swap/ &&
-    go test -run '^$' -bench 'BenchmarkRemoteGetInto$' -benchmem -benchtime 200000x ./internal/core/)
+    go test -run '^$' -bench 'BenchmarkRemoteGetInto$|BenchmarkHostWindow64$' -benchmem -benchtime 200000x ./internal/core/)
 echo "$out"
 
 status=0
@@ -119,6 +130,7 @@ check BenchmarkProcessSwitch 0 0
 check BenchmarkSleepAlone 0 0
 check BenchmarkSwapTouch 76 1
 check BenchmarkRemoteGetInto 0 0
+check BenchmarkHostWindow64 592 2
 if [ "$status" -eq 0 ]; then
     echo "alloc_budget: OK"
 fi
