@@ -55,8 +55,6 @@ func run(args []string) error {
 		replicas  = fs.Int("replicas", 3, "replication factor for remote entries")
 		durable   = fs.String("durability", "", "remote durability policy: rf<N> full copies or rs<K>.<M> erasure coding (empty = -replicas full copies)")
 		tick      = fs.Duration("tick", 2*time.Second, "heartbeat/maintenance interval")
-		workers   = fs.Int("call-workers", tcpnet.DefaultCallConcurrency, "max concurrent control-plane handlers")
-		lanes     = fs.Int("conns-per-peer", 0, "pooled TCP connections per peer (0 = auto)")
 		shards    = fs.Int("pool-shards", 0, "lock shards per memory pool (0 = auto, 1 = single-lock)")
 		httpAddr  = fs.String("http", "", "serve /metrics, /stats, /trace, and /debug/pprof on this address (empty = disabled)")
 		groupSize = fs.Int("group-size", 0, "nodes per sharing group: members beat their group leader, leaders beat the root (0 = one flat group, every node beats its leader)")
@@ -71,11 +69,7 @@ func run(args []string) error {
 		return err
 	}
 
-	opts := []tcpnet.Option{tcpnet.WithCallConcurrency(*workers)}
-	if *lanes > 0 {
-		opts = append(opts, tcpnet.WithConnsPerPeer(*lanes))
-	}
-	ep, err := tcpnet.Listen(transport.NodeID(*id), *listen, opts...)
+	ep, err := tcpnet.Listen(transport.NodeID(*id), *listen)
 	if err != nil {
 		return err
 	}

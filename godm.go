@@ -401,8 +401,8 @@ func NewRDDEngine(exec *RDDExecutor) *RDDEngine { return rdd.NewEngine(exec) }
 
 // ListenNode starts a real disaggregated memory node serving the verbs
 // protocol on addr over TCP (use cmd/dmnode for the packaged daemon). peers
-// maps the other nodes' IDs to their addresses; opts tune the transport
-// (e.g. tcpnet.WithCallConcurrency, tcpnet.WithConnsPerPeer).
+// maps the other nodes' IDs to their addresses; opts configure the transport
+// (tcpnet.WithMetrics mounts its instrumentation on a daemon's registry).
 func ListenNode(cfg NodeConfig, addr string, peers map[NodeID]string, opts ...tcpnet.Option) (*Node, *tcpnet.Endpoint, error) {
 	ep, err := tcpnet.Listen(cfg.ID, addr, opts...)
 	if err != nil {
@@ -428,7 +428,7 @@ func ListenNode(cfg NodeConfig, addr string, peers map[NodeID]string, opts ...tc
 }
 
 // DialClient attaches a lightweight client to a TCP cluster for direct use
-// of peers' receive pools. opts tune the transport, as in ListenNode.
+// of peers' receive pools. opts configure the transport, as in ListenNode.
 func DialClient(id NodeID, addr string, peers map[NodeID]string, opts ...tcpnet.Option) (*Client, *tcpnet.Endpoint, error) {
 	ep, err := tcpnet.Listen(id, addr, opts...)
 	if err != nil {

@@ -23,8 +23,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-
-	"godm/internal/metrics"
 )
 
 // NodeID names a node.
@@ -139,15 +137,6 @@ func (c Config) validate() error {
 	return nil
 }
 
-// dirMetrics is the directory's optional instrumentation (SetMetrics).
-type dirMetrics struct {
-	epoch           *metrics.Gauge
-	deltasServed    *metrics.Counter
-	snapshotsServed *metrics.Counter
-	logCompactions  *metrics.Counter
-	elections       *metrics.Counter
-}
-
 // Directory tracks membership, groups, and leaders, and versions every
 // change with an epoch (epoch.go). It is safe for concurrent use.
 type Directory struct {
@@ -167,7 +156,6 @@ type Directory struct {
 
 	epoch    Epoch
 	deltaLog []Delta // epochs (epoch-len(deltaLog), epoch], oldest first
-	met      dirMetrics
 }
 
 // NewDirectory returns an empty directory.
@@ -181,20 +169,6 @@ func NewDirectory(cfg Config) (*Directory, error) {
 		leaders:  map[int]NodeID{},
 		departed: map[NodeID]bool{},
 	}, nil
-}
-
-// SetMetrics attaches counters for epoch/election/sync activity to reg.
-func (d *Directory) SetMetrics(reg *metrics.Registry) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.met = dirMetrics{
-		epoch:           reg.Gauge("epoch"),
-		deltasServed:    reg.Counter("deltas_served"),
-		snapshotsServed: reg.Counter("snapshots_served"),
-		logCompactions:  reg.Counter("log_compactions"),
-		elections:       reg.Counter("elections"),
-	}
-	d.met.epoch.Set(int64(d.epoch))
 }
 
 // Join adds (or revives) a node. A new node lands in the emptiest group —
@@ -476,9 +450,6 @@ func (d *Directory) AdoptLeaders(leaders []GroupLeader, groups int) []Event {
 		if cur, had := d.leaders[gl.Group]; !had || cur != gl.Leader {
 			d.leaders[gl.Group] = gl.Leader
 			events = append(events, Event{Kind: EventLeaderElected, Node: gl.Leader, Group: gl.Group})
-			if d.met.elections != nil {
-				d.met.elections.Inc()
-			}
 		}
 	}
 	d.recordLocked(events)
@@ -672,9 +643,6 @@ func (d *Directory) electGroupLocked(force bool, only int) []Event {
 		}
 		d.leaders[g] = winner.id
 		events = append(events, Event{Kind: EventLeaderElected, Node: winner.id, Group: g})
-		if d.met.elections != nil {
-			d.met.elections.Inc()
-		}
 	}
 	if only < 0 {
 		// Drop leader records for vanished groups.

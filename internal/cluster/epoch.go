@@ -149,9 +149,6 @@ func (d *Directory) DeltasSince(after Epoch) ([]Delta, bool) {
 	// The log holds epochs (d.epoch-len(log), d.epoch].
 	oldest := d.epoch - Epoch(len(d.deltaLog))
 	if after < oldest {
-		if d.met.snapshotsServed != nil {
-			d.met.snapshotsServed.Inc()
-		}
 		return nil, false
 	}
 	start := int(after - oldest)
@@ -167,9 +164,6 @@ func (d *Directory) DeltasSince(after Epoch) ([]Delta, bool) {
 func (d *Directory) Sync(self NodeID, req SyncRequest) SyncResponse {
 	if req.Origin == self {
 		if deltas, ok := d.DeltasSince(req.Epoch); ok && len(deltas) <= maxSyncDeltas {
-			if len(deltas) > 0 && d.met.deltasServed != nil {
-				d.met.deltasServed.Add(int64(len(deltas)))
-			}
 			return SyncResponse{Origin: self, Deltas: deltas}
 		}
 	}
@@ -216,12 +210,6 @@ func (d *Directory) recordLocked(events []Event) {
 	d.deltaLog = append(d.deltaLog, delta)
 	if len(d.deltaLog) > maxDeltaLog {
 		d.deltaLog = d.deltaLog[len(d.deltaLog)-maxDeltaLog:]
-		if d.met.logCompactions != nil {
-			d.met.logCompactions.Inc()
-		}
-	}
-	if d.met.epoch != nil {
-		d.met.epoch.Set(int64(d.epoch))
 	}
 }
 

@@ -140,7 +140,7 @@ func BenchmarkClientPutSingle(b *testing.B) {
 	bf := newBenchFabric(b, 1)
 	ctx := context.Background()
 	entries := benchEntries(0, benchWindow, 4096, false)
-	for _, e := range entries { // warm: reserve once, overwrite in place after
+	for _, e := range entries { // warm: the timed loop overwrites
 		if err := bf.client.Put(ctx, 1, e.Key, e.Data); err != nil {
 			b.Fatal(err)
 		}

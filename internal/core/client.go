@@ -10,7 +10,6 @@ import (
 	"godm/internal/cluster"
 	"godm/internal/compress"
 	"godm/internal/metrics"
-	"godm/internal/replication"
 	"godm/internal/transport"
 )
 
@@ -207,51 +206,11 @@ func (c *Client) ShardStat(ctx context.Context, node, owner transport.NodeID, ke
 	return st.Hosted, int(st.Idx), int(st.K), int(st.M), err
 }
 
-// Put parks data under key in node's receive pool, in one round trip either
-// way. Re-putting a key whose new payload still fits the previously reserved
-// class overwrites the block in place with a single one-sided write (the
-// donor's CPU stays out of it); otherwise one put call parks a fresh block
-// and frees the displaced one, so overwrites never leak remote memory.
+// Put parks data under key in node's receive pool: PutAll of one entry, one
+// put call that parks a fresh block and frees the one it displaces. On any
+// failure the previous version still reads back.
 func (c *Client) Put(ctx context.Context, node transport.NodeID, key uint64, data []byte) error {
-	stage := c.newStage(Entry{Data: data})
-	defer bufpool.Put(stage)
-	payload, class, flags := c.encodeEntry(&stage, data)
-	ck := clientKey{node: node, key: key}
-	c.mu.Lock()
-	old, hadOld := c.handles[ck]
-	c.mu.Unlock()
-	h := clientHandle{class: class, storedLen: len(payload), rawLen: len(data), flags: flags}
-	away := false // the displaced block lives elsewhere than the put goes
-	if hadOld && !old.doubted && len(payload) <= old.class {
-		home := homeOf(ck, old)
-		if err := c.ep.WriteRegion(ctx, home, RecvRegionID, old.offset, payload); err != nil {
-			return fmt.Errorf("core: write to node %d: %w", home, err)
-		}
-		h.offset, h.class, h.home = old.offset, old.class, old.home
-	} else {
-		// A displaced block still at home on node is freed by the same call.
-		var displaced []block
-		if b := old.block(ck); hadOld && b.node == node {
-			displaced = []block{b}
-		} else {
-			away = hadOld
-		}
-		offset, err := putBlock(ctx, c.ep, node, 0, replication.Shard{}, key, class, payload, displaced...)
-		if err != nil {
-			c.doubt(node, err, displaced)
-			return err
-		}
-		h.offset = offset
-	}
-	c.mu.Lock()
-	c.handles[ck] = h
-	c.mu.Unlock()
-	if away {
-		// It followed a drain to another home: free it there, best-effort
-		// (eviction is the backstop if the release is lost).
-		_ = release(ctx, c.ep, old.block(ck))
-	}
-	return nil
+	return c.PutAll(ctx, node, []Entry{{Key: key, Data: data}})
 }
 
 // Get reads back the entry parked under key on node. The result buffer is

@@ -116,10 +116,10 @@ func TestClientOverwriteFreesDisplacedBlock(t *testing.T) {
 	}
 }
 
-// TestClientOverwriteReusesBlockInPlace checks that a re-put whose payload
-// still fits the reserved class rewrites the block with zero control-plane
-// round trips and no new allocation.
-func TestClientOverwriteReusesBlockInPlace(t *testing.T) {
+// TestClientShrinkingOverwriteFreesTheBigBlock: a re-put whose payload would
+// fit the old block still parks a fresh one, sized for the new payload, and
+// frees the old.
+func TestClientShrinkingOverwriteFreesTheBigBlock(t *testing.T) {
 	tc := newTestCluster(t, 2, smallConfig)
 	client := NewClient(tc.nodes[0].ep)
 	tc.run(t, func(ctx context.Context, p *des.Proc) {
@@ -137,9 +137,41 @@ func TestClientOverwriteReusesBlockInPlace(t *testing.T) {
 			t.Errorf("Get after shrink = %d bytes, %v", len(got), err)
 		}
 	})
-	// Still the original 4096-byte block: no alloc, no free happened.
-	if st := tc.nodes[1].RecvPool().Stats(); st.LiveBytes != 4096 {
-		t.Fatalf("LiveBytes = %d, want 4096 (in-place reuse)", st.LiveBytes)
+	if st := tc.nodes[1].RecvPool().Stats(); st.LiveBytes != minEntryClass {
+		t.Fatalf("LiveBytes = %d, want %d: the 4096-byte block freed, one minimum-class block parked", st.LiveBytes, minEntryClass)
+	}
+}
+
+// TestFailedOverwriteIsNeverTorn: an overwrite that dies in flight fails with
+// no effect, so the previous version reads back whole — never a prefix of the
+// new version spliced onto the old.
+func TestFailedOverwriteIsNeverTorn(t *testing.T) {
+	tc := newTestCluster(t, 2, smallConfig)
+	inj := faulty.New(7)
+	inj.AddRule(faulty.Rule{Kind: faulty.KindTruncate, Verb: faulty.VerbAny,
+		From: faulty.AnyNode, To: faulty.AnyNode, Pct: 100})
+	inj.SetEnabled(false)
+	client := NewClient(inj.Wrap(tc.nodes[0].ep))
+	old := bytes.Repeat([]byte{0xA}, 1024)
+	tc.run(t, func(ctx context.Context, p *des.Proc) {
+		if err := client.Put(ctx, 2, 1, old); err != nil {
+			t.Errorf("seed Put: %v", err)
+			return
+		}
+		inj.SetEnabled(true)
+		if err := client.Put(ctx, 2, 1, bytes.Repeat([]byte{0xB}, len(old))); err == nil {
+			t.Error("an overwrite whose every verb is truncated succeeded")
+			return
+		}
+		inj.SetEnabled(false)
+		got, err := client.Get(ctx, 2, 1)
+		if err != nil || !bytes.Equal(got, old) {
+			t.Errorf("Get after the failed overwrite = %d bytes, %d of them the new version's, %v; want the previous version whole",
+				len(got), bytes.Count(got, []byte{0xB}), err)
+		}
+	})
+	if st := tc.nodes[1].RecvPool().Stats(); st.LiveBytes != int64(len(old)) {
+		t.Fatalf("LiveBytes = %d after the failed overwrite, want %d", st.LiveBytes, len(old))
 	}
 }
 

@@ -290,9 +290,9 @@ func TestPutVerbCounts(t *testing.T) {
 	}
 }
 
-// TestClientPutVerbCounts: the client paths are one verb each — a growing
-// overwrite and a window with displaced keys one call (the displaced blocks'
-// release rides it), an in-place overwrite one bare one-sided write.
+// TestClientPutVerbCounts: the client paths are one call each — a shrinking
+// or growing overwrite and a window with displaced keys alike (the displaced
+// blocks' release rides the call); none writes one-sided.
 func TestClientPutVerbCounts(t *testing.T) {
 	for _, fabric := range []string{"sim", "tcp"} {
 		t.Run(fabric, func(t *testing.T) {
@@ -315,7 +315,7 @@ func TestClientPutVerbCounts(t *testing.T) {
 					}
 				}
 				step("fresh Put", 1, 0, 1024, func() error { return client.Put(ctx, 2, 1, make([]byte, 1024)) })
-				step("in-place Put", 0, 1, 1024, func() error { return client.Put(ctx, 2, 1, make([]byte, 600)) })
+				step("shrinking Put", 1, 0, 600, func() error { return client.Put(ctx, 2, 1, make([]byte, 600)) })
 				step("growing Put", 1, 0, 4096, func() error { return client.Put(ctx, 2, 1, bytes.Repeat([]byte{7}, 4096)) })
 				window := []Entry{
 					{Key: 1, Data: bytes.Repeat([]byte{1}, 2048)}, // displaces the 4096 block

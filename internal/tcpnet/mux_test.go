@@ -192,32 +192,35 @@ func TestSequentialOrdering(t *testing.T) {
 	}
 }
 
-// TestCallConcurrencyCapOne verifies WithCallConcurrency(1) restores strictly
-// serial handler execution even under concurrent callers.
-func TestCallConcurrencyCapOne(t *testing.T) {
-	a, err := Listen(1, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Listen(2, "127.0.0.1:0", WithCallConcurrency(1))
-	if err != nil {
-		_ = a.Close()
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = a.Close(); _ = b.Close() })
-	a.AddPeer(2, b.Addr())
+// TestCallConcurrencyIsCapped: with twice as many concurrent callers as the
+// endpoint has call workers, the handlers fill every worker and never more.
+// Each handler holds its worker until the cap is reached (or a second has
+// passed), so the test sees the cap itself, not a schedule that happened to
+// stay below it.
+func TestCallConcurrencyIsCapped(t *testing.T) {
+	a, b := pairUp(t)
 	var inHandler, maxSeen atomic.Int64
+	full := make(chan struct{})
+	var fullOnce sync.Once
 	b.SetHandler(func(context.Context, transport.NodeID, []byte) ([]byte, error) {
 		n := inHandler.Add(1)
 		defer inHandler.Add(-1)
-		if prev := maxSeen.Load(); n > prev {
-			maxSeen.Store(n)
+		for prev := maxSeen.Load(); n > prev; prev = maxSeen.Load() {
+			if maxSeen.CompareAndSwap(prev, n) {
+				break
+			}
 		}
-		time.Sleep(time.Millisecond)
+		if n == callConcurrency {
+			fullOnce.Do(func() { close(full) })
+		}
+		select {
+		case <-full:
+		case <-time.After(time.Second):
+		}
 		return nil, nil
 	})
 	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
+	for i := 0; i < 2*callConcurrency; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -227,8 +230,8 @@ func TestCallConcurrencyCapOne(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if maxSeen.Load() > 1 {
-		t.Fatalf("saw %d concurrent handlers with cap 1", maxSeen.Load())
+	if got := maxSeen.Load(); got != callConcurrency {
+		t.Fatalf("at most %d handlers ran at once with %d callers, want exactly %d", got, 2*callConcurrency, callConcurrency)
 	}
 }
 
@@ -317,7 +320,7 @@ func TestReconnectAfterBrokenConn(t *testing.T) {
 	var severed int
 	for key, cc := range a.conns {
 		if key.to == 2 {
-			_ = cc.c.Close()
+			_ = cc.w.conn.Close()
 			severed++
 		}
 	}
@@ -438,13 +441,7 @@ func TestRetryExcludesPartiallyFlushedFrames(t *testing.T) {
 	// Frame A is 45 bytes (37-byte header + 8-byte payload); a 64-byte budget
 	// accepts all of A plus 19 bytes of B's header, then dies mid-writev.
 	const budget = 64
-	sink := &budgetConn{budget: budget}
-	cc := &clientConn{
-		c:       sink,
-		dirty:   make(chan struct{}, 1),
-		done:    make(chan struct{}),
-		pending: map[uint64]pendingOp{},
-	}
+	cc := &clientConn{w: newFrameWriter(&budgetConn{budget: budget}), pending: map[uint64]pendingOp{}}
 	idA, chA, _ := cc.register(nil, true)
 	idB, chB, _ := cc.register(nil, true)
 	if err := e.send(cc, opWrite, idA, 1, 0, 0, make([]byte, 8), nil); err != nil {
@@ -453,14 +450,14 @@ func TestRetryExcludesPartiallyFlushedFrames(t *testing.T) {
 	if err := e.send(cc, opWrite, idB, 1, 0, 0, make([]byte, 10), nil); err != nil {
 		t.Fatalf("send B: %v", err)
 	}
-	cc.wmu.Lock()
-	ferr := cc.vq.flush(sink)
-	cc.wmu.Unlock()
-	if ferr == nil {
+	if err := cc.w.flush(); err == nil {
 		t.Fatal("flush succeeded against an exhausted budget")
 	}
-	if got := cc.vq.written; got != budget {
+	if got := cc.w.written; got != budget {
 		t.Fatalf("kernel accepted %d bytes, want partial flush of %d", got, budget)
+	}
+	if err := e.send(cc, opWrite, 99, 1, 0, 0, nil, nil); err == nil {
+		t.Fatal("a writer whose flush failed accepted another frame")
 	}
 	e.failConn(laneKey{to: 2, lane: 0}, cc, errors.New("flush failed"))
 	resA, resB := <-chA, <-chB

@@ -22,55 +22,61 @@
 // # Concurrency model
 //
 // Like an RDMA reliable connection with many outstanding verbs, each pooled
-// connection is split into a send side (a mutex held only for the duration
-// of one frame write) and a single demultiplexing reader goroutine that
-// routes responses to per-request channels. Unlimited RPCs to the same peer
-// proceed concurrently; none waits for another's round trip. Because a
-// single connection's frame-processing loops are themselves serial, each
-// peer gets a small stripe of such connections ("lanes", like a pool of RC
-// queue pairs; WithConnsPerPeer) and requests round-robin across them, and
-// flush syscalls are coalesced: senders only buffer their frame, and a
-// per-connection flush goroutine pushes everything the current burst of
-// runnable senders wrote out in one syscall (doorbell batching, in RDMA
-// terms).
+// connection is split into a send side and a single demultiplexing reader
+// goroutine that routes responses to per-request channels. Unlimited RPCs to
+// the same peer proceed concurrently; none waits for another's round trip.
+// Because a single connection's frame-processing loops are themselves
+// serial, each peer gets a small stripe of such connections ("lanes", like a
+// pool of RC queue pairs; min(maxLanes, GOMAXPROCS) of them) and requests
+// round-robin across them.
+//
+// Both directions of every connection write through one frameWriter: a
+// client connection's requests and a served connection's responses alike.
+// Queueing a frame holds the writer's mutex only while its iovecs are
+// appended, and flush syscalls are coalesced: a per-connection flusher
+// goroutine pushes everything the current burst of runnable queuers queued
+// out in one syscall (doorbell batching, in RDMA terms).
 //
 // On the serving side, one-sided opWrite/opRead frames are executed inline
 // in the connection's read loop — so one-sided operations on a connection
 // execute in exactly the order they were sent, mirroring RC QP ordering —
-// while two-sided opCall frames are dispatched to worker goroutines bounded
-// by a configurable endpoint-wide cap (WithCallConcurrency). With a cap of 1
-// control-plane calls are delivered strictly serially in arrival order;
-// with a larger cap, calls whose issuer did not wait for a prior completion
-// may be handled concurrently, exactly as multiple outstanding SENDs would.
-// Registered regions are guarded by an RWMutex so one-sided operations from
-// many connections proceed in parallel. As with real RDMA, concurrently
-// accessing overlapping bytes of one region is the application's race to
-// avoid.
+// and their responses are flushed by the read loop once the burst of
+// buffered requests drains. Two-sided opCall frames are dispatched to worker
+// goroutines bounded by an endpoint-wide cap (callConcurrency): calls whose
+// issuer did not wait for a prior completion may be handled concurrently,
+// exactly as multiple outstanding SENDs would. Registered regions are
+// guarded by an RWMutex so one-sided operations from many connections
+// proceed in parallel. As with real RDMA, concurrently accessing overlapping
+// bytes of one region is the application's race to avoid.
+//
+// A verb addressed to the endpoint's own ID takes the same path: with no
+// peer entry for itself the endpoint dials its own listener, and the verb is
+// served like any other.
 //
 // Broken pooled connections are redialled with exponential backoff instead
 // of failing the caller, and every verb honors its context: cancellation or
 // deadline expiry abandons the wait immediately (the late response, if any,
 // is discarded by the demux reader). A retry is only ever attempted when the
-// request frame provably never fully reached the socket: the transport
-// counts every byte handed to the kernel and records each frame's end offset
-// in the outbound stream, so a frame is re-sent only if the connection died
-// before all of its bytes were written — operations are never duplicated on
-// the peer by the transport itself.
+// request frame provably never fully reached the socket: the writer counts
+// every byte handed to the kernel and records each frame's end offset in the
+// outbound stream, so a frame is re-sent only if the connection died before
+// all of its bytes were written — operations are never duplicated on the
+// peer by the transport itself.
 //
 // # Zero-copy data plane
 //
-// Outbound frames are never assembled into a contiguous staging buffer.
-// Senders queue an iovec list — a pooled header block plus the caller's
-// payload slices, unmodified — and the flush goroutine hands the whole burst
-// to the kernel with one vectored write (net.Buffers, i.e. writev on a TCP
-// socket). CallV extends this to gather calls: the slices reach the peer's
-// handler as one payload without the client ever concatenating them.
-// Inbound, the demux reader is length-aware: a response whose round trip
-// registered a destination buffer (ReadRegionInto) is scattered straight
-// into it with io.ReadFull, and every other payload comes from the shared
-// size-classed pool (internal/bufpool) rather than a per-response make. The
-// ownership rules are bufpool's: pooled buffers handed to callers become
-// owned; owners that retain them simply strand one pooled buffer.
+// Outbound frames are never assembled into a contiguous staging buffer. A
+// frame is queued as an iovec list — a recycled header block plus the
+// payload slices, unmodified — and the flusher hands the whole burst to the
+// kernel with one vectored write (net.Buffers, i.e. writev on a TCP socket).
+// CallV extends this to gather calls: the slices reach the peer's handler as
+// one payload without the client ever concatenating them. Inbound, the demux
+// reader is length-aware: a response whose round trip registered a
+// destination buffer (ReadRegionInto) is scattered straight into it with
+// io.ReadFull, and every other payload comes from the shared size-classed
+// pool (internal/bufpool) rather than a per-response make. The ownership
+// rules are bufpool's: pooled buffers handed to callers become owned; owners
+// that retain them simply strand one pooled buffer.
 package tcpnet
 
 import (
@@ -120,9 +126,15 @@ const maxPayload = transport.MaxFrameSize
 // split such transfers into smaller operations.
 var ErrFrameTooLarge = transport.ErrFrameTooLarge
 
-// DefaultCallConcurrency is the endpoint-wide cap on concurrently executing
-// control-plane handlers unless overridden with WithCallConcurrency.
-const DefaultCallConcurrency = 32
+// callConcurrency is the endpoint-wide cap on concurrently executing
+// control-plane handlers.
+const callConcurrency = 32
+
+// maxLanes caps the striped connections ("lanes") kept per peer, like a
+// small pool of RC queue pairs to one remote NIC. An endpoint keeps
+// min(maxLanes, GOMAXPROCS): extra lanes only pay off when their
+// frame-processing loops can run in parallel.
+const maxLanes = 8
 
 const (
 	// retryAttempts bounds how many times an operation is retried when its
@@ -134,37 +146,6 @@ const (
 
 // Option configures an Endpoint at Listen time.
 type Option func(*Endpoint)
-
-// WithCallConcurrency caps how many control-plane (Call) handlers may run
-// concurrently across all inbound connections. n < 1 is treated as 1; a cap
-// of 1 restores strictly serial, in-arrival-order call delivery.
-func WithCallConcurrency(n int) Option {
-	return func(e *Endpoint) {
-		if n < 1 {
-			n = 1
-		}
-		e.callCap = n
-	}
-}
-
-// DefaultConnsPerPeer caps the default number of striped connections
-// ("lanes") kept per peer, like a small pool of RC queue pairs to one remote
-// NIC. The actual default is min(DefaultConnsPerPeer, GOMAXPROCS): extra
-// lanes only pay off when their frame-processing loops can run in parallel.
-const DefaultConnsPerPeer = 8
-
-// WithConnsPerPeer sets how many TCP connections are pooled per peer.
-// Requests round-robin across lanes, so the per-connection read/demux loops
-// — the serial bottleneck once RPCs are multiplexed — run in parallel.
-// n < 1 is treated as 1 (a single shared connection).
-func WithConnsPerPeer(n int) Option {
-	return func(e *Endpoint) {
-		if n < 1 {
-			n = 1
-		}
-		e.lanes = n
-	}
-}
 
 // WithMetrics mounts the endpoint's instrumentation on reg instead of a
 // free-floating per-node registry, so a daemon can hang transport metrics
@@ -181,7 +162,6 @@ func WithMetrics(reg *metrics.Registry) Option {
 type Endpoint struct {
 	id       transport.NodeID
 	listener net.Listener
-	callCap  int
 	callSem  chan struct{}
 	closedCh chan struct{}
 
@@ -240,63 +220,121 @@ type rpcResult struct {
 	pooled  bool
 }
 
-// frameRef remembers where one request frame ends in the outbound byte
-// stream, so a connection failure can tell frames that were fully handed to
-// the kernel (possibly delivered and executed — never retried) from frames
-// the socket provably never finished accepting (safe to retry: the peer can
-// at most have seen a truncated frame, which it discards without executing).
-// bi/bn locate the frame's slices in the vecQueue while it is unflushed, so
-// a cancelled round trip can detach caller-owned payload memory from the
-// queue before returning.
+// frameRef remembers where one frame ends in the outbound byte stream, so a
+// connection failure can tell frames that were fully handed to the kernel
+// (possibly delivered and executed — never retried) from frames the socket
+// provably never finished accepting (safe to retry: the peer can at most
+// have seen a truncated frame, which it discards without executing). bi/bn
+// locate the frame's slices in frameWriter.bufs while it is unflushed, so a
+// cancelled round trip can detach caller-owned payload memory from the queue
+// before returning.
 type frameRef struct {
 	id     uint64
 	end    int64 // stream offset one past the frame's last byte
-	bi, bn int   // the frame's slice range in vecQueue.bufs
+	bi, bn int   // the frame's slice range in frameWriter.bufs
 }
 
 // burstBytes is the queue size past which a flush fires immediately instead
-// of yielding for more of the sender burst (the old bufio buffer size).
+// of yielding for more of the queuers' burst.
 const burstBytes = 64 << 10
 
-// vecQueue is the vectored outbound frame queue shared by the client send
-// path and the server response path. Frames are queued as iovecs — a pooled
-// header block plus the payload slices, unreferenced and uncopied — and
-// flush hands the whole queue to the kernel with one net.Buffers vectored
-// write. The embedding connection's mutex guards all fields.
-type vecQueue struct {
+// errWriterDead is what a dead writer (see frameWriter.dead) answers.
+var errWriterDead = errors.New("tcpnet: connection writer failed")
+
+// frameWriter is the outbound half of one connection, in either direction.
+// Frames are queued as iovecs — a recycled header block plus the payload
+// slices, referenced and uncopied — and flush hands the whole queue to the
+// kernel with one net.Buffers vectored write. mu is held while a frame is
+// queued and across the write itself.
+//
+// Until a flush confirms it, every frame's stream end offset rides in ends;
+// because written counts the bytes the kernel has actually accepted (a
+// failed writev reports its partial progress), a failure marks exactly the
+// frames whose end lies beyond it as never having reached the peer intact.
+type frameWriter struct {
+	conn  net.Conn
+	dirty chan struct{} // cap 1: queued frames await the flusher
+	done  chan struct{} // closed once by the connection's owner: loop flushes and returns
+
+	mu       sync.Mutex
 	bufs     net.Buffers            // queued iovecs, in frame order
 	wto      net.Buffers            // WriteTo staging (see flush)
 	hdrs     []*[reqHeaderSize]byte // header blocks in flight, recycled on flush
 	free     []*[reqHeaderSize]byte // header block freelist
-	release  [][]byte               // pooled payloads released after flush
+	release  [][]byte               // pooled buffers released after flush
+	ends     []frameRef             // frames not yet confirmed flushed
 	raceCopy []byte                 // race builds only: see flush
 	queued   int64                  // bytes in bufs
 	written  int64                  // bytes the kernel has accepted since dial
+	dead     bool                   // a flush failed or the connection was failed
 }
 
-// header returns a recycled (or new) header block and tracks it for reuse
-// after the next successful flush. Response headers use a prefix of the
-// request-sized block.
-func (q *vecQueue) header() *[reqHeaderSize]byte {
-	var h *[reqHeaderSize]byte
-	if n := len(q.free); n > 0 {
-		h = q.free[n-1]
-		q.free = q.free[:n-1]
-	} else {
-		h = new([reqHeaderSize]byte)
+func newFrameWriter(conn net.Conn) *frameWriter {
+	return &frameWriter{conn: conn, dirty: make(chan struct{}, 1), done: make(chan struct{})}
+}
+
+// queue appends one frame: hdr, encoded by the caller and copied into a
+// recycled header block, then payload and extra by reference. release, when
+// non-nil, is a pooled buffer the frame depends on, handed back to the pool
+// by the flush that gives the frame to the kernel (or at once, if the writer
+// is dead). kick wakes the flusher; without it the frame waits for the
+// owner's next flush.
+func (w *frameWriter) queue(id uint64, hdr, payload []byte, extra [][]byte, release []byte, kick bool) error {
+	w.mu.Lock()
+	if w.dead {
+		w.mu.Unlock()
+		putBuf(release)
+		return errWriterDead
 	}
-	q.hdrs = append(q.hdrs, h)
-	return h
+	var blk *[reqHeaderSize]byte
+	if n := len(w.free); n > 0 {
+		blk = w.free[n-1]
+		w.free = w.free[:n-1]
+	} else {
+		blk = new([reqHeaderSize]byte)
+	}
+	w.hdrs = append(w.hdrs, blk)
+	bi := len(w.bufs)
+	size := copy(blk[:], hdr)
+	w.bufs = append(w.bufs, blk[:size])
+	if len(payload) > 0 {
+		w.bufs = append(w.bufs, payload)
+		size += len(payload)
+	}
+	for _, b := range extra {
+		if len(b) > 0 {
+			w.bufs = append(w.bufs, b)
+			size += len(b)
+		}
+	}
+	if release != nil {
+		w.release = append(w.release, release)
+	}
+	w.queued += int64(size)
+	w.ends = append(w.ends, frameRef{id: id, end: w.written + w.queued, bi: bi, bn: len(w.bufs) - bi})
+	w.mu.Unlock()
+	if kick {
+		select {
+		case w.dirty <- struct{}{}:
+		default: // a flush is already scheduled
+		}
+	}
+	return nil
 }
 
 // flush hands every queued iovec to the kernel in one vectored write. On
 // success the queue is reset with its backing storage retained, header
-// blocks return to the freelist, and pooled payloads are released. On error
-// the queue is left as-is (the connection is dead); written still reflects
-// the bytes the kernel accepted, which is what the retry classification in
-// failConn compares frame end offsets against.
-func (q *vecQueue) flush(conn net.Conn) error {
-	if len(q.bufs) == 0 {
+// blocks return to the freelist and the frame-end records are dropped. On
+// failure the writer is dead and the frame-end records stay for failConn,
+// which compares them with written. Either way the pooled buffers are
+// released: nothing will write them again.
+func (w *frameWriter) flush() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.dead {
+		return errWriterDead
+	}
+	if len(w.bufs) == 0 {
 		return nil
 	}
 	var n int64
@@ -311,10 +349,10 @@ func (q *vecQueue) flush(conn net.Conn) error {
 		// once the syscall has returned, after the release, and by then the
 		// peer may have answered and the caller be refilling the slice it
 		// lent us. The copy's read of it is ordered before the release.
-		for _, b := range q.bufs {
+		for _, b := range w.bufs {
 			var m int
-			q.raceCopy = append(q.raceCopy[:0], b...)
-			m, err = conn.Write(q.raceCopy)
+			w.raceCopy = append(w.raceCopy[:0], b...)
+			m, err = w.conn.Write(w.raceCopy)
 			n += int64(m)
 			if err != nil {
 				break
@@ -323,26 +361,99 @@ func (q *vecQueue) flush(conn net.Conn) error {
 	} else {
 		// WriteTo consumes its receiver (and nils out sent entries), so hand
 		// it a copy of the slice header and keep ours for backing-array reuse.
-		// The copy is staged in the queue struct, not a local: a local would
-		// escape to the heap on every flush through WriteTo's pointer
-		// receiver — the last allocation on the steady-state path.
-		q.wto = q.bufs
-		n, err = q.wto.WriteTo(conn)
-		q.wto = nil
+		// The copy is staged in the writer, not a local: a local would escape
+		// to the heap on every flush through WriteTo's pointer receiver — the
+		// last allocation on the steady-state path.
+		w.wto = w.bufs
+		n, err = w.wto.WriteTo(w.conn)
+		w.wto = nil
 	}
-	q.written += n
+	w.written += n
 	if err != nil {
-		return err
+		w.dead = true
+	} else {
+		w.bufs = w.bufs[:0]
+		w.queued = 0
+		w.free = append(w.free, w.hdrs...)
+		w.hdrs = w.hdrs[:0]
+		w.ends = w.ends[:0]
 	}
-	q.bufs = q.bufs[:0]
-	q.queued = 0
-	q.free = append(q.free, q.hdrs...)
-	q.hdrs = q.hdrs[:0]
-	for _, b := range q.release {
+	for _, b := range w.release {
 		putBuf(b)
 	}
-	q.release = q.release[:0]
-	return nil
+	w.release = w.release[:0]
+	return err
+}
+
+// loop is the connection's flusher: a kick waits out the burst of runnable
+// queuers and pushes their frames out together in one vectored write. It
+// returns the error that ended it, or the last flush's once done is closed.
+func (w *frameWriter) loop() error {
+	for {
+		select {
+		case <-w.dirty:
+			w.waitForBurst()
+			if err := w.flush(); err != nil {
+				return err
+			}
+		case <-w.done:
+			return w.flush()
+		}
+	}
+}
+
+// waitForBurst yields the processor until the queue stops growing, so a
+// flusher woken by the first queuer of a burst does not fire before the rest
+// of the runnable queuers have queued theirs. Bounded: at most a few yields,
+// and a queue already past the burst threshold flushes at once.
+func (w *frameWriter) waitForBurst() {
+	prev := int64(-1)
+	for i := 0; i < 4; i++ {
+		w.mu.Lock()
+		cur := w.queued
+		w.mu.Unlock()
+		if cur == prev || cur > burstBytes {
+			return
+		}
+		prev = cur
+		runtime.Gosched()
+	}
+}
+
+// fail kills the writer and hands over its frame-end records with the count
+// of bytes the kernel accepted.
+func (w *frameWriter) fail() ([]frameRef, int64) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.dead = true
+	refs := w.ends
+	w.ends = nil
+	return refs, w.written
+}
+
+// detach unbinds a cancelled frame's payload iovecs from caller-owned
+// memory: each still-queued payload slice is copied into a pooled buffer
+// that the flush releases. The caller regains exclusive ownership of its
+// buffers the moment detach returns, while the stream keeps its framing (the
+// queued header promised payloadLen bytes, so the bytes themselves must
+// still go out). The happy path never pays this copy — only a context
+// cancellation that outruns the flusher does.
+func (w *frameWriter) detach(id uint64) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for _, ref := range w.ends {
+		if ref.id != id {
+			continue
+		}
+		for i := ref.bi + 1; i < ref.bi+ref.bn; i++ {
+			b := w.bufs[i]
+			cp := getBuf(len(b))
+			copy(cp, b)
+			w.bufs[i] = cp
+			w.release = append(w.release, cp)
+		}
+		return
+	}
 }
 
 // pendingOp is one in-flight round trip awaiting its response. dst, when
@@ -356,29 +467,11 @@ type pendingOp struct {
 	pool bool
 }
 
-// clientConn is one pooled outbound connection. The write side is guarded by
-// wmu (held only while one frame is queued or the queue is flushed);
-// responses are consumed by a single reader goroutine that routes them to
-// pending by request ID.
-//
-// Flushes are coalesced: senders only queue their frame's iovecs and mark
-// the writer dirty, and the connection's flush goroutine pushes everything
-// the current burst of runnable senders queued out in one vectored write.
-// unflushed records the stream end offset of every frame not yet confirmed
-// flushed; because vq.written counts the bytes the kernel has actually
-// accepted (a failed writev reports its partial progress), a failure marks
-// exactly the frames whose end offset lies beyond the accepted-byte count as
-// retryable — those provably never reached the peer intact — while frames
-// fully handed to the kernel surface the error to their callers.
+// clientConn is one pooled outbound connection: requests go out through w,
+// and responses are consumed by a single reader goroutine that routes them
+// to pending by request ID.
 type clientConn struct {
-	c net.Conn
-
-	wmu       sync.Mutex
-	vq        vecQueue
-	unflushed []frameRef
-	wdead     bool          // write side failed; senders must not queue more frames
-	dirty     chan struct{} // cap 1: "queued frames await a flush"
-	done      chan struct{} // closed exactly once by failConn
+	w *frameWriter
 
 	pmu     sync.Mutex
 	pending map[uint64]pendingOp
@@ -432,31 +525,6 @@ func (cc *clientConn) cancel(id uint64, ch chan rpcResult, dst []byte) {
 	}
 }
 
-// detach unbinds a cancelled frame's payload iovecs from caller-owned
-// memory: each still-queued payload slice is copied into a pooled buffer
-// that the flush releases. The caller regains exclusive ownership of its
-// buffers the moment detach returns, while the stream keeps its framing (the
-// queued header promised payloadLen bytes, so the bytes themselves must
-// still go out). The happy path never pays this copy — only a context
-// cancellation that outruns the flush goroutine does.
-func (cc *clientConn) detach(id uint64) {
-	cc.wmu.Lock()
-	defer cc.wmu.Unlock()
-	for _, ref := range cc.unflushed {
-		if ref.id != id {
-			continue
-		}
-		for i := ref.bi + 1; i < ref.bi+ref.bn; i++ {
-			b := cc.vq.bufs[i]
-			cp := getBuf(len(b))
-			copy(cp, b)
-			cc.vq.bufs[i] = cp
-			cc.vq.release = append(cc.vq.release, cp)
-		}
-		return
-	}
-}
-
 // Listen creates an endpoint for node id serving on addr (e.g. ":7400").
 // Use Addr to discover the bound address when addr has port 0.
 func Listen(id transport.NodeID, addr string, opts ...Option) (*Endpoint, error) {
@@ -467,8 +535,8 @@ func Listen(id transport.NodeID, addr string, opts ...Option) (*Endpoint, error)
 	e := &Endpoint{
 		id:       id,
 		listener: l,
-		callCap:  DefaultCallConcurrency,
-		lanes:    min(DefaultConnsPerPeer, runtime.GOMAXPROCS(0)),
+		callSem:  make(chan struct{}, callConcurrency),
+		lanes:    min(maxLanes, runtime.GOMAXPROCS(0)),
 		closedCh: make(chan struct{}),
 		regions:  map[transport.RegionID][]byte{},
 		peers:    map[transport.NodeID]string{},
@@ -480,7 +548,6 @@ func Listen(id transport.NodeID, addr string, opts ...Option) (*Endpoint, error)
 		o(e)
 	}
 	e.baseCtx, e.baseCancel = context.WithCancel(context.Background())
-	e.callSem = make(chan struct{}, e.callCap)
 	e.inflight = e.reg.Gauge("rpc_inflight")
 	e.rtt = e.reg.Histogram("rpc_rtt")
 	e.bytesTx = e.reg.Counter("bytes_tx")
@@ -508,6 +575,16 @@ func (e *Endpoint) AddPeer(id transport.NodeID, addr string) {
 	e.mu.Lock()
 	e.peers[id] = addr
 	e.mu.Unlock()
+}
+
+// addrLocked returns where node to listens: its peer entry or, for the
+// endpoint's own ID without one, its own listener. e.mu must be held.
+func (e *Endpoint) addrLocked(to transport.NodeID) (string, bool) {
+	addr, ok := e.peers[to]
+	if !ok && to == e.id {
+		return e.Addr(), true
+	}
+	return addr, ok
 }
 
 // RegisterRegion implements transport.Endpoint.
@@ -571,7 +648,7 @@ func (e *Endpoint) Close() error {
 	e.baseCancel()
 	err := e.listener.Close()
 	for _, cc := range conns {
-		_ = cc.c.Close()
+		_ = cc.w.conn.Close()
 	}
 	for _, c := range inbound {
 		_ = c.Close()
@@ -605,23 +682,18 @@ func (e *Endpoint) serveConn(conn net.Conn) {
 	e.inbound[conn] = struct{}{}
 	e.mu.Unlock()
 	// Response frames are queued by the read loop (one-sided fast path) and
-	// by call workers; cw serializes them and coalesces flushes into one
-	// vectored write. callWG is drained before the connection is torn down so
-	// workers never queue onto a freed writer.
-	cw := &connWriter{
-		conn:  conn,
-		dirty: make(chan struct{}, 1),
-		done:  make(chan struct{}),
-	}
+	// by call workers. callWG is drained before the writer's loop is told to
+	// finish, so workers never queue onto a writer nobody flushes.
+	w := newFrameWriter(conn)
 	e.wg.Add(1)
 	go func() {
 		defer e.wg.Done()
-		cw.flushLoop()
+		_ = w.loop() // a failed flush fails the read loop's next flush too
 	}()
 	var callWG sync.WaitGroup
 	defer func() {
 		callWG.Wait()
-		close(cw.done)
+		close(w.done)
 		e.mu.Lock()
 		delete(e.inbound, conn)
 		e.mu.Unlock()
@@ -633,7 +705,7 @@ func (e *Endpoint) serveConn(conn net.Conn) {
 		// more pipelined requests are already buffered, responses keep
 		// accumulating and go out in one syscall.
 		if r.Buffered() == 0 {
-			if err := cw.flushPending(); err != nil {
+			if err := w.flush(); err != nil {
 				return
 			}
 		}
@@ -643,30 +715,7 @@ func (e *Endpoint) serveConn(conn net.Conn) {
 		}
 		e.bytesRx.Add(int64(reqHeaderSize + len(req.payload)))
 		e.served.Inc()
-		switch req.op {
-		case opRead, opWrite:
-			// One-sided fast path: executed inline, in arrival order, and not
-			// flushed — the loop top flushes once the request burst drains.
-			// opRead copies the region bytes into a pooled buffer so the
-			// regions read lock is released before the response is framed: a
-			// slow peer stalling the socket write must not pin the lock and
-			// wedge registration or one-sided traffic endpoint-wide. The
-			// pooled response rides the queue as an iovec and is released by
-			// the flush that confirms the kernel took it.
-			var status byte
-			var resp, release []byte
-			if req.op == opRead && req.n > maxPayload {
-				status = statusAppError
-				resp = []byte(fmt.Sprintf("read of %d bytes exceeds %d-byte frame limit", req.n, maxPayload))
-			} else if status, resp = e.execute(e.baseCtx, req, true); req.op == opRead {
-				release = resp
-			}
-			werr := e.respond(cw, req.id, status, resp, release, false)
-			putBuf(req.payload)
-			if werr != nil {
-				return
-			}
-		case opCall:
+		if req.op == opCall {
 			// Two-sided calls go to bounded workers so a slow handler never
 			// stalls one-sided traffic behind it. Acquiring the semaphore
 			// here (not in the worker) applies backpressure: a saturated
@@ -680,116 +729,67 @@ func (e *Endpoint) serveConn(conn net.Conn) {
 			go func(req request) {
 				defer callWG.Done()
 				defer func() { <-e.callSem }()
-				status, resp := e.execute(e.baseCtx, req, false)
-				// Workers hand the flush to the connection's flusher so a
-				// burst of completing handlers coalesces into one syscall. The
-				// pooled request payload is released by that flush, not here, so
-				// even a response that aliases it reaches the wire intact.
-				_ = e.respond(cw, req.id, status, resp, req.payload, true)
+				status, resp := e.execute(req)
+				// Workers kick the flusher so a burst of completing handlers
+				// coalesces into one syscall. The pooled request payload is
+				// released by that flush, not here, so even a response that
+				// aliases it reaches the wire intact.
+				_ = e.respond(w, req.id, status, resp, req.payload, true)
 			}(req)
-		default:
-			putBuf(req.payload)
-			if e.respond(cw, req.id, statusAppError,
-				[]byte(fmt.Sprintf("unknown op %d", req.op)), nil, false) != nil {
-				return
-			}
+			continue
 		}
-	}
-}
-
-// connWriter is the shared, flush-coalescing response writer for one inbound
-// connection. Responses are queued as iovecs (header block plus payload,
-// uncopied); the read loop's inline responses are flushed at the loop top
-// once the request burst drains, while call workers mark the writer dirty
-// and the flush goroutine pushes a burst of handler responses out in one
-// vectored write.
-type connWriter struct {
-	mu    sync.Mutex
-	conn  net.Conn
-	q     vecQueue
-	dead  bool
-	dirty chan struct{} // cap 1: worker responses await a flush
-	done  chan struct{} // closed by serveConn after workers drain
-}
-
-// flushPending pushes out any deferred response frames.
-func (cw *connWriter) flushPending() error {
-	cw.mu.Lock()
-	defer cw.mu.Unlock()
-	if cw.dead {
-		return errors.New("tcpnet: connection writer failed")
-	}
-	err := cw.q.flush(cw.conn)
-	if err != nil {
-		cw.dead = true
-	}
-	return err
-}
-
-// flushLoop drains worker responses. Flush errors are ignored here: the
-// connection is torn down by the read loop, which sees the same failure.
-func (cw *connWriter) flushLoop() {
-	for {
-		select {
-		case <-cw.dirty:
-			waitForBurst(&cw.mu, &cw.q)
-			_ = cw.flushPending()
-		case <-cw.done:
-			_ = cw.flushPending() // whatever the last workers left behind
+		// One-sided fast path: executed inline, in arrival order, and not
+		// flushed — the loop top flushes once the request burst drains.
+		// opRead copies the region bytes into a pooled buffer so the regions
+		// read lock is released before the response is framed: a slow peer
+		// stalling the socket write must not pin the lock and wedge
+		// registration or one-sided traffic endpoint-wide. The pooled
+		// response rides the queue as an iovec and is released by the flush
+		// that confirms the kernel took it.
+		var status byte
+		var resp, release []byte
+		if req.op == opRead && req.n > maxPayload {
+			status = statusAppError
+			resp = []byte(fmt.Sprintf("read of %d bytes exceeds %d-byte frame limit", req.n, maxPayload))
+		} else if status, resp = e.execute(req); req.op == opRead {
+			release = resp
+		}
+		werr := e.respond(w, req.id, status, resp, release, false)
+		putBuf(req.payload)
+		if werr != nil {
 			return
 		}
 	}
 }
 
-// respond queues one response frame as iovecs. release, when non-nil, is a
-// pooled buffer the frame depends on — an opRead's response payload, an
-// opCall's request payload — handed back to the pool by the flush that gives
-// the frame to the kernel. With deferFlush=false (read-loop fast path) the
-// frame waits for the loop-top flush; with deferFlush=true (call workers) the
-// connection's flush goroutine batches the burst.
-func (e *Endpoint) respond(cw *connWriter, id uint64, status byte, payload, release []byte, deferFlush bool) error {
+// respond queues one response frame. release, when non-nil, is a pooled
+// buffer the frame depends on — an opRead's response payload, an opCall's
+// request payload — handed back to the pool by the flush that gives the
+// frame to the kernel. kick is set by call workers, whose responses the
+// flusher batches; the read loop's inline responses wait for its loop-top
+// flush.
+func (e *Endpoint) respond(w *frameWriter, id uint64, status byte, payload, release []byte, kick bool) error {
 	if len(payload) > maxPayload {
 		putBuf(release)
 		return fmt.Errorf("%w: payload %d exceeds %d", ErrFrameTooLarge, len(payload), maxPayload)
 	}
-	cw.mu.Lock()
-	if cw.dead {
-		cw.mu.Unlock()
-		putBuf(release)
-		return errors.New("tcpnet: connection writer failed")
-	}
-	hdr := cw.q.header()
+	var hdr [respHeaderSize]byte
 	binary.BigEndian.PutUint64(hdr[0:8], id)
 	hdr[8] = status
 	binary.BigEndian.PutUint32(hdr[9:13], uint32(len(payload)))
-	cw.q.bufs = append(cw.q.bufs, hdr[:respHeaderSize])
-	if len(payload) > 0 {
-		cw.q.bufs = append(cw.q.bufs, payload)
+	if err := w.queue(id, hdr[:], payload, nil, release, kick); err != nil {
+		return err
 	}
-	if release != nil {
-		cw.q.release = append(cw.q.release, release)
-	}
-	cw.q.queued += int64(respHeaderSize + len(payload))
-	cw.mu.Unlock()
 	e.bytesTx.Add(int64(respHeaderSize + len(payload)))
-	if deferFlush {
-		select {
-		case cw.dirty <- struct{}{}:
-		default:
-		}
-	}
 	return nil
 }
 
-// execute runs one decoded request against local state. ctx is the request
-// context handed to control-plane handlers: the endpoint's base context for
-// inbound frames, the caller's context on the loopback path. When pool is
-// true the opRead response buffer comes from the frame pool and the caller
-// recycles it after the frame is written; the loopback path passes pool=false
-// because its result is handed to the application. No branch holds regMu
-// across socket I/O: the copy under the read lock is what lets the caller
-// frame the response after the lock is released.
-func (e *Endpoint) execute(ctx context.Context, req request, pool bool) (byte, []byte) {
+// execute runs one decoded request against local state. An opRead's
+// response buffer comes from the frame pool and is recycled once the frame
+// is written; a control-plane handler gets the endpoint's base context. No
+// branch holds regMu across socket I/O: the copy under the read lock is what
+// lets the caller frame the response after the lock is released.
+func (e *Endpoint) execute(req request) (byte, []byte) {
 	switch req.op {
 	case opWrite:
 		e.regMu.RLock()
@@ -816,12 +816,7 @@ func (e *Endpoint) execute(ctx context.Context, req request, pool bool) (byte, [
 			e.regMu.RUnlock()
 			return statusOutOfBounds, nil
 		}
-		var out []byte
-		if pool {
-			out = getBuf(req.n)
-		} else {
-			out = make([]byte, req.n)
-		}
+		out := getBuf(req.n)
 		copy(out, buf[req.offset:])
 		e.regMu.RUnlock()
 		return statusOK, out
@@ -832,7 +827,7 @@ func (e *Endpoint) execute(ctx context.Context, req request, pool bool) (byte, [
 		if h == nil {
 			return statusNoHandler, nil
 		}
-		resp, err := h(ctx, req.from, req.payload)
+		resp, err := h(e.baseCtx, req.from, req.payload)
 		if err != nil {
 			return statusAppError, []byte(err.Error())
 		}
@@ -855,7 +850,7 @@ func (e *Endpoint) conn(ctx context.Context, to transport.NodeID) (laneKey, *cli
 		e.mu.Unlock()
 		return key, cc, nil
 	}
-	addr, ok := e.peers[to]
+	addr, ok := e.addrLocked(to)
 	e.mu.Unlock()
 	if !ok {
 		return key, nil, fmt.Errorf("%w: node %d has no known address", transport.ErrUnreachable, to)
@@ -868,12 +863,7 @@ func (e *Endpoint) conn(ctx context.Context, to transport.NodeID) (laneKey, *cli
 		}
 		return key, nil, fmt.Errorf("%w: dial %s: %v", transport.ErrUnreachable, addr, err)
 	}
-	cc := &clientConn{
-		c:       c,
-		dirty:   make(chan struct{}, 1),
-		done:    make(chan struct{}),
-		pending: map[uint64]pendingOp{},
-	}
+	cc := &clientConn{w: newFrameWriter(c), pending: map[uint64]pendingOp{}}
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
@@ -891,7 +881,14 @@ func (e *Endpoint) conn(ctx context.Context, to transport.NodeID) (laneKey, *cli
 	e.wg.Add(2)
 	e.mu.Unlock()
 	go e.readLoop(key, cc, bufio.NewReaderSize(c, 64<<10))
-	go e.flushLoop(key, cc)
+	go func() {
+		defer e.wg.Done()
+		// A failed flush fails the connection; requests whose frames never
+		// reached the kernel are failed as retryable.
+		if err := cc.w.loop(); err != nil {
+			e.failConn(key, cc, err)
+		}
+	}()
 	return key, cc, nil
 }
 
@@ -902,7 +899,7 @@ func (e *Endpoint) dropConn(key laneKey, cc *clientConn) {
 		delete(e.conns, key)
 	}
 	e.mu.Unlock()
-	_ = cc.c.Close()
+	_ = cc.w.conn.Close()
 }
 
 // readLoop is the demultiplexer: the single goroutine that consumes response
@@ -979,10 +976,9 @@ func (e *Endpoint) readLoop(key laneKey, cc *clientConn, r *bufio.Reader) {
 // the counted bytes handed to the socket): the peer can at most have
 // received a truncated frame, which it discards without executing, so the
 // caller transparently redials and re-sends. Frames fully handed to the
-// kernel — whether by the flush goroutine or by a bufio overflow flush —
-// may have been delivered and executed, so those requests get the terminal
-// error (their fate on the peer is unknown). Writes and reads racing a
-// Close of the local endpoint are reported as ErrClosed, not
+// kernel may have been delivered and executed, so those requests get the
+// terminal error (their fate on the peer is unknown). Writes and reads
+// racing a Close of the local endpoint are reported as ErrClosed, not
 // ErrUnreachable: the peer did not go away, we did.
 func (e *Endpoint) failConn(key laneKey, cc *clientConn, cause error) {
 	e.dropConn(key, cc)
@@ -991,23 +987,18 @@ func (e *Endpoint) failConn(key laneKey, cc *clientConn, cause error) {
 	if !closed {
 		err = fmt.Errorf("%w: recv: %v", transport.ErrUnreachable, cause)
 	}
-	cc.wmu.Lock()
-	cc.wdead = true
-	refs := cc.unflushed
-	cc.unflushed = nil
-	accepted := cc.vq.written
-	cc.wmu.Unlock()
+	refs, accepted := cc.w.fail()
 	cc.pmu.Lock()
 	if cc.dead {
 		cc.pmu.Unlock()
-		return // the read loop or flush loop already failed this connection
+		return // the read loop or the flusher already failed this connection
 	}
 	cc.dead = true
 	cc.deadErr = err
 	pending := cc.pending
 	cc.pending = nil
 	cc.pmu.Unlock()
-	close(cc.done)
+	close(cc.w.done)
 	var unsentSet map[uint64]struct{}
 	if len(refs) > 0 && !closed {
 		unsentSet = make(map[uint64]struct{}, len(refs))
@@ -1026,17 +1017,11 @@ func (e *Endpoint) failConn(key laneKey, cc *clientConn, cause error) {
 	}
 }
 
-// send queues one request frame as iovecs — a pooled header block plus the
-// caller's payload slices, uncopied; wmu is held only for the queueing, so
-// concurrent round trips interleave whole frames rather than waiting for
-// each other's responses. The vectored-write syscall is always deferred to
-// the connection's flush goroutine, which batches every frame queued by the
-// current burst of runnable senders — the mechanism that keeps a one-core
-// host from paying one write syscall per concurrent RPC. Until a flush
-// confirms delivery to the kernel, the frame's stream end offset rides in
-// unflushed, which is what lets a failed flush (a stale pooled connection,
-// typically) be retried safely: failConn compares each recorded offset
-// against the bytes the socket actually accepted.
+// send queues one request frame — its header plus the caller's payload
+// slices, uncopied — and kicks the connection's flusher, which batches every
+// frame queued by the current burst of runnable senders into one vectored
+// write: the mechanism that keeps a one-core host from paying one write
+// syscall per concurrent RPC.
 //
 // The queued payload slices remain caller-owned: the caller is blocked in
 // its round trip until the response (which implies the flush) arrives, and
@@ -1046,13 +1031,7 @@ func (e *Endpoint) send(cc *clientConn, op byte, id uint64, region transport.Reg
 	for _, b := range extra {
 		plen += len(b)
 	}
-	cc.wmu.Lock()
-	if cc.wdead {
-		cc.wmu.Unlock()
-		return errors.New("connection already failed")
-	}
-	q := &cc.vq
-	hdr := q.header()
+	var hdr [reqHeaderSize]byte
 	hdr[0] = op
 	binary.BigEndian.PutUint64(hdr[1:9], id)
 	binary.BigEndian.PutUint64(hdr[9:17], uint64(e.id))
@@ -1060,73 +1039,11 @@ func (e *Endpoint) send(cc *clientConn, op byte, id uint64, region transport.Reg
 	binary.BigEndian.PutUint64(hdr[21:29], uint64(offset))
 	binary.BigEndian.PutUint32(hdr[29:33], uint32(n))
 	binary.BigEndian.PutUint32(hdr[33:37], uint32(plen))
-	bi := len(q.bufs)
-	q.bufs = append(q.bufs, hdr[:])
-	if len(payload) > 0 {
-		q.bufs = append(q.bufs, payload)
+	if err := cc.w.queue(id, hdr[:], payload, extra, nil, true); err != nil {
+		return err
 	}
-	for _, b := range extra {
-		if len(b) > 0 {
-			q.bufs = append(q.bufs, b)
-		}
-	}
-	q.queued += int64(reqHeaderSize + plen)
-	cc.unflushed = append(cc.unflushed, frameRef{id: id, end: q.written + q.queued, bi: bi, bn: len(q.bufs) - bi})
-	cc.wmu.Unlock()
 	e.bytesTx.Add(int64(reqHeaderSize + plen))
-	select {
-	case cc.dirty <- struct{}{}:
-	default: // a flush is already scheduled
-	}
 	return nil
-}
-
-// flushLoop is one connection's deferred flusher: it wakes after a burst of
-// senders has marked the writer dirty and pushes their frames out together
-// in one vectored write. A failed flush fails the connection; requests whose
-// frames never reached the kernel are failed as retryable.
-func (e *Endpoint) flushLoop(key laneKey, cc *clientConn) {
-	defer e.wg.Done()
-	for {
-		select {
-		case <-cc.dirty:
-			waitForBurst(&cc.wmu, &cc.vq)
-			cc.wmu.Lock()
-			err := cc.vq.flush(cc.c)
-			if err == nil {
-				// Queue empty: every recorded frame end is <= vq.written,
-				// i.e. fully handed to the kernel and no longer retryable.
-				cc.unflushed = cc.unflushed[:0]
-			}
-			cc.wmu.Unlock()
-			if err != nil {
-				// failConn snapshots the still-unflushed IDs and fails those
-				// round trips as retryable.
-				e.failConn(key, cc, err)
-				return
-			}
-		case <-cc.done:
-			return
-		}
-	}
-}
-
-// waitForBurst yields the processor until q stops accumulating frames, so a
-// flush goroutine woken by the first sender of a burst does not fire before
-// the rest of the runnable senders have queued theirs. Bounded: at most a
-// few yields, and a queue already past the burst threshold flushes at once.
-func waitForBurst(mu *sync.Mutex, q *vecQueue) {
-	prev := int64(-1)
-	for i := 0; i < 4; i++ {
-		mu.Lock()
-		cur := q.queued
-		mu.Unlock()
-		if cur == prev || cur > burstBytes {
-			return
-		}
-		prev = cur
-		runtime.Gosched()
-	}
 }
 
 // roundTrip runs one request against a peer. payload and extra together form
@@ -1146,28 +1063,6 @@ func (e *Endpoint) roundTrip(ctx context.Context, to transport.NodeID, op byte, 
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
-	}
-	if to == e.id {
-		// Loopback: execute locally without touching the network.
-		if e.isClosed() {
-			return nil, transport.ErrClosed
-		}
-		if op == opRead && dst != nil {
-			return nil, e.readLocalInto(to, region, offset, dst)
-		}
-		if extra != nil {
-			// A gather call: the handler needs one contiguous payload.
-			payload = getBuf(plen)
-			defer putBuf(payload)
-			at := 0
-			for _, b := range extra {
-				at += copy(payload[at:], b)
-			}
-		}
-		status, resp := e.execute(ctx, request{
-			op: op, from: e.id, region: region, offset: offset, n: n, payload: payload,
-		}, false)
-		return e.decodeStatus(to, region, status, resp)
 	}
 	for attempt := 0; ; attempt++ {
 		resp, retry, err := e.attempt(ctx, to, op, region, offset, n, payload, extra, dst)
@@ -1201,7 +1096,7 @@ func (e *Endpoint) attempt(ctx context.Context, to transport.NodeID, op byte, re
 			return nil, false, err
 		}
 		e.mu.Lock()
-		_, known := e.peers[to]
+		_, known := e.addrLocked(to)
 		e.mu.Unlock()
 		return nil, known, err // unknown peers fail fast, dial errors retry
 	}
@@ -1232,7 +1127,7 @@ func (e *Endpoint) attempt(ctx context.Context, to transport.NodeID, op byte, re
 			if payload != nil || extra != nil {
 				// Reclaim the caller's payload memory from the write queue
 				// before handing the buffers back.
-				cc.detach(id)
+				cc.w.detach(id)
 			}
 			cc.cancel(id, ch, dst)
 			return nil, false, ctx.Err()
@@ -1264,21 +1159,6 @@ func (e *Endpoint) attempt(ctx context.Context, to transport.NodeID, op byte, re
 		return nil, false, nil
 	}
 	return out, false, err
-}
-
-// readLocalInto applies a loopback scatter read directly from the region.
-func (e *Endpoint) readLocalInto(to transport.NodeID, region transport.RegionID, offset int64, dst []byte) error {
-	e.regMu.RLock()
-	defer e.regMu.RUnlock()
-	buf, ok := e.regions[region]
-	if !ok {
-		return fmt.Errorf("%w: region %d on node %d", transport.ErrNoRegion, region, to)
-	}
-	if offset < 0 || offset+int64(len(dst)) > int64(len(buf)) {
-		return fmt.Errorf("%w: region %d on node %d", transport.ErrOutOfBounds, region, to)
-	}
-	copy(dst, buf[offset:])
-	return nil
 }
 
 // decodeStatus maps a wire status byte back to the transport sentinel errors.

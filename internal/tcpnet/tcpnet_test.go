@@ -256,12 +256,49 @@ func TestBidirectional(t *testing.T) {
 	if err := b.WriteRegion(ctx, 1, 1, 0, []byte("b->a")); err != nil {
 		t.Fatal(err)
 	}
-	got, err := a.ReadRegion(ctx, 1, 1, 0, 4) // self-read via loopback
+	got, err := a.ReadRegion(ctx, 1, 1, 0, 4) // self-read over a's own listener
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(got) != "b->a" {
 		t.Fatalf("got %q", got)
+	}
+}
+
+// TestSelfAddressedVerbsGoOverTheSocket: an endpoint with no peer entry for
+// itself serves a verb addressed to its own ID like any other — it dials its
+// own listener, the request is counted, and the handler gets the endpoint's
+// context, not the caller's.
+func TestSelfAddressedVerbsGoOverTheSocket(t *testing.T) {
+	a, _ := pairUp(t)
+	region, err := a.RegisterRegion(1, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(region, "self")
+	type callerKey struct{}
+	a.SetHandler(func(ctx context.Context, _ transport.NodeID, payload []byte) ([]byte, error) {
+		if ctx.Value(callerKey{}) != nil {
+			return nil, errors.New("the handler saw the caller's context")
+		}
+		return append([]byte(nil), payload...), nil
+	})
+	ctx := context.WithValue(context.Background(), callerKey{}, true)
+	served := a.Metrics().Counter("requests_served")
+	before := served.Value()
+	dst := make([]byte, 4)
+	if err := a.ReadRegionInto(ctx, 1, 1, 0, dst); err != nil || string(dst) != "self" {
+		t.Fatalf("self ReadRegionInto = %q, %v", dst, err)
+	}
+	if got := served.Value() - before; got != 1 {
+		t.Errorf("requests_served moved by %d for one self read, want 1", got)
+	}
+	resp, err := a.CallV(ctx, 1, [][]byte{[]byte("pi"), []byte("ng")})
+	if err != nil || string(resp) != "ping" {
+		t.Fatalf("self CallV = %q, %v", resp, err)
+	}
+	if got := served.Value() - before; got != 2 {
+		t.Errorf("requests_served moved by %d for one self read and one self call, want 2", got)
 	}
 }
 
