@@ -55,7 +55,6 @@ func run(args []string) error {
 		replicas  = fs.Int("replicas", 3, "replication factor for remote entries")
 		durable   = fs.String("durability", "", "remote durability policy: rf<N> full copies or rs<K>.<M> erasure coding (empty = -replicas full copies)")
 		tick      = fs.Duration("tick", 2*time.Second, "heartbeat/maintenance interval")
-		shards    = fs.Int("pool-shards", 0, "lock shards per memory pool (0 = auto, 1 = single-lock)")
 		httpAddr  = fs.String("http", "", "serve /metrics, /stats, /trace, and /debug/pprof on this address (empty = disabled)")
 		groupSize = fs.Int("group-size", 0, "nodes per sharing group: members beat their group leader, leaders beat the root (0 = one flat group, every node beats its leader)")
 		drain     = fs.Bool("drain", false, "on shutdown, decommission first: migrate hosted blocks to peers and announce departure")
@@ -144,7 +143,6 @@ func run(args []string) error {
 		SlabSize:          1 << 20,
 		ReplicationFactor: factor,
 		Durability:        *durable,
-		PoolShards:        *shards,
 		Balancer:          bal,
 	}, transport.Chain(ep, trace.Middleware(tracer)), dir)
 	if err != nil {

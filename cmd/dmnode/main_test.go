@@ -58,16 +58,19 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-nope"}); err == nil {
 		t.Fatal("expected error for unknown flag")
 	}
-	// The mesh/tree switch is gone; the flag package refuses it by name.
-	err := run([]string{"-heartbeat", "tree"})
-	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
-		t.Fatalf("expected unknown-flag error for -heartbeat, got %v", err)
+	// The mesh/tree switch and the pool lock-shard count are gone; the flag
+	// package refuses them by name.
+	for _, gone := range [][]string{{"-heartbeat", "tree"}, {"-pool-shards", "8"}} {
+		err := run(gone)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Fatalf("expected unknown-flag error for %s, got %v", gone[0], err)
+		}
 	}
 	if err := run([]string{"-durability", "raid5"}); err == nil {
 		t.Fatal("expected error for unknown durability policy")
 	}
 	// rs4.2 stripes across 6 distinct donors; one peer cannot host it.
-	err = run([]string{"-durability", "rs4.2", "-peers", "2=localhost:7402"})
+	err := run([]string{"-durability", "rs4.2", "-peers", "2=localhost:7402"})
 	if err == nil || !strings.Contains(err.Error(), "needs 6 peers") {
 		t.Fatalf("expected peer-count refusal for rs4.2 with 1 peer, got %v", err)
 	}

@@ -216,9 +216,6 @@ type SimClusterConfig struct {
 	// GroupSize partitions nodes into sharing groups (default: all one
 	// group).
 	GroupSize int
-	// PoolShards is the number of lock shards per memory pool (0 selects
-	// the library default; 1 reproduces the single-lock pool).
-	PoolShards int
 }
 
 // SimCluster is an in-process cluster on the simulated RDMA fabric. All
@@ -280,7 +277,6 @@ func NewSimCluster(cfg SimClusterConfig) (*SimCluster, error) {
 			RecvPoolBytes:     cfg.RecvPoolBytes,
 			SlabSize:          1 << 20,
 			ReplicationFactor: cfg.ReplicationFactor,
-			PoolShards:        cfg.PoolShards,
 		}, ep, dir)
 		if err != nil {
 			return nil, err

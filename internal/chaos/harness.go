@@ -192,10 +192,6 @@ func New(t *testing.T, kind FabricKind, seed int64, cfg Config) *Cluster {
 			SlabSize:          4096,
 			ReplicationFactor: cfg.ReplicationFactor,
 			Durability:        cfg.Durability,
-			// Exercise the sharded pools and striped owner bookkeeping under
-			// fault injection (shard count never changes outcomes, only lock
-			// granularity, so the seeded runs stay deterministic).
-			PoolShards: 4,
 		}, wrapped, dir)
 		if err != nil {
 			t.Fatal(err)

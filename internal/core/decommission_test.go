@@ -418,11 +418,7 @@ func TestHeartbeatRoundConvergence(t *testing.T) {
 // the same key number and are not it: an stOK there would let Client.settle
 // clear a doubted handle that names a stranger's block.
 func TestLocateAnswersItsAskerOnly(t *testing.T) {
-	tc := newTestCluster(t, 3, func(id transport.NodeID) Config {
-		cfg := smallConfig(id)
-		cfg.PoolShards = 1 // one free list: a freed offset is the next one issued
-		return cfg
-	})
+	tc := newTestCluster(t, 3, smallConfig)
 	a, b := NewClient(tc.nodes[0].ep), NewClient(tc.nodes[1].ep)
 	const donor = transport.NodeID(3)
 	offsetOf := func(c *Client, key uint64) int64 {

@@ -3,10 +3,12 @@ package core
 import (
 	"bytes"
 	"context"
+	"math/rand"
 	"sync"
 	"testing"
 
 	"godm/internal/cluster"
+	"godm/internal/des"
 	"godm/internal/replication"
 	"godm/internal/tcpnet"
 	"godm/internal/transport"
@@ -109,9 +111,8 @@ func TestReleaseFreesEveryEntry(t *testing.T) {
 
 // parallelRig wires one donor node and a client endpoint over loopback TCP —
 // the smallest real-concurrency host-path rig (simnet is a discrete-event
-// simulation and serializes everything, so it cannot exercise the sharded
-// locks).
-func parallelRig(t *testing.T, shards int) *Client {
+// simulation and serializes everything, so it cannot exercise the locks).
+func parallelRig(t *testing.T) *Client {
 	t.Helper()
 	donorEP, err := tcpnet.Listen(1, "127.0.0.1:0")
 	if err != nil {
@@ -125,7 +126,6 @@ func parallelRig(t *testing.T, shards int) *Client {
 	if _, err := NewNode(Config{
 		ID: 1, SharedPoolBytes: 1 << 20, SendPoolBytes: 1 << 20,
 		RecvPoolBytes: 16 << 20, SlabSize: 1 << 20, ReplicationFactor: 1,
-		PoolShards: shards,
 	}, donorEP, dir); err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func parallelRig(t *testing.T, shards int) *Client {
 // under -race with -count=3). Each worker owns a disjoint key space, so all
 // interleavings must be linearizable per key.
 func TestParallelClientsOneHost(t *testing.T) {
-	c := parallelRig(t, DefaultPoolShards)
+	c := parallelRig(t)
 	const workers, rounds = 4, 40
 	ctx := context.Background()
 	var wg sync.WaitGroup
@@ -182,10 +182,10 @@ func TestParallelClientsOneHost(t *testing.T) {
 
 // TestParallelBatchClientsOneHost is the batched flavor: concurrent PutAll /
 // GetAll / DeleteAll windows against one host exercise the batched owner
-// bookkeeping (one hold of the index lock per batch) and the sharded allocator's
+// bookkeeping (one hold of the index lock per batch) and the allocator's
 // contiguous window placement.
 func TestParallelBatchClientsOneHost(t *testing.T) {
-	c := parallelRig(t, DefaultPoolShards)
+	c := parallelRig(t)
 	const workers, rounds, window = 4, 10, 8
 	ctx := context.Background()
 	var wg sync.WaitGroup
@@ -226,24 +226,32 @@ func TestParallelBatchClientsOneHost(t *testing.T) {
 	wg.Wait()
 }
 
-// TestPoolShardsConfig checks the config plumbing: zero selects the default,
-// negatives are rejected, and the pools report the configured shard count.
-func TestPoolShardsConfig(t *testing.T) {
-	tc := newTestCluster(t, 1, func(id transport.NodeID) Config {
-		cfg := smallConfig(id)
-		cfg.PoolShards = 4
+// TestDonorFitsMixedClassesWithinItsBudget: a donor refuses a put only when
+// its receive pool has neither a free block of the class nor the budget for
+// another slab. 300 puts of 4 KiB under distinct keys fill one of the eight
+// 1 MiB slabs and part of a second, so a 512 B entry still fits: there is
+// budget for six more slabs.
+func TestDonorFitsMixedClassesWithinItsBudget(t *testing.T) {
+	tc := newTestCluster(t, 2, func(id transport.NodeID) Config {
+		cfg := DefaultConfig(id)
+		cfg.RecvPoolBytes = 8 << 20
 		return cfg
 	})
-	if got := tc.nodes[0].recv.Shards(); got != 4 {
-		t.Fatalf("recv pool shards = %d, want 4", got)
-	}
-	tc = newTestCluster(t, 1, smallConfig)
-	if got := tc.nodes[0].shared.Shards(); got != DefaultPoolShards {
-		t.Fatalf("shared pool shards = %d, want DefaultPoolShards (%d)", got, DefaultPoolShards)
-	}
-	bad := smallConfig(1)
-	bad.PoolShards = -1
-	if err := bad.validate(); err == nil {
-		t.Fatal("expected validation error for negative PoolShards")
-	}
+	client := NewClient(tc.nodes[0].ep)
+	rng := rand.New(rand.NewSource(1))
+	tc.run(t, func(ctx context.Context, p *des.Proc) {
+		for key := uint64(0); key < 300; key++ {
+			data := make([]byte, 4096)
+			rng.Read(data)
+			if err := client.Put(ctx, 2, key, data); err != nil {
+				t.Errorf("4 KiB put %d: %v", key, err)
+				return
+			}
+		}
+		if err := client.Put(ctx, 2, 1000, make([]byte, 300)); err != nil {
+			st := tc.nodes[1].recv.Stats()
+			t.Errorf("512 B put refused with %d of %d bytes registered and %d live: %v",
+				st.RegisteredBytes, st.MaxBytes, st.LiveBytes, err)
+		}
+	})
 }

@@ -19,8 +19,8 @@ import (
 // hostRig is one donor node plus several independent clients, each with its
 // own loopback TCP endpoint and its own emulated fabric RTT. It is the
 // host-path mirror of benchFabric: there the client side fans out to many
-// donors; here many clients converge on one host, so the donor's sharded
-// pools and owner index are what the numbers measure.
+// donors; here many clients converge on one host, so the donor's pools and
+// owner index are what the numbers measure.
 type hostRig struct {
 	clients []*Client
 }
@@ -31,7 +31,7 @@ type hostRig struct {
 // that latency concurrent clients can overlap, not its absolute size.
 const hostBenchRTT = time.Millisecond
 
-func newHostRig(b *testing.B, clients, shards int, rtt time.Duration) *hostRig {
+func newHostRig(b *testing.B, clients int, rtt time.Duration) *hostRig {
 	b.Helper()
 	donorEP, err := tcpnet.Listen(1, "127.0.0.1:0")
 	if err != nil {
@@ -45,7 +45,6 @@ func newHostRig(b *testing.B, clients, shards int, rtt time.Duration) *hostRig {
 	if _, err := NewNode(Config{
 		ID: 1, SharedPoolBytes: 1 << 20, SendPoolBytes: 1 << 20,
 		RecvPoolBytes: 64 << 20, SlabSize: 1 << 20, ReplicationFactor: 1,
-		PoolShards: shards,
 	}, donorEP, dir); err != nil {
 		b.Fatal(err)
 	}
@@ -73,7 +72,7 @@ func newHostRig(b *testing.B, clients, shards int, rtt time.Duration) *hostRig {
 // (read), Delete every other round (free) — split across the rig's clients.
 // Classes are mixed (600–3648 bytes rounds to 1 KiB–4 KiB slab classes) and
 // every client works a disjoint key space, so all contention is on the
-// host's shards, not on the keys themselves.
+// host's pools and index, not on the keys themselves.
 func runHostMixed(b *testing.B, rig *hostRig) {
 	b.Helper()
 	ctx := context.Background()
@@ -122,18 +121,10 @@ func runHostMixed(b *testing.B, rig *hostRig) {
 func BenchmarkHostParallelMixed(b *testing.B) {
 	for _, clients := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
-			rig := newHostRig(b, clients, DefaultPoolShards, hostBenchRTT)
+			rig := newHostRig(b, clients, hostBenchRTT)
 			runHostMixed(b, rig)
 		})
 	}
-}
-
-// BenchmarkHostParallelSingleLock is the same 4-client load against a host
-// configured with one shard per pool (the seed's lock layout), so the
-// sharded/unsharded comparison is a flag flip rather than a checkout.
-func BenchmarkHostParallelSingleLock(b *testing.B) {
-	rig := newHostRig(b, 4, 1, hostBenchRTT)
-	runHostMixed(b, rig)
 }
 
 // BenchmarkHostParallelBatch measures the batched host path under the same
@@ -143,7 +134,7 @@ func BenchmarkHostParallelSingleLock(b *testing.B) {
 func BenchmarkHostParallelBatch(b *testing.B) {
 	for _, clients := range []int{1, 4} {
 		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
-			rig := newHostRig(b, clients, DefaultPoolShards, hostBenchRTT)
+			rig := newHostRig(b, clients, hostBenchRTT)
 			ctx := context.Background()
 			const window = 8
 			perClient := b.N / clients

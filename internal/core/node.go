@@ -55,11 +55,10 @@ var (
 	ErrUnknownServer = errors.New("core: unknown virtual server")
 )
 
-// DefaultPoolShards is the lock-shard count used for the node's slab pools
-// when Config.PoolShards is zero. It is a constant (not derived from the
-// machine's core count) so simulated runs produce identical slab layouts on
-// every host.
-const DefaultPoolShards = 8
+// DefaultPoolShards is kept only because bench/probes.go passes it to
+// slab.WithShards: a pool has one lock. A benchmark change drops the call,
+// and then this name.
+const DefaultPoolShards = 1
 
 // DefaultFabricRTT is the round-trip time the default SLO objectives assume:
 // the 1 ms emulated fabric latency this repo benchmarks against. Deployments
@@ -81,10 +80,6 @@ type Config struct {
 	RecvPoolBytes int64
 	// SlabSize is the registration granularity of all pools.
 	SlabSize int
-	// PoolShards is the lock-shard count for the node's slab pools: ops on
-	// blocks in different shards never contend. 0 selects DefaultPoolShards;
-	// 1 reproduces the single-lock allocator.
-	PoolShards int
 	// ReplicationFactor is the number of copies for each remote entry.
 	ReplicationFactor int
 	// Durability selects the remote durability policy: "" or "rf<N>" for N
@@ -117,9 +112,6 @@ func DefaultConfig(id transport.NodeID) Config {
 func (c Config) validate() error {
 	if c.SlabSize <= 0 {
 		return fmt.Errorf("core: slab size %d must be positive", c.SlabSize)
-	}
-	if c.PoolShards < 0 {
-		return fmt.Errorf("core: pool shards %d must be non-negative", c.PoolShards)
 	}
 	if c.RecvPoolBytes <= 0 || c.RecvPoolBytes%int64(c.SlabSize) != 0 {
 		return fmt.Errorf("core: recv pool %d must be a positive multiple of slab size %d",
@@ -281,11 +273,7 @@ func NewNode(cfg Config, ep transport.Endpoint, dir *cluster.Directory) (*Node, 
 	if err != nil {
 		return nil, fmt.Errorf("core: register receive region: %w", err)
 	}
-	shards := cfg.PoolShards
-	if shards == 0 {
-		shards = DefaultPoolShards
-	}
-	poolOpts := []slab.Option{slab.WithSlabSize(cfg.SlabSize), slab.WithShards(shards)}
+	poolOpts := []slab.Option{slab.WithSlabSize(cfg.SlabSize)}
 	recv, err := slab.NewPoolOver(fmt.Sprintf("node%d.recv", cfg.ID), recvBuf, poolOpts...)
 	if err != nil {
 		return nil, err
@@ -767,15 +755,11 @@ func (n *Node) handlePut(from transport.NodeID, req putReq) []byte {
 	for i := 0; i < count; i++ {
 		classes = countClass(classes, int(req.entry(i).Class))
 	}
-	// Every class stripes by the first entry's key. For one entry that is its
-	// own key: concurrent puts for distinct keys take distinct locks within
-	// one size class.
-	hint := req.entry(0).Key
 	var fewRuns [4]slab.Run
 	runs := fewRuns[:0]
 	for _, c := range classes {
 		var err error
-		if runs, err = n.recv.AllocRun(c.class, c.n, hint, runs); err != nil {
+		if runs, err = n.recv.AllocRun(c.class, c.n, runs); err != nil {
 			for _, r := range runs {
 				_ = n.recv.FreeRun(r)
 			}

@@ -43,7 +43,7 @@ var idxClasses = [...]int32{512, 1024, 2048, 4096}
 func indexConfig(id transport.NodeID) Config {
 	return Config{
 		ID: id, SharedPoolBytes: idxSlab, SendPoolBytes: idxSlab, RecvPoolBytes: idxPool,
-		SlabSize: idxSlab, PoolShards: 2, ReplicationFactor: 1,
+		SlabSize: idxSlab, ReplicationFactor: 1,
 	}
 }
 

@@ -413,11 +413,7 @@ func TestPutAllSplitsOversizedWindow(t *testing.T) {
 // gone and the offset re-issued — late, or replayed by the fabric — must not
 // free the block that lives there now. On its own and riding a put.
 func TestReleaseChecksWhatItFrees(t *testing.T) {
-	tc := newTestCluster(t, 1, func(id transport.NodeID) Config {
-		cfg := smallConfig(id)
-		cfg.PoolShards = 1 // one free list: a freed offset is the next one issued
-		return cfg
-	})
+	tc := newTestCluster(t, 1, smallConfig)
 	n := tc.nodes[0]
 	const owner = transport.NodeID(9)
 	ctx := context.Background()

@@ -50,9 +50,6 @@ func newRig(t *testing.T, donors int, recvBytes int64) *rig {
 			RecvPoolBytes:     recvBytes,
 			SlabSize:          1 << 20,
 			ReplicationFactor: 1,
-			// Donors run sharded receive pools so the cache's remote path is
-			// covered with the production lock layout.
-			PoolShards: 4,
 		}, ep, dir)
 		if err != nil {
 			t.Fatal(err)

@@ -21,7 +21,7 @@ func NewPoolOver(name string, buf []byte, opts ...Option) (*Pool, error) {
 		return nil, fmt.Errorf("slab: backing buffer of %d bytes is not a positive multiple of slab size %d", len(buf), p.slabSize)
 	}
 	p.backing = buf
-	p.baseSlab = map[int]int{}
+	p.baseSlab = map[int]*slabRegion{}
 	return p, nil
 }
 
@@ -32,13 +32,9 @@ func (p *Pool) GlobalOffset(h Handle) (int64, error) {
 	if p.backing == nil {
 		return 0, fmt.Errorf("slab: pool %s has no backing buffer", p.name)
 	}
-	sh, err := p.shardOf(h)
-	if err != nil {
-		return 0, err
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	s, err := sh.validate(h)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	s, err := p.validate(h)
 	if err != nil {
 		return 0, err
 	}
@@ -56,19 +52,10 @@ func (p *Pool) HandleAt(globalOff int64) (Handle, error) {
 		return Handle{}, fmt.Errorf("%w: offset %d outside any slab", ErrBadHandle, globalOff)
 	}
 	base := int(globalOff) - int(globalOff)%p.slabSize
-	p.baseMu.Lock()
-	id, ok := p.baseSlab[base]
-	p.baseMu.Unlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	s, ok := p.baseSlab[base]
 	if !ok {
-		return Handle{}, fmt.Errorf("%w: offset %d outside any slab", ErrBadHandle, globalOff)
-	}
-	sh := p.shards[id%len(p.shards)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	s, ok := sh.slabs[id]
-	if !ok || s.base != base {
-		// The slab was dropped (and possibly its base re-issued) between the
-		// index lookup and taking its shard lock.
 		return Handle{}, fmt.Errorf("%w: offset %d outside any slab", ErrBadHandle, globalOff)
 	}
 	off := int(globalOff) - base

@@ -35,6 +35,9 @@ func TestBackedPoolValidation(t *testing.T) {
 	if _, err := NewPoolOver("x", nil, WithSlabSize(4096)); err == nil {
 		t.Fatal("expected error for empty buffer")
 	}
+	if _, err := NewPoolOver("x", make([]byte, 8192), WithSlabSize(4096), WithShards(2)); err == nil {
+		t.Fatal("expected error for a pool of more than one lock")
+	}
 }
 
 func TestBackedPoolBudgetIsBufferSize(t *testing.T) {

@@ -8,37 +8,13 @@ import (
 	"testing"
 )
 
-// TestShardedAllocSpreadsByHint checks that distinct hints land allocations on
-// more than one shard while a fixed hint keeps reusing one shard's partial
-// slab (the striping that lets independent clients avoid each other's locks).
-func TestShardedAllocSpreadsByHint(t *testing.T) {
-	p, err := NewPool("spread", 64<<10, WithSlabSize(4096), WithShards(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Shards() != 8 {
-		t.Fatalf("Shards() = %d, want 8", p.Shards())
-	}
-	shards := map[int]bool{}
-	for hint := uint64(0); hint < 32; hint++ {
-		h, err := p.AllocHint(512, hint)
-		if err != nil {
-			t.Fatal(err)
-		}
-		shards[h.SlabID%p.Shards()] = true
-	}
-	if len(shards) < 2 {
-		t.Fatalf("32 distinct hints all landed on %d shard(s)", len(shards))
-	}
-}
-
-// TestShardedPoolConcurrentInvariants is the sharded pool's concurrency
-// property test: many goroutines allocate, free, and evict while a sampler
-// watches the pool-wide atomic byte budget. At every sampled instant the
-// registered budget must sit in [0, maxBytes] — the CAS reservation loop may
-// never let it go negative or overshoot — and handles returned by EvictLRU
-// must behave like freed blocks (reverse lookups on their offsets error).
-// Run with -race; the CI stress job does, repeatedly.
+// TestShardedPoolConcurrentInvariants is the pool lock's concurrency property
+// test (the name predates the one-lock layout and is what CI's stress job
+// selects): many goroutines allocate, free, and evict while a sampler watches
+// the byte budget. At every sampled instant the registered budget must sit in
+// [0, maxBytes], and handles returned by EvictLRU must behave like freed
+// blocks (reverse lookups on their offsets error). Run with -race; the CI
+// stress job does, repeatedly.
 func TestShardedPoolConcurrentInvariants(t *testing.T) {
 	const (
 		slabSize = 4096
@@ -47,7 +23,7 @@ func TestShardedPoolConcurrentInvariants(t *testing.T) {
 		rounds   = 300
 	)
 	buf := make([]byte, maxBytes)
-	p, err := NewPoolOver("conc", buf, WithSlabSize(slabSize), WithShards(8))
+	p, err := NewPoolOver("conc", buf, WithSlabSize(slabSize))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,11 +36,10 @@ func TestShardedPoolConcurrentInvariants(t *testing.T) {
 	go func() {
 		defer samplerWG.Done()
 		for !stop.Load() {
-			reg := p.registeredBytes.Load()
-			max := p.maxBytes.Load()
-			if reg < 0 || reg > max {
+			st := p.Stats()
+			if st.RegisteredBytes < 0 || st.RegisteredBytes > st.MaxBytes {
 				violations.Add(1)
-				t.Errorf("budget invariant violated: registered=%d max=%d", reg, max)
+				t.Errorf("budget invariant violated: registered=%d max=%d", st.RegisteredBytes, st.MaxBytes)
 				return
 			}
 			sampled.Add(1)
@@ -83,7 +58,7 @@ func TestShardedPoolConcurrentInvariants(t *testing.T) {
 				switch rng.Intn(6) {
 				case 0, 1: // alloc
 					class := classes[rng.Intn(len(classes))]
-					h, err := p.AllocHint(class, rng.Uint64())
+					h, err := p.Alloc(class)
 					if err != nil {
 						if !errors.Is(err, ErrNoSpace) {
 							t.Errorf("worker %d: alloc: %v", w, err)
@@ -96,7 +71,7 @@ func TestShardedPoolConcurrentInvariants(t *testing.T) {
 					class := classes[rng.Intn(len(classes))]
 					n := 1 + rng.Intn(6)
 					var few [2]Run
-					runs, err := p.AllocRun(class, n, rng.Uint64(), few[:0])
+					runs, err := p.AllocRun(class, n, few[:0])
 					if err != nil {
 						if !errors.Is(err, ErrNoSpace) {
 							t.Errorf("worker %d: alloc run: %v", w, err)
@@ -177,17 +152,16 @@ func TestShardedPoolConcurrentInvariants(t *testing.T) {
 	}
 }
 
-// TestHandleAtFreedOffsetErrors pins the reverse-map contract the striped
-// owner index on the node relies on: once a block is freed (or its whole slab
+// TestHandleAtFreedOffsetErrors pins the reverse-map contract the owner index on the node relies on: once a block is freed (or its whole slab
 // evicted), HandleAt on any offset it covered must error, never resurrect a
 // stale handle.
 func TestHandleAtFreedOffsetErrors(t *testing.T) {
 	buf := make([]byte, 16<<10)
-	p, err := NewPoolOver("freedat", buf, WithSlabSize(4096), WithShards(4))
+	p, err := NewPoolOver("freedat", buf, WithSlabSize(4096))
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := p.AllocHint(1024, 7)
+	h, err := p.Alloc(1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +180,7 @@ func TestHandleAtFreedOffsetErrors(t *testing.T) {
 	}
 
 	// Evicting a slab must invalidate every offset it covered too.
-	h2, err := p.AllocHint(1024, 7)
+	h2, err := p.Alloc(1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,40 +196,63 @@ func TestHandleAtFreedOffsetErrors(t *testing.T) {
 	}
 }
 
-// TestShardedCapacityMatchesSingleLock proves capacity equivalence: striping
-// never makes the pool fail an allocation the single-lock layout would have
-// served. Both layouts must fit exactly maxBytes/class blocks of one class no
-// matter how hints scatter the allocations — taken one block at a time, or as
-// runs whose last ones have to be pieced together from other shards' blocks.
-func TestShardedCapacityMatchesSingleLock(t *testing.T) {
-	const slabSize, class, maxBytes = 4096, 1024, 32 << 10
-	for _, shards := range []int{1, 8} {
-		for _, runLen := range []int{1, 3} {
-			p, err := NewPool("cap", maxBytes, WithSlabSize(slabSize), WithShards(shards))
+// TestMixedClassesFillTheBudget: one class takes what it needs and a second
+// class fills the rest of the budget exactly — a slab is registered only when
+// no registered slab of the class has room, so no budget is stranded in
+// half-empty slabs. The single-class cases fill the whole budget with one
+// class, one block at a time or in runs.
+func TestMixedClassesFillTheBudget(t *testing.T) {
+	const slabSize, slabs = 4096, 8
+	for _, tc := range []struct {
+		name          string
+		first, nFirst int
+		runLen        int
+		second        int // 0: one class only
+	}{
+		{"one class/runs of 1", 1024, 32, 1, 0},
+		{"one class/runs of 3", 1024, 32, 3, 0},
+		{"whole slabs then 512", 4096, 3, 1, 512},
+		{"part slab then 512", 1024, 9, 1, 512},
+		{"2 KiB then 512", 2048, 5, 1, 512},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := NewPool("cap", slabs*slabSize, WithSlabSize(slabSize))
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := maxBytes / class
-			rng := rand.New(rand.NewSource(42))
-			for i := 0; i < want; i += runLen {
-				n := min(runLen, want-i)
-				runs, err := p.AllocRun(class, n, rng.Uint64(), nil)
-				if err != nil {
-					t.Fatalf("shards=%d: run of %d at %d/%d failed: %v", shards, n, i, want, err)
+			fill := func(class, n, runLen int) {
+				t.Helper()
+				for i := 0; i < n; i += runLen {
+					k := min(runLen, n-i)
+					runs, err := p.AllocRun(class, k, nil)
+					if err != nil {
+						t.Fatalf("class %d: run of %d at %d/%d failed: %v", class, k, i, n, err)
+					}
+					if got := len(blocks(runs)); got != k {
+						t.Fatalf("class %d: run of %d came back as %d blocks", class, k, got)
+					}
 				}
-				if got := len(blocks(runs)); got != n {
-					t.Fatalf("shards=%d: run of %d came back as %d blocks", shards, n, got)
+			}
+			perFirst := slabSize / tc.first
+			used := (tc.nFirst + perFirst - 1) / perFirst // slabs the first class needs
+			fill(tc.first, tc.nFirst, tc.runLen)
+			if st := p.Stats(); st.Slabs != used {
+				t.Fatalf("%d blocks of %d registered %d slabs, want %d", tc.nFirst, tc.first, st.Slabs, used)
+			}
+			if tc.second > 0 {
+				fill(tc.second, (slabs-used)*(slabSize/tc.second), 1)
+				if _, err := p.Alloc(tc.second); !errors.Is(err, ErrNoSpace) {
+					t.Fatalf("overfull alloc of %d: err = %v, want ErrNoSpace", tc.second, err)
 				}
 			}
-			if _, err := p.AllocHint(class, rng.Uint64()); !errors.Is(err, ErrNoSpace) {
-				t.Fatalf("shards=%d: overfull alloc err = %v, want ErrNoSpace", shards, err)
+			// What the first class's last slab has left still fits, and no more.
+			fill(tc.first, used*perFirst-tc.nFirst, 1)
+			if _, err := p.AllocRun(tc.first, tc.runLen, nil); !errors.Is(err, ErrNoSpace) {
+				t.Fatalf("overfull run of %d: err = %v, want ErrNoSpace", tc.first, err)
 			}
-			if _, err := p.AllocRun(class, runLen, rng.Uint64(), nil); !errors.Is(err, ErrNoSpace) {
-				t.Fatalf("shards=%d: overfull run err = %v, want ErrNoSpace", shards, err)
+			if p.FreeBytes() != 0 {
+				t.Fatalf("%d bytes free in a full pool: %+v", p.FreeBytes(), p.Stats())
 			}
-			if st := p.Stats(); st.LiveBlocks != want || p.FreeBytes() != 0 {
-				t.Fatalf("shards=%d: %d blocks live and %d bytes free in a full pool of %d", shards, st.LiveBlocks, p.FreeBytes(), want)
-			}
-		}
+		})
 	}
 }

@@ -17,16 +17,11 @@
 // freed in: a window of blocks taken by one AllocRun is one contiguous run,
 // and once it is freed, in any order and interleaved with any other request,
 // the next window gets a contiguous run again. Only a pool too full and too
-// fragmented to hold such a run anywhere in the home shard hands out fragments.
+// fragmented to hold such a run anywhere hands out fragments.
 //
-// A pool is internally sharded (WithShards): each shard owns a disjoint set
-// of slabs under its own mutex, so operations on blocks in different shards
-// never contend. The shard for an allocation is striped by hashing the size
-// class together with the caller's hint (typically the entry key), while the
-// pool-wide byte budget is enforced with a lock-free reservation, so the
-// capacity behaviour — an allocation fails only when no shard holds a free
-// block of the class and the budget cannot register another slab — is
-// identical to a single-shard pool.
+// A pool is one lock: its slabs, their free bitmaps, the slab ids and the byte
+// budget all sit under one mutex, taken once per call. A new slab is
+// registered only when no registered slab of the class can serve the request.
 package slab
 
 import (
@@ -51,10 +46,6 @@ var (
 
 // DefaultSlabSize is 1 MiB, matching common RDMA registration granularity.
 const DefaultSlabSize = 1 << 20
-
-// maxShards bounds WithShards; beyond this the per-shard fixed cost
-// outweighs any contention win.
-const maxShards = 256
 
 // Handle identifies one allocated block.
 type Handle struct {
@@ -154,58 +145,40 @@ func (s *slabRegion) findRun(n int) int {
 	return -1
 }
 
-// shard is one lock domain of the pool. Slab IDs encode their shard
-// (id % shards == shard index), so any handle maps to its lock in O(1).
-type shard struct {
-	idx int
-
-	mu          sync.Mutex
-	nextLocalID int
-	slabs       map[int]*slabRegion
-	// partial[class] lists slabs of that class with at least one free block,
-	// in ascending id order.
-	partial map[int][]*slabRegion
-}
-
-// partialAt returns where s sits, or would sit, in its class's partial list.
-func (sh *shard) partialAt(s *slabRegion) (int, bool) {
-	return slices.BinarySearchFunc(sh.partial[s.class], s.id, func(x *slabRegion, id int) int { return x.id - id })
-}
-
-// Pool is a concurrency-safe, sharded slab allocator with a fixed byte
-// budget. Independent operations on blocks in different shards proceed in
-// parallel; the budget is a pool-wide atomic.
+// Pool is a concurrency-safe slab allocator with a fixed byte budget.
 type Pool struct {
 	name     string
 	slabSize int
-	shards   []*shard
 
-	// maxBytes is the byte budget; registeredBytes the bytes currently held
-	// in registered slabs. registeredBytes is reserved with a CAS loop
-	// before a slab is created, so it never exceeds maxBytes and never goes
-	// negative, without any pool-wide lock.
-	maxBytes        atomic.Int64
-	registeredBytes atomic.Int64
-
-	// liveBytes is the bytes of allocated blocks (class-rounded), updated where
-	// blocks are taken and returned, so FreeBytes never walks the shards.
+	// maxBytes is the byte budget and liveBytes the bytes of allocated blocks
+	// (class-rounded). They are atomic only so FreeBytes can read them without
+	// the lock; every change to maxBytes that could undercut registeredBytes,
+	// and every change to liveBytes, is made under mu.
+	maxBytes  atomic.Int64
 	liveBytes atomic.Int64
 
-	// tick is the pool-wide logical clock ordering slabs for LRU eviction.
-	tick atomic.Int64
-
-	registrations   atomic.Int64
-	deregistrations atomic.Int64
+	mu sync.Mutex
+	// nextID numbers slabs; an id is never issued twice.
+	nextID int
+	slabs  map[int]*slabRegion
+	// partial[class] lists slabs of that class with at least one free block,
+	// in ascending id order.
+	partial map[int][]*slabRegion
+	// registeredBytes is the bytes held in registered slabs, never above
+	// maxBytes.
+	registeredBytes int64
+	// tick is the logical clock ordering slabs for LRU eviction.
+	tick            int64
+	registrations   int64
+	deregistrations int64
 
 	// backing, when non-nil, is the contiguous buffer slabs are carved from
-	// (see NewPoolOver). baseMu is a leaf lock (acquired, if at all, inside
-	// a shard lock) guarding base-slot recycling and the base→slab index
-	// that makes HandleAt O(1).
+	// (see NewPoolOver); freeBases and nextBase recycle slab-sized slots of it,
+	// and baseSlab maps a slot to the slab in it, which makes HandleAt O(1).
 	backing   []byte
-	baseMu    sync.Mutex
 	freeBases []int
 	nextBase  int
-	baseSlab  map[int]int // slab base offset -> slab id
+	baseSlab  map[int]*slabRegion
 }
 
 // Option configures a Pool.
@@ -221,9 +194,9 @@ func WithSlabSize(n int) Option {
 	return func(c *poolConfig) { c.slabSize = n }
 }
 
-// WithShards splits the pool into n independently locked shards (default 1,
-// which reproduces the single-lock allocator exactly). Striping is by size
-// class and allocation hint, so it is deterministic for a given workload.
+// WithShards is kept only because bench/probes.go passes it: a pool has one
+// lock, and NewPool refuses any n but 1. A benchmark change drops the call,
+// and then this name.
 func WithShards(n int) Option {
 	return func(c *poolConfig) { c.shards = n }
 }
@@ -237,8 +210,8 @@ func NewPool(name string, maxBytes int64, opts ...Option) (*Pool, error) {
 	if cfg.slabSize <= 0 {
 		return nil, fmt.Errorf("slab: slab size %d must be positive", cfg.slabSize)
 	}
-	if cfg.shards < 1 || cfg.shards > maxShards {
-		return nil, fmt.Errorf("slab: shard count %d out of range [1, %d]", cfg.shards, maxShards)
+	if cfg.shards != 1 {
+		return nil, fmt.Errorf("slab: %d shards requested; a pool has one lock", cfg.shards)
 	}
 	if maxBytes < 0 {
 		return nil, fmt.Errorf("slab: max bytes %d must be non-negative", maxBytes)
@@ -246,14 +219,8 @@ func NewPool(name string, maxBytes int64, opts ...Option) (*Pool, error) {
 	p := &Pool{
 		name:     name,
 		slabSize: cfg.slabSize,
-		shards:   make([]*shard, cfg.shards),
-	}
-	for i := range p.shards {
-		p.shards[i] = &shard{
-			idx:     i,
-			slabs:   map[int]*slabRegion{},
-			partial: map[int][]*slabRegion{},
-		}
+		slabs:    map[int]*slabRegion{},
+		partial:  map[int][]*slabRegion{},
 	}
 	p.maxBytes.Store(maxBytes)
 	return p, nil
@@ -262,44 +229,11 @@ func NewPool(name string, maxBytes int64, opts ...Option) (*Pool, error) {
 // Name returns the pool name.
 func (p *Pool) Name() string { return p.name }
 
-// Shards returns the number of lock shards.
-func (p *Pool) Shards() int { return len(p.shards) }
-
-// shardFor stripes an allocation to a shard by size class and hint. The
-// result depends only on (class, hint), never on timing, so simulated runs
-// stay deterministic.
-func (p *Pool) shardFor(class int, hint uint64) int {
-	if len(p.shards) == 1 {
-		return 0
-	}
-	h := uint64(class)*0x9E3779B97F4A7C15 ^ hint*0xBF58476D1CE4E5B9
-	h ^= h >> 33
-	h *= 0xFF51AFD7ED558CCD
-	h ^= h >> 29
-	return int(h % uint64(len(p.shards)))
-}
-
-// shardOf maps a handle to the shard owning its slab.
-func (p *Pool) shardOf(h Handle) (*shard, error) {
-	if h.SlabID < 0 {
-		return nil, fmt.Errorf("%w: slab %d not registered", ErrBadHandle, h.SlabID)
-	}
-	return p.shards[h.SlabID%len(p.shards)], nil
-}
-
 // Alloc claims one block of the given size class. class must be positive and
-// no larger than the slab size.
+// no larger than the slab size. It is AllocRun of one block.
 func (p *Pool) Alloc(class int) (Handle, error) {
-	return p.AllocHint(class, 0)
-}
-
-// AllocHint is Alloc with a striping hint: allocations with different hints
-// (typically the entry key) spread across shards even within one size class,
-// so concurrent allocators contend only when they hash to the same shard.
-// It is AllocRun of one block.
-func (p *Pool) AllocHint(class int, hint uint64) (Handle, error) {
 	var one [1]Run
-	runs, err := p.AllocRun(class, 1, hint, one[:0])
+	runs, err := p.AllocRun(class, 1, one[:0])
 	if err != nil {
 		return Handle{}, err
 	}
@@ -310,80 +244,62 @@ func (p *Pool) AllocHint(class int, hint uint64) (Handle, error) {
 // runs — pass a slice of a small array on the caller's stack and the common
 // case, one run, costs no heap allocation.
 //
-// Under one acquisition of the home shard's lock (the shard class and hint
-// stripe to) it takes the lowest run of n free blocks in the lowest-id slab
-// that has one, else registers a fresh slab when the budget allows; n larger
-// than a slab is taken as whole-slab runs plus a remainder. Only when the home
-// shard holds no such run and the budget is spent does the request degrade to
-// fragments: the lowest free blocks wherever they are, the home shard's first,
-// then the other shards' in index order — so, as ever, the pool fails only
-// when the blocks are not there: no shard holds enough free blocks of the
-// class and the budget cannot register another slab.
+// Under one acquisition of the lock it takes the lowest run of n free blocks
+// in the lowest-id slab that has one, else registers a fresh slab when the
+// budget allows; n larger than a slab is taken as whole-slab runs plus a
+// remainder. Only when no slab holds such a run and the budget is spent does
+// the request degrade to fragments, the lowest free blocks there are — so the
+// pool fails only when the blocks are not there: too few free blocks of the
+// class and no budget to register another slab.
 //
 // The call is all-or-nothing: on ErrNoSpace every block it took is free again
 // and into comes back as it was passed (a slab it registered for an earlier
 // whole-slab run stays registered, empty). Which blocks it returns depends
 // only on the sequence of requests the pool has served, never on timing.
-func (p *Pool) AllocRun(class, n int, hint uint64, into []Run) ([]Run, error) {
+func (p *Pool) AllocRun(class, n int, into []Run) ([]Run, error) {
 	if class <= 0 || class > p.slabSize {
 		return into, fmt.Errorf("slab: class %d out of range (0, %d]", class, p.slabSize)
 	}
 	if n <= 0 {
 		return into, fmt.Errorf("slab: run of %d blocks must be positive", n)
 	}
-	tick := p.tick.Add(1)
-	home := p.shardFor(class, hint)
+	perSlab := p.slabSize / class
 	mark := len(into)
-	into, n = p.takeIn(p.shards[home], class, n, tick, true, into)
-	for i := 0; n > 0 && i < len(p.shards); i++ {
-		if i != home {
-			into, n = p.takeIn(p.shards[i], class, n, tick, false, into)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.tick++
+	for n > 0 {
+		k := min(n, perSlab)
+		s, at := p.findRun(class, k)
+		if s == nil {
+			if p.registeredBytes+int64(p.slabSize) > p.maxBytes.Load() {
+				break
+			}
+			s = p.registerSlab(class)
 		}
+		into = append(into, p.take(s, at, k))
+		n -= k
+	}
+	for n > 0 && len(p.partial[class]) > 0 {
+		s := p.partial[class][0]
+		at := s.nextFree(0)
+		k := s.freeLen(at, n)
+		into = append(into, p.take(s, at, k))
+		n -= k
 	}
 	if n > 0 {
 		for _, r := range into[mark:] {
-			_ = p.FreeRun(r)
+			_ = p.freeRunLocked(r)
 		}
 		return into[:mark], fmt.Errorf("%w: %s at %d bytes", ErrNoSpace, p.name, p.maxBytes.Load())
 	}
 	return into, nil
 }
 
-// takeIn takes up to n blocks of class from sh under one acquisition of its
-// lock, appends them to into as runs and returns how many are still wanted.
-// The home shard serves whole runs first, from a fresh slab if it must; what
-// it cannot serve so, and everything asked of another shard, comes as the
-// lowest free blocks the shard has.
-func (p *Pool) takeIn(sh *shard, class, n int, tick int64, home bool, into []Run) ([]Run, int) {
-	perSlab := p.slabSize / class
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for home && n > 0 {
-		k := min(n, perSlab)
-		s, at := sh.findRun(class, k)
-		if s == nil {
-			if !p.reserveSlabBudget() {
-				break
-			}
-			s = p.registerSlab(sh, class)
-		}
-		into = append(into, p.take(sh, s, at, k, tick))
-		n -= k
-	}
-	for n > 0 && len(sh.partial[class]) > 0 {
-		s := sh.partial[class][0]
-		at := s.nextFree(0)
-		k := s.freeLen(at, n)
-		into = append(into, p.take(sh, s, at, k, tick))
-		n -= k
-	}
-	return into, n
-}
-
 // findRun returns the lowest-id slab of class holding a run of n free blocks,
-// and the lowest such run in it. Caller holds sh.mu.
-func (sh *shard) findRun(class, n int) (*slabRegion, int) {
-	for _, s := range sh.partial[class] {
+// and the lowest such run in it. Caller holds p.mu.
+func (p *Pool) findRun(class, n int) (*slabRegion, int) {
+	for _, s := range p.partial[class] {
 		if at := s.findRun(n); at >= 0 {
 			return s, at
 		}
@@ -391,38 +307,20 @@ func (sh *shard) findRun(class, n int) (*slabRegion, int) {
 	return nil, 0
 }
 
-// reserveSlabBudget claims slabSize bytes of the pool budget, or reports
-// false when the budget is spent. The CAS loop means registeredBytes can
-// never overshoot maxBytes, even transiently.
-func (p *Pool) reserveSlabBudget() bool {
-	n := int64(p.slabSize)
-	for {
-		cur := p.registeredBytes.Load()
-		if cur+n > p.maxBytes.Load() {
-			return false
-		}
-		if p.registeredBytes.CompareAndSwap(cur, cur+n) {
-			return true
-		}
-	}
-}
-
-// registerSlab creates a slab in sh, every block free. Caller holds sh.mu and
-// has already reserved the budget.
-func (p *Pool) registerSlab(sh *shard, class int) *slabRegion {
-	id := sh.nextLocalID*len(p.shards) + sh.idx
-	sh.nextLocalID++
+// registerSlab creates a slab of class, every block free, charging it to the
+// budget. Caller holds p.mu and has checked the budget.
+func (p *Pool) registerSlab(class int) *slabRegion {
 	blocks := p.slabSize / class
 	s := &slabRegion{
-		id:     id,
+		id:     p.nextID,
 		class:  class,
 		blocks: blocks,
 		free:   make([]uint64, (blocks+63)/64),
 		nfree:  blocks,
 	}
+	p.nextID++
 	s.mark(0, blocks, true)
 	if p.backing != nil {
-		p.baseMu.Lock()
 		if len(p.freeBases) > 0 {
 			s.base = p.freeBases[len(p.freeBases)-1]
 			p.freeBases = p.freeBases[:len(p.freeBases)-1]
@@ -430,28 +328,33 @@ func (p *Pool) registerSlab(sh *shard, class int) *slabRegion {
 			s.base = p.nextBase
 			p.nextBase += p.slabSize
 		}
-		p.baseSlab[s.base] = id
-		p.baseMu.Unlock()
+		p.baseSlab[s.base] = s
 		s.buf = p.backing[s.base : s.base+p.slabSize]
 	} else {
 		s.buf = make([]byte, p.slabSize)
 	}
-	sh.slabs[id] = s
-	// A shard's ids only grow, so the new slab sorts last.
-	sh.partial[class] = append(sh.partial[class], s)
-	p.registrations.Add(1)
+	p.slabs[s.id] = s
+	// Ids only grow, so the new slab sorts last.
+	p.partial[class] = append(p.partial[class], s)
+	p.registeredBytes += int64(p.slabSize)
+	p.registrations++
 	return s
 }
 
+// partialAt returns where s sits, or would sit, in its class's partial list.
+func (p *Pool) partialAt(s *slabRegion) (int, bool) {
+	return slices.BinarySearchFunc(p.partial[s.class], s.id, func(x *slabRegion, id int) int { return x.id - id })
+}
+
 // take claims blocks [at, at+n) of s, which the caller found free, as one
-// run. It is the one place blocks leave the free bitmap. Caller holds sh.mu.
-func (p *Pool) take(sh *shard, s *slabRegion, at, n int, tick int64) Run {
+// run. It is the one place blocks leave the free bitmap. Caller holds p.mu.
+func (p *Pool) take(s *slabRegion, at, n int) Run {
 	s.mark(at, n, false)
 	s.nfree -= n
-	s.lastUse = tick
+	s.lastUse = p.tick
 	if s.nfree == 0 {
-		i, _ := sh.partialAt(s)
-		sh.partial[s.class] = slices.Delete(sh.partial[s.class], i, i+1)
+		i, _ := p.partialAt(s)
+		p.partial[s.class] = slices.Delete(p.partial[s.class], i, i+1)
 	}
 	p.liveBytes.Add(int64(n) * int64(s.class))
 	r := Run{First: Handle{SlabID: s.id, Offset: at * s.class, Class: s.class}, N: n}
@@ -463,83 +366,64 @@ func (p *Pool) take(sh *shard, s *slabRegion, at, n int, tick int64) Run {
 
 // Free releases a block back to its slab.
 func (p *Pool) Free(h Handle) error {
-	sh, err := p.shardOf(h)
-	if err != nil {
-		return err
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return p.freeIn(sh, h)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.freeLocked(h)
 }
 
-// FreeRun releases every block of a run AllocRun returned, under one
-// acquisition of its shard's lock.
+// FreeRun releases every block of a run AllocRun returned.
 func (p *Pool) FreeRun(r Run) error {
-	sh, err := p.shardOf(r.First)
-	if err != nil {
-		return err
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.freeRunLocked(r)
+}
+
+// freeRunLocked is FreeRun under p.mu.
+func (p *Pool) freeRunLocked(r Run) error {
+	var err error
 	for r.N > 0 {
 		h, _ := r.Pop()
-		if e := p.freeIn(sh, h); e != nil && err == nil {
+		if e := p.freeLocked(h); e != nil && err == nil {
 			err = e
 		}
 	}
 	return err
 }
 
-// FreeAll releases every block in hs, taking each shard's lock once however
-// many of its blocks are named and in whatever order. Every handle is tried;
-// the first error is returned.
+// FreeAll releases every block in hs under one acquisition of the lock. Every
+// handle is tried; the first error is returned.
 func (p *Pool) FreeAll(hs []Handle) error {
-	// A negative slab id lands on some shard, whose validate refuses it.
-	shardIdx := func(h Handle) int { return int(uint(h.SlabID) % uint(len(p.shards))) }
-	var named [maxShards / 64]uint64
-	for _, h := range hs {
-		si := shardIdx(h)
-		named[si/64] |= 1 << (si % 64)
-	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	var first error
-	for si, sh := range p.shards {
-		if named[si/64]&(1<<(si%64)) == 0 {
-			continue
+	for _, h := range hs {
+		if err := p.freeLocked(h); err != nil && first == nil {
+			first = err
 		}
-		sh.mu.Lock()
-		for _, h := range hs {
-			if shardIdx(h) != si {
-				continue
-			}
-			if err := p.freeIn(sh, h); err != nil && first == nil {
-				first = err
-			}
-		}
-		sh.mu.Unlock()
 	}
 	return first
 }
 
-// freeIn returns h's block to the free bitmap. It is the one place blocks
-// come back short of their whole slab being dropped. Caller holds sh.mu.
-func (p *Pool) freeIn(sh *shard, h Handle) error {
-	s, err := sh.validate(h)
+// freeLocked returns h's block to the free bitmap. It is the one place blocks
+// come back short of their whole slab being dropped. Caller holds p.mu.
+func (p *Pool) freeLocked(h Handle) error {
+	s, err := p.validate(h)
 	if err != nil {
 		return err
 	}
 	s.mark(h.Offset/s.class, 1, true)
 	s.nfree++
 	if s.nfree == 1 {
-		i, _ := sh.partialAt(s)
-		sh.partial[s.class] = slices.Insert(sh.partial[s.class], i, s)
+		i, _ := p.partialAt(s)
+		p.partial[s.class] = slices.Insert(p.partial[s.class], i, s)
 	}
 	p.liveBytes.Add(-int64(s.class))
 	return nil
 }
 
-// validate resolves a handle within the shard. Caller holds sh.mu.
-func (sh *shard) validate(h Handle) (*slabRegion, error) {
-	s, ok := sh.slabs[h.SlabID]
+// validate resolves a handle to its slab. Caller holds p.mu.
+func (p *Pool) validate(h Handle) (*slabRegion, error) {
+	s, ok := p.slabs[h.SlabID]
 	if !ok {
 		return nil, fmt.Errorf("%w: slab %d not registered", ErrBadHandle, h.SlabID)
 	}
@@ -557,18 +441,14 @@ func (p *Pool) Write(h Handle, data []byte) error {
 	if len(data) > h.Class {
 		return fmt.Errorf("slab: write of %d bytes exceeds class %d", len(data), h.Class)
 	}
-	sh, err := p.shardOf(h)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	s, err := p.validate(h)
 	if err != nil {
 		return err
 	}
-	tick := p.tick.Add(1)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	s, err := sh.validate(h)
-	if err != nil {
-		return err
-	}
-	s.lastUse = tick
+	p.tick++
+	s.lastUse = p.tick
 	copy(s.buf[h.Offset:h.Offset+h.Class], data)
 	return nil
 }
@@ -598,119 +478,82 @@ func (p *Pool) ReadAtInto(h Handle, off int, dst []byte) error {
 	if off < 0 || off+n > h.Class {
 		return fmt.Errorf("slab: read [%d,%d) exceeds class %d", off, off+n, h.Class)
 	}
-	sh, err := p.shardOf(h)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	s, err := p.validate(h)
 	if err != nil {
 		return err
 	}
-	tick := p.tick.Add(1)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	s, err := sh.validate(h)
-	if err != nil {
-		return err
-	}
-	s.lastUse = tick
+	p.tick++
+	s.lastUse = p.tick
 	copy(dst, s.buf[h.Offset+off:h.Offset+off+n])
 	return nil
 }
 
-// EvictLRU deregisters the least-recently-used slab across all shards and
-// returns the handles of blocks that were still live in it, so the caller
-// can relocate their contents. The block data is gone after this call.
+// EvictLRU deregisters the least-recently-used slab (the lowest id among
+// equals) and returns the handles of blocks that were still live in it, so
+// the caller can relocate their contents. The block data is gone after this
+// call.
 func (p *Pool) EvictLRU() ([]Handle, error) {
-	for {
-		// Pass 1: find the global LRU candidate, locking one shard at a time.
-		victimShard, victimID := -1, 0
-		var victimUse int64
-		for si, sh := range p.shards {
-			sh.mu.Lock()
-			for _, s := range sh.slabs {
-				if victimShard == -1 || s.lastUse < victimUse ||
-					(s.lastUse == victimUse && s.id < victimID) {
-					victimShard, victimID, victimUse = si, s.id, s.lastUse
-				}
-			}
-			sh.mu.Unlock()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var victim *slabRegion
+	for _, s := range p.slabs {
+		if victim == nil || s.lastUse < victim.lastUse || (s.lastUse == victim.lastUse && s.id < victim.id) {
+			victim = s
 		}
-		if victimShard == -1 {
-			return nil, ErrEmpty
-		}
-		// Pass 2: re-acquire the winner's shard and drop the slab if it still
-		// exists; a concurrent eviction or shrink may have raced us, in which
-		// case rescan.
-		sh := p.shards[victimShard]
-		sh.mu.Lock()
-		if s, ok := sh.slabs[victimID]; ok {
-			handles := p.dropSlab(sh, s)
-			sh.mu.Unlock()
-			return handles, nil
-		}
-		sh.mu.Unlock()
 	}
+	if victim == nil {
+		return nil, ErrEmpty
+	}
+	return p.dropSlab(victim), nil
 }
 
-// dropSlab deregisters s from sh and returns its live blocks, lowest first.
-// Caller holds sh.mu.
-func (p *Pool) dropSlab(sh *shard, s *slabRegion) []Handle {
+// dropSlab deregisters s and returns its live blocks, lowest first. Caller
+// holds p.mu.
+func (p *Pool) dropSlab(s *slabRegion) []Handle {
 	handles := make([]Handle, 0, s.blocks-s.nfree)
 	for i := 0; i < s.blocks; i++ {
 		if !s.isFree(i) {
 			handles = append(handles, Handle{SlabID: s.id, Offset: i * s.class, Class: s.class})
 		}
 	}
-	delete(sh.slabs, s.id)
-	if i, ok := sh.partialAt(s); ok {
-		sh.partial[s.class] = slices.Delete(sh.partial[s.class], i, i+1)
+	delete(p.slabs, s.id)
+	if i, ok := p.partialAt(s); ok {
+		p.partial[s.class] = slices.Delete(p.partial[s.class], i, i+1)
 	}
 	if p.backing != nil {
-		p.baseMu.Lock()
 		p.freeBases = append(p.freeBases, s.base)
 		delete(p.baseSlab, s.base)
-		p.baseMu.Unlock()
 	}
 	p.liveBytes.Add(-int64(len(handles)) * int64(s.class))
-	p.registeredBytes.Add(-int64(p.slabSize))
-	p.deregistrations.Add(1)
+	p.registeredBytes -= int64(p.slabSize)
+	p.deregistrations++
 	return handles
 }
 
-// ShrinkEmpty releases fully-free slabs until the budget drops by up to
-// wantBytes, returning the bytes actually released. Live blocks are never
-// disturbed.
+// ShrinkEmpty releases fully-free slabs, lowest id first, until the budget
+// drops by up to wantBytes, returning the bytes actually released. Live
+// blocks are never disturbed.
 func (p *Pool) ShrinkEmpty(wantBytes int64) int64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	ids := make([]int, 0, len(p.slabs))
+	for id, s := range p.slabs {
+		if s.nfree == s.blocks {
+			ids = append(ids, id)
+		}
+	}
+	slices.Sort(ids)
 	var released int64
-	for _, sh := range p.shards {
+	for _, id := range ids {
 		if released >= wantBytes {
 			break
 		}
-		sh.mu.Lock()
-		ids := make([]int, 0, len(sh.slabs))
-		for id := range sh.slabs {
-			ids = append(ids, id)
-		}
-		slices.Sort(ids)
-		for _, id := range ids {
-			if released >= wantBytes {
-				break
-			}
-			s := sh.slabs[id]
-			if s.nfree == s.blocks {
-				p.dropSlab(sh, s)
-				released += int64(p.slabSize)
-			}
-		}
-		sh.mu.Unlock()
+		p.dropSlab(p.slabs[id])
+		released += int64(p.slabSize)
 	}
-	for {
-		cur := p.maxBytes.Load()
-		next := cur - released
-		if next < 0 {
-			next = 0
-		}
-		if p.maxBytes.CompareAndSwap(cur, next) {
-			break
-		}
-	}
+	p.maxBytes.Add(-released)
 	return released
 }
 
@@ -724,23 +567,15 @@ func (p *Pool) ShrinkBudget(wantBytes int64) int64 {
 	if wantBytes <= 0 {
 		return 0
 	}
-	for {
-		cur := p.maxBytes.Load()
-		headroom := cur - p.registeredBytes.Load()
-		if headroom <= 0 {
-			return 0
-		}
-		cut := wantBytes
-		if cut > headroom {
-			cut = headroom
-		}
-		if p.maxBytes.CompareAndSwap(cur, cur-cut) {
-			return cut
-		}
-	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	cut := min(wantBytes, max(p.maxBytes.Load()-p.registeredBytes, 0))
+	p.maxBytes.Add(-cut)
+	return cut
 }
 
-// Grow raises the pool's byte budget by n.
+// Grow raises the pool's byte budget by n. A raise never undercuts the slabs
+// already registered, so it needs no lock.
 func (p *Pool) Grow(n int64) {
 	if n < 0 {
 		panic("slab: Grow with negative bytes")
@@ -755,40 +590,34 @@ type Stats struct {
 	LiveBytes       int64 // bytes of allocated blocks (class-rounded)
 	LiveBlocks      int
 	Slabs           int
-	Shards          int
 	Registrations   int64 // cumulative slab registrations
 	Deregistrations int64 // cumulative slab deregistrations (evictions)
 }
 
-// Stats returns a snapshot. Under concurrent mutation the per-shard figures
-// are each internally consistent but the cross-shard sums are a racy (still
-// monotonic-in-aggregate) composite; quiescent pools get exact numbers.
+// Stats returns a snapshot, taken under the lock.
 func (p *Pool) Stats() Stats {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	st := Stats{
 		MaxBytes:        p.maxBytes.Load(),
-		RegisteredBytes: p.registeredBytes.Load(),
-		Shards:          len(p.shards),
-		Registrations:   p.registrations.Load(),
-		Deregistrations: p.deregistrations.Load(),
+		RegisteredBytes: p.registeredBytes,
+		Slabs:           len(p.slabs),
+		Registrations:   p.registrations,
+		Deregistrations: p.deregistrations,
 	}
-	for _, sh := range p.shards {
-		sh.mu.Lock()
-		st.Slabs += len(sh.slabs)
-		for _, s := range sh.slabs {
-			live := s.blocks - s.nfree
-			st.LiveBlocks += live
-			st.LiveBytes += int64(live) * int64(s.class)
-		}
-		sh.mu.Unlock()
+	for _, s := range p.slabs {
+		live := s.blocks - s.nfree
+		st.LiveBlocks += live
+		st.LiveBytes += int64(live) * int64(s.class)
 	}
 	return st
 }
 
 // FreeBytes reports budget headroom plus free blocks inside registered slabs
-// — MaxBytes - LiveBytes, however the blocks are spread over slabs and shards
-// — as two atomic loads: no shard lock is taken, so it is cheap enough to
-// refresh a gauge from on every request. Under concurrent mutation the two
-// loads are not one instant; a quiescent pool gets Stats's exact figure.
+// — MaxBytes - LiveBytes, however the blocks are spread over slabs — as two
+// atomic loads: no lock is taken, so it is cheap enough to refresh a gauge
+// from on every request. Under concurrent mutation the two loads are not one
+// instant; a quiescent pool gets Stats's exact figure.
 func (p *Pool) FreeBytes() int64 {
 	return p.maxBytes.Load() - p.liveBytes.Load()
 }

@@ -53,9 +53,6 @@ func newWrappedRig(t *testing.T, sharedBytes, recvBytes int64, wrap func(transpo
 			RecvPoolBytes:     recvBytes,
 			SlabSize:          1 << 20,
 			ReplicationFactor: 1,
-			// Run the swap engine against sharded host pools so the paging
-			// path is covered with the production lock layout.
-			PoolShards: 4,
 		}, ep, dir)
 		if err != nil {
 			t.Fatal(err)

@@ -25,8 +25,8 @@
 #   is printed with the rest, not gated (~2 us and ~0.1 us on the 2-CPU host).
 #
 #   BenchmarkAllocFree / BenchmarkAllocRun64 (the slab allocator: one 2 KiB
-#   block, and a 64-block window run on a pool laid out like a donor's — 8
-#   shards, 1 MiB slabs — taken and freed) are held to nothing as well: the
+#   block, and a 64-block window run on a pool laid out like a donor's — one
+#   lock, 1 MiB slabs — taken and freed) are held to nothing as well: the
 #   free bitmap is allocated with its slab, and a run comes back in the
 #   caller's storage, so a donor's put allocates nothing for its blocks.
 #   ns/op printed, not gated (~100 ns and ~1 us on the 2-CPU host).
