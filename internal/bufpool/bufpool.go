@@ -1,8 +1,10 @@
 // Package bufpool is the repository's shared size-classed frame buffer pool.
 // It backs every layer of the zero-copy data plane — the TCP transport's
-// one-sided read responses, the client's compressed-read scratch buffers, and
-// the transport helpers' gather fallback — so a steady-state read or write
-// recycles its transient buffers instead of allocating them per operation.
+// request payloads, read responses and call answers, the core client's put
+// and release requests and compressed-read scratch, the donor's put answers,
+// and the transport helpers' gather fallback — so a steady-state read or
+// write recycles its transient buffers instead of allocating them per
+// operation.
 //
 // # Ownership contract
 //
@@ -26,6 +28,19 @@
 // silently dropped by Put, so a conservative caller may Put any buffer whose
 // provenance it knows is "mine and dead".
 //
+// Two transfers cross the transport boundary (transport.Handler and
+// transport.Verbs say the same from their side):
+//
+//   - A handler's answer is handed to the fabric with the return. The TCP
+//     fabric Puts it after the flush that writes it to the wire, so a handler
+//     answers with memory it gives up: fresh, drawn from Get, or a view of its
+//     request payload — which Overlaps detects and which is released once,
+//     with the payload. A slice the handler keeps sharing read-only is safe
+//     only when Put drops it (capacity below MinBuf).
+//   - A call's answer belongs to the caller, which may Put it once it has
+//     decoded it. The TCP fabric lands answers in buffers from Get.
+//
+
 // # Checking the contract
 //
 // Built with -tags bufdebug, the pool enforces what it can observe: Put fills
@@ -44,6 +59,7 @@ package bufpool
 import (
 	"math/bits"
 	"sync"
+	"unsafe"
 )
 
 const (
@@ -113,4 +129,16 @@ func Put(b []byte) {
 	p := boxes.Get().(*[]byte)
 	*p = b[:0]
 	pools[cl].Put(p)
+}
+
+// Overlaps reports whether a and b share backing memory: whether some byte
+// within a's capacity is also within b's. A view of a buffer overlaps it, so
+// exactly one of the two may be released.
+func Overlaps(a, b []byte) bool {
+	if cap(a) == 0 || cap(b) == 0 {
+		return false
+	}
+	pa := uintptr(unsafe.Pointer(unsafe.SliceData(a)))
+	pb := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	return pa < pb+uintptr(cap(b)) && pb < pa+uintptr(cap(a))
 }

@@ -70,6 +70,33 @@ func TestPutDropsForeignBuffers(t *testing.T) {
 	}
 }
 
+// TestOverlaps: views of one buffer overlap it and each other when their
+// capacities meet; separate buffers and empty slices never do.
+func TestOverlaps(t *testing.T) {
+	b := make([]byte, 64)
+	other := make([]byte, 64)
+	for _, tc := range []struct {
+		name string
+		a, b []byte
+		want bool
+	}{
+		{"itself", b, b, true},
+		{"a view at the front", b[:8], b, true},
+		{"a view at the back", b[60:], b, true},
+		{"a zero-length view with capacity", b[10:10], b, true},
+		{"a view capped before another", b[:8:8], b[8:], false},
+		{"another buffer", b, other, false},
+		{"nil", nil, b, false},
+	} {
+		if got := Overlaps(tc.a, tc.b); got != tc.want {
+			t.Errorf("%s: Overlaps = %v, want %v", tc.name, got, tc.want)
+		}
+		if got := Overlaps(tc.b, tc.a); got != tc.want {
+			t.Errorf("%s, swapped: Overlaps = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
 func TestSteadyStateAllocatesNothing(t *testing.T) {
 	Put(Get(64 << 10)) // warm the class and the box freelist
 	if avg := testing.AllocsPerRun(200, func() { Put(Get(64 << 10)) }); avg != 0 {

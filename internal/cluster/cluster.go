@@ -21,7 +21,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -554,7 +554,7 @@ func (d *Directory) TreeTargets(self NodeID) []NodeID {
 	for id := range set {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -630,7 +630,7 @@ func (d *Directory) electGroupLocked(force bool, only int) []Event {
 		}
 		groups = append(groups, g)
 	}
-	sort.Ints(groups)
+	slices.Sort(groups)
 	for _, g := range groups {
 		winner := best[g]
 		prev, had := d.leaders[g]
@@ -660,7 +660,7 @@ func (d *Directory) sortedIDs() []NodeID {
 	for id := range d.members {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 

@@ -20,6 +20,49 @@ type Entry struct {
 	Data []byte
 }
 
+// scratch is one batch call's bookkeeping — PutAll's requests, payloads,
+// handles and offsets, put's gather vector, a read's handles, block refs and
+// spans, a delete's block list — drawn from scratchPool and returned when the
+// call ends. Each slice keeps its capacity across calls, sized for a window
+// the first time and grown beyond it when a larger batch needs it, so a
+// steady window loop allocates none of it. The stack would not do: the slices
+// pass through transport.Verbs interface calls and escape.
+type scratch struct {
+	reqs     []putEntry
+	payloads [][]byte
+	handles  []clientHandle
+	offsets  []int64
+	vec      [][]byte
+	blocks   []block
+	refs     []blockRef
+	spans    [][]blockRef
+}
+
+// scratchWindow is the batch size scratch is first sized for.
+const scratchWindow = 64
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+func getScratch() *scratch { return scratchPool.Get().(*scratch) }
+
+// release returns s to the pool, dropping its references to payload memory.
+func (s *scratch) release() {
+	clear(s.payloads[:cap(s.payloads)])
+	clear(s.vec[:cap(s.vec)])
+	clear(s.spans[:cap(s.spans)])
+	scratchPool.Put(s)
+}
+
+// sized reslices *b to n, reallocating only when its capacity is short, and
+// returns it. The contents are stale: the caller overwrites all n.
+func sized[T any](b *[]T, n int) []T {
+	if cap(*b) < n {
+		*b = make([]T, n, max(n, scratchWindow))
+	}
+	*b = (*b)[:n]
+	return *b
+}
+
 // blockRef locates one entry's block for span coalescing: idx indexes the
 // caller's slice, payloadLen is the meaningful byte count (storedLen), class
 // the block stride.
@@ -30,15 +73,14 @@ type blockRef struct {
 	payloadLen int
 }
 
-// coalesceSpans sorts refs by offset and groups blocks into maximal runs
+// coalesceSpans sorts refs by offset and appends to spans the maximal runs
 // where each block starts exactly at the previous block's end
 // (off == prev.off + prev.class) — the layout the donor's run allocation
 // gives the entries of one size class of a put — capping each span's wire
 // size at transport.MaxFrameSize. Each span becomes one one-sided read
 // instead of len(span) reads.
-func coalesceSpans(refs []blockRef) [][]blockRef {
+func coalesceSpans(refs []blockRef, spans [][]blockRef) [][]blockRef {
 	slices.SortFunc(refs, func(a, b blockRef) int { return cmp.Compare(a.off, b.off) })
-	var spans [][]blockRef
 	for i := 0; i < len(refs); {
 		j := i + 1
 		for j < len(refs) {
@@ -96,9 +138,10 @@ func (c *Client) PutAll(ctx context.Context, node transport.NodeID, entries []En
 	sp.AnnotateInt("entries", len(entries))
 	defer sp.End()
 
-	reqs := make([]putEntry, len(entries))
-	payloads := make([][]byte, len(entries))
-	handles := make([]clientHandle, len(entries))
+	s := getScratch()
+	defer s.release()
+	reqs, payloads := sized(&s.reqs, len(entries)), sized(&s.payloads, len(entries))
+	handles, offsets := sized(&s.handles, len(entries)), sized(&s.offsets, len(entries))
 	stage := c.newStage(entries...)
 	defer bufpool.Put(stage)
 	for i, e := range entries {
@@ -109,7 +152,8 @@ func (c *Client) PutAll(ctx context.Context, node transport.NodeID, entries []En
 	}
 	// Displaced blocks at home on node ride the put; ones that followed a
 	// drain elsewhere are released after the commit.
-	var riding, away []block
+	riding := s.blocks[:0]
+	var away []block
 	c.mu.Lock()
 	for _, e := range entries {
 		ck := clientKey{node: node, key: e.Key}
@@ -124,6 +168,7 @@ func (c *Client) PutAll(ctx context.Context, node transport.NodeID, entries []En
 		}
 	}
 	c.mu.Unlock()
+	s.blocks = riding
 
 	// Every sub-batch leaves room for the whole window's header, so the split
 	// depends on payload bytes alone.
@@ -138,13 +183,12 @@ func (c *Client) PutAll(ctx context.Context, node transport.NodeID, entries []En
 		if hi == len(entries) {
 			old = riding
 		}
-		offsets, err := put(ctx, c.ep, node, 0, replication.Shard{}, reqs[lo:hi], payloads[lo:hi], old)
-		if err != nil {
+		if err := put(ctx, c.ep, node, 0, replication.Shard{}, reqs[lo:hi], payloads[lo:hi], old, offsets[lo:hi]); err != nil {
 			// Best-effort, on a detached context (the failure may be the
 			// caller's context dying); eviction is the backstop.
 			parked := make([]block, lo)
 			for i := range parked {
-				parked[i] = block{node: node, key: reqs[i].Key, offset: handles[i].offset}
+				parked[i] = block{node: node, key: reqs[i].Key, offset: offsets[i]}
 			}
 			fctx, cancel := replication.Detached(ctx)
 			_ = release(fctx, c.ep, parked...)
@@ -152,14 +196,12 @@ func (c *Client) PutAll(ctx context.Context, node transport.NodeID, entries []En
 			c.doubt(node, err, old)
 			return err
 		}
-		for i := lo; i < hi; i++ {
-			handles[i].offset = offsets.offset(i - lo)
-		}
 		lo = hi
 	}
 
 	c.mu.Lock()
 	for i, e := range entries {
+		handles[i].offset = offsets[i]
 		c.handles[clientKey{node: node, key: e.Key}] = handles[i]
 	}
 	c.mu.Unlock()
@@ -169,39 +211,40 @@ func (c *Client) PutAll(ctx context.Context, node transport.NodeID, entries []En
 	return nil
 }
 
-// handlesOf returns the handles behind keys on node.
-func (c *Client) handlesOf(node transport.NodeID, keys []uint64) ([]clientHandle, error) {
-	handles := make([]clientHandle, len(keys))
+// handlesOf fills handles, which holds len(keys), with the handles behind
+// keys on node.
+func (c *Client) handlesOf(node transport.NodeID, keys []uint64, handles []clientHandle) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for i, k := range keys {
 		h, ok := c.handles[clientKey{node: node, key: k}]
 		if !ok {
-			return nil, fmt.Errorf("core: no handle for key %d on node %d", k, node)
+			return fmt.Errorf("core: no handle for key %d on node %d", k, node)
 		}
 		handles[i] = h
 	}
-	return handles, nil
+	return nil
 }
 
 // GetAll reads back a batch of entries parked on node: GetAllInto fresh
 // buffers, which the caller owns (they are views of one allocation). Every
 // key must have been parked through this client.
 func (c *Client) GetAll(ctx context.Context, node transport.NodeID, keys []uint64) (map[uint64][]byte, error) {
-	handles, err := c.handlesOf(node, keys)
-	if err != nil {
+	s := getScratch()
+	defer s.release()
+	if err := c.handlesOf(node, keys, sized(&s.handles, len(keys))); err != nil {
 		return nil, err
 	}
 	total := 0
-	for _, h := range handles {
+	for _, h := range s.handles {
 		total += h.rawLen
 	}
 	backing := make([]byte, total)
 	dsts := make([][]byte, len(keys))
-	for i, h := range handles {
+	for i, h := range s.handles {
 		dsts[i], backing = backing[:h.rawLen:h.rawLen], backing[h.rawLen:]
 	}
-	if err := c.getAllInto(ctx, node, keys, handles, dsts); err != nil {
+	if err := c.getAllInto(ctx, s, node, keys, dsts); err != nil {
 		return nil, err
 	}
 	out := make(map[uint64][]byte, len(keys))
@@ -223,38 +266,40 @@ func (c *Client) GetAll(ctx context.Context, node transport.NodeID, keys []uint6
 // fabric straight into the caller's buffer; multi-entry spans stage one
 // pooled buffer per span (the span read is one contiguous transfer —
 // splitting it across destination buffers requires one copy), and compressed
-// entries decode into dsts[i] from pooled staging. Steady state allocates
-// only the span bookkeeping, never payload-sized buffers.
+// entries decode into dsts[i] from pooled staging. The span bookkeeping is
+// pooled scratch: a steady state allocates nothing.
 func (c *Client) GetAllInto(ctx context.Context, node transport.NodeID, keys []uint64, dsts [][]byte) error {
 	if len(keys) != len(dsts) {
 		return fmt.Errorf("core: %d keys but %d destination buffers", len(keys), len(dsts))
 	}
-	handles, err := c.handlesOf(node, keys)
-	if err != nil {
+	s := getScratch()
+	defer s.release()
+	if err := c.handlesOf(node, keys, sized(&s.handles, len(keys))); err != nil {
 		return err
 	}
-	for i, h := range handles {
+	for i, h := range s.handles {
 		if len(dsts[i]) < h.rawLen {
 			return fmt.Errorf("core: dst for key %d holds %d bytes, entry is %d", keys[i], len(dsts[i]), h.rawLen)
 		}
 	}
-	return c.getAllInto(ctx, node, keys, handles, dsts)
+	return c.getAllInto(ctx, s, node, keys, dsts)
 }
 
-// getAllInto is the one batch read: the entry behind handles[i] lands in
+// getAllInto is the one batch read: the entry behind s.handles[i] lands in
 // dsts[i], which holds its decoded length. Only blocks still where they were
 // put are span-coalesced. A handle that followed a drain to another home
 // names an offset in that node's region, and a doubted one may name a block
 // that is no longer the key's: those go one at a time through GetInto, which
 // settles, reads from the recorded home and chases further redirects.
-func (c *Client) getAllInto(ctx context.Context, node transport.NodeID, keys []uint64, handles []clientHandle, dsts [][]byte) error {
+func (c *Client) getAllInto(ctx context.Context, s *scratch, node transport.NodeID, keys []uint64, dsts [][]byte) error {
 	if len(keys) == 0 {
 		return nil
 	}
 	ctx, sp := trace.Start(ctx, "client.get_all")
 	sp.AnnotateInt("entries", len(keys))
 	defer sp.End()
-	refs := make([]blockRef, 0, len(keys))
+	handles := s.handles
+	refs := s.refs[:0]
 	for i, h := range handles {
 		if h.doubted || h.home != 0 {
 			n, err := c.GetInto(ctx, node, keys[i], dsts[i])
@@ -266,9 +311,10 @@ func (c *Client) getAllInto(ctx context.Context, node transport.NodeID, keys []u
 		}
 		refs = append(refs, blockRef{idx: i, off: h.offset, class: h.class, payloadLen: h.storedLen})
 	}
-	spans := coalesceSpans(refs)
-	sp.AnnotateInt("spans", len(spans))
-	for _, span := range spans {
+	s.refs = refs
+	s.spans = coalesceSpans(refs, s.spans[:0])
+	sp.AnnotateInt("spans", len(s.spans))
+	for _, span := range s.spans {
 		if len(span) == 1 && handles[span[0].idx].flags&flagCompressed == 0 {
 			i := span[0].idx
 			n, err := c.getInto(ctx, node, handles[i], dsts[i])
@@ -303,7 +349,9 @@ func (c *Client) getAllInto(ctx context.Context, node transport.NodeID, keys []u
 // round trip per hosting node (more than one only after a followed
 // decommission redirect). Keys without a handle are skipped, like Delete.
 func (c *Client) DeleteAll(ctx context.Context, node transport.NodeID, keys []uint64) error {
-	blocks := make([]block, 0, len(keys))
+	s := getScratch()
+	defer s.release()
+	blocks := s.blocks[:0]
 	c.mu.Lock()
 	for _, k := range keys {
 		ck := clientKey{node: node, key: k}
@@ -313,6 +361,7 @@ func (c *Client) DeleteAll(ctx context.Context, node transport.NodeID, keys []ui
 		}
 	}
 	c.mu.Unlock()
+	s.blocks = blocks
 	return release(ctx, c.ep, blocks...)
 }
 

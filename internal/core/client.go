@@ -163,14 +163,17 @@ func decodeEntryInto(dst, data []byte, h clientHandle) error {
 }
 
 // ask is one control-plane question: msg goes to node and dec reads the body
-// of its answer. what names the question in a transport failure.
+// of its answer, which is released once decoded (dec keeps no view of it).
+// what names the question in a transport failure.
 func ask[T any](ctx context.Context, ep transport.Verbs, node transport.NodeID, what string, msg []byte, dec func([]byte) (T, []byte, error)) (T, error) {
 	resp, err := ep.Call(ctx, node, msg)
 	if err != nil {
 		var none T
 		return none, fmt.Errorf("core: %s node %d: %w", what, node, err)
 	}
-	return decodeBody(resp, dec)
+	v, err := decodeBody(resp, dec)
+	bufpool.Put(resp)
+	return v, err
 }
 
 // Stats returns the free receive-pool bytes node advertises.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"godm/internal/bufpool"
 	"godm/internal/cluster"
 	"godm/internal/transport"
 )
@@ -148,7 +149,9 @@ func (c *Client) locate(ctx context.Context, node transport.NodeID, key uint64, 
 	if err != nil {
 		return redirect{}, false, fmt.Errorf("core: locate key %d on node %d: %w", key, node, err)
 	}
-	return decodeLocateResp(resp)
+	rd, inPlace, err := decodeLocateResp(resp)
+	bufpool.Put(resp)
+	return rd, inPlace, err
 }
 
 // chase asks node where the block for key at offset lives, following up to

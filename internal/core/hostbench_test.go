@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"godm/internal/bufpool"
 	"godm/internal/cluster"
 	"godm/internal/faulty"
 	"godm/internal/replication"
@@ -182,8 +183,10 @@ func BenchmarkHostParallelBatch(b *testing.B) {
 // the window parked 16 rounds earlier, on a donor shaped like bench/'s (64 MiB
 // receive pool, 1 MiB slabs). The payloads are 64 bytes, so what is timed is
 // the bookkeeping — allocation, owner records, release checks, free — not the
-// copy. scripts/alloc_budget.sh holds it to its two replies: the owner index
-// allocates nothing in steady state.
+// copy. The round releases both answers the way tcpnet does once they are
+// written, and scripts/alloc_budget.sh holds it to nothing: the owner index
+// allocates nothing in steady state, the put answer is pooled and the ok
+// answer shared.
 func BenchmarkHostWindow64(b *testing.B) {
 	const window, resident, owner = 64, 16, transport.NodeID(9)
 	tc := newTestCluster(b, 1, func(id transport.NodeID) Config {
@@ -213,7 +216,8 @@ func BenchmarkHostWindow64(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		offs, err := decodePutResp(n.handlePut(owner, req), window)
+		reply := n.handlePut(owner, req)
+		offs, err := decodePutResp(reply, window)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -223,14 +227,17 @@ func BenchmarkHostWindow64(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := checkOKResp(n.handleRelease(owner, old)); err != nil {
+			ok := n.handleRelease(owner, old)
+			if _, err := checkOKResp(ok); err != nil {
 				b.Fatal(err)
 			}
+			bufpool.Put(ok)
 		}
 		for j := 0; j < window; j++ {
 			binary.BigEndian.PutUint64(rel[1+j*releaseEntryBytes:], base+uint64(j))
 			binary.BigEndian.PutUint64(rel[1+j*releaseEntryBytes+8:], uint64(offs.offset(j)))
 		}
+		bufpool.Put(reply) // the answers go back to the pool, as tcpnet returns them once written
 	}
 	for i := 0; i < 4*resident; i++ {
 		round(i)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"godm/internal/bufpool"
 	"godm/internal/cluster"
 	"godm/internal/metrics"
 	"godm/internal/replication"
@@ -190,8 +191,9 @@ type putEntry struct {
 }
 
 // putReq is a decoded put request. Entries, releases and payload stay in the
-// request buffer and are read in place, so the donor's handler allocates only
-// its reply; the buffer is the transport's and dies with the handler.
+// request buffer and are read in place, so the donor's handler allocates
+// nothing but its pooled reply; the buffer is the transport's and dies with
+// the handler.
 //
 // Owner names the blocks' true owner when the requester puts on its behalf —
 // drain and harvest migration is issued by the departing host — and zero
@@ -221,9 +223,10 @@ func (r putReq) entry(i int) putEntry {
 }
 
 // encodePutReq encodes everything but the payload bytes, which ride behind it
-// as further slices of a gather call.
+// as further slices of a gather call. The buffer comes from the frame pool;
+// the caller releases it once the call has returned.
 func encodePutReq(owner int32, shard replication.Shard, entries []putEntry, old []block) []byte {
-	buf := make([]byte, putHeaderBytes, putHeaderBytes+putEntryBytes*len(entries)+releaseEntryBytes*len(old))
+	buf := bufpool.Get(putHeaderBytes + putEntryBytes*len(entries) + releaseEntryBytes*len(old))[:putHeaderBytes]
 	buf[0] = opPut
 	binary.BigEndian.PutUint32(buf[1:5], uint32(owner))
 	buf[5], buf[6], buf[7] = shard.Idx, shard.K, shard.M
@@ -282,9 +285,13 @@ func (r putResp) offset(i int) int64 {
 }
 
 // newPutResp returns an stOK reply with room for count offsets, which the
-// donor's handler fills in as it allocates.
+// donor's handler fills in as it allocates. It comes from the frame pool and
+// goes to the transport with the handler's return: tcpnet releases it once
+// written, simnet hands it to the caller, which releases it after decoding.
 func newPutResp(count int) putResp {
-	return make(putResp, 1+offsetBytes*count) // stOK == 0
+	r := putResp(bufpool.Get(1 + offsetBytes*count))
+	r[0] = stOK
+	return r
 }
 
 func (r putResp) setOffset(i int, off int64) {
@@ -321,9 +328,10 @@ func (r releaseReq) entry(i int) (key uint64, offset int64) {
 }
 
 // encodeReleaseReq encodes the key and offset of every block; the caller has
-// already grouped blocks by hosting node.
+// already grouped blocks by hosting node. Like encodePutReq's, the buffer
+// comes from the frame pool and is the caller's to release.
 func encodeReleaseReq(blocks []block) []byte {
-	buf := make([]byte, 1, 1+releaseEntryBytes*len(blocks))
+	buf := bufpool.Get(1 + releaseEntryBytes*len(blocks))[:1]
 	buf[0] = opFree
 	return appendBlocks(buf, blocks)
 }
@@ -364,7 +372,11 @@ func decodeMetricsResp(b []byte) (string, error) {
 	return string(r.Rest()), err
 }
 
-func okResp() []byte { return []byte{stOK} }
+// okReply is the one stOK answer, shared read-only: nothing writes into an
+// answer, and bufpool.Put drops it when a transport or caller releases it.
+var okReply = []byte{stOK}
+
+func okResp() []byte { return okReply }
 
 func noSpaceResp() []byte { return []byte{stNoSpace} }
 

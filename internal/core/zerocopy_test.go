@@ -3,11 +3,13 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"math/rand"
 	"sync"
 	"testing"
 	"time"
 
+	"godm/internal/bufpool"
 	"godm/internal/compress"
 	"godm/internal/des"
 	"godm/internal/wire/wiretest"
@@ -192,9 +194,9 @@ func TestGetIntoZeroAllocOverTCP(t *testing.T) {
 // through PutAll and GetAllInto without a payload-sized allocation in either
 // direction. The put compresses every entry into one pooled staging buffer,
 // the read stages each span in a pooled buffer and decodes into the caller's
-// pages; what is left is per-entry bookkeeping (~20 KiB a put, ~6 KiB a read).
-// One fresh slice per compressed payload (what the put did before) is
-// 128 KiB a window, one per decoded page 256 KiB.
+// pages. One fresh slice per compressed payload (what the put did before) is
+// 128 KiB a window, one per decoded page 256 KiB; the bookkeeping that was
+// left under the budget is pooled too (TestWindowRoundAllocatesNothing).
 func TestCompressedWindowAllocatesNoPayload(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
@@ -238,6 +240,105 @@ func TestCompressedWindowAllocatesNoPayload(t *testing.T) {
 		if !bytes.Equal(dsts[i], e.Data) {
 			t.Fatalf("entry %d read back wrong", i)
 		}
+	}
+}
+
+// windowRound is bench/'s window4k-loop round on a loopback pair, both ends in
+// this process: PutAll of a 64-page compressed window, GetAllInto of it,
+// DeleteAll of it. The pages carry their round number, so a round that read
+// back another round's bytes fails its check.
+type windowRound struct {
+	client  *Client
+	pages   [][]byte
+	entries []Entry
+	keys    []uint64
+	dsts    [][]byte
+	n       uint64
+}
+
+func newWindowRound(tb testing.TB) *windowRound {
+	tb.Helper()
+	w := &windowRound{client: newBenchFabric(tb, 1, WithCompression(0)).client}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < testWindow; i++ {
+		w.pages = append(w.pages, compress.GeneratePage(rng, 2))
+		w.entries = append(w.entries, Entry{Key: uint64(i), Data: make([]byte, 4096)})
+		w.keys = append(w.keys, uint64(i))
+		w.dsts = append(w.dsts, make([]byte, 4096))
+	}
+	return w
+}
+
+func (w *windowRound) round(tb testing.TB) {
+	ctx := context.Background()
+	w.n++
+	for i, e := range w.entries {
+		copy(e.Data, w.pages[i])
+		binary.LittleEndian.PutUint64(e.Data, w.n)
+	}
+	if err := w.client.PutAll(ctx, 1, w.entries); err != nil {
+		tb.Fatal(err)
+	}
+	if err := w.client.GetAllInto(ctx, 1, w.keys, w.dsts); err != nil {
+		tb.Fatal(err)
+	}
+	for i, e := range w.entries {
+		if !bytes.Equal(w.dsts[i], e.Data) {
+			tb.Fatalf("round %d: entry %d read back wrong", w.n, i)
+		}
+	}
+	if err := w.client.DeleteAll(ctx, 1, w.keys); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// TestWindowRoundAllocatesNothing: once warm, a window round allocates
+// nothing in either half of the process. The client's per-call slices come
+// from pooled scratch, its put and release requests from the frame pool; the
+// donor answers into a pooled buffer (or the shared ok reply), which tcpnet
+// releases after the flush that writes it; the caller's answers land in
+// pooled buffers core releases after decoding; calls run on persistent
+// workers. Before, a round allocated ~20 KB in 18 objects.
+func TestWindowRoundAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates")
+	}
+	w := newWindowRound(t)
+	for i := 0; i < 32; i++ {
+		w.round(t)
+	}
+	if allocs := testing.AllocsPerRun(200, func() { w.round(t) }); allocs > 0 {
+		t.Errorf("a window round allocates %.0f objects, want 0", allocs)
+	}
+}
+
+// BenchmarkClientWindowRound is TestWindowRoundAllocatesNothing's round, timed;
+// scripts/alloc_budget.sh holds it to 0 B/op, 0 allocs/op over 20000 rounds.
+// Two one-time costs are paid before the timer starts, or they read as 2-8
+// B/op there: the client's handle map grows its table as 64 inserts and 64
+// deletes a round churn it, until it settles a few thousand rounds in; and
+// the frame pool fills per P, so until spare buffers of a class sit where
+// every P can steal them, a Get on one P can miss the buffer another P's
+// private slot holds. A cost paid every round still shows.
+func BenchmarkClientWindowRound(b *testing.B) {
+	w := newWindowRound(b)
+	for i := 0; i < 4000; i++ {
+		w.round(b)
+	}
+	var spare [][]byte
+	for n := bufpool.MinBuf; n <= 256<<10; n *= 2 { // every class a round draws from
+		for i := 0; i < 4; i++ {
+			spare = append(spare, bufpool.Get(n))
+		}
+	}
+	for _, buf := range spare {
+		bufpool.Put(buf)
+	}
+	b.SetBytes(testWindow * 4096)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.round(b)
 	}
 }
 

@@ -328,7 +328,10 @@ func (e *Endpoint) applyRead(region transport.RegionID, offset int64, n int) ([]
 	return out, nil
 }
 
-// Call implements transport.Verbs (two-sided send/receive RPC).
+// Call implements transport.Verbs (two-sided send/receive RPC). The handler
+// sees the caller's own payload slice, and its answer goes to the caller
+// as is: the transport.Handler contract's hand-over, with the caller as the
+// new owner.
 func (e *Endpoint) Call(ctx context.Context, to transport.NodeID, payload []byte) ([]byte, error) {
 	p := proc(ctx)
 	if err := ctx.Err(); err != nil {

@@ -53,7 +53,7 @@ func TestDeadWriterReleasesItsPooledBuffers(t *testing.T) {
 	var hdr [respHeaderSize]byte
 	queued := getBuf(4096)
 	copy(queued, bytes.Repeat([]byte{0x11}, len(queued)))
-	if err := w.queue(1, hdr[:], queued, nil, queued, false); err != nil {
+	if err := w.queue(1, hdr[:], queued, nil, false, queued); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.flush(); err == nil {
@@ -64,7 +64,7 @@ func TestDeadWriterReleasesItsPooledBuffers(t *testing.T) {
 	}
 	late := getBuf(8192)
 	copy(late, bytes.Repeat([]byte{0x22}, len(late)))
-	if err := w.queue(2, hdr[:], late, nil, late, true); err == nil {
+	if err := w.queue(2, hdr[:], late, nil, true, late); err == nil {
 		t.Fatal("a dead writer accepted a frame")
 	}
 	if late[0] == 0x22 {

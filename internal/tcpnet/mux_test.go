@@ -442,8 +442,8 @@ func TestRetryExcludesPartiallyFlushedFrames(t *testing.T) {
 	// accepts all of A plus 19 bytes of B's header, then dies mid-writev.
 	const budget = 64
 	cc := &clientConn{w: newFrameWriter(&budgetConn{budget: budget}), pending: map[uint64]pendingOp{}}
-	idA, chA, _ := cc.register(nil, true)
-	idB, chB, _ := cc.register(nil, true)
+	idA, chA, _ := cc.register(nil)
+	idB, chB, _ := cc.register(nil)
 	if err := e.send(cc, opWrite, idA, 1, 0, 0, make([]byte, 8), nil); err != nil {
 		t.Fatalf("send A: %v", err)
 	}

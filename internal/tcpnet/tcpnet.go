@@ -41,8 +41,11 @@
 // in the connection's read loop — so one-sided operations on a connection
 // execute in exactly the order they were sent, mirroring RC QP ordering —
 // and their responses are flushed by the read loop once the burst of
-// buffered requests drains. Two-sided opCall frames are dispatched to worker
-// goroutines bounded by an endpoint-wide cap (callConcurrency): calls whose
+// buffered requests drains. Two-sided opCall frames go over a channel to the
+// endpoint's call workers: persistent goroutines, started when none is idle
+// up to an endpoint-wide cap (callConcurrency) and kept until Close, so a call
+// costs no goroutine of its own. A read loop that finds every worker busy
+// waits for one (backpressure: it stops reading the connection). Calls whose
 // issuer did not wait for a prior completion may be handled concurrently,
 // exactly as multiple outstanding SENDs would. Registered regions are
 // guarded by an RWMutex so one-sided operations from many connections
@@ -73,10 +76,12 @@
 // one payload without the client ever concatenating them. Inbound, the demux
 // reader is length-aware: a response whose round trip registered a
 // destination buffer (ReadRegionInto) is scattered straight into it with
-// io.ReadFull, and every other payload comes from the shared size-classed
-// pool (internal/bufpool) rather than a per-response make. The ownership
-// rules are bufpool's: pooled buffers handed to callers become owned; owners
-// that retain them simply strand one pooled buffer.
+// io.ReadFull, and every other payload — call answers included — comes from
+// the shared size-classed pool (internal/bufpool) rather than a per-response
+// make. The ownership rules are bufpool's: pooled buffers handed to callers
+// become owned; owners that retain them simply strand one pooled buffer. In
+// the other direction a handler's answer is handed to the transport, which
+// releases it, with the request payload, after the flush that writes it.
 package tcpnet
 
 import (
@@ -162,8 +167,11 @@ func WithMetrics(reg *metrics.Registry) Option {
 type Endpoint struct {
 	id       transport.NodeID
 	listener net.Listener
-	callSem  chan struct{}
 	closedCh chan struct{}
+
+	// calls feeds the call workers (see dispatch); workers counts them.
+	calls   chan call
+	workers atomic.Int32
 
 	// baseCtx is the server-side request context handed to inbound
 	// control-plane handlers; it is cancelled when the endpoint closes.
@@ -210,14 +218,13 @@ type laneKey struct {
 // retry marks failures where the request provably never fully left this host
 // (the connection died before all of its frame's bytes were handed to the
 // kernel), so the operation can be re-sent without risking duplicate
-// execution on the peer. pooled marks a payload drawn from the frame pool;
-// the round trip releases it unless ownership passes to the caller.
+// execution on the peer. A payload is drawn from the frame pool; the round
+// trip releases it unless ownership passes to the caller.
 type rpcResult struct {
 	status  byte
 	payload []byte
 	err     error
 	retry   bool
-	pooled  bool
 }
 
 // frameRef remembers where one frame ends in the outbound byte stream, so a
@@ -274,16 +281,18 @@ func newFrameWriter(conn net.Conn) *frameWriter {
 }
 
 // queue appends one frame: hdr, encoded by the caller and copied into a
-// recycled header block, then payload and extra by reference. release, when
-// non-nil, is a pooled buffer the frame depends on, handed back to the pool
-// by the flush that gives the frame to the kernel (or at once, if the writer
-// is dead). kick wakes the flusher; without it the frame waits for the
-// owner's next flush.
-func (w *frameWriter) queue(id uint64, hdr, payload []byte, extra [][]byte, release []byte, kick bool) error {
+// recycled header block, then payload and extra by reference. release lists
+// the pooled buffers the frame depends on, handed back to the pool by the
+// flush that gives the frame to the kernel (or at once, if the writer is
+// dead). kick wakes the flusher; without it the frame waits for the owner's
+// next flush.
+func (w *frameWriter) queue(id uint64, hdr, payload []byte, extra [][]byte, kick bool, release ...[]byte) error {
 	w.mu.Lock()
 	if w.dead {
 		w.mu.Unlock()
-		putBuf(release)
+		for _, b := range release {
+			putBuf(b)
+		}
 		return errWriterDead
 	}
 	var blk *[reqHeaderSize]byte
@@ -307,8 +316,10 @@ func (w *frameWriter) queue(id uint64, hdr, payload []byte, extra [][]byte, rele
 			size += len(b)
 		}
 	}
-	if release != nil {
-		w.release = append(w.release, release)
+	for _, b := range release {
+		if cap(b) > 0 {
+			w.release = append(w.release, b)
+		}
 	}
 	w.queued += int64(size)
 	w.ends = append(w.ends, frameRef{id: id, end: w.written + w.queued, bi: bi, bn: len(w.bufs) - bi})
@@ -458,13 +469,11 @@ func (w *frameWriter) detach(id uint64) {
 
 // pendingOp is one in-flight round trip awaiting its response. dst, when
 // non-nil, is the caller's destination buffer: the demux reader scatters a
-// matching OK payload straight into it. pool selects how other payloads are
-// read: from the frame pool (one-sided ops; the round trip releases them)
-// or freshly allocated (call responses, which the application retains).
+// matching OK payload straight into it. Every other payload is read into a
+// buffer from the frame pool.
 type pendingOp struct {
-	ch   chan rpcResult
-	dst  []byte
-	pool bool
+	ch  chan rpcResult
+	dst []byte
 }
 
 // clientConn is one pooled outbound connection: requests go out through w,
@@ -483,9 +492,9 @@ type clientConn struct {
 // resultChanPool recycles the buffered per-request response channels.
 var resultChanPool = sync.Pool{New: func() any { return make(chan rpcResult, 1) }}
 
-// register allocates a request ID and its response channel. dst and pool
-// configure how the demux reader lands this request's response payload.
-func (cc *clientConn) register(dst []byte, pool bool) (uint64, chan rpcResult, error) {
+// register allocates a request ID and its response channel. dst, when
+// non-nil, is where the demux reader lands this request's response payload.
+func (cc *clientConn) register(dst []byte) (uint64, chan rpcResult, error) {
 	cc.pmu.Lock()
 	defer cc.pmu.Unlock()
 	if cc.dead {
@@ -494,7 +503,7 @@ func (cc *clientConn) register(dst []byte, pool bool) (uint64, chan rpcResult, e
 	cc.nextID++
 	id := cc.nextID
 	ch := resultChanPool.Get().(chan rpcResult)
-	cc.pending[id] = pendingOp{ch: ch, dst: dst, pool: pool}
+	cc.pending[id] = pendingOp{ch: ch, dst: dst}
 	return id, ch, nil
 }
 
@@ -518,9 +527,7 @@ func (cc *clientConn) cancel(id uint64, ch chan rpcResult, dst []byte) {
 	}
 	if dst != nil {
 		res := <-ch
-		if res.pooled {
-			putBuf(res.payload)
-		}
+		putBuf(res.payload)
 		resultChanPool.Put(ch)
 	}
 }
@@ -535,7 +542,7 @@ func Listen(id transport.NodeID, addr string, opts ...Option) (*Endpoint, error)
 	e := &Endpoint{
 		id:       id,
 		listener: l,
-		callSem:  make(chan struct{}, callConcurrency),
+		calls:    make(chan call),
 		lanes:    min(maxLanes, runtime.GOMAXPROCS(0)),
 		closedCh: make(chan struct{}),
 		regions:  map[transport.RegionID][]byte{},
@@ -682,8 +689,9 @@ func (e *Endpoint) serveConn(conn net.Conn) {
 	e.inbound[conn] = struct{}{}
 	e.mu.Unlock()
 	// Response frames are queued by the read loop (one-sided fast path) and
-	// by call workers. callWG is drained before the writer's loop is told to
-	// finish, so workers never queue onto a writer nobody flushes.
+	// by call workers. callWG counts this connection's calls in flight and is
+	// drained before the writer's loop is told to finish, so workers never
+	// queue onto a writer nobody flushes.
 	w := newFrameWriter(conn)
 	e.wg.Add(1)
 	go func() {
@@ -716,26 +724,14 @@ func (e *Endpoint) serveConn(conn net.Conn) {
 		e.bytesRx.Add(int64(reqHeaderSize + len(req.payload)))
 		e.served.Inc()
 		if req.op == opCall {
-			// Two-sided calls go to bounded workers so a slow handler never
-			// stalls one-sided traffic behind it. Acquiring the semaphore
-			// here (not in the worker) applies backpressure: a saturated
-			// server stops reading new frames from this connection.
-			select {
-			case e.callSem <- struct{}{}:
-			case <-e.closedCh:
+			// Two-sided calls go to the call workers so a slow handler never
+			// stalls one-sided traffic behind it.
+			callWG.Add(1)
+			if !e.dispatch(call{req: req, w: w, done: &callWG}) {
+				callWG.Done()
+				putBuf(req.payload)
 				return
 			}
-			callWG.Add(1)
-			go func(req request) {
-				defer callWG.Done()
-				defer func() { <-e.callSem }()
-				status, resp := e.execute(req)
-				// Workers kick the flusher so a burst of completing handlers
-				// coalesces into one syscall. The pooled request payload is
-				// released by that flush, not here, so even a response that
-				// aliases it reaches the wire intact.
-				_ = e.respond(w, req.id, status, resp, req.payload, true)
-			}(req)
 			continue
 		}
 		// One-sided fast path: executed inline, in arrival order, and not
@@ -754,7 +750,7 @@ func (e *Endpoint) serveConn(conn net.Conn) {
 		} else if status, resp = e.execute(req); req.op == opRead {
 			release = resp
 		}
-		werr := e.respond(w, req.id, status, resp, release, false)
+		werr := e.respond(w, req.id, status, resp, false, release)
 		putBuf(req.payload)
 		if werr != nil {
 			return
@@ -762,22 +758,81 @@ func (e *Endpoint) serveConn(conn net.Conn) {
 	}
 }
 
-// respond queues one response frame. release, when non-nil, is a pooled
-// buffer the frame depends on — an opRead's response payload, an opCall's
-// request payload — handed back to the pool by the flush that gives the
+// call is one two-sided request on its way to a call worker: the request,
+// the writer its answer goes out through, and the serving connection's count
+// of calls in flight, which the worker marks done once the answer is queued.
+type call struct {
+	req  request
+	w    *frameWriter
+	done *sync.WaitGroup
+}
+
+// dispatch hands c to an idle call worker, or starts one when none is idle
+// and fewer than callConcurrency exist; otherwise the read loop waits for a
+// worker to come free — backpressure: a saturated server stops reading new
+// frames from the connection. It reports false if the endpoint closed first.
+func (e *Endpoint) dispatch(c call) bool {
+	select {
+	case e.calls <- c:
+		return true
+	default:
+	}
+	if e.workers.Add(1) <= callConcurrency {
+		e.wg.Add(1) // the read loop's own count keeps wg above zero
+		go e.callWorker(c)
+		return true
+	}
+	e.workers.Add(-1)
+	select {
+	case e.calls <- c:
+		return true
+	case <-e.closedCh:
+		return false
+	}
+}
+
+// callWorker serves c, then every call the read loops hand it, until the
+// endpoint closes: a call costs no goroutine, closure or fresh stack. The
+// flush that writes an answer releases the pooled request payload and the
+// answer the handler handed over — once, when the answer is a view of the
+// payload — so even such an answer reaches the wire intact. Workers kick the
+// flusher, so a burst of completing handlers coalesces into one syscall.
+func (e *Endpoint) callWorker(c call) {
+	defer e.wg.Done()
+	for {
+		status, resp := e.execute(c.req)
+		answer := resp
+		if bufpool.Overlaps(resp, c.req.payload) {
+			answer = nil
+		}
+		_ = e.respond(c.w, c.req.id, status, resp, true, c.req.payload, answer)
+		c.done.Done()
+		select {
+		case c = <-e.calls:
+		case <-e.closedCh:
+			return
+		}
+	}
+}
+
+// respond queues one response frame. release lists the pooled buffers the
+// frame depends on — an opRead's response payload; an opCall's request
+// payload and answer — handed back to the pool by the flush that gives the
 // frame to the kernel. kick is set by call workers, whose responses the
 // flusher batches; the read loop's inline responses wait for its loop-top
 // flush.
-func (e *Endpoint) respond(w *frameWriter, id uint64, status byte, payload, release []byte, kick bool) error {
+func (e *Endpoint) respond(w *frameWriter, id uint64, status byte, payload []byte, kick bool, release ...[]byte) error {
 	if len(payload) > maxPayload {
-		putBuf(release)
+		for _, b := range release {
+			putBuf(b)
+		}
 		return fmt.Errorf("%w: payload %d exceeds %d", ErrFrameTooLarge, len(payload), maxPayload)
 	}
 	var hdr [respHeaderSize]byte
 	binary.BigEndian.PutUint64(hdr[0:8], id)
 	hdr[8] = status
 	binary.BigEndian.PutUint32(hdr[9:13], uint32(len(payload)))
-	if err := w.queue(id, hdr[:], payload, nil, release, kick); err != nil {
+	if err := w.queue(id, hdr[:], payload, nil, kick, release...); err != nil {
 		return err
 	}
 	e.bytesTx.Add(int64(respHeaderSize + len(payload)))
@@ -951,22 +1006,15 @@ func (e *Endpoint) readLoop(key laneKey, cc *clientConn, r *bufio.Reader) {
 			op.ch <- rpcResult{status: status}
 			continue
 		}
-		var payload []byte
-		if op.pool {
-			payload = getBuf(payloadLen)
-		} else {
-			payload = make([]byte, payloadLen)
-		}
+		payload := getBuf(payloadLen)
 		if _, err := io.ReadFull(r, payload); err != nil {
-			if op.pool {
-				putBuf(payload)
-			}
+			putBuf(payload)
 			op.ch <- rpcResult{err: fmt.Errorf("%w: recv: %v", transport.ErrUnreachable, err)}
 			e.failConn(key, cc, err)
 			return
 		}
 		e.bytesRx.Add(int64(respHeaderSize + payloadLen))
-		op.ch <- rpcResult{status: status, payload: payload, pooled: op.pool}
+		op.ch <- rpcResult{status: status, payload: payload}
 	}
 }
 
@@ -1039,7 +1087,7 @@ func (e *Endpoint) send(cc *clientConn, op byte, id uint64, region transport.Reg
 	binary.BigEndian.PutUint64(hdr[21:29], uint64(offset))
 	binary.BigEndian.PutUint32(hdr[29:33], uint32(n))
 	binary.BigEndian.PutUint32(hdr[33:37], uint32(plen))
-	if err := cc.w.queue(id, hdr[:], payload, extra, nil, true); err != nil {
+	if err := cc.w.queue(id, hdr[:], payload, extra, true); err != nil {
 		return err
 	}
 	e.bytesTx.Add(int64(reqHeaderSize + plen))
@@ -1100,7 +1148,7 @@ func (e *Endpoint) attempt(ctx context.Context, to transport.NodeID, op byte, re
 		e.mu.Unlock()
 		return nil, known, err // unknown peers fail fast, dial errors retry
 	}
-	id, ch, err := cc.register(dst, op != opCall)
+	id, ch, err := cc.register(dst)
 	if err != nil {
 		return nil, true, err // connection died while pooled
 	}
@@ -1141,18 +1189,14 @@ func (e *Endpoint) attempt(ctx context.Context, to transport.NodeID, op byte, re
 	resultChanPool.Put(ch)
 	out, err := e.decodeStatus(to, region, res.status, res.payload)
 	if err != nil {
-		if res.pooled {
-			putBuf(res.payload)
-		}
+		putBuf(res.payload)
 		return nil, false, err
 	}
 	if dst != nil && out != nil {
 		// The reader fell back to a buffered read (length mismatch with dst:
 		// a peer anomaly); salvage what fits.
 		copied := copy(dst, out)
-		if res.pooled {
-			putBuf(out)
-		}
+		putBuf(out)
 		if copied != len(dst) {
 			return nil, false, fmt.Errorf("tcpnet: short read: %d of %d bytes", copied, len(dst))
 		}
@@ -1202,7 +1246,9 @@ func (e *Endpoint) ReadRegionInto(ctx context.Context, to transport.NodeID, regi
 	return err
 }
 
-// Call implements transport.Verbs.
+// Call implements transport.Verbs. The answer is drawn from the shared frame
+// pool, like ReadRegion's result: the caller owns it and may release it with
+// bufpool.Put once decoded.
 func (e *Endpoint) Call(ctx context.Context, to transport.NodeID, payload []byte) ([]byte, error) {
 	return e.roundTrip(ctx, to, opCall, 0, 0, 0, payload, nil, nil)
 }
@@ -1215,8 +1261,8 @@ func (e *Endpoint) CallV(ctx context.Context, to transport.NodeID, bufs [][]byte
 }
 
 // request is one decoded request frame. Its payload is drawn from the frame
-// pool: the serving loop releases it once the op has been applied (one-sided)
-// or its response flushed (calls — handlers see it only until they return).
+// pool: it is released once the op has been applied (one-sided) or its
+// response flushed (calls — handlers see it only until they return).
 type request struct {
 	op      byte
 	id      uint64

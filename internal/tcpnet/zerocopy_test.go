@@ -217,7 +217,8 @@ func TestAliasedCallResponseSurvivesPooledPayload(t *testing.T) {
 
 // TestCallPayloadsArePooled: in steady state a 64 KiB two-sided call costs
 // no payload-sized allocation on either side of the loopback — the request
-// buffer the handler sees is recycled (scripts/alloc_budget.sh holds the same
+// buffer the handler sees is recycled, and so is the pooled answer the caller
+// releases once it is done with it (scripts/alloc_budget.sh holds the same
 // line on the benchmark).
 func TestCallPayloadsArePooled(t *testing.T) {
 	if raceEnabled {
@@ -230,9 +231,11 @@ func TestCallPayloadsArePooled(t *testing.T) {
 	vec := [][]byte{make([]byte, 32), make([]byte, 64<<10)}
 	ctx := context.Background()
 	call := func() {
-		if _, err := a.CallV(ctx, 2, vec); err != nil {
+		resp, err := a.CallV(ctx, 2, vec)
+		if err != nil {
 			t.Fatal(err)
 		}
+		putBuf(resp)
 	}
 	for i := 0; i < 4*a.lanes; i++ {
 		call() // dial every lane, fill the pool
@@ -246,6 +249,63 @@ func TestCallPayloadsArePooled(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if perCall := (after.TotalAlloc - before.TotalAlloc) / calls; perCall > 4<<10 {
 		t.Errorf("a 64 KiB call allocates %d B on average, want no payload-sized allocation", perCall)
+	}
+}
+
+// TestHandlerAnswerReleasedOnce: a handler's answer is handed to the
+// transport, which releases it after the flush that writes it — once, also
+// when the answer is the request payload itself, released with it. Built with
+// -tags bufdebug a second release panics and a release before the write
+// poisons the bytes the caller checks; the caller releases every answer too,
+// as core does, so the pool recycles both sides' buffers under the calls.
+func TestHandlerAnswerReleasedOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		handler transport.Handler
+		answer  func(msg []byte) []byte
+	}{
+		{"echo", func(_ context.Context, _ transport.NodeID, payload []byte) ([]byte, error) {
+			return payload, nil
+		}, func(msg []byte) []byte { return msg }},
+		{"pooled", func(_ context.Context, _ transport.NodeID, payload []byte) ([]byte, error) {
+			answer := getBuf(len(payload) / 2)
+			for i := range answer {
+				answer[i] = ^payload[i]
+			}
+			return answer, nil
+		}, func(msg []byte) []byte {
+			want := make([]byte, len(msg)/2)
+			for i := range want {
+				want[i] = ^msg[i]
+			}
+			return want
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, peer := benchPair(t)
+			peer.SetHandler(tc.handler)
+			var wg sync.WaitGroup
+			for w := 0; w < 4; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; i < 250; i++ {
+						msg := bytes.Repeat([]byte{byte(w), byte(i)}, 3000+i)
+						got, err := a.Call(context.Background(), 2, msg)
+						if err != nil {
+							t.Errorf("Call: %v", err)
+							return
+						}
+						if !bytes.Equal(got, tc.answer(msg)) {
+							t.Errorf("caller %d call %d: the answer arrived altered", w, i)
+							return
+						}
+						putBuf(got)
+					}
+				}(w)
+			}
+			wg.Wait()
+		})
 	}
 }
 

@@ -50,8 +50,15 @@ var (
 //
 // payload is lent to the handler: it is valid only until the handler returns
 // (the TCP fabric draws it from the frame pool, the simulated fabric passes
-// the caller's own slice), so a handler copies whatever it keeps and never
-// returns a response that aliases it.
+// the caller's own slice), so a handler copies whatever it keeps.
+//
+// The answer is handed to the fabric with the return, and the handler never
+// touches it again. The TCP fabric releases it to internal/bufpool after the
+// flush that writes it; the simulated fabric hands it to the caller. So a
+// handler answers with memory it gives up: fresh, drawn from bufpool, or a
+// view of payload — such an answer reaches the caller intact and is released
+// once, with the payload. A slice the handler keeps sharing read-only is a
+// valid answer only if bufpool.Put drops it (capacity below bufpool.MinBuf).
 //
 // ctx is the request-scoped context. On the simulated fabric it is the
 // caller's context (so it carries the calling des.Proc and any trace state);
@@ -76,6 +83,13 @@ type Verbs interface {
 	ReadRegion(ctx context.Context, to NodeID, region RegionID, offset int64, n int) ([]byte, error)
 	// Call performs a two-sided send/receive round trip: the payload is
 	// delivered to the target's Handler and its response returned.
+	//
+	// payload is lent until Call returns, cancellation included. The answer
+	// belongs to the caller, who may release it with bufpool.Put once done
+	// with it (the TCP fabric lands it in a pooled buffer; releasing stays
+	// optional). On a fabric that passes payload itself to the handler — the
+	// simulated one — an answer may be a view of payload: a caller that
+	// releases both releases only one (bufpool.Overlaps tells).
 	Call(ctx context.Context, to NodeID, payload []byte) ([]byte, error)
 }
 
@@ -112,7 +126,8 @@ type ScatterReader interface {
 // contiguous payload, so a caller never concatenates a bulk body behind its
 // header. The TCP fabric and the fault and trace middlewares implement it
 // natively; CallV (the package helper) falls back to a pooled gather copy
-// for a Verbs that does not. Ownership of bufs is VectoredWriter's.
+// for a Verbs that does not. Ownership of bufs is VectoredWriter's; the
+// answer is the caller's, as Call's is.
 type VectoredCaller interface {
 	CallV(ctx context.Context, to NodeID, bufs [][]byte) ([]byte, error)
 }
@@ -149,14 +164,18 @@ func WriteRegionV(ctx context.Context, v Verbs, to NodeID, region RegionID, offs
 // CallV performs a gather call through v: natively when v implements
 // VectoredCaller, otherwise as a plain Call of one pooled gather of bufs. The
 // handler sees the same payload bytes either way, and it is one Call at the
-// Verbs level on both paths.
+// Verbs level on both paths. An answer that is a view of the gather (a
+// fabric that hands the handler the caller's payload) keeps it: the gather
+// is released only when the answer does not share its memory.
 func CallV(ctx context.Context, v Verbs, to NodeID, bufs [][]byte) ([]byte, error) {
 	if vc, ok := v.(VectoredCaller); ok {
 		return vc.CallV(ctx, to, bufs)
 	}
 	flat := gather(bufs)
 	resp, err := v.Call(ctx, to, flat)
-	bufpool.Put(flat)
+	if !bufpool.Overlaps(resp, flat) {
+		bufpool.Put(flat)
+	}
 	return resp, err
 }
 

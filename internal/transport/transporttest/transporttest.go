@@ -54,6 +54,7 @@ func Cases() []Case {
 		{"VectoredWriteEquivalence", testVectoredWriteEquivalence},
 		{"ScatterReadInto", testScatterReadInto},
 		{"GatherCallEquivalence", testGatherCallEquivalence},
+		{"AnswerViewOfPayload", testAnswerViewOfPayload},
 		{"MapDeltaOpFidelity", testMapDeltaOpFidelity},
 		{"RedirectOpFidelity", testRedirectOpFidelity},
 		{"ShardPutOpFidelity", testShardPutOpFidelity},
@@ -437,7 +438,8 @@ func testScatterReadInto(t *testing.T, f Fabric) {
 // handler of a CallV receives, as one contiguous payload, byte for byte what
 // the handler of a plain Call of the concatenation receives. The handler
 // copies what it keeps — its payload is only lent to it — and answers with
-// fresh bytes. Oversized totals get the ErrFrameTooLarge of oversized calls.
+// bytes it gives up (AnswerViewOfPayload covers an answer that is a view of
+// the payload). Oversized totals get the ErrFrameTooLarge of oversized calls.
 func testGatherCallEquivalence(t *testing.T, f Fabric) {
 	eps := f.Endpoints(t, 2)
 	var seen [][]byte
@@ -481,6 +483,49 @@ func testGatherCallEquivalence(t *testing.T, f Fabric) {
 		huge := [][]byte{make([]byte, transport.MaxFrameSize), {0x1}}
 		if _, err := transport.CallV(ctx, eps[0], 2, huge); !errors.Is(err, transport.ErrFrameTooLarge) {
 			t.Errorf("oversized gather call: %v, want ErrFrameTooLarge", err)
+		}
+	})
+}
+
+// testAnswerViewOfPayload checks the answer half of the ownership contract
+// for a handler whose answer is a view of its payload (its first half): the
+// caller gets those bytes intact, and keeps them, whether the call went out
+// plain, as a native gather or through the package helper's gather fallback.
+// Every answer is held across the calls after it, so a fabric or helper that
+// released the payload under an answer still pointing into it shows the next
+// call's bytes there — or, built with -tags bufdebug, poison.
+func testAnswerViewOfPayload(t *testing.T, f Fabric) {
+	eps := f.Endpoints(t, 2)
+	eps[1].SetHandler(func(_ context.Context, _ transport.NodeID, payload []byte) ([]byte, error) {
+		return payload[:len(payload)/2], nil
+	})
+	message := func(seed int) []byte {
+		b := make([]byte, 12000) // a 16 KiB pooled buffer once gathered or received
+		for i := range b {
+			b[i] = byte(seed*37 + i*7 + i>>9)
+		}
+		return b
+	}
+	f.Run(t, func(ctx context.Context) {
+		var held, want [][]byte
+		for round := 0; round < 3; round++ {
+			plain := message(2 * round)
+			resp, err := eps[0].Call(ctx, 2, plain)
+			if err != nil {
+				t.Fatalf("round %d Call: %v", round, err)
+			}
+			held, want = append(held, resp), append(want, plain[:len(plain)/2])
+			gathered := message(2*round + 1)
+			resp, err = transport.CallV(ctx, eps[0], 2, [][]byte{gathered[:100], gathered[100:]})
+			if err != nil {
+				t.Fatalf("round %d CallV: %v", round, err)
+			}
+			held, want = append(held, resp), append(want, gathered[:len(gathered)/2])
+			for i := range held {
+				if !bytes.Equal(held[i], want[i]) {
+					t.Fatalf("after round %d: answer %d (%d bytes) no longer reads as the first half of its payload", round, i, len(held[i]))
+				}
+			}
 		}
 	})
 }

@@ -7,13 +7,14 @@
 # PR 15 and grew for five PRs to 7076 because nothing counted. The budget is
 # what the tree held after the last change that removed lines (6917 when this
 # script was written, 6718 once tcpnet's two frame writers became one, 6702
-# since the slab pools lost their lock shards): lower it in the change that
-# removes lines; a change that must raise it says in CHANGES.md where the
-# matching deletion is.
+# once the slab pools lost their lock shards; 6834 since a window round
+# allocates nothing — pooled call answers, persistent call workers, pooled
+# window scratch): lower it in the change that removes lines; a change that
+# must raise it says in CHANGES.md where the matching deletion is.
 set -eu
 cd "$(dirname "$0")/.."
 
-budget=6702
+budget=6834
 
 count() {
     find "internal/$1" -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
